@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline: ingest, split, inject-outliers,
 generate, fidelity, privacy {recon,recon-poisoned,mia,mia-poisoned},
 utility {tstr-classify,tstr-forecast}, evaluate, demo. Every command is
-seed-deterministic; --threads defaults to 1 and is recorded in reports.
+seed-deterministic.
 """
 
 from __future__ import annotations
@@ -157,7 +157,6 @@ def _add_demo(sub) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="synthmeter", description=__doc__)
     parser.add_argument("--version", action="version", version=f"synthmeter {__version__}")
-    parser.add_argument("--threads", type=int, default=1, help="recorded in reports; 1 keeps runs bit-reproducible")
     parser.add_argument("--seed", type=int, default=None, dest="global_seed",
                         help="default seed for any subcommand that does not set its own")
     parser.add_argument("--output-dir", default=None, dest="global_output_dir",
@@ -252,14 +251,7 @@ def _cmd_fidelity(args) -> int:
     if args.config:
         with open(args.config) as fh:
             options = json.load(fh)
-    config = fidelity.FidelityConfig(
-        acf_max_lag=int(options.get("acf_max_lag", 24)),
-        quantiles=tuple(float(q) for q in options.get("quantiles", (0.5, 0.95))),
-        peaks_n=int(options.get("peaks_n", 4)),
-        clusters_k=int(options.get("clusters_k", 25)),
-        kl_smoothing=float(options.get("kl_smoothing", 1e-6)),
-        seed=args.seed,
-    )
+    config = fidelity.FidelityConfig.from_options(options, args.seed)
     result = fidelity.evaluate_fidelity(real, synthetic, config)
     _write_json(args.report, result.as_dict())
     print(f"fidelity report written to {args.report}")

@@ -39,6 +39,21 @@ class FidelityConfig:
             if not (0.0 < q < 1.0):
                 raise ValueError(f"quantiles must be in (0, 1), got {q}")
 
+    @classmethod
+    def from_options(cls, options: dict, seed: int) -> FidelityConfig:
+        """Config from a JSON mapping (a manifest section or a CLI config
+        file); absent keys keep their defaults."""
+        defaults = cls()
+        return cls(
+            acf_max_lag=int(options.get("acf_max_lag", defaults.acf_max_lag)),
+            quantiles=tuple(float(q) for q in options.get("quantiles", defaults.quantiles)),
+            peaks_n=int(options.get("peaks_n", defaults.peaks_n)),
+            clusters_k=int(options.get("clusters_k", defaults.clusters_k)),
+            mmd_bandwidth=options.get("mmd_bandwidth", defaults.mmd_bandwidth),
+            kl_smoothing=float(options.get("kl_smoothing", defaults.kl_smoothing)),
+            seed=seed,
+        )
+
 
 @dataclass
 class AggregatedFidelity:

@@ -4,10 +4,18 @@ Everything here is a pure function over numpy arrays (or ProfileSets,
 which are thin wrappers around them): exact nearest-neighbour scans,
 the one-tailed KS statistic, RBF MMD, KL divergence, per-profile
 autocorrelation, peak masking, per-slot statistics and 2-d PCA.
+
+The three pairwise-distance consumers (the exact nearest-neighbour scan,
+the median-heuristic bandwidth and the RBF MMD kernel sums) read squared
+distances from one blocked generator, so their memory is bounded by
+``_BLOCK_ENTRIES`` rather than growing with the product of the row
+counts. The median bandwidth stays exact: it is found by two-pass
+bucket selection over the blocks, not by subsampling.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +33,15 @@ from .profiles import ProfileSet
 #: sentinel bandwidth: use the median pairwise distance of the pooled sample
 MEDIAN_HEURISTIC = "median"
 
+#: float64 entries in one block of squared distances (32 MB)
+_BLOCK_ENTRIES = 4_000_000
+
+# a clamped squared distance is a float64 >= +0, so its bit pattern read as
+# int64 sorts like the value; dropping the low 44 bits keeps the exponent and
+# 8 mantissa bits, i.e. 256 order-preserving buckets per binade
+_BUCKET_SHIFT = 44
+_N_BUCKETS = 1 << (63 - _BUCKET_SHIFT)
+
 
 def _as_matrix(data) -> np.ndarray:
     if isinstance(data, ProfileSet):
@@ -33,6 +50,51 @@ def _as_matrix(data) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr[:, None]
     return arr
+
+
+def _sq_distance_blocks(a: np.ndarray, b: np.ndarray | None = None):
+    """Clamped squared Euclidean distances, one block of rows at a time.
+
+    Every value is max(|a_i|^2 + |b_j|^2 - 2 a_i.b_j, 0), evaluated in the
+    same order as the dense matrix expression. Against ``b``, each block is
+    the 2-d array of a run of rows of ``a`` against every row of ``b``. With
+    no ``b``, each block is the 1-d array of pairs (i, j > i) of ``a`` for a
+    run of rows i; only the columns from the run's first row onward are
+    computed. A block holds at most ``_BLOCK_ENTRIES`` values (one row at
+    least). Two buffers serve every block, so a yielded block is valid only
+    until the next one is requested; consumers may overwrite it.
+    """
+    a_sq = np.einsum("ij,ij->i", a, a)
+    pairs = b is None
+    if pairs:
+        b, b_sq = a, a_sq
+    else:
+        b_sq = np.einsum("ij,ij->i", b, b)
+    size = min(len(a) * len(b), max(_BLOCK_ENTRIES, len(b)))
+    gram_buffer, d2_buffer = np.empty(size), np.empty(size)
+    start = 0
+    while start < len(a):
+        first_col = start if pairs else 0
+        cols = len(b) - first_col
+        rows = min(len(a) - start, max(1, _BLOCK_ENTRIES // cols))
+        stop = start + rows
+        gram = gram_buffer[: rows * cols].reshape(rows, cols)
+        np.matmul(a[start:stop], b[first_col:].T, out=gram)
+        gram *= 2.0
+        d2 = d2_buffer[: rows * cols].reshape(rows, cols)
+        np.add(a_sq[start:stop, None], b_sq[None, first_col:], out=d2)
+        d2 -= gram
+        np.maximum(d2, 0.0, out=d2)
+        if pairs:
+            # pack each row's j > i tail into the spent gram buffer
+            end = 0
+            for k, row in enumerate(d2):
+                tail = row[k + 1 :]
+                gram_buffer[end : end + len(tail)] = tail
+                end += len(tail)
+            d2 = gram_buffer[:end]
+        yield d2
+        start = stop
 
 
 @dataclass
@@ -67,20 +129,17 @@ def nearest_neighbor_distances(query, reference) -> NearestNeighborResult:
     out_i = np.empty(len(q), dtype=np.int64)
     # margin bounds the rounding gap between the inner-product expansion and
     # the exact difference formula, so no true minimum escapes the shortlist
-    scale = q_sq + (r_sq.max() if len(r_sq) else 0.0) + 1.0
-    chunk = max(1, int(4e6) // max(1, len(r)))
-    for start in range(0, len(q), chunk):
-        stop = min(start + chunk, len(q))
-        d2 = q_sq[start:stop, None] + r_sq[None, :] - 2.0 * (q[start:stop] @ r.T)
-        np.maximum(d2, 0.0, out=d2)
-        approx_min = d2.min(axis=1)
-        margin = 1e-8 * scale[start:stop]
-        for k in range(stop - start):
-            cand = np.flatnonzero(d2[k] <= approx_min[k] + margin[k])
+    margin = 1e-8 * (q_sq + r_sq.max() + 1.0)
+    start = 0
+    for d2 in _sq_distance_blocks(q, r):
+        limit = d2.min(axis=1) + margin[start : start + len(d2)]
+        for k in range(len(d2)):
+            cand = np.flatnonzero(d2[k] <= limit[k])
             exact = ((q[start + k] - r[cand]) ** 2).sum(axis=1)
             j = int(exact.argmin())
             out_i[start + k] = cand[j]
             out_d[start + k] = np.sqrt(exact[j])
+        start += len(d2)
     return NearestNeighborResult(nn_distance=out_d, nn_index=out_i)
 
 
@@ -122,23 +181,39 @@ class MmdResult:
 
 
 def median_heuristic_bandwidth(x, y) -> float:
-    """Median pairwise Euclidean distance over the pooled rows (1.0 if zero)."""
+    """Exact median pairwise Euclidean distance over the pooled rows (1.0 if zero).
+
+    Selects the value ``np.median`` returns over the distances of all pairs
+    i < j, without holding them: pass 1 counts the blocked squared distances
+    per order-preserving bucket, pass 2 keeps only the bucket(s) holding
+    the middle rank(s) and sorts them. Memory is bounded by the block size
+    plus the middle bucket(s), not by the number of pairs.
+    """
     pooled = np.vstack([_as_matrix(x), _as_matrix(y)])
-    n = len(pooled)
-    sq = np.einsum("ij,ij->i", pooled, pooled)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T)
-    np.maximum(d2, 0.0, out=d2)
-    upper = d2[np.triu_indices(n, k=1)]
-    median = float(np.median(np.sqrt(upper))) if len(upper) else 0.0
+    n_pairs = len(pooled) * (len(pooled) - 1) // 2
+    if n_pairs == 0:
+        return 1.0
+    # both passes iterate in comprehensions, so no block outlives its pass
+    counts = sum(
+        np.bincount(np.right_shift(bits, _BUCKET_SHIFT, out=bits), minlength=_N_BUCKETS)
+        for bits in (d2.view(np.int64) for d2 in _sq_distance_blocks(pooled))
+    )
+    lo_rank, hi_rank = (n_pairs - 1) // 2, n_pairs // 2
+    cumulative = np.cumsum(counts)
+    lo_bucket, hi_bucket = np.searchsorted(cumulative, [lo_rank, hi_rank], side="right")
+    below = int(cumulative[lo_bucket] - counts[lo_bucket])
+    # squared distances whose bit pattern falls in buckets lo..hi inclusive
+    low_bits, high_bits = int(lo_bucket) << _BUCKET_SHIFT, (int(hi_bucket) + 1) << _BUCKET_SHIFT
+    middle = np.concatenate(
+        [
+            d2[(d2.view(np.int64) >= low_bits) & (d2.view(np.int64) < high_bits)]
+            for d2 in _sq_distance_blocks(pooled)
+        ]
+    )
+    middle.sort()
+    # the median of the one or two middle values, computed as np.median does
+    median = float(np.median(np.sqrt(middle[lo_rank - below : hi_rank - below + 1])))
     return median if median > 0.0 else 1.0
-
-
-def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
-    a_sq = np.einsum("ij,ij->i", a, a)
-    b_sq = np.einsum("ij,ij->i", b, b)
-    d2 = a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(d2 / (-2.0 * bandwidth * bandwidth))
 
 
 def mmd2_rbf(x, y, bandwidth: float | str = MEDIAN_HEURISTIC) -> MmdResult:
@@ -146,8 +221,11 @@ def mmd2_rbf(x, y, bandwidth: float | str = MEDIAN_HEURISTIC) -> MmdResult:
 
     k(a, b) = exp(-||a - b||^2 / (2 sigma^2)). The estimate is the full
     mean of each within-set kernel matrix minus twice the mean cross
-    kernel, so identical inputs cancel exactly and rounding is the only
-    source of negative values. The statistic is symmetric in x and y.
+    kernel, so identical inputs cancel up to rounding, and rounding is the
+    only source of negative values. The statistic is symmetric in x and y. Kernel values
+    are summed block by block and each within-set sum is twice its upper
+    triangle plus the unit diagonal, so memory is bounded by the block
+    size, not by the product of the row counts.
     """
     a = _as_matrix(x)
     b = _as_matrix(y)
@@ -158,9 +236,18 @@ def mmd2_rbf(x, y, bandwidth: float | str = MEDIAN_HEURISTIC) -> MmdResult:
     sigma = median_heuristic_bandwidth(a, b) if bandwidth == MEDIAN_HEURISTIC else float(bandwidth)
     if sigma <= 0:
         raise DegenerateInput("bandwidth must be positive")
-    k_xx = float(_rbf_kernel(a, a, sigma).mean())
-    k_yy = float(_rbf_kernel(b, b, sigma).mean())
-    k_xy = float(_rbf_kernel(a, b, sigma).mean())
+    scale = -2.0 * sigma * sigma
+
+    def kernel_sum(*sets) -> float:
+        total = []
+        for d2 in _sq_distance_blocks(*sets):
+            d2 /= scale
+            total.append(float(np.exp(d2, out=d2).sum()))
+        return math.fsum(total)
+
+    k_xx = (2.0 * kernel_sum(a) + len(a)) / (len(a) * len(a))
+    k_yy = (2.0 * kernel_sum(b) + len(b)) / (len(b) * len(b))
+    k_xy = kernel_sum(a, b) / (len(a) * len(b))
     return MmdResult(mmd2=k_xx + k_yy - 2.0 * k_xy, bandwidth=sigma)
 
 

@@ -117,15 +117,7 @@ def _resolve(base: Path, value: str) -> Path:
 def _fidelity_section(manifest, train, synthetic, seed, output_dir, side_files):
     section = manifest.get("fidelity")
     options = dict(section) if isinstance(section, dict) else {}
-    config = fidelity.FidelityConfig(
-        acf_max_lag=int(options.get("acf_max_lag", 24)),
-        quantiles=tuple(float(q) for q in options.get("quantiles", (0.5, 0.95))),
-        peaks_n=int(options.get("peaks_n", 4)),
-        clusters_k=int(options.get("clusters_k", 25)),
-        mmd_bandwidth=options.get("mmd_bandwidth", kernels.MEDIAN_HEURISTIC),
-        kl_smoothing=float(options.get("kl_smoothing", 1e-6)),
-        seed=seed,
-    )
+    config = fidelity.FidelityConfig.from_options(options, seed)
     result = fidelity.evaluate_fidelity(train, synthetic, config)
 
     quantiles = list(config.quantiles)

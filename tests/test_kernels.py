@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,99 @@ class TestMmd:
     def test_degenerate_input(self):
         with pytest.raises(DegenerateInput):
             kernels.mmd2_rbf(np.ones((1, 3)), np.ones((5, 3)), 1.0)
+
+
+def dense_median_bandwidth(x, y):
+    """The dense O(n^2) median heuristic: np.median over the full upper triangle."""
+    pooled = np.vstack([x, y])
+    sq = np.einsum("ij,ij->i", pooled, pooled)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T), 0.0)
+    upper = d2[np.triu_indices(len(pooled), k=1)]
+    median = float(np.median(np.sqrt(upper))) if len(upper) else 0.0
+    return median if median > 0.0 else 1.0
+
+
+def dyadic_rows(rng, n, dims=48):
+    # quarter-integer values keep every product and sum exact, so the squared
+    # distances do not depend on how BLAS orders its sums for a block shape
+    return rng.integers(0, 16, size=(n, dims)) / 4.0
+
+
+class TestBlockedPairwise:
+    """Every input spans many blocks of the pairwise-distance generator."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 37)
+
+    @pytest.mark.parametrize("n_x, n_y", [(18, 19), (19, 19), (40, 27), (1, 1)])
+    def test_bandwidth_matches_dense_median_bit_for_bit(self, n_x, n_y):
+        # pooled 37 and 38 rows give 666 (even) and 703 (odd) pairs; 1 + 1 is a 2-row pool
+        rng = np.random.default_rng(n_x * 100 + n_y)
+        x, y = dyadic_rows(rng, n_x), dyadic_rows(rng, n_y)
+        assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y)
+
+    def test_bandwidth_ties_at_middle_rank(self):
+        rng = np.random.default_rng(8)
+        distinct = dyadic_rows(rng, 4)
+        x = distinct[rng.integers(0, 4, size=25)]
+        y = distinct[rng.integers(0, 4, size=30)]
+        assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y)
+
+    def test_bandwidth_even_count_averages_two_buckets(self):
+        # distances 1, 9, 10, 20, 29, 30: the middle pair sits in different binades
+        x, y = np.array([[0.0], [1.0]]), np.array([[10.0], [30.0]])
+        assert kernels.median_heuristic_bandwidth(x, y) == 15.0
+
+    def test_bandwidth_identical_rows_fallback(self):
+        x = np.full((20, 48), 0.25)
+        assert kernels.median_heuristic_bandwidth(x, x) == 1.0
+
+    def test_mmd_matches_triple_loop(self):
+        rng = np.random.default_rng(21)
+        for m, n in ((10, 15), (50, 40)):
+            x = rng.normal(size=(m, 6))
+            y = rng.normal(0.5, 1.0, size=(n, 6))
+            ours = kernels.mmd2_rbf(x, y, bandwidth=1.5).mmd2
+            assert ours == pytest.approx(triple_loop_mmd2(x, y, 1.5), abs=1e-12)
+
+    def test_mmd_median_heuristic_matches_triple_loop(self):
+        rng = np.random.default_rng(22)
+        x, y = dyadic_rows(rng, 30, 6), dyadic_rows(rng, 25, 6) + 0.5
+        result = kernels.mmd2_rbf(x, y)
+        assert result.bandwidth == dense_median_bandwidth(x, y)
+        assert result.mmd2 == pytest.approx(triple_loop_mmd2(x, y, result.bandwidth), abs=1e-12)
+
+    def test_nearest_neighbor_exact_across_block_edges(self):
+        rng = np.random.default_rng(7)
+        q = rng.normal(0.3, 0.2, size=(50, 48))
+        r = rng.normal(0.3, 0.2, size=(12, 48))
+        r[4] = q[17]
+        r[9] = q[17]
+        result = kernels.nearest_neighbor_distances(q, r)
+        expected_d, expected_i = brute_force_nn(q, r)
+        np.testing.assert_array_equal(result.nn_distance, expected_d)
+        np.testing.assert_array_equal(result.nn_index, expected_i)
+
+
+def test_mmd_memory_bounded_by_block_not_n():
+    # The dense kernels peaked at 723 MB here (the 6000^2 pooled distance
+    # matrix with its upper-triangle copies, then 3000^2 kernel matrices).
+    # Blocked, the live arrays are the generator's two reused buffers of
+    # _BLOCK_ENTRIES float64 (32 MB each) plus per-block masks, the bucket
+    # counts and the middle bucket(s); the bound, four blocks (128 MB), does
+    # not depend on n. Measured: 82 MB.
+    rng = np.random.default_rng(0)
+    x = rng.gamma(0.5, 0.4, size=(3000, 48))
+    y = rng.gamma(0.55, 0.4, size=(3000, 48))
+    bound = 4 * kernels._BLOCK_ENTRIES * 8
+    tracemalloc.start()
+    try:
+        kernels.mmd2_rbf(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.0f} MB, bound {bound / 1e6:.0f} MB"
 
 
 class TestKlDivergence:

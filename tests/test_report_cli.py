@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synthmeter import cli, demo, privacy, report
+from synthmeter import cli, demo, fidelity, kernels, privacy, report
 from synthmeter.errors import RatioNotComputed
 from synthmeter.generators import MemorizerConfig, memorizer_generate
 from synthmeter.poisoning import OutlierSpec, make_attack_registry, write_registry
@@ -268,6 +268,37 @@ class TestCli:
         assert rc == 0
         payload = json.loads((tmp_path / "fidelity.json").read_text())
         assert set(payload) >= {"acf_mmd", "profile_mmd", "peaks_mmd", "cluster_kl"}
+
+    def test_fidelity_config_file_sets_mmd_bandwidth(self, tmp_path):
+        real = demo.make_population(30, 6, seed=8)
+        synthetic = memorizer_generate(real, 120, MemorizerConfig(jitter_sigma=0.05, seed=2))
+        write_wide(real, tmp_path / "real.csv")
+        write_wide(synthetic, tmp_path / "synthetic.csv")
+        config = tmp_path / "fid.json"
+        config.write_text(json.dumps({"clusters_k": 4, "mmd_bandwidth": 2.0}))
+        rc = cli.main(
+            [
+                "fidelity",
+                "--real", str(tmp_path / "real.csv"),
+                "--synthetic", str(tmp_path / "synthetic.csv"),
+                "--config", str(config),
+                "--seed", "0",
+                "--report", str(tmp_path / "fidelity.json"),
+            ]
+        )
+        assert rc == 0
+        payload = json.loads((tmp_path / "fidelity.json").read_text())
+        real = read_wide(tmp_path / "real.csv", Role.TRAIN)
+        synthetic = read_wide(tmp_path / "synthetic.csv", Role.SYNTHETIC, horizon=real.horizon)
+        fixed, median = (
+            fidelity.evaluate_fidelity(
+                real, synthetic, fidelity.FidelityConfig(clusters_k=4, mmd_bandwidth=bandwidth, seed=0)
+            ).as_dict()
+            for bandwidth in (2.0, kernels.MEDIAN_HEURISTIC)
+        )
+        for key in ("acf_mmd", "profile_mmd", "peaks_mmd"):
+            assert payload[key] == fixed[key]
+            assert payload[key] != median[key]
 
     def test_utility_year_overlap_guard(self, tmp_path):
         fit = demo.make_population(20, 6, seed=3)
