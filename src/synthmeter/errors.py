@@ -7,6 +7,10 @@ class SynthmeterError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidConfig(SynthmeterError, ValueError):
+    """A configuration value is out of range or of the wrong kind."""
+
+
 class MalformedRow(SynthmeterError):
     """A source row could not be parsed; carries the 1-based line number."""
 

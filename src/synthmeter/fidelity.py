@@ -13,12 +13,13 @@ metrics 4 and 5.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gmm, kernels
-from .errors import DegenerateInput
+from .errors import DegenerateInput, InvalidConfig
 from .profiles import ProfileSet, require_same_horizon
 
 
@@ -34,25 +35,43 @@ class FidelityConfig:
 
     def __post_init__(self):
         if self.acf_max_lag < 1 or self.peaks_n < 1 or self.clusters_k < 1:
-            raise ValueError("acf_max_lag, peaks_n and clusters_k must be positive")
+            raise InvalidConfig("acf_max_lag, peaks_n and clusters_k must be positive")
         for q in self.quantiles:
             if not (0.0 < q < 1.0):
-                raise ValueError(f"quantiles must be in (0, 1), got {q}")
+                raise InvalidConfig(f"quantiles must be in (0, 1), got {q}")
+        if self.kl_smoothing < 0:
+            raise InvalidConfig("kl_smoothing must be non-negative")
+        bandwidth = self.mmd_bandwidth
+        if bandwidth != kernels.MEDIAN_HEURISTIC and not (
+            isinstance(bandwidth, (int, float))
+            and not isinstance(bandwidth, bool)
+            and math.isfinite(bandwidth)
+            and bandwidth > 0
+        ):
+            raise InvalidConfig(
+                f"mmd_bandwidth must be {kernels.MEDIAN_HEURISTIC!r} or a positive finite number,"
+                f" got {bandwidth!r}"
+            )
 
     @classmethod
     def from_options(cls, options: dict, seed: int) -> FidelityConfig:
         """Config from a JSON mapping (a manifest section or a CLI config
         file); absent keys keep their defaults."""
         defaults = cls()
-        return cls(
-            acf_max_lag=int(options.get("acf_max_lag", defaults.acf_max_lag)),
-            quantiles=tuple(float(q) for q in options.get("quantiles", defaults.quantiles)),
-            peaks_n=int(options.get("peaks_n", defaults.peaks_n)),
-            clusters_k=int(options.get("clusters_k", defaults.clusters_k)),
-            mmd_bandwidth=options.get("mmd_bandwidth", defaults.mmd_bandwidth),
-            kl_smoothing=float(options.get("kl_smoothing", defaults.kl_smoothing)),
-            seed=seed,
-        )
+        try:
+            return cls(
+                acf_max_lag=int(options.get("acf_max_lag", defaults.acf_max_lag)),
+                quantiles=tuple(float(q) for q in options.get("quantiles", defaults.quantiles)),
+                peaks_n=int(options.get("peaks_n", defaults.peaks_n)),
+                clusters_k=int(options.get("clusters_k", defaults.clusters_k)),
+                mmd_bandwidth=options.get("mmd_bandwidth", defaults.mmd_bandwidth),
+                kl_smoothing=float(options.get("kl_smoothing", defaults.kl_smoothing)),
+                seed=seed,
+            )
+        except InvalidConfig:
+            raise
+        except (TypeError, ValueError) as exc:  # a value int() or float() cannot convert
+            raise InvalidConfig(f"fidelity options: {exc}") from None
 
 
 @dataclass

@@ -4,16 +4,34 @@ Backs the membership-inference discriminator, the season classifier and
 the intraday forecasters. Deliberately small: ReLU hidden layers, a
 sigmoid or linear head, mini-batch gradient descent with momentum 0.9,
 and bit-reproducible training for a fixed seed and data order.
+
+Training runs from one workspace allocated per ``train`` call, because at
+batch sizes near 64 the cost of a step is numpy's per-call overhead, not
+its arithmetic. Parameters, gradients and momentum velocities each live in
+one flat buffer; the model's weight and bias arrays are views into the
+parameter buffer, so the momentum step is four whole-buffer operations.
+Each layer's outputs and back-propagated deltas are written into buffers
+of ``batch_size`` rows, sliced for a short last batch, and each epoch's
+shuffled rows are gathered into one buffer. A step allocates nothing the
+size of the model or of a layer's output; only the loss's per-row
+temporaries and the ReLU masks remain.
+
+Contract: the workspace changes where results are stored, never what is
+computed. Every float operation is the one a plain step loop performs, on
+the same operands and in the same order (``tests/test_nnet.py`` keeps that
+loop as its oracle), so weights, loss traces and every report built from
+them are bit-identical to it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteLoss
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss
 
 SIGMOID = "sigmoid"
 LINEAR = "linear"
@@ -36,11 +54,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.loss not in (BCE, MSE, PINBALL):
-            raise ValueError(f"unknown loss {self.loss!r}")
+            raise InvalidConfig(f"unknown loss {self.loss!r}")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("learning_rate, batch_size and epochs must be positive")
+            raise InvalidConfig("learning_rate, batch_size and epochs must be positive")
         if not (0.0 < self.pinball_q < 1.0):
-            raise ValueError("pinball_q must be in (0, 1)")
+            raise InvalidConfig("pinball_q must be in (0, 1)")
 
 
 @dataclass
@@ -87,18 +105,22 @@ def _normalise(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return (x - model.norm_mean) / model.norm_std
 
 
-def _forward_pass(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Returns hidden activations (post-ReLU, starting with the input) and logits."""
+def _forward_pass(
+    model: MlpModel, x: np.ndarray, out: list[np.ndarray] | None = None
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Returns hidden activations (post-ReLU, starting with the input) and logits.
+
+    ``out``, if given, holds one array per layer with at least ``len(x)``
+    rows; each layer's output is written into its leading rows.
+    """
     activations = [x]
-    h = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
-        if i < last:
-            h = np.maximum(z, 0.0)
-            activations.append(h)
-        else:
+        z = np.matmul(activations[-1], w, out=None if out is None else out[i][: len(x)])
+        z += b
+        if i == last:
             return activations, z
+        activations.append(np.maximum(z, 0.0, out=z))
     raise AssertionError("unreachable")
 
 
@@ -151,37 +173,75 @@ def _check_head_loss(model: MlpModel, config: TrainConfig) -> None:
         raise ValueError(f"{config.loss} requires a linear head")
 
 
-def _loss_and_grad(config: TrainConfig, logits_z: np.ndarray, targets: np.ndarray):
-    """Mean loss over the batch and its gradient w.r.t. the logits."""
+def _loss_and_grad(
+    config: TrainConfig, logits_z: np.ndarray, targets: np.ndarray, out: np.ndarray | None = None
+):
+    """Mean loss over the batch and its gradient w.r.t. the logits.
+
+    The gradient is written into ``out`` if given, an array shaped like
+    the logits.
+    """
+    z = logits_z
     y = targets
     n = len(y)
     if config.loss == BCE:
-        # stable form on logits: max(z,0) - z*y + log(1 + exp(-|z|))
-        z = logits_z
-        loss = float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
-        grad = (_sigmoid(z) - y) / n
+        # stable form on logits: max(z,0) - z*y + log(1 + exp(-|z|)). As
+        # exp(-|z|) is exp(-z) for z >= 0 and exp(z) below, it also gives the
+        # sigmoid in its stable forms 1/(1 + exp(-z)) and exp(z)/(1 + exp(z)).
+        e = np.abs(z)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        terms = np.maximum(z, 0.0) - z * y + np.log1p(e)
+        grad = np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
+        grad -= y
+        grad /= n
     elif config.loss == MSE:
-        diff = logits_z - y
-        loss = float(np.mean(diff * diff))
-        grad = 2.0 * diff / n
+        grad = np.subtract(z, y, out=out)
+        terms = grad * grad
+        grad *= 2.0
+        grad /= n
     else:  # pinball
-        u = y - logits_z
+        u = y - z
         q = config.pinball_q
-        loss = float(np.mean(np.where(u >= 0, q * u, (q - 1.0) * u)))
-        grad = np.where(u >= 0, -q, 1.0 - q) / n
-    return loss, grad
+        nonneg = u >= 0
+        terms = np.where(nonneg, q * u, (q - 1.0) * u)
+        grad = np.divide(np.where(nonneg, -q, 1.0 - q), n, out=out)
+    # np.mean's own sum and division, without its per-call overhead
+    return float(np.add.reduce(terms, axis=None)) / terms.size, grad
 
 
-def _backward(model: MlpModel, activations: list[np.ndarray], grad_logits: np.ndarray):
-    grads_w = [np.empty(0)] * len(model.weights)
-    grads_b = [np.empty(0)] * len(model.biases)
+def _backward(model: MlpModel, activations: list[np.ndarray], grad_logits: np.ndarray, out=None):
+    """Weight and bias gradients by back-propagation.
+
+    ``out``, if given, is ``(grads_w, grads_b, deltas)``: arrays shaped like
+    the weights and biases to write the gradients into, and one array per
+    hidden layer with at least ``len(grad_logits)`` rows for its deltas.
+    """
+    last = len(model.weights) - 1
+    if out is None:
+        out = [None] * (last + 1), [None] * (last + 1), [None] * last
+    grads_w, grads_b, deltas = out
     delta = grad_logits
-    for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+    for i in range(last, -1, -1):
+        grads_w[i] = np.matmul(activations[i].T, delta, out=grads_w[i])
+        grads_b[i] = np.add.reduce(delta, axis=0, out=grads_b[i])
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (activations[i] > 0)
+            buffer = deltas[i - 1]
+            delta = np.matmul(
+                delta, model.weights[i].T, out=None if buffer is None else buffer[: len(delta)]
+            )
+            delta *= activations[i] > 0
     return grads_w, grads_b
+
+
+def _flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` with the given shapes."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
 
 
 @dataclass
@@ -207,9 +267,12 @@ def train(
     aborts with NonFiniteLoss.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64).reshape(len(x), -1)
+    y = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layer_sizes[0]:
         raise DimensionMismatch(f"expected input width {model.layer_sizes[0]}")
+    if y.ndim == 0 or len(y) != len(x):
+        raise DimensionMismatch(f"expected {len(x)} targets, one per input row, got shape {y.shape}")
+    y = y.reshape(len(x), -1)
     if y.shape[1] != model.layer_sizes[-1]:
         raise DimensionMismatch(f"expected target width {model.layer_sizes[-1]}")
     if config.batch_size > len(x):
@@ -223,28 +286,49 @@ def train(
         out.norm_std = np.where(std > 0, std, 1.0)
     x_n = _normalise(out, x)
 
+    # the workspace: see the module docstring
+    arrays = [a for pair in zip(out.weights, out.biases) for a in pair]
+    shapes = [a.shape for a in arrays]
+    params = np.concatenate([a.ravel() for a in arrays])
+    grads = np.empty_like(params)
+    velocity = np.zeros_like(params)
+    param_views = _flat_views(params, shapes)
+    out.weights, out.biases = param_views[0::2], param_views[1::2]
+    grad_views = _flat_views(grads, shapes)
+    rows = config.batch_size
+    hidden_deltas = [np.empty((rows, k)) for k in out.layer_sizes[1:-1]]
+    backward_out = (grad_views[0::2], grad_views[1::2], hidden_deltas)
+    outputs = [np.empty((rows, k)) for k in out.layer_sizes[1:]]
+    grad_logits = np.empty((rows, out.layer_sizes[-1]))
+    # C order whatever the input's layout, so batches are the contiguous
+    # row blocks that fancy indexing would give
+    x_epoch = np.empty(x_n.shape)
+    y_epoch = np.empty(y.shape)
+
     rng = np.random.default_rng(config.seed)
-    vel_w = [np.zeros_like(w) for w in out.weights]
-    vel_b = [np.zeros_like(b) for b in out.biases]
     trace: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(x_n))
+        # a permutation has no out-of-range index to clip; "clip" only spares
+        # the buffered copy that the default "raise" makes of ``out``
+        np.take(x_n, order, axis=0, out=x_epoch, mode="clip")
+        np.take(y, order, axis=0, out=y_epoch, mode="clip")
         epoch_losses: list[float] = []
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            # divergence surfaces as NonFiniteLoss, not as numpy warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                activations, z = _forward_pass(out, x_n[batch])
-                loss, grad_z = _loss_and_grad(config, z, y[batch])
-                if not np.isfinite(loss):
+        # divergence surfaces as NonFiniteLoss, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(order), config.batch_size):
+                stop = start + config.batch_size
+                activations, z = _forward_pass(out, x_epoch[start:stop], outputs)
+                loss, grad_z = _loss_and_grad(config, z, y_epoch[start:stop], grad_logits[: len(z)])
+                if not math.isfinite(loss):
                     raise NonFiniteLoss(f"loss became {loss} at epoch {epoch}")
                 epoch_losses.append(loss)
-                grads_w, grads_b = _backward(out, activations, grad_z)
-                for i in range(len(out.weights)):
-                    vel_w[i] = MOMENTUM * vel_w[i] - config.learning_rate * grads_w[i]
-                    vel_b[i] = MOMENTUM * vel_b[i] - config.learning_rate * grads_b[i]
-                    out.weights[i] += vel_w[i]
-                    out.biases[i] += vel_b[i]
+                _backward(out, activations, grad_z, backward_out)
+                # velocity = MOMENTUM * velocity - learning_rate * gradient
+                velocity *= MOMENTUM
+                grads *= config.learning_rate
+                velocity -= grads
+                params += velocity
         trace.append(float(np.mean(epoch_losses)))
         if epoch_callback is not None:
             epoch_callback(out, epoch)

@@ -9,7 +9,7 @@ one is still a mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,15 +81,7 @@ def _paired_training(
         ((real_fit_x, real_fit_y), (synthetic_fit_x, synthetic_fit_y))
     ):
         model = nnet.init_model([width, *hidden, 1], head=head, seed=config.seed)
-        batch = min(config.batch_size, len(x))
-        run_config = nnet.TrainConfig(
-            loss=config.loss,
-            learning_rate=config.learning_rate,
-            batch_size=batch,
-            epochs=config.epochs,
-            seed=config.seed,
-            pinball_q=config.pinball_q,
-        )
+        run_config = replace(config, batch_size=min(config.batch_size, len(x)))
         results.append(nnet.train(model, x, y, run_config, epoch_callback=callback_for(slot)))
     epochs_trace = [(e, vals[0], vals[1]) for e, vals in sorted(trace.items())]
     return results[0].model, results[1].model, epochs_trace

@@ -4,11 +4,119 @@ import numpy as np
 import pytest
 
 from synthmeter import nnet
-from synthmeter.errors import DimensionMismatch, NonFiniteLoss
+from synthmeter.errors import DimensionMismatch, InvalidConfig, NonFiniteLoss
 
 
 def tiny_model(layers, head, seed=0):
     return nnet.init_model(layers, head=head, seed=seed)
+
+
+# Reference trainer: the plain step loop, allocating every intermediate,
+# that nnet.train must reproduce bit for bit.
+
+
+def _reference_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_forward(model, x):
+    activations = [x]
+    h = x
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ w + b
+        if i < last:
+            h = np.maximum(z, 0.0)
+            activations.append(h)
+        else:
+            return activations, z
+
+
+def _reference_loss_and_grad(config, z, y):
+    n = len(y)
+    if config.loss == nnet.BCE:
+        loss = float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
+        grad = (_reference_sigmoid(z) - y) / n
+    elif config.loss == nnet.MSE:
+        diff = z - y
+        loss = float(np.mean(diff * diff))
+        grad = 2.0 * diff / n
+    else:
+        u = y - z
+        q = config.pinball_q
+        loss = float(np.mean(np.where(u >= 0, q * u, (q - 1.0) * u)))
+        grad = np.where(u >= 0, -q, 1.0 - q) / n
+    return loss, grad
+
+
+def _reference_backward(model, activations, delta):
+    grads_w = [np.empty(0)] * len(model.weights)
+    grads_b = [np.empty(0)] * len(model.biases)
+    for i in range(len(model.weights) - 1, -1, -1):
+        grads_w[i] = activations[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (activations[i] > 0)
+    return grads_w, grads_b
+
+
+def reference_train(model, inputs, targets, config, standardize=True, epoch_callback=None):
+    x = np.asarray(inputs, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64).reshape(len(x), -1)
+    out = model.copy()
+    if standardize:
+        out.norm_mean = x.mean(axis=0)
+        std = x.std(axis=0)
+        out.norm_std = np.where(std > 0, std, 1.0)
+    x_n = x if out.norm_mean is None else (x - out.norm_mean) / out.norm_std
+    rng = np.random.default_rng(config.seed)
+    vel_w = [np.zeros_like(w) for w in out.weights]
+    vel_b = [np.zeros_like(b) for b in out.biases]
+    trace = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(x_n))
+        epoch_losses = []
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            with np.errstate(over="ignore", invalid="ignore"):
+                activations, z = _reference_forward(out, x_n[batch])
+                loss, grad_z = _reference_loss_and_grad(config, z, y[batch])
+                if not np.isfinite(loss):
+                    raise NonFiniteLoss(f"loss became {loss} at epoch {epoch}")
+                epoch_losses.append(loss)
+                grads_w, grads_b = _reference_backward(out, activations, grad_z)
+                for i in range(len(out.weights)):
+                    vel_w[i] = nnet.MOMENTUM * vel_w[i] - config.learning_rate * grads_w[i]
+                    vel_b[i] = nnet.MOMENTUM * vel_b[i] - config.learning_rate * grads_b[i]
+                    out.weights[i] += vel_w[i]
+                    out.biases[i] += vel_b[i]
+        trace.append(float(np.mean(epoch_losses)))
+        if epoch_callback is not None:
+            epoch_callback(out, epoch)
+    return nnet.TrainResult(model=out, loss_trace=trace)
+
+
+def _task(loss, width, rows=96, seed=0):
+    """Inputs, targets and head for one loss; gamma inputs like load data."""
+    rng = np.random.default_rng(seed)
+    x = rng.gamma(2.0, 0.4, size=(rows, width))
+    if loss == nnet.BCE:
+        return x, (x[:, 0] > np.median(x[:, 0])).astype(float), nnet.SIGMOID
+    return x, x[:, : min(width, 3)].sum(axis=1) + rng.normal(0.0, 0.3, rows), nnet.LINEAR
+
+
+def _assert_models_identical(a, b):
+    for name in ("weights", "biases"):
+        for left, right in zip(getattr(a, name), getattr(b, name), strict=True):
+            assert np.array_equal(left, right)
+    for name in ("norm_mean", "norm_std"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert (left is None and right is None) or np.array_equal(left, right)
 
 
 class TestForward:
@@ -134,6 +242,20 @@ class TestTrain:
         )
         assert seen == [0, 1, 2, 3]
 
+    def test_target_count_must_match_rows(self):
+        with pytest.raises(DimensionMismatch):
+            nnet.train(
+                tiny_model([2, 1], nnet.LINEAR),
+                np.zeros((10, 2)),
+                np.zeros(11),
+                nnet.TrainConfig(loss=nnet.MSE, batch_size=5),
+            )
+
+    def test_invalid_config_is_a_value_error(self):
+        with pytest.raises(InvalidConfig):
+            nnet.TrainConfig(epochs=0)
+        assert issubclass(InvalidConfig, ValueError)
+
     def test_head_loss_pairing_enforced(self):
         x, y = np.zeros((8, 2)), np.zeros(8)
         with pytest.raises(ValueError):
@@ -143,6 +265,53 @@ class TestTrain:
                 y,
                 nnet.TrainConfig(loss=nnet.BCE, batch_size=8),
             )
+
+
+class TestMatchesReferenceLoop:
+    @pytest.mark.parametrize("loss", [nnet.BCE, nnet.MSE, nnet.PINBALL])
+    @pytest.mark.parametrize("layers", [[48, 64, 32, 1], [5, 1]], ids=["48-64-32-1", "5-1"])
+    @pytest.mark.parametrize("batch_size", [32, 40, 96], ids=["divides", "partial", "full"])
+    def test_bit_identical(self, loss, layers, batch_size):
+        x, y, head = _task(loss, layers[0])
+        config = nnet.TrainConfig(loss=loss, batch_size=batch_size, epochs=4, seed=2, pinball_q=0.95)
+        model = tiny_model(layers, head, seed=1)
+        got = nnet.train(model, x, y, config)
+        want = reference_train(model, x, y, config)
+        _assert_models_identical(got.model, want.model)
+        assert got.loss_trace == want.loss_trace
+
+    def test_unstandardised_fortran_order_inputs(self):
+        x, y, head = _task(nnet.MSE, 6)
+        x = np.asfortranarray(x)
+        config = nnet.TrainConfig(loss=nnet.MSE, batch_size=20, epochs=3, seed=0)
+        model = tiny_model([6, 8, 1], head, seed=0)
+        got = nnet.train(model, x, y, config, standardize=False)
+        want = reference_train(model, x, y, config, standardize=False)
+        _assert_models_identical(got.model, want.model)
+        assert got.loss_trace == want.loss_trace
+
+    def test_epoch_callback_sees_identical_models(self):
+        x, y, head = _task(nnet.BCE, 48)
+        config = nnet.TrainConfig(loss=nnet.BCE, batch_size=40, epochs=3, seed=0)
+        model = tiny_model([48, 64, 32, 1], head, seed=0)
+        seen = {"got": [], "want": []}
+        for key, trainer in (("got", nnet.train), ("want", reference_train)):
+            trainer(model, x, y, config, epoch_callback=lambda m, e, key=key: seen[key].append((e, m.copy())))
+        assert [e for e, _ in seen["got"]] == [e for e, _ in seen["want"]] == [0, 1, 2]
+        for (_, got), (_, want) in zip(seen["got"], seen["want"]):
+            _assert_models_identical(got, want)
+
+    def test_divergence_raises_at_the_same_epoch(self):
+        x, y, head = _task(nnet.MSE, 5)
+        config = nnet.TrainConfig(loss=nnet.MSE, batch_size=32, epochs=50, seed=0, learning_rate=0.3)
+        model = tiny_model([5, 8, 1], head, seed=0)
+        messages = []
+        for trainer in (nnet.train, reference_train):
+            with pytest.raises(NonFiniteLoss) as excinfo:
+                trainer(model, x, y, config)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        assert "at epoch 0" not in messages[0]
 
 
 class TestGradientCheck:

@@ -300,6 +300,53 @@ class TestCli:
             assert payload[key] == fixed[key]
             assert payload[key] != median[key]
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"peaks_n": 0},
+            {"mmd_bandwidth": "medain"},
+            {"mmd_bandwidth": -1.0},
+            {"clusters_k": "four"},
+            {"kl_smoothing": -1.0},
+        ],
+        ids=["peaks_n_0", "bandwidth_typo", "bandwidth_negative", "clusters_k_text", "kl_smoothing_negative"],
+    )
+    def test_fidelity_config_error_exits_2(self, tmp_path, capsys, options):
+        write_wide(demo.make_population(20, 6, seed=8), tmp_path / "real.csv")
+        config = tmp_path / "fid.json"
+        config.write_text(json.dumps(options))
+        rc = cli.main(
+            [
+                "fidelity",
+                "--real", str(tmp_path / "real.csv"),
+                "--synthetic", str(tmp_path / "real.csv"),
+                "--config", str(config),
+                "--report", str(tmp_path / "fidelity.json"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "fidelity.json").exists()
+
+    def test_utility_zero_epochs_exits_2(self, tmp_path, capsys):
+        fit = demo.make_population(20, 8, seed=3, day_step=36)
+        write_wide(fit, tmp_path / "fit.csv")
+        rc = cli.main(
+            [
+                "utility", "tstr-classify",
+                "--real-fit", str(tmp_path / "fit.csv"),
+                "--synthetic-fit", str(tmp_path / "fit.csv"),
+                "--eval", str(tmp_path / "fit.csv"),
+                "--epochs", "0",
+                "--allow-overlap",
+                "--report", str(tmp_path / "u.json"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "epochs" in err and err.count("\n") == 1
+
     def test_utility_year_overlap_guard(self, tmp_path):
         fit = demo.make_population(20, 6, seed=3)
         write_wide(fit, tmp_path / "fit.csv")
