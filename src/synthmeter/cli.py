@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, demo, fidelity, generators, gmm, nnet, poisoning, privacy, report, utility
-from .errors import SynthmeterError
+from .errors import InvalidConfig, SynthmeterError
 from .profiles import (
     Horizon,
     Role,
@@ -258,6 +259,21 @@ def _cmd_fidelity(args) -> int:
     return 0
 
 
+def _ratio_range(text: str) -> tuple[float, ...]:
+    """Threshold ratios from ``start:stop:step``, both ends included."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise InvalidConfig(f"--ratios must be start:stop:step, got {text!r}")
+    try:
+        start, stop, step = (float(v) for v in parts)
+    except ValueError:
+        raise InvalidConfig(f"--ratios must be three numbers, got {text!r}") from None
+    if not (step > 0 and stop >= start and math.isfinite(stop - start)):
+        raise InvalidConfig(f"--ratios needs a positive step and start <= stop, got {text!r}")
+    count = int(round((stop - start) / step)) + 1
+    return tuple(round(start + i * step, 10) for i in range(count))
+
+
 def _cmd_privacy(args) -> int:
     if args.attack == "recon":
         train = read_wide(args.train, Role.TRAIN)
@@ -267,23 +283,16 @@ def _cmd_privacy(args) -> int:
         _write_json(args.report, {"statistic": ks.statistic, "p_value": ks.p_value, "m": ks.m, "n": ks.n})
         print(f"KS statistic {ks.statistic:.4f}, p {ks.p_value:.4f} ({'no ' if ks.p_value >= 0.05 else ''}memorisation evidence)")
     elif args.attack == "recon-poisoned":
-        registry = poisoning.read_registry(args.registry)
-        synthetic = read_wide(args.synthetic, Role.SYNTHETIC)
-        ratios = privacy.default_threshold_ratios()
-        if args.ratios:
-            start, stop, step = (float(v) for v in args.ratios.split(":"))
-            count = int(round((stop - start) / step)) + 1
-            ratios = tuple(round(start + i * step, 10) for i in range(count))
+        ratios = _ratio_range(args.ratios) if args.ratios else privacy.default_threshold_ratios()
         config = privacy.ReconstructionConfig(
             threshold_ratios=ratios, synthetic_sample_size=args.sample_size, seed=args.seed
         )
+        registry = poisoning.read_registry(args.registry)
+        synthetic = read_wide(args.synthetic, Role.SYNTHETIC)
         result = privacy.reconstruction_poisoned(registry, synthetic, config)
         _write_json(args.report, result.as_dict())
         curve_out = args.curve_out or str(Path(args.report).with_suffix(".curve.csv"))
-        with open(curve_out, "w") as fh:
-            fh.write("ratio,fraction\n")
-            for r in sorted(result.fraction_reconstructed):
-                fh.write(f"{r!r},{result.fraction_reconstructed[r]!r}\n")
+        report.write_reconstruction_curve(result, curve_out)
         fraction_03 = result.fraction_reconstructed.get(0.3)
         extra = "" if fraction_03 is None else f"; {fraction_03:.0%} reconstructed at ratio 0.3"
         print(f"reconstruction curve written to {curve_out}{extra}")

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+from itertools import repeat
 
 import numpy as np
 
 from .profiles import Horizon, ProfileSet, Role, season_label
 
 _SLOTS = np.arange(48)
+_CLOCKS = tuple(f"T{slot // 2:02d}:{slot % 2 * 30:02d}:00" for slot in range(48))
 
 
 def _uniform_about(rng: np.random.Generator, lo: float, hi: float, spread: float) -> float:
@@ -87,16 +89,14 @@ def make_population(
 
 def write_long_csv(profiles: ProfileSet, path) -> int:
     """Write a daily ProfileSet as the long reading format; returns row count."""
-    rows = 0
+    length = profiles.horizon.length
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["household_id", "timestamp", "kwh"])
-        for i in range(len(profiles)):
-            day = profiles.start_dates[i]
-            for slot in range(profiles.horizon.length):
-                ts = dt.datetime.combine(day, dt.time(0, 0)) + dt.timedelta(minutes=30 * slot)
-                writer.writerow(
-                    [profiles.household_ids[i], ts.isoformat(), repr(float(profiles.values[i, slot]))]
-                )
-                rows += 1
-    return rows
+        for household, day, row in zip(profiles.household_ids, profiles.start_dates, profiles.values):
+            # date + clock equals naive datetime.isoformat() at whole minutes;
+            # csv writes a float with repr
+            dates = [(day + dt.timedelta(days=d)).isoformat() for d in range(length // 48)]
+            stamps = [date + clock for date in dates for clock in _CLOCKS]
+            writer.writerows(zip(repeat(household), stamps, row.tolist()))
+    return len(profiles) * length

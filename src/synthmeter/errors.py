@@ -19,6 +19,10 @@ class MalformedRow(SynthmeterError):
         self.line = line
 
 
+class NonFiniteValue(SynthmeterError):
+    """A profile holds NaN or an infinite kWh value."""
+
+
 class EmptyResult(SynthmeterError):
     """An operation produced no usable profiles."""
 

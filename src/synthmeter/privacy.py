@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels, nnet
-from .errors import InsufficientSamples
+from .errors import InsufficientSamples, InvalidConfig
 from .poisoning import OutlierRegistry
 from .profiles import ProfileSet, require_same_horizon
 
@@ -42,9 +42,9 @@ class ReconstructionConfig:
     def __post_init__(self):
         ratios = tuple(sorted(set(float(r) for r in self.threshold_ratios)))
         if not ratios:
-            raise ValueError("at least one threshold ratio is required")
+            raise InvalidConfig("at least one threshold ratio is required")
         if ratios[0] <= 0.0 or ratios[-1] > 1.0:
-            raise ValueError("threshold ratios must lie in (0, 1]")
+            raise InvalidConfig("threshold ratios must lie in (0, 1]")
         object.__setattr__(self, "threshold_ratios", ratios)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import enum
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,7 @@ from .errors import (
     EmptyResult,
     HorizonMismatch,
     MalformedRow,
+    NonFiniteValue,
     TooFewHouseholds,
 )
 
@@ -65,7 +68,7 @@ class ProfileSet:
     ``labels`` holds free-form row tags ("" when absent): season labels
     WS/SA for real data, registry group tags for attack sets.
     ``artificial`` marks injected rows, which are exempt from the
-    non-negativity check.
+    non-negativity check. Every value must be finite.
     """
 
     values: np.ndarray
@@ -88,6 +91,13 @@ class ProfileSet:
         artificial = self.artificial if self.artificial else (False,) * n
         if not (len(self.household_ids) == len(self.start_dates) == len(labels) == len(artificial) == n):
             raise ValueError("metadata lengths do not match the number of profile rows")
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise NonFiniteValue(
+                f"non-finite kWh in profile row {row} "
+                f"(household {self.household_ids[row]}, {self.start_dates[row]})"
+            )
         real = ~np.asarray(artificial, dtype=bool)
         if n and np.any(values[real] < 0):
             raise ValueError("negative kWh in non-artificial profiles")
@@ -176,10 +186,6 @@ def _parse_timestamp(raw: str, line: int) -> dt.datetime:
     return ts
 
 
-def _slot_of(ts: dt.datetime) -> int:
-    return ts.hour * 2 + (1 if ts.minute == 30 else 0)
-
-
 def _week_start(day: dt.date) -> dt.date:
     return day - dt.timedelta(days=day.weekday())  # weeks start on Monday
 
@@ -191,10 +197,21 @@ def ingest(readings_path, horizon: Horizon) -> IngestResult:
     kwh. A period with any missing or duplicated slot is dropped and
     counted; nothing is imputed. Output rows are sorted by household id
     then start date, so the result is independent of input order.
+
+    Each distinct timestamp text is parsed and validated once and
+    memoised as (period start, slot); only successful parses are stored,
+    so a bad timestamp raises at its first line. Each period is an
+    ``array("d")`` of the horizon's length filled with NaN: kWh is
+    validated finite, so a NaN slot is one not read yet, a slot read
+    twice marks the period duplicated, and a NaN left at the end marks
+    it incomplete.
     """
     length = horizon.length
-    # periods[(household, period_start)][slot] -> kwh
-    periods: dict[tuple[str, dt.date], dict[int, float]] = {}
+    weekly = horizon is Horizon.WEEKLY
+    unread = array("d", [math.nan]) * length
+    # timestamp text -> (period_start, slot)
+    slot_of: dict[str, tuple[dt.date, int]] = {}
+    periods: dict[tuple[str, dt.date], array] = {}
     duplicated: set[tuple[str, dt.date]] = set()
     rows_read = 0
     with open(readings_path, newline="") as fh:
@@ -213,46 +230,49 @@ def ingest(readings_path, horizon: Horizon) -> IngestResult:
             household = row[0].strip()
             if not household:
                 raise MalformedRow(line, "empty household_id")
-            ts = _parse_timestamp(row[1], line)
+            placed = slot_of.get(row[1])
+            if placed is None:
+                ts = _parse_timestamp(row[1], line)
+                day = ts.date()
+                start = _week_start(day) if weekly else day
+                slot = (day - start).days * 48 + ts.hour * 2 + (ts.minute == 30)
+                placed = slot_of[row[1]] = start, slot
+            start, slot = placed
             try:
                 kwh = float(row[2])
             except ValueError:
                 raise MalformedRow(line, f"bad kwh value {row[2]!r}") from None
-            if not np.isfinite(kwh) or kwh < 0:
+            if not math.isfinite(kwh) or kwh < 0:
                 raise MalformedRow(line, f"kwh must be finite and non-negative, got {row[2]}")
             rows_read += 1
-            day = ts.date()
-            if horizon is Horizon.DAILY:
-                start = day
-                slot = _slot_of(ts)
-            else:
-                start = _week_start(day)
-                slot = (day - start).days * 48 + _slot_of(ts)
             key = (household, start)
-            bucket = periods.setdefault(key, {})
-            if slot in bucket:
+            period = periods.get(key)
+            if period is None:
+                period = periods[key] = unread[:]
+            elif not math.isnan(period[slot]):
                 duplicated.add(key)
-            bucket[slot] = kwh
+            period[slot] = kwh
 
     dropped = 0
-    kept: list[tuple[str, dt.date, np.ndarray]] = []
+    kept: list[tuple[str, dt.date]] = []
+    rows: list[np.ndarray] = []
     for key in sorted(periods):
-        if key in duplicated or len(periods[key]) != length:
+        values = np.frombuffer(periods[key])
+        if key in duplicated or np.isnan(values).any():
             dropped += 1
             continue
-        slots = periods[key]
-        kept.append((key[0], key[1], np.array([slots[i] for i in range(length)])))
+        kept.append(key)
+        rows.append(values)
     if not kept:
         raise EmptyResult("no complete period survived ingestion")
 
-    values = np.stack([v for _, _, v in kept])
     profile_set = ProfileSet(
-        values=values,
-        household_ids=tuple(h for h, _, _ in kept),
-        start_dates=tuple(d for _, d, _ in kept),
+        values=np.stack(rows),
+        household_ids=tuple(h for h, _ in kept),
+        start_dates=tuple(d for _, d in kept),
         horizon=horizon,
         role=Role.TRAIN,
-        labels=tuple(season_label(d) for _, d, _ in kept),
+        labels=tuple(season_label(d) for _, d in kept),
     )
     return IngestResult(profiles=profile_set, rows_read=rows_read, dropped_periods=dropped)
 
@@ -317,15 +337,13 @@ def write_wide(profiles: ProfileSet, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["household_id", "start_date", "label", *_slot_columns(profiles.horizon.length)])
-        for i in range(len(profiles)):
-            writer.writerow(
-                [
-                    profiles.household_ids[i],
-                    profiles.start_dates[i].isoformat(),
-                    profiles.labels[i],
-                    *(repr(float(v)) for v in profiles.values[i]),
-                ]
+        # csv writes a float with repr; tolist() per row keeps one row boxed at a time
+        writer.writerows(
+            [household, day.isoformat(), label, *row.tolist()]
+            for household, day, label, row in zip(
+                profiles.household_ids, profiles.start_dates, profiles.labels, profiles.values
             )
+        )
 
 
 def read_wide(

@@ -77,6 +77,12 @@ def _write_table(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
+def write_reconstruction_curve(result: privacy.ReconstructionResult, path) -> None:
+    """The ratio,fraction table of a reconstruction curve, by ascending ratio."""
+    fractions = result.fraction_reconstructed
+    _write_table(path, ["ratio", "fraction"], [(r, fractions[r]) for r in sorted(fractions)])
+
+
 def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -181,11 +187,7 @@ def _privacy_section(manifest, base, train, holdout, synthetic, horizon, seed, o
         recon = privacy.reconstruction_poisoned(registry, synthetic, config)
         out["reconstruction"] = recon.as_dict()
         curve_path = output_dir / "reconstruction_cdf.csv"
-        _write_table(
-            curve_path,
-            ["ratio", "fraction"],
-            [(r, recon.fraction_reconstructed[r]) for r in sorted(recon.fraction_reconstructed)],
-        )
+        write_reconstruction_curve(recon, curve_path)
         side_files.append(curve_path)
         policy = options.get("policy")
         if policy:

@@ -1,23 +1,31 @@
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synthmeter import demo
 from synthmeter.errors import (
     EmptyResult,
     HorizonMismatch,
     MalformedRow,
+    SynthmeterError,
     TooFewHouseholds,
 )
 from synthmeter.profiles import (
     Horizon,
+    IngestResult,
     ProfileSet,
     Role,
     SplitSpec,
+    _parse_timestamp,
+    _slot_columns,
+    _week_start,
     ingest,
     read_wide,
     season_label,
@@ -27,6 +35,114 @@ from synthmeter.profiles import (
 )
 
 from conftest import profile_set
+
+
+def reference_write_wide(profiles, path):
+    """The per-value writer that write_wide must reproduce byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["household_id", "start_date", "label", *_slot_columns(profiles.horizon.length)])
+        for i in range(len(profiles)):
+            writer.writerow(
+                [
+                    profiles.household_ids[i],
+                    profiles.start_dates[i].isoformat(),
+                    profiles.labels[i],
+                    *(repr(float(v)) for v in profiles.values[i]),
+                ]
+            )
+
+
+def reference_write_long_csv(profiles, path):
+    """The datetime-based writer that demo.write_long_csv must reproduce."""
+    rows = 0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["household_id", "timestamp", "kwh"])
+        for i in range(len(profiles)):
+            day = profiles.start_dates[i]
+            for slot in range(profiles.horizon.length):
+                ts = dt.datetime.combine(day, dt.time(0, 0)) + dt.timedelta(minutes=30 * slot)
+                writer.writerow(
+                    [profiles.household_ids[i], ts.isoformat(), repr(float(profiles.values[i, slot]))]
+                )
+                rows += 1
+    return rows
+
+
+def reference_ingest(readings_path, horizon):
+    """The dict-bucket ingest that ingest must agree with, errors included."""
+    length = horizon.length
+    periods = {}
+    duplicated = set()
+    rows_read = 0
+    with open(readings_path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyResult("input file is empty")
+        expected = ["household_id", "timestamp", "kwh"]
+        if [c.strip() for c in header] != expected:
+            raise MalformedRow(1, f"expected header {','.join(expected)}")
+        for line, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3:
+                raise MalformedRow(line, f"expected 3 fields, got {len(row)}")
+            household = row[0].strip()
+            if not household:
+                raise MalformedRow(line, "empty household_id")
+            ts = _parse_timestamp(row[1], line)
+            try:
+                kwh = float(row[2])
+            except ValueError:
+                raise MalformedRow(line, f"bad kwh value {row[2]!r}") from None
+            if not np.isfinite(kwh) or kwh < 0:
+                raise MalformedRow(line, f"kwh must be finite and non-negative, got {row[2]}")
+            rows_read += 1
+            day = ts.date()
+            slot_of_day = ts.hour * 2 + (1 if ts.minute == 30 else 0)
+            if horizon is Horizon.DAILY:
+                start = day
+                slot = slot_of_day
+            else:
+                start = _week_start(day)
+                slot = (day - start).days * 48 + slot_of_day
+            key = (household, start)
+            bucket = periods.setdefault(key, {})
+            if slot in bucket:
+                duplicated.add(key)
+            bucket[slot] = kwh
+
+    dropped = 0
+    kept = []
+    for key in sorted(periods):
+        if key in duplicated or len(periods[key]) != length:
+            dropped += 1
+            continue
+        slots = periods[key]
+        kept.append((key[0], key[1], np.array([slots[i] for i in range(length)])))
+    if not kept:
+        raise EmptyResult("no complete period survived ingestion")
+    profile_set = ProfileSet(
+        values=np.stack([v for _, _, v in kept]),
+        household_ids=tuple(h for h, _, _ in kept),
+        start_dates=tuple(d for _, d, _ in kept),
+        horizon=horizon,
+        role=Role.TRAIN,
+        labels=tuple(season_label(d) for _, d, _ in kept),
+    )
+    return IngestResult(profiles=profile_set, rows_read=rows_read, dropped_periods=dropped)
+
+
+def assert_same_ingest(got, want):
+    assert np.array_equal(got.profiles.values, want.profiles.values)
+    assert got.profiles.household_ids == want.profiles.household_ids
+    assert got.profiles.start_dates == want.profiles.start_dates
+    assert got.profiles.labels == want.profiles.labels
+    assert got.profiles.horizon is want.profiles.horizon
+    assert got.rows_read == want.rows_read
+    assert got.dropped_periods == want.dropped_periods
 
 
 def write_long(path, rows):
@@ -147,6 +263,86 @@ class TestIngest:
             ingest(path, Horizon.DAILY)
 
 
+    @pytest.mark.parametrize("horizon", [Horizon.DAILY, Horizon.WEEKLY])
+    def test_matches_reference_on_shuffled_messy_input(self, tmp_path, horizon):
+        rng = np.random.default_rng(11)
+        monday = dt.date(2013, 5, 27)  # the weeks span May -> June, WS -> SA
+        rows = []
+        for household in ("b", "a"):  # both households read at the same timestamps
+            for d in range(14):
+                day = (monday + dt.timedelta(days=d)).isoformat()
+                rows += day_rows(household, day, rng.gamma(0.5, 0.4, 48).tolist())
+        stamps = [r[1] for r in rows]
+        rows[3] = ("b", stamps[3] + "Z", rows[3][2])
+        rows[50] = ("b", f"  {stamps[50]} ", rows[50][2])
+        rows[700] = ("a", f" {stamps[700]}Z", rows[700][2])
+        rows.append(("a", stamps[60], 0.25))  # duplicated slot: day 2 of "a"
+        del rows[672 + 9 * 48 + 5]  # missing slot: day 9 of "a", in its second week
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        path = tmp_path / "readings.csv"
+        write_long(path, rows)
+        got = ingest(path, horizon)
+        assert_same_ingest(got, reference_ingest(path, horizon))
+        assert got.dropped_periods == 2
+        assert len(got.profiles) == (26 if horizon is Horizon.DAILY else 2)
+
+    def test_matches_reference_on_demo_population(self, tmp_path):
+        path = tmp_path / "readings.csv"
+        demo.write_long_csv(demo.make_population(15, 6, seed=3, day_step=61), path)
+        assert_same_ingest(ingest(path, Horizon.DAILY), reference_ingest(path, Horizon.DAILY))
+
+    def test_bad_timestamp_raises_at_first_line_though_repeated(self, tmp_path):
+        path = tmp_path / "readings.csv"
+        rows = day_rows("h1", "2013-02-03", [0.5] * 4)
+        rows.insert(2, ("h1", "2013-02-03T00:15:00", 0.5))  # line 4
+        rows.append(("h2", "2013-02-03T00:15:00", 0.5))  # line 7
+        write_long(path, rows)
+        with pytest.raises(MalformedRow) as err:
+            ingest(path, Horizon.DAILY)
+        assert err.value.line == 4
+        assert "not on a half-hour boundary" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("h1", "2013-02-03T00:15:00", 0.5),
+            ("h1", "2013-02-03T00:00:01", 0.5),
+            ("h1", "03/02/2013 00:00", 0.5),
+            ("h1", "2013-02-03T00:30:00", "nan"),
+            ("h1", "2013-02-03T00:30:00", "inf"),
+            ("h1", "2013-02-03T00:30:00", -0.5),
+            ("h1", "2013-02-03T00:30:00", "oops"),
+            (" ", "2013-02-03T00:30:00", 0.5),
+            ("h1", "2013-02-03T00:30:00"),
+        ],
+        ids=["quarter_hour", "seconds", "not_iso", "nan", "inf", "negative", "text", "no_household", "two_fields"],
+    )
+    def test_errors_match_reference(self, tmp_path, bad):
+        path = tmp_path / "readings.csv"
+        rows = day_rows("h1", "2013-02-03", [0.5] * 48)
+        rows.insert(7, bad)  # after the same timestamps were read once
+        rows.insert(40, bad)
+        write_long(path, rows)
+        with pytest.raises(MalformedRow) as want:
+            reference_ingest(path, Horizon.DAILY)
+        with pytest.raises(MalformedRow) as got:
+            ingest(path, Horizon.DAILY)
+        assert got.value.line == want.value.line == 9
+        assert str(got.value) == str(want.value)
+
+    def test_memory_per_period_is_compact(self, tmp_path):
+        path = tmp_path / "readings.csv"
+        demo.write_long_csv(demo.make_population(100, 20, seed=1, day_step=3), path)
+        tracemalloc.start()
+        try:
+            result = ingest(path, Horizon.DAILY)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.profiles) == 2000
+        assert peak / 2000 < 3000, f"{peak / 2000:.0f} bytes per period"
+
+
 class TestSeasonLabel:
     @pytest.mark.parametrize(
         "month,expected",
@@ -167,6 +363,33 @@ class TestSeasonLabel:
 
 
 class TestWideFormat:
+    @pytest.mark.parametrize("horizon", [Horizon.DAILY, Horizon.WEEKLY])
+    def test_writers_byte_identical_to_reference(self, tmp_path, horizon):
+        rng = np.random.default_rng(4)
+        n = 9
+        values = rng.gamma(0.5, 0.4, (n, horizon.length))
+        values[0, :6] = [0.0, -0.0, 0.1 + 0.2, 1e-300, 5e-324, 123456789.125]
+        values[1] = 1.0 / 3.0
+        source = profile_set(
+            values,
+            horizon=horizon,
+            labels=["WS", "SA", "", "seen", "a,b", 'q"t', "WS", "SA", ""],
+            start_dates=[dt.date(2012, 12, 31) + dt.timedelta(days=5 * i) for i in range(n)],
+        )
+        for writer, reference in ((write_wide, reference_write_wide), (demo.write_long_csv, reference_write_long_csv)):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            count = writer(source, got)
+            assert count == reference(source, want)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_demo_workspace_writers_byte_identical(self, small_population, tmp_path):
+        write_wide(small_population, tmp_path / "got.csv")
+        reference_write_wide(small_population, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert demo.write_long_csv(small_population, tmp_path / "got_long.csv") == 60 * 8 * 48
+        reference_write_long_csv(small_population, tmp_path / "want_long.csv")
+        assert (tmp_path / "got_long.csv").read_bytes() == (tmp_path / "want_long.csv").read_bytes()
+
     def test_round_trip_identical(self, small_population, tmp_path):
         path = tmp_path / "wide.csv"
         write_wide(small_population, path)
@@ -203,6 +426,15 @@ class TestProfileSet:
             profile_set(np.full((1, 48), -1.0))
         ps = profile_set(np.full((1, 48), -1.0), artificial=True)
         assert ps.artificial == (True,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("artificial", [False, True])
+    def test_non_finite_values_rejected(self, bad, artificial):
+        values = np.full((5, 48), 0.4)
+        values[3, 17] = bad
+        values[4, 0] = bad
+        with pytest.raises(SynthmeterError, match=r"row 3 \(household h00003, 2012-01-04\)"):
+            profile_set(values, artificial=artificial)
 
     def test_values_immutable(self, small_population):
         with pytest.raises(ValueError):

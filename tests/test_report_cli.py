@@ -239,6 +239,39 @@ class TestCli:
         payload = json.loads((tmp_path / "recon.json").read_text())
         assert "fraction_reconstructed" in payload
 
+    def test_recon_poisoned_ratio_range_and_curve(self, workspace, tmp_path, capsys):
+        rc = cli.main(
+            [
+                "privacy", "recon-poisoned",
+                "--registry", str(workspace / "registry.csv"),
+                "--synthetic", str(workspace / "synthetic.csv"),
+                "--ratios", "0.1:0.5:0.1",
+                "--report", str(tmp_path / "recon.json"),
+            ]
+        )
+        assert rc == 0
+        fractions = json.loads((tmp_path / "recon.json").read_text())["fraction_reconstructed"]
+        assert list(fractions) == ["0.1", "0.2", "0.3", "0.4", "0.5"]
+        expected = "ratio,fraction\n" + "".join(f"{r},{v!r}\n" for r, v in fractions.items())
+        assert (tmp_path / "recon.curve.csv").read_text() == expected
+        assert "reconstructed at ratio 0.3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ratios", ["0.1:0.5", "0.1:0.5:0", "0:1:0.1"], ids=["two_parts", "zero_step", "zero_start"])
+    def test_recon_poisoned_bad_ratios_exit_2(self, workspace, tmp_path, capsys, ratios):
+        rc = cli.main(
+            [
+                "privacy", "recon-poisoned",
+                "--registry", str(workspace / "registry.csv"),
+                "--synthetic", str(workspace / "synthetic.csv"),
+                "--ratios", ratios,
+                "--report", str(tmp_path / "recon.json"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "recon.json").exists()
+
     def test_generate_gmm_and_fidelity(self, tmp_path):
         population = demo.make_population(40, 6, seed=8)
         write_wide(population, tmp_path / "real.csv")
