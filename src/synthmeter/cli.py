@@ -228,6 +228,8 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.n < 1:  # before the mixture fit, which would otherwise run first
+        raise InvalidConfig(f"--n must be at least 1, got {args.n}")
     train = read_wide(args.train, Role.TRAIN)
     if args.kind == "memorizer":
         config = generators.MemorizerConfig(jitter_sigma=args.jitter, seed=args.seed)

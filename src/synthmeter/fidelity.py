@@ -14,7 +14,7 @@ metrics 4 and 5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,7 +56,17 @@ class FidelityConfig:
     @classmethod
     def from_options(cls, options: dict, seed: int) -> FidelityConfig:
         """Config from a JSON mapping (a manifest section or a CLI config
-        file); absent keys keep their defaults."""
+        file); absent keys keep their defaults. An unknown key is an error
+        that names the nearest valid key, so a typo cannot silently leave
+        a default in place."""
+        known = sorted(f.name for f in fields(cls) if f.name != "seed")
+        for key in options:
+            if key not in known:
+                import difflib  # only on this error path, so a valid run never loads it
+
+                near = difflib.get_close_matches(str(key), known, n=1)
+                hint = f"; did you mean {near[0]!r}?" if near else f"; valid keys: {', '.join(known)}"
+                raise InvalidConfig(f"unknown fidelity option {key!r}{hint}")
         defaults = cls()
         try:
             return cls(
@@ -95,6 +105,9 @@ class FidelityReport:
     cluster_kl: float
     aggregated: AggregatedFidelity
     exclusion_counts: dict[str, int] = field(default_factory=dict)
+    # per-slot mean and quantile rows (real, synthetic) behind the deviation
+    # sums, kept for the side table; not part of the report
+    slot_statistics: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -132,12 +145,23 @@ def deviation_sums(
 ) -> tuple[float, dict[float, float]]:
     """Sum over slots of |real stat - synthetic stat| for mean and quantiles (kWh)."""
     require_same_horizon(real, synthetic)
+    return _deviation_sums(_slot_statistics(real, synthetic, config), config)
+
+
+def _slot_statistics(
+    real: ProfileSet, synthetic: ProfileSet, config: FidelityConfig
+) -> tuple[np.ndarray, np.ndarray]:
     quantiles = list(config.quantiles)
-    stats_real = kernels.per_slot_statistics(real, quantiles)
-    stats_syn = kernels.per_slot_statistics(synthetic, quantiles)
+    return kernels.per_slot_statistics(real, quantiles), kernels.per_slot_statistics(synthetic, quantiles)
+
+
+def _deviation_sums(
+    statistics: tuple[np.ndarray, np.ndarray], config: FidelityConfig
+) -> tuple[float, dict[float, float]]:
+    stats_real, stats_syn = statistics
     diffs = np.abs(stats_real - stats_syn).sum(axis=1)
     mean_sum = float(diffs[0])
-    quantile_sums = {q: float(diffs[1 + i]) for i, q in enumerate(quantiles)}
+    quantile_sums = {q: float(diffs[1 + i]) for i, q in enumerate(config.quantiles)}
     return mean_sum, quantile_sums
 
 
@@ -163,10 +187,20 @@ def cluster_fidelity(
     require_same_horizon(real, synthetic)
     if model is None:
         model = fit_cluster_model(real, config)
-    labels_real = gmm.predict(model, real).labels
-    labels_syn = gmm.predict(model, synthetic).labels
-    dist_real = gmm.label_distribution(labels_real, model.k)
-    dist_syn = gmm.label_distribution(labels_syn, model.k)
+    return _cluster_kl(model.k, _cluster_labels(model, real, synthetic), config)
+
+
+def _cluster_labels(
+    model: gmm.GmmModel, real: ProfileSet, synthetic: ProfileSet
+) -> tuple[np.ndarray, np.ndarray]:
+    return gmm.predict(model, real).labels, gmm.predict(model, synthetic).labels
+
+
+def _cluster_kl(
+    k: int, labels: tuple[np.ndarray, np.ndarray], config: FidelityConfig
+) -> tuple[float, np.ndarray, np.ndarray]:
+    dist_real = gmm.label_distribution(labels[0], k)
+    dist_syn = gmm.label_distribution(labels[1], k)
     kl = kernels.kl_divergence(dist_real, dist_syn, smoothing=config.kl_smoothing)
     return kl, dist_real, dist_syn
 
@@ -193,12 +227,20 @@ def aggregated_fidelity(
     require_same_horizon(real, synthetic)
     if model is None:
         model = fit_cluster_model(real, config)
-    labels_real = gmm.predict(model, real).labels
-    labels_syn = gmm.predict(model, synthetic).labels
+    return _aggregate(real, synthetic, model.k, _cluster_labels(model, real, synthetic), config)
 
+
+def _aggregate(
+    real: ProfileSet,
+    synthetic: ProfileSet,
+    k: int,
+    labels: tuple[np.ndarray, np.ndarray],
+    config: FidelityConfig,
+) -> AggregatedFidelity:
+    labels_real, labels_syn = labels
     totals_real, totals_syn = [], []
     empty_syn = empty_real = 0
-    for c in range(model.k):
+    for c in range(k):
         rows_real = labels_real == c
         rows_syn = labels_syn == c
         n_real = int(rows_real.sum())
@@ -255,12 +297,14 @@ def evaluate_fidelity(
     acf_mmd = kernels.mmd2_rbf(
         acf_real.coefficients, acf_syn.coefficients, config.mmd_bandwidth
     ).mmd2
-    mean_sum, quantile_sums = deviation_sums(real, synthetic, config)
+    slot_statistics = _slot_statistics(real, synthetic, config)
+    mean_sum, quantile_sums = _deviation_sums(slot_statistics, config)
     profile_mmd = kernels.mmd2_rbf(real.values, synthetic.values, config.mmd_bandwidth).mmd2
     peaks_mmd = peaks_fidelity(real, synthetic, config)
     model = fit_cluster_model(real, config)
-    cluster_kl, _, _ = cluster_fidelity(real, synthetic, config, model=model)
-    aggregated = aggregated_fidelity(real, synthetic, config, model=model)
+    labels = _cluster_labels(model, real, synthetic)
+    cluster_kl, _, _ = _cluster_kl(model.k, labels, config)
+    aggregated = _aggregate(real, synthetic, model.k, labels, config)
     return FidelityReport(
         acf_mmd=acf_mmd,
         mean_deviation_sum=mean_sum,
@@ -275,4 +319,5 @@ def evaluate_fidelity(
             "aggregation_empty_synthetic_clusters": aggregated.empty_synthetic_clusters,
             "aggregation_empty_real_clusters": aggregated.empty_real_clusters,
         },
+        slot_statistics=slot_statistics,
     )

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmm
+from .errors import InvalidConfig
 from .profiles import Horizon, ProfileSet, Role, read_wide
 
 EXTERNAL = "external"
@@ -52,7 +53,7 @@ class MemorizerConfig:
 
     def __post_init__(self):
         if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be non-negative")
+            raise InvalidConfig("jitter_sigma must be non-negative")
 
 
 def load_external(path, metadata: GeneratorMetadata, horizon: Horizon | None = None) -> ProfileSet:
@@ -66,7 +67,7 @@ def memorizer_generate(train: ProfileSet, n: int, config: MemorizerConfig) -> Pr
     if len(train) == 0:
         raise ValueError("training set is empty")
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise InvalidConfig(f"n must be at least 1, got {n}")
     rng = np.random.default_rng(config.seed)
     if config.sequential:
         picks = np.arange(n) % len(train)

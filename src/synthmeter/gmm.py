@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooFewRows
+from .errors import DimensionMismatch, InvalidConfig, TooFewRows
 from .profiles import Horizon, ProfileSet, Role
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -32,9 +32,9 @@ class FitConfig:
 
     def __post_init__(self):
         if self.k < 1 or self.max_iter < 1 or self.n_init < 1:
-            raise ValueError("k, max_iter and n_init must be positive")
+            raise InvalidConfig("k, max_iter and n_init must be positive")
         if self.tol <= 0 or self.variance_floor <= 0:
-            raise ValueError("tol and variance_floor must be positive")
+            raise InvalidConfig("tol and variance_floor must be positive")
 
 
 @dataclass
@@ -191,7 +191,7 @@ def sample(model: GmmModel, n: int, seed: int, horizon: Horizon | None = None) -
     always reproduces the same output.
     """
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise InvalidConfig(f"n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     components = rng.choice(model.k, size=n, p=model.weights / model.weights.sum())
     noise = rng.standard_normal((n, model.n_dims))

@@ -9,8 +9,11 @@ The three pairwise-distance consumers (the exact nearest-neighbour scan,
 the median-heuristic bandwidth and the RBF MMD kernel sums) read squared
 distances from one blocked generator, so their memory is bounded by
 ``_BLOCK_ENTRIES`` rather than growing with the product of the row
-counts. The median bandwidth stays exact: it is found by two-pass
-bucket selection over the blocks, not by subsampling.
+counts. The median bandwidth stays exact. A random sample of rows only
+proposes a window of values around the median (Floyd and Rivest, CACM
+1975); one sweep over all pairs counts the values below the window and
+keeps those inside it, and the exact count decides whether the middle
+rank(s) lie inside. If they do not, two-pass bucket selection finds them.
 """
 
 from __future__ import annotations
@@ -33,14 +36,21 @@ from .profiles import ProfileSet
 #: sentinel bandwidth: use the median pairwise distance of the pooled sample
 MEDIAN_HEURISTIC = "median"
 
-#: float64 entries in one block of squared distances (32 MB)
-_BLOCK_ENTRIES = 4_000_000
+#: float64 entries in one block of squared distances (16 MB)
+_BLOCK_ENTRIES = 2_000_000
 
 # a clamped squared distance is a float64 >= +0, so its bit pattern read as
 # int64 sorts like the value; dropping the low 44 bits keeps the exponent and
 # 8 mantissa bits, i.e. 256 order-preserving buckets per binade
 _BUCKET_SHIFT = 44
 _N_BUCKETS = 1 << (63 - _BUCKET_SHIFT)
+
+# the median's one-sweep window spans the sample's rank quantiles 0.5 +- h,
+# h <= 3 %, and its buffer holds 1.2 times the values such a window should
+# catch; h shrinks so that the buffer stays within 1.5 blocks
+_MAX_WINDOW_RANK = 0.03
+_WINDOW_SLACK = 1.2
+_MAX_WINDOW_BLOCKS = 1.5
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -50,6 +60,11 @@ def _as_matrix(data) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr[:, None]
     return arr
+
+
+def _smallest_magnitude(m: np.ndarray) -> float:
+    nonzero = np.abs(m[m != 0.0])
+    return float(nonzero.min()) if nonzero.size else math.inf
 
 
 def _sq_distance_blocks(a: np.ndarray, b: np.ndarray | None = None):
@@ -70,6 +85,12 @@ def _sq_distance_blocks(a: np.ndarray, b: np.ndarray | None = None):
         b, b_sq = a, a_sq
     else:
         b_sq = np.einsum("ij,ij->i", b, b)
+    # scaling b by -2 once saves a pass over every block and gives -2(a.b)
+    # bit for bit, as doubling commutes with rounding in the normal range;
+    # when the smallest nonzero entries can form a subnormal product, each
+    # block is scaled instead
+    fold = _smallest_magnitude(a) * _smallest_magnitude(b) >= np.finfo(np.float64).tiny
+    b_scaled = -2.0 * b if fold else b
     size = min(len(a) * len(b), max(_BLOCK_ENTRIES, len(b)))
     gram_buffer, d2_buffer = np.empty(size), np.empty(size)
     start = 0
@@ -79,11 +100,12 @@ def _sq_distance_blocks(a: np.ndarray, b: np.ndarray | None = None):
         rows = min(len(a) - start, max(1, _BLOCK_ENTRIES // cols))
         stop = start + rows
         gram = gram_buffer[: rows * cols].reshape(rows, cols)
-        np.matmul(a[start:stop], b[first_col:].T, out=gram)
-        gram *= 2.0
+        np.matmul(a[start:stop], b_scaled[first_col:].T, out=gram)
+        if not fold:
+            gram *= -2.0
         d2 = d2_buffer[: rows * cols].reshape(rows, cols)
         np.add(a_sq[start:stop, None], b_sq[None, first_col:], out=d2)
-        d2 -= gram
+        d2 += gram
         np.maximum(d2, 0.0, out=d2)
         if pairs:
             # pack each row's j > i tail into the spent gram buffer
@@ -184,36 +206,87 @@ def median_heuristic_bandwidth(x, y) -> float:
     """Exact median pairwise Euclidean distance over the pooled rows (1.0 if zero).
 
     Selects the value ``np.median`` returns over the distances of all pairs
-    i < j, without holding them: pass 1 counts the blocked squared distances
-    per order-preserving bucket, pass 2 keeps only the bucket(s) holding
-    the middle rank(s) and sorts them. Memory is bounded by the block size
-    plus the middle bucket(s), not by the number of pairs.
+    i < j, without holding them. The squared distances among a seeded
+    random sample of rows propose a window of values around the median.
+    One sweep over the blocked squared distances of all pairs counts those
+    below the window and keeps those inside it; when the exact count puts
+    the middle rank(s) inside, the kept values are sorted and the median
+    read off. Otherwise (a window the sample misplaced, or more values than
+    its buffer holds) pass 1 counts every value per order-preserving bucket
+    and pass 2 keeps the bucket(s) holding the middle rank(s). The result
+    never depends on the sample. Memory is bounded by the block size plus
+    the window buffer or the middle bucket(s), not by the number of pairs.
     """
     pooled = np.vstack([_as_matrix(x), _as_matrix(y)])
     n_pairs = len(pooled) * (len(pooled) - 1) // 2
     if n_pairs == 0:
         return 1.0
-    # both passes iterate in comprehensions, so no block outlives its pass
-    counts = sum(
-        np.bincount(np.right_shift(bits, _BUCKET_SHIFT, out=bits), minlength=_N_BUCKETS)
-        for bits in (d2.view(np.int64) for d2 in _sq_distance_blocks(pooled))
-    )
     lo_rank, hi_rank = (n_pairs - 1) // 2, n_pairs // 2
-    cumulative = np.cumsum(counts)
-    lo_bucket, hi_bucket = np.searchsorted(cumulative, [lo_rank, hi_rank], side="right")
-    below = int(cumulative[lo_bucket] - counts[lo_bucket])
-    # squared distances whose bit pattern falls in buckets lo..hi inclusive
-    low_bits, high_bits = int(lo_bucket) << _BUCKET_SHIFT, (int(hi_bucket) + 1) << _BUCKET_SHIFT
-    middle = np.concatenate(
-        [
-            d2[(d2.view(np.int64) >= low_bits) & (d2.view(np.int64) < high_bits)]
-            for d2 in _sq_distance_blocks(pooled)
-        ]
-    )
+    kept = _keep_window(pooled, *_sample_window(pooled, n_pairs))
+    if kept is None or not (kept[0] <= lo_rank and hi_rank < kept[0] + len(kept[1])):
+        kept = _keep_window(pooled, *_bucket_window(pooled, lo_rank, hi_rank))
+    below, middle = kept
     middle.sort()
     # the median of the one or two middle values, computed as np.median does
     median = float(np.median(np.sqrt(middle[lo_rank - below : hi_rank - below + 1])))
     return median if median > 0.0 else 1.0
+
+
+def _sample_window(pooled: np.ndarray, n_pairs: int) -> tuple[int, int, int]:
+    """Squared-distance bits [lo, hi) likely to hold the middle rank(s), and
+    the number of values the window may keep.
+
+    The sample's rows are drawn at random, not strided: a stride can alias
+    with the household-by-day order of the rows. Its pairs fill one block.
+    """
+    capacity = int(_MAX_WINDOW_BLOCKS * _BLOCK_ENTRIES)
+    h = min(_MAX_WINDOW_RANK, capacity / (2.0 * _WINDOW_SLACK * n_pairs))
+    size = min(len(pooled), math.isqrt(_BLOCK_ENTRIES))
+    rows = np.sort(np.random.default_rng(0).choice(len(pooled), size=size, replace=False))
+    # size * size <= _BLOCK_ENTRIES, so the generator yields a single block
+    (sample,) = _sq_distance_blocks(pooled[rows])
+    bits = sample.view(np.int64)
+    lo, hi = int((0.5 - h) * (len(bits) - 1)), math.ceil((0.5 + h) * (len(bits) - 1))
+    bits.partition([lo, hi])
+    return int(bits[lo]), int(bits[hi]), math.ceil(2.0 * _WINDOW_SLACK * h * n_pairs)
+
+
+def _bucket_window(pooled: np.ndarray, lo_rank: int, hi_rank: int) -> tuple[int, int, int]:
+    """The bits [lo, hi) of the bucket(s) holding ranks lo_rank and hi_rank,
+    and the exact number of values in them (one sweep)."""
+    # the sum iterates in a comprehension, so no block outlives it
+    counts = sum(
+        np.bincount(np.right_shift(bits, _BUCKET_SHIFT, out=bits), minlength=_N_BUCKETS)
+        for bits in (d2.view(np.int64) for d2 in _sq_distance_blocks(pooled))
+    )
+    cumulative = np.cumsum(counts)
+    lo_bucket, hi_bucket = np.searchsorted(cumulative, [lo_rank, hi_rank], side="right")
+    kept = int(counts[lo_bucket : hi_bucket + 1].sum())
+    return int(lo_bucket) << _BUCKET_SHIFT, (int(hi_bucket) + 1) << _BUCKET_SHIFT, kept
+
+
+def _keep_window(
+    pooled: np.ndarray, lo: int, hi: int, capacity: int
+) -> tuple[int, np.ndarray] | None:
+    """One sweep: the number of pair squared distances whose bits are below
+    ``lo``, and the values whose bits lie in [lo, hi), unsorted. None when
+    more than ``capacity`` values lie in the window."""
+    kept = np.empty(capacity, dtype=np.int64)
+    below = end = 0
+    for d2 in _sq_distance_blocks(pooled):
+        # shifted by lo, bits below the window turn negative and bits inside
+        # it, read as unsigned, fall under the window's width
+        bits = np.subtract(d2.view(np.int64), lo, out=d2.view(np.int64))
+        below += np.count_nonzero(bits < 0)
+        inside = bits.view(np.uint64) < hi - lo
+        count = np.count_nonzero(inside)
+        if end + count > capacity:
+            return None
+        np.compress(inside, bits, out=kept[end : end + count])
+        end += count
+    kept = kept[:end]
+    kept += lo
+    return below, kept.view(np.float64)
 
 
 def mmd2_rbf(x, y, bandwidth: float | str = MEDIAN_HEURISTIC) -> MmdResult:

@@ -127,8 +127,7 @@ def _fidelity_section(manifest, train, synthetic, seed, output_dir, side_files):
     result = fidelity.evaluate_fidelity(train, synthetic, config)
 
     quantiles = list(config.quantiles)
-    stats_real = kernels.per_slot_statistics(train, quantiles)
-    stats_syn = kernels.per_slot_statistics(synthetic, quantiles)
+    stats_real, stats_syn = result.slot_statistics
     header = ["slot", "real_mean", "synthetic_mean"]
     for q in quantiles:
         header += [f"real_q{q}", f"synthetic_q{q}"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from synthmeter import demo, fidelity, gmm, kernels
+from synthmeter.errors import InvalidConfig
 from synthmeter.generators import MemorizerConfig, gmm_generate, memorizer_generate
 from synthmeter.profiles import ProfileSet, Role
 
@@ -22,6 +23,40 @@ def config():
 
 def copy_as_synthetic(ps: ProfileSet) -> ProfileSet:
     return ps.with_role(Role.SYNTHETIC)
+
+
+class TestConfig:
+    def test_unknown_option_names_nearest_key(self):
+        with pytest.raises(InvalidConfig, match="'mmd_bandwith'.*'mmd_bandwidth'"):
+            fidelity.FidelityConfig.from_options({"mmd_bandwith": 1.0}, seed=0)
+
+    def test_unknown_option_without_near_key_lists_valid_keys(self):
+        with pytest.raises(InvalidConfig, match="valid keys: acf_max_lag"):
+            fidelity.FidelityConfig.from_options({"zzz": 1}, seed=0)
+
+
+def test_evaluate_fidelity_predicts_and_summarises_each_set_once(real_set, config, monkeypatch):
+    calls = {"predict": 0, "per_slot_statistics": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(gmm, "predict")
+    counted(kernels, "per_slot_statistics")
+    synthetic = memorizer_generate(real_set, 300, MemorizerConfig(jitter_sigma=0.05, seed=1))
+    report = fidelity.evaluate_fidelity(real_set, synthetic, config)
+    assert calls == {"predict": 2, "per_slot_statistics": 2}
+    stats_real, stats_syn = report.slot_statistics
+    quantiles = list(config.quantiles)
+    np.testing.assert_array_equal(stats_real, kernels.per_slot_statistics(real_set, quantiles))
+    np.testing.assert_array_equal(stats_syn, kernels.per_slot_statistics(synthetic, quantiles))
+    assert "slot_statistics" not in report.as_dict()
 
 
 class TestIdentity:

@@ -262,13 +262,81 @@ class TestBlockedPairwise:
         np.testing.assert_array_equal(result.nn_index, expected_i)
 
 
+class TestMedianSelection:
+    """The one-sweep median at the real block size, and its fallback."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        bucket_window = kernels._bucket_window
+        monkeypatch.setattr(
+            kernels, "_bucket_window", lambda *args: calls.append(1) or bucket_window(*args)
+        )
+        return calls
+
+    @pytest.mark.parametrize("n_x, n_y", [(1500, 1500), (1500, 1502)])
+    def test_one_sweep_matches_dense_median_bit_for_bit(self, n_x, n_y, fallbacks):
+        # 3000 and 3002 pooled rows give 4,498,500 (even) and 4,504,501 (odd)
+        # pairs; the sample holds isqrt(_BLOCK_ENTRIES) rows, a strict subset
+        rng = np.random.default_rng(n_x + n_y)
+        x, y = dyadic_rows(rng, n_x), dyadic_rows(rng, n_y)
+        assert math.isqrt(kernels._BLOCK_ENTRIES) < n_x + n_y
+        assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y)
+        assert not fallbacks
+
+    @pytest.mark.parametrize("case", ["window_below_median", "window_overflows"])
+    def test_fallback_runs_and_stays_exact(self, case, fallbacks, monkeypatch):
+        sample_window = kernels._sample_window
+
+        def misleading_window(pooled, n_pairs):
+            lo, hi, capacity = sample_window(pooled, n_pairs)
+            return (0, lo, capacity) if case == "window_below_median" else (lo, hi, 1)
+
+        sweeps = []
+        blocks = kernels._sq_distance_blocks
+        monkeypatch.setattr(kernels, "_sample_window", misleading_window)
+        monkeypatch.setattr(
+            kernels, "_sq_distance_blocks", lambda *args: sweeps.append(1) or blocks(*args)
+        )
+        rng = np.random.default_rng(12)
+        x, y = dyadic_rows(rng, 900), dyadic_rows(rng, 901)
+        assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y)
+        # sample, window sweep, then the two bucket passes
+        assert len(sweeps) == 4 and len(fallbacks) == 1
+
+    def test_tied_median_falls_back_exactly(self, fallbacks):
+        # three distinct rows in equal shares: a third of the pairs at
+        # distance 0, then 4/9 tied at 2 (the median) and 2/9 at sqrt(8), so
+        # the sample's window [lo, hi) is empty and the bucket passes decide
+        rows = np.zeros((3, 48))
+        rows[1, 0] = rows[2, 1] = 2.0
+        pooled = rows[np.arange(3000) % 3]
+        x, y = pooled[:1400], pooled[1400:]
+        assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y) == 2.0
+        assert len(fallbacks) == 1
+
+
+def test_sq_distance_fold_keeps_subnormal_products_exact():
+    # products of entries near 1e-160 are subnormal, where a.(-2b) rounds
+    # differently from -2(a.b); the blocks must still match the dense formula
+    rng = np.random.default_rng(5)
+    a = rng.uniform(0.5, 1.5, size=(90, 1)) * 1e-160
+    b = rng.uniform(0.5, 1.5, size=(140, 1)) * 1e-160
+    sq_a, sq_b = (a * a).ravel(), (b * b).ravel()
+    dense = np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T), 0.0)
+    folded = np.maximum(sq_a[:, None] + sq_b[None, :] + a @ (-2.0 * b).T, 0.0)
+    assert np.count_nonzero(folded != dense) > 0
+    blocked = np.vstack([d2.copy() for d2 in kernels._sq_distance_blocks(a, b)])
+    np.testing.assert_array_equal(blocked, dense)
+
+
 def test_mmd_memory_bounded_by_block_not_n():
     # The dense kernels peaked at 723 MB here (the 6000^2 pooled distance
     # matrix with its upper-triangle copies, then 3000^2 kernel matrices).
     # Blocked, the live arrays are the generator's two reused buffers of
-    # _BLOCK_ENTRIES float64 (32 MB each) plus per-block masks, the bucket
-    # counts and the middle bucket(s); the bound, four blocks (128 MB), does
-    # not depend on n. Measured: 82 MB.
+    # _BLOCK_ENTRIES float64 (16 MB each) plus per-block masks and the
+    # median's window buffer, which here holds 7.2 % of the pairs; the bound,
+    # four blocks (64 MB), does not depend on n. Measured: 51 MB.
     rng = np.random.default_rng(0)
     x = rng.gamma(0.5, 0.4, size=(3000, 48))
     y = rng.gamma(0.55, 0.4, size=(3000, 48))

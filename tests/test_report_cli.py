@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synthmeter import cli, demo, fidelity, kernels, privacy, report
+from synthmeter import cli, demo, fidelity, gmm, kernels, privacy, report
 from synthmeter.errors import RatioNotComputed
 from synthmeter.generators import MemorizerConfig, memorizer_generate
 from synthmeter.poisoning import OutlierSpec, make_attack_registry, write_registry
@@ -341,8 +341,12 @@ class TestCli:
             {"mmd_bandwidth": -1.0},
             {"clusters_k": "four"},
             {"kl_smoothing": -1.0},
+            {"mmd_bandwith": 1.0},
         ],
-        ids=["peaks_n_0", "bandwidth_typo", "bandwidth_negative", "clusters_k_text", "kl_smoothing_negative"],
+        ids=[
+            "peaks_n_0", "bandwidth_typo", "bandwidth_negative", "clusters_k_text",
+            "kl_smoothing_negative", "unknown_key",
+        ],
     )
     def test_fidelity_config_error_exits_2(self, tmp_path, capsys, options):
         write_wide(demo.make_population(20, 6, seed=8), tmp_path / "real.csv")
@@ -361,6 +365,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "fidelity.json").exists()
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [("gmm", ["--k", "0"]), ("gmm", ["--n", "0"]), ("memorizer", ["--n", "0"])],
+        ids=["gmm_k_0", "gmm_n_0", "memorizer_n_0"],
+    )
+    def test_generate_config_error_exits_2(self, tmp_path, capsys, monkeypatch, kind, extra):
+        write_wide(demo.make_population(20, 6, seed=8), tmp_path / "real.csv")
+        fits = []
+        fit = gmm.fit
+        monkeypatch.setattr(gmm, "fit", lambda *args: fits.append(1) or fit(*args))
+        args = ["--n", "50", *extra]  # argparse keeps the last --n
+        rc = cli.main(
+            [
+                "generate", "--kind", kind, "--train", str(tmp_path / "real.csv"), *args,
+                "--output", str(tmp_path / "synthetic.csv"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not fits  # rejected before any mixture fit
+        assert not (tmp_path / "synthetic.csv").exists()
 
     def test_utility_zero_epochs_exits_2(self, tmp_path, capsys):
         fit = demo.make_population(20, 8, seed=3, day_step=36)
