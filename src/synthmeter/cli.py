@@ -14,9 +14,8 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, demo, fidelity, generators, gmm, nnet, poisoning, privacy, report, utility
+from . import __version__, fidelity, generators, gmm, poisoning, report
+from .demo import build_demo_workspace, labelled_gmm_synthetic  # noqa: F401 - public via cli
 from .errors import InvalidConfig, SynthmeterError
 from .profiles import (
     Horizon,
@@ -85,37 +84,23 @@ def _add_fidelity(sub) -> None:
 def _add_privacy(sub) -> None:
     p = sub.add_parser("privacy", help="run a privacy attack")
     attack = p.add_subparsers(dest="attack", required=True)
-
-    recon = attack.add_parser("recon", help="distance-based KS reconstruction test")
-    recon.add_argument("--train", required=True)
-    recon.add_argument("--holdout", required=True)
-    recon.add_argument("--synthetic", required=True)
-    recon.add_argument("--sample-size", type=int, default=None)
-    recon.add_argument("--seed", type=int, default=None)
-    recon.add_argument("--report", required=True)
-
-    rp = attack.add_parser("recon-poisoned", help="outlier-poisoned reconstruction attack")
-    rp.add_argument("--registry", required=True)
-    rp.add_argument("--synthetic", required=True)
-    rp.add_argument("--ratios", default=None, help="start:stop:step, e.g. 0.05:1.0:0.05")
-    rp.add_argument("--sample-size", type=int, default=None)
-    rp.add_argument("--seed", type=int, default=None)
-    rp.add_argument("--report", required=True)
-    rp.add_argument("--curve-out", default=None, help="ratio,fraction table path")
-
-    mia = attack.add_parser("mia", help="plain membership inference")
-    mia.add_argument("--train", required=True)
-    mia.add_argument("--holdout", required=True)
-    mia.add_argument("--synthetic", required=True)
-    mia.add_argument("--seed", type=int, default=None)
-    mia.add_argument("--report", required=True)
-
-    mp = attack.add_parser("mia-poisoned", help="outlier-poisoned membership inference")
-    mp.add_argument("--registry", required=True)
-    mp.add_argument("--synthetic", required=True)
-    mp.add_argument("--holdout", required=True)
-    mp.add_argument("--seed", type=int, default=None)
-    mp.add_argument("--report", required=True)
+    for name, help_text, files in (
+        ("recon", "distance-based KS reconstruction test", ("--train", "--holdout", "--synthetic")),
+        ("recon-poisoned", "outlier-poisoned reconstruction attack", ("--registry", "--synthetic")),
+        ("mia", "plain membership inference", ("--train", "--holdout", "--synthetic")),
+        ("mia-poisoned", "outlier-poisoned membership inference", ("--registry", "--synthetic", "--holdout")),
+    ):
+        parser = attack.add_parser(name, help=help_text)
+        for flag in files:
+            parser.add_argument(flag, required=True)
+        if name == "recon-poisoned":
+            parser.add_argument("--ratios", default=None, help="start:stop:step, e.g. 0.05:1.0:0.05")
+        if name.startswith("recon"):
+            parser.add_argument("--sample-size", type=int, default=None)
+        parser.add_argument("--seed", type=int, default=None)
+        parser.add_argument("--report", required=True)
+        if name == "recon-poisoned":
+            parser.add_argument("--curve-out", default=None, help="ratio,fraction table path")
 
 
 def _add_utility(sub) -> None:
@@ -123,21 +108,15 @@ def _add_utility(sub) -> None:
     task = p.add_subparsers(dest="task", required=True)
 
     cls = task.add_parser("tstr-classify", help="season classification gap")
-    for name in ("--real-fit", "--synthetic-fit", "--eval"):
-        cls.add_argument(name, required=True)
-    cls.add_argument("--seed", type=int, default=None)
-    cls.add_argument("--epochs", type=int, default=50)
-    cls.add_argument("--allow-overlap", action="store_true")
-    cls.add_argument("--report", required=True)
-
     fc = task.add_parser("tstr-forecast", help="intraday forecasting gap")
     fc.add_argument("--kind", choices=["mean", "q95"], required=True)
-    for name in ("--real-fit", "--synthetic-fit", "--eval"):
-        fc.add_argument(name, required=True)
-    fc.add_argument("--seed", type=int, default=None)
-    fc.add_argument("--epochs", type=int, default=50)
-    fc.add_argument("--allow-overlap", action="store_true")
-    fc.add_argument("--report", required=True)
+    for parser in (cls, fc):
+        for name in ("--real-fit", "--synthetic-fit", "--eval"):
+            parser.add_argument(name, required=True)
+        parser.add_argument("--seed", type=int, default=None)
+        parser.add_argument("--epochs", type=int, default=50)
+        parser.add_argument("--allow-overlap", action="store_true")
+        parser.add_argument("--report", required=True)
 
 
 def _add_evaluate(sub) -> None:
@@ -181,14 +160,6 @@ def _apply_global_defaults(args) -> None:
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         fh.write(report.render_report(payload))
-
-
-def _check_year_overlap(fit, eval_set, allow: bool) -> None:
-    overlap = {d.year for d in fit.start_dates} & {d.year for d in eval_set.start_dates}
-    if overlap and not allow:
-        raise SynthmeterError(
-            f"evaluation years {sorted(overlap)} overlap the fit period; pass --allow-overlap to override"
-        )
 
 
 def _cmd_ingest(args) -> int:
@@ -276,42 +247,45 @@ def _ratio_range(text: str) -> tuple[float, ...]:
     return tuple(round(start + i * step, 10) for i in range(count))
 
 
+# privacy subcommand -> (its report entry, its summary line); the
+# subcommand's name with "_" for "-" is the manifest option it switches on
+_ATTACKS = {
+    "recon": ("ks", lambda r: (
+        f"KS statistic {r['statistic']:.4f}, p {r['p_value']:.4f} "
+        f"({'no ' if r['p_value'] >= 0.05 else ''}memorisation evidence)"
+    )),
+    "recon-poisoned": ("reconstruction", None),  # prints the curve path instead
+    "mia": ("mia_plain", lambda r: f"plain MIA precision {r['precision']:.3f} (0.5 = random guess)"),
+    "mia-poisoned": ("mia_poisoned", lambda r: f"poisoned MIA precision {r['precision']:.3f} (1/3 = random guess)"),
+}
+
+# utility subcommand (and --kind) -> TSTR task
+_TASKS = {"tstr-classify": "classify", "mean": "forecast_mean", "q95": "forecast_quantile"}
+
+
 def _cmd_privacy(args) -> int:
-    if args.attack == "recon":
-        train = read_wide(args.train, Role.TRAIN)
-        holdout = read_wide(args.holdout, Role.HOLDOUT, horizon=train.horizon)
-        synthetic = read_wide(args.synthetic, Role.SYNTHETIC, horizon=train.horizon)
-        ks = privacy.reconstruction_ks(train, holdout, synthetic, sample_size=args.sample_size, seed=args.seed)
-        _write_json(args.report, {"statistic": ks.statistic, "p_value": ks.p_value, "m": ks.m, "n": ks.n})
-        print(f"KS statistic {ks.statistic:.4f}, p {ks.p_value:.4f} ({'no ' if ks.p_value >= 0.05 else ''}memorisation evidence)")
-    elif args.attack == "recon-poisoned":
-        ratios = _ratio_range(args.ratios) if args.ratios else privacy.default_threshold_ratios()
-        config = privacy.ReconstructionConfig(
-            threshold_ratios=ratios, synthetic_sample_size=args.sample_size, seed=args.seed
-        )
+    entry, summary = _ATTACKS[args.attack]
+    options = {args.attack.replace("-", "_"): True, "sample_size": getattr(args, "sample_size", None)}
+    if getattr(args, "ratios", None):
+        options["threshold_ratios"] = _ratio_range(args.ratios)
+    registry = train = holdout = None
+    if hasattr(args, "registry"):
         registry = poisoning.read_registry(args.registry)
-        synthetic = read_wide(args.synthetic, Role.SYNTHETIC)
-        result = privacy.reconstruction_poisoned(registry, synthetic, config)
-        _write_json(args.report, result.as_dict())
-        curve_out = args.curve_out or str(Path(args.report).with_suffix(".curve.csv"))
-        report.write_reconstruction_curve(result, curve_out)
-        fraction_03 = result.fraction_reconstructed.get(0.3)
-        extra = "" if fraction_03 is None else f"; {fraction_03:.0%} reconstructed at ratio 0.3"
-        print(f"reconstruction curve written to {curve_out}{extra}")
-    elif args.attack == "mia":
+    if hasattr(args, "train"):
         train = read_wide(args.train, Role.TRAIN)
-        holdout = read_wide(args.holdout, Role.HOLDOUT, horizon=train.horizon)
-        synthetic = read_wide(args.synthetic, Role.SYNTHETIC, horizon=train.horizon)
-        result = privacy.mia_plain(train, holdout, synthetic, seed=args.seed)
-        _write_json(args.report, result.as_dict())
-        print(f"plain MIA precision {result.precision:.3f} (0.5 = random guess)")
-    else:
-        registry = poisoning.read_registry(args.registry)
-        synthetic = read_wide(args.synthetic, Role.SYNTHETIC)
+    synthetic = read_wide(args.synthetic, Role.SYNTHETIC, horizon=None if train is None else train.horizon)
+    if hasattr(args, "holdout"):
         holdout = read_wide(args.holdout, Role.HOLDOUT, horizon=synthetic.horizon)
-        result = privacy.mia_poisoned(registry, synthetic, holdout, seed=args.seed)
-        _write_json(args.report, result.as_dict())
-        print(f"poisoned MIA precision {result.precision:.3f} (1/3 = random guess)")
+    section, tables = report.privacy_section(options, args.seed, train, holdout, synthetic, registry)
+    _write_json(args.report, section[entry])
+    if summary is not None:
+        print(summary(section[entry]))
+        return 0
+    curve_out = args.curve_out or str(Path(args.report).with_suffix(".curve.csv"))
+    report.write_table(curve_out, *tables["reconstruction_cdf.csv"])
+    fraction_03 = section[entry]["fraction_reconstructed"].get("0.3")
+    extra = "" if fraction_03 is None else f"; {fraction_03:.0%} reconstructed at ratio 0.3"
+    print(f"reconstruction curve written to {curve_out}{extra}")
     return 0
 
 
@@ -319,20 +293,13 @@ def _cmd_utility(args) -> int:
     real_fit = read_wide(args.real_fit, Role.TRAIN)
     synthetic_fit = read_wide(args.synthetic_fit, Role.SYNTHETIC, horizon=real_fit.horizon)
     real_eval = read_wide(args.eval, Role.HOLDOUT, horizon=real_fit.horizon)
-    _check_year_overlap(real_fit, real_eval, args.allow_overlap)
-    if args.task == "tstr-classify":
-        config = nnet.TrainConfig(loss=nnet.BCE, epochs=args.epochs, seed=args.seed)
-        result = utility.tstr_classify(real_fit, synthetic_fit, real_eval, config)
-    elif args.kind == "mean":
-        config = nnet.TrainConfig(loss=nnet.MSE, epochs=args.epochs, seed=args.seed)
-        result = utility.tstr_forecast_mean(real_fit, synthetic_fit, real_eval, config)
-    else:
-        config = nnet.TrainConfig(loss=nnet.PINBALL, pinball_q=0.95, epochs=args.epochs, seed=args.seed)
-        result = utility.tstr_forecast_quantile(real_fit, synthetic_fit, real_eval, config)
-    _write_json(args.report, result.as_dict())
+    task = _TASKS[args.task if args.task == "tstr-classify" else args.kind]
+    options = {"tasks": [task], "epochs": args.epochs, "allow_overlap": args.allow_overlap}
+    (result,), _ = report.utility_section(options, args.seed, real_fit, synthetic_fit, real_eval)
+    _write_json(args.report, result)
     print(
-        f"{result.metric_name}: real-trained {result.score_real_trained:.4f}, "
-        f"synthetic-trained {result.score_synthetic_trained:.4f}, gap {result.absolute_gap:.4f}"
+        f"{result['metric_name']}: real-trained {result['score_real_trained']:.4f}, "
+        f"synthetic-trained {result['score_synthetic_trained']:.4f}, gap {result['absolute_gap']:.4f}"
     )
     return 0
 
@@ -349,113 +316,6 @@ def _cmd_evaluate(args) -> int:
     for failure in outcome.failures:
         print(f"FAILED {failure}", file=sys.stderr)
     return 0 if outcome.ok else 1
-
-
-def labelled_gmm_synthetic(train, seed: int = 0, max_k: int = 10):
-    """Season-labelled synthetic data for TSTR: one mixture per season half,
-    sampled at the subset's own size and tagged with its label."""
-    from .profiles import ProfileSet, SUMMER_AUTUMN, WINTER_SPRING
-
-    parts: list = []
-    labels: list[str] = []
-    for label in (WINTER_SPRING, SUMMER_AUTUMN):
-        rows = [i for i, lab in enumerate(train.labels) if lab == label]
-        if not rows:
-            raise SynthmeterError(f"no {label} profiles to fit the season mixture on")
-        subset = train.subset(rows)
-        k = min(max_k, max(1, len(subset) // 20))
-        part = generators.gmm_generate(subset, len(subset), gmm.FitConfig(k=k, seed=seed))
-        parts.append(part.values)
-        labels.extend([label] * len(part))
-    values = np.vstack(parts)
-    return ProfileSet(
-        values=values,
-        household_ids=tuple(f"synfit_{i:06d}" for i in range(len(values))),
-        start_dates=(min(train.start_dates),) * len(values),
-        horizon=train.horizon,
-        role=Role.SYNTHETIC,
-        labels=tuple(labels),
-    )
-
-
-def build_demo_workspace(
-    target: Path, households: int = 250, days: int = 20, seed: int = 0
-) -> Path:
-    """Materialise the bundled end-to-end demo: ingest -> split -> inject ->
-    generate -> manifest. Returns the manifest path."""
-    import datetime as dt
-
-    target = Path(target)
-    target.mkdir(parents=True, exist_ok=True)
-    rng_seed = seed
-
-    # spread each household's days across the year so both season labels appear
-    day_step = max(1, 364 // days)
-    population = demo.make_population(households, days, seed=rng_seed, day_step=day_step)
-    long_path = target / "readings.csv"
-    demo.write_long_csv(population, long_path)
-    ingested = ingest(long_path, Horizon.DAILY)
-
-    train, holdout = split_households(
-        ingested.profiles, SplitSpec(holdout_fraction=0.5, seed=rng_seed)
-    )
-    spec = poisoning.OutlierSpec(count=100, mu=6.0, sigma=1.0, seed=rng_seed)
-    registry = poisoning.make_attack_registry(spec, Horizon.DAILY)
-    poisoned = poisoning.inject(train, registry.seen_outliers, seed=rng_seed)
-
-    k = min(25, max(2, len(poisoned) // 40))
-    synthetic = generators.gmm_generate(poisoned, len(poisoned), gmm.FitConfig(k=k, seed=rng_seed))
-    synthetic_fit = labelled_gmm_synthetic(train, seed=rng_seed)
-    eval_population = demo.make_population(
-        max(40, households // 4), days, seed=rng_seed + 1,
-        start=dt.date(2014, 1, 2), day_step=day_step,
-    )
-
-    paths = {
-        "train": target / "train.csv",
-        "holdout": target / "holdout.csv",
-        "poisoned_train": target / "poisoned_train.csv",
-        "synthetic": target / "synthetic.csv",
-        "registry": target / "registry.csv",
-        "synthetic_fit": target / "synthetic_fit.csv",
-        "eval": target / "eval.csv",
-    }
-    write_wide(poisoned, paths["poisoned_train"])
-    write_wide(train, paths["train"])
-    write_wide(holdout, paths["holdout"])
-    write_wide(synthetic, paths["synthetic"])
-    poisoning.write_registry(registry, paths["registry"])
-    write_wide(synthetic_fit, paths["synthetic_fit"])
-    write_wide(eval_population, paths["eval"])
-
-    manifest = {
-        "horizon": "daily",
-        "seed": rng_seed,
-        "train": "train.csv",
-        "holdout": "holdout.csv",
-        "synthetic": "synthetic.csv",
-        "registry": "registry.csv",
-        "generator": {"name": "demo-gmm-sampler", "kind": "gmm"},
-        "fidelity": {"clusters_k": 25},
-        "privacy": {
-            "recon": True,
-            "recon_poisoned": True,
-            "mia": True,
-            "mia_poisoned": True,
-            "policy": {"ratio": 0.3, "max_fraction": 0.0},
-        },
-        "utility": {
-            "real_fit": "train.csv",
-            "synthetic_fit": "synthetic_fit.csv",
-            "eval": "eval.csv",
-            "epochs": 20,
-        },
-    }
-    manifest_path = target / "manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return manifest_path
 
 
 def _cmd_demo(args) -> int:

@@ -5,17 +5,25 @@ and an evening peak with household-specific magnitudes and timing, a
 seasonal multiplier and multiplicative noise. Nothing here is calibrated
 to any real dataset; the point is realistic structure (non-negative,
 spiky, autocorrelated, seasonal) at a chosen scale.
+
+``build_demo_workspace`` turns such a population into the bundled
+end-to-end workspace (ingest, split, poison, generate) and its manifest.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import json
 from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 
-from .profiles import Horizon, ProfileSet, Role, season_label
+from . import generators, gmm, poisoning
+from .errors import SynthmeterError
+from .profiles import Horizon, ProfileSet, Role, SplitSpec, SUMMER_AUTUMN, WINTER_SPRING
+from .profiles import ingest, season_label, split_households, write_wide
 
 _SLOTS = np.arange(48)
 _CLOCKS = tuple(f"T{slot // 2:02d}:{slot % 2 * 30:02d}:00" for slot in range(48))
@@ -100,3 +108,96 @@ def write_long_csv(profiles: ProfileSet, path) -> int:
             stamps = [date + clock for date in dates for clock in _CLOCKS]
             writer.writerows(zip(repeat(household), stamps, row.tolist()))
     return len(profiles) * length
+
+
+def labelled_gmm_synthetic(train, seed: int = 0, max_k: int = 10):
+    """Season-labelled synthetic data for TSTR: one mixture per season half,
+    sampled at the subset's own size and tagged with its label."""
+    parts: list = []
+    labels: list[str] = []
+    for label in (WINTER_SPRING, SUMMER_AUTUMN):
+        rows = [i for i, lab in enumerate(train.labels) if lab == label]
+        if not rows:
+            raise SynthmeterError(f"no {label} profiles to fit the season mixture on")
+        subset = train.subset(rows)
+        k = min(max_k, max(1, len(subset) // 20))
+        part = generators.gmm_generate(subset, len(subset), gmm.FitConfig(k=k, seed=seed))
+        parts.append(part.values)
+        labels.extend([label] * len(part))
+    values = np.vstack(parts)
+    return ProfileSet(
+        values=values,
+        household_ids=tuple(f"synfit_{i:06d}" for i in range(len(values))),
+        start_dates=(min(train.start_dates),) * len(values),
+        horizon=train.horizon,
+        role=Role.SYNTHETIC,
+        labels=tuple(labels),
+    )
+
+
+def build_demo_workspace(
+    target: Path, households: int = 250, days: int = 20, seed: int = 0
+) -> Path:
+    """Materialise the bundled end-to-end demo: ingest -> split -> inject ->
+    generate -> manifest. Returns the manifest path."""
+    target = Path(target)
+    target.mkdir(parents=True, exist_ok=True)
+
+    # spread each household's days across the year so both season labels appear
+    day_step = max(1, 364 // days)
+    population = make_population(households, days, seed=seed, day_step=day_step)
+    long_path = target / "readings.csv"
+    write_long_csv(population, long_path)
+    ingested = ingest(long_path, Horizon.DAILY)
+
+    train, holdout = split_households(
+        ingested.profiles, SplitSpec(holdout_fraction=0.5, seed=seed)
+    )
+    spec = poisoning.OutlierSpec(count=100, mu=6.0, sigma=1.0, seed=seed)
+    registry = poisoning.make_attack_registry(spec, Horizon.DAILY)
+    poisoned = poisoning.inject(train, registry.seen_outliers, seed=seed)
+
+    k = min(25, max(2, len(poisoned) // 40))
+    synthetic = generators.gmm_generate(poisoned, len(poisoned), gmm.FitConfig(k=k, seed=seed))
+    synthetic_fit = labelled_gmm_synthetic(train, seed=seed)
+    eval_population = make_population(
+        max(40, households // 4), days, seed=seed + 1,
+        start=dt.date(2014, 1, 2), day_step=day_step,
+    )
+
+    written = (
+        ("poisoned_train", poisoned), ("train", train), ("holdout", holdout),
+        ("synthetic", synthetic), ("synthetic_fit", synthetic_fit), ("eval", eval_population),
+    )
+    for name, profiles in written:
+        write_wide(profiles, target / f"{name}.csv")
+    poisoning.write_registry(registry, target / "registry.csv")
+
+    manifest = {
+        "horizon": "daily",
+        "seed": seed,
+        "train": "train.csv",
+        "holdout": "holdout.csv",
+        "synthetic": "synthetic.csv",
+        "registry": "registry.csv",
+        "generator": {"name": "demo-gmm-sampler", "kind": "gmm"},
+        "fidelity": {"clusters_k": 25},
+        "privacy": {
+            "recon": True,
+            "recon_poisoned": True,
+            "mia": True,
+            "mia_poisoned": True,
+            "policy": {"ratio": 0.3, "max_fraction": 0.0},
+        },
+        "utility": {
+            "real_fit": "train.csv",
+            "synthetic_fit": "synthetic_fit.csv",
+            "eval": "eval.csv",
+            "epochs": 20,
+        },
+    }
+    manifest_path = target / "manifest.json"
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return manifest_path

@@ -11,6 +11,20 @@ class InvalidConfig(SynthmeterError, ValueError):
     """A configuration value is out of range or of the wrong kind."""
 
 
+def check_known(kind: str, names, known) -> None:
+    """Reject any name outside ``known`` (option keys of a manifest section
+    or config file, task names), naming the nearest valid one, so a typo
+    cannot silently leave a default in place."""
+    known = sorted(known)
+    for name in names:
+        if name not in known:
+            import difflib  # only on this error path, so a valid run never loads it
+
+            near = difflib.get_close_matches(str(name), known, n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else f"; valid keys: {', '.join(known)}"
+            raise InvalidConfig(f"unknown {kind} {name!r}{hint}")
+
+
 class MalformedRow(SynthmeterError):
     """A source row could not be parsed; carries the 1-based line number."""
 
@@ -57,10 +71,6 @@ class RankDeficient(SynthmeterError):
 
 class TooFewRows(SynthmeterError):
     """Fewer data rows than mixture components."""
-
-
-class DegenerateComponent(SynthmeterError):
-    """A mixture component collapsed despite the variance floor."""
 
 
 class DimensionMismatch(SynthmeterError):

@@ -14,12 +14,12 @@ metrics 4 and 5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import gmm, kernels
-from .errors import DegenerateInput, InvalidConfig
+from .errors import DegenerateInput, InvalidConfig, check_known
 from .profiles import ProfileSet, require_same_horizon
 
 
@@ -56,17 +56,8 @@ class FidelityConfig:
     @classmethod
     def from_options(cls, options: dict, seed: int) -> FidelityConfig:
         """Config from a JSON mapping (a manifest section or a CLI config
-        file); absent keys keep their defaults. An unknown key is an error
-        that names the nearest valid key, so a typo cannot silently leave
-        a default in place."""
-        known = sorted(f.name for f in fields(cls) if f.name != "seed")
-        for key in options:
-            if key not in known:
-                import difflib  # only on this error path, so a valid run never loads it
-
-                near = difflib.get_close_matches(str(key), known, n=1)
-                hint = f"; did you mean {near[0]!r}?" if near else f"; valid keys: {', '.join(known)}"
-                raise InvalidConfig(f"unknown fidelity option {key!r}{hint}")
+        file); absent keys keep their defaults, unknown keys are rejected."""
+        check_known("fidelity option", options, (f.name for f in fields(cls) if f.name != "seed"))
         defaults = cls()
         try:
             return cls(
@@ -117,15 +108,7 @@ class FidelityReport:
             "profile_mmd": self.profile_mmd,
             "peaks_mmd": self.peaks_mmd,
             "cluster_kl": self.cluster_kl,
-            "aggregated": {
-                "cluster_total_mae": self.aggregated.cluster_total_mae,
-                "cluster_total_rmse": self.aggregated.cluster_total_rmse,
-                "aggregated_acf_mmd": self.aggregated.aggregated_acf_mmd,
-                "aggregated_peaks_mmd": self.aggregated.aggregated_peaks_mmd,
-                "clusters_used": self.aggregated.clusters_used,
-                "empty_synthetic_clusters": self.aggregated.empty_synthetic_clusters,
-                "empty_real_clusters": self.aggregated.empty_real_clusters,
-            },
+            "aggregated": asdict(self.aggregated),
             "exclusion_counts": dict(self.exclusion_counts),
         }
 

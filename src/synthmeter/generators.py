@@ -1,5 +1,6 @@
-"""Synthetic-data sources: an external-file adapter plus two built-in
-reference generators bracketing the privacy spectrum.
+"""Synthetic-data sources: two built-in reference generators bracketing
+the privacy spectrum, plus the metadata any generator's output carries.
+External synthetic files are read with ``profiles.read_wide``.
 
 The memorizer regurgitates (optionally jittered) training rows, so every
 attack should flag it; the poisoned discriminator MIA does not, since it
@@ -14,17 +15,15 @@ the toolkit never computes privacy budgets.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import gmm
 from .errors import InvalidConfig
-from .profiles import Horizon, ProfileSet, Role, read_wide
+from .profiles import ProfileSet, Role
 
 EXTERNAL = "external"
-MEMORIZER = "memorizer"
-GMM_SAMPLER = "gmm"
 
 
 @dataclass(frozen=True)
@@ -36,13 +35,7 @@ class GeneratorMetadata:
     notes: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "claimed_epsilon": self.claimed_epsilon,
-            "claimed_delta": self.claimed_delta,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -54,11 +47,6 @@ class MemorizerConfig:
     def __post_init__(self):
         if self.jitter_sigma < 0:
             raise InvalidConfig("jitter_sigma must be non-negative")
-
-
-def load_external(path, metadata: GeneratorMetadata, horizon: Horizon | None = None) -> ProfileSet:
-    """Read an externally produced synthetic file in the canonical wide format."""
-    return read_wide(path, role=Role.SYNTHETIC, horizon=horizon)
 
 
 def memorizer_generate(train: ProfileSet, n: int, config: MemorizerConfig) -> ProfileSet:

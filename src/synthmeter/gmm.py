@@ -10,7 +10,6 @@ constrained maximiser).
 from __future__ import annotations
 
 import datetime as dt
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,6 @@ class GmmModel:
     means: np.ndarray  # (k, L)
     variances: np.ndarray  # (k, L), diagonal covariances
     log_likelihood_trace: list[float] = field(default_factory=list)
-    config: FitConfig | None = None
 
     @property
     def k(self) -> int:
@@ -139,7 +137,6 @@ def _run_em(x: np.ndarray, config: FitConfig, rng: np.random.Generator) -> GmmMo
         means=means,
         variances=variances,
         log_likelihood_trace=trace,
-        config=config,
     )
 
 
@@ -215,39 +212,3 @@ def sample(model: GmmModel, n: int, seed: int, horizon: Horizon | None = None) -
     )
     return SampleResult(profiles=profiles, clamp_count=clamp_count)
 
-
-def save(model: GmmModel, path) -> None:
-    payload = {
-        "kind": "synthmeter-gmm",
-        "weights": model.weights.tolist(),
-        "means": model.means.tolist(),
-        "variances": model.variances.tolist(),
-        "log_likelihood_trace": model.log_likelihood_trace,
-        "config": None
-        if model.config is None
-        else {
-            "k": model.config.k,
-            "tol": model.config.tol,
-            "max_iter": model.config.max_iter,
-            "variance_floor": model.config.variance_floor,
-            "seed": model.config.seed,
-            "n_init": model.config.n_init,
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-
-
-def load(path) -> GmmModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("kind") != "synthmeter-gmm":
-        raise ValueError(f"{path} is not a saved mixture model")
-    config = FitConfig(**payload["config"]) if payload.get("config") else None
-    return GmmModel(
-        weights=np.array(payload["weights"]),
-        means=np.array(payload["means"]),
-        variances=np.array(payload["variances"]),
-        log_likelihood_trace=list(payload.get("log_likelihood_trace", [])),
-        config=config,
-    )

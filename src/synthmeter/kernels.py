@@ -19,7 +19,7 @@ rank(s) lie inside. If they do not, two-pass bucket selection finds them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -171,6 +171,9 @@ class KsResult:
     p_value: float
     m: int
     n: int
+
+    def as_dict(self) -> dict:
+        return asdict(self)
 
 
 def ks_one_tailed(distances_to_train, distances_to_holdout) -> KsResult:

@@ -25,7 +25,6 @@ them are bit-identical to it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -334,73 +333,3 @@ def train(
             epoch_callback(out, epoch)
     return TrainResult(model=out, loss_trace=trace)
 
-
-def gradient_check(model: MlpModel, config: TrainConfig, inputs, targets) -> float:
-    """Max relative error between analytic and central finite-difference gradients.
-
-    Step 1e-5, double precision. Intended for small models only.
-    """
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64).reshape(len(x), -1)
-    if model.n_parameters() > 10_000:
-        raise ValueError("gradient_check is for small models (<= 1e4 parameters)")
-    _check_head_loss(model, config)
-    work = model.copy()
-    x_n = _normalise(work, x)
-
-    activations, z = _forward_pass(work, x_n)
-    _, grad_z = _loss_and_grad(config, z, y)
-    grads_w, grads_b = _backward(work, activations, grad_z)
-
-    step = 1e-5
-
-    def loss_at() -> float:
-        _, z_now = _forward_pass(work, x_n)
-        loss, _ = _loss_and_grad(config, z_now, y)
-        return loss
-
-    max_rel = 0.0
-    for params, grads in ((work.weights, grads_w), (work.biases, grads_b)):
-        for arr, grad in zip(params, grads):
-            flat = arr.ravel()
-            gflat = grad.ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + step
-                hi = loss_at()
-                flat[j] = orig - step
-                lo = loss_at()
-                flat[j] = orig
-                numeric = (hi - lo) / (2.0 * step)
-                denom = max(abs(numeric) + abs(gflat[j]), 1e-8)
-                max_rel = max(max_rel, abs(numeric - gflat[j]) / denom)
-    return max_rel
-
-
-def save(model: MlpModel, path) -> None:
-    payload = {
-        "kind": "synthmeter-mlp",
-        "layer_sizes": model.layer_sizes,
-        "head": model.head,
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "norm_mean": None if model.norm_mean is None else model.norm_mean.tolist(),
-        "norm_std": None if model.norm_std is None else model.norm_std.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-
-
-def load(path) -> MlpModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("kind") != "synthmeter-mlp":
-        raise ValueError(f"{path} is not a saved network")
-    return MlpModel(
-        layer_sizes=list(payload["layer_sizes"]),
-        weights=[np.array(w) for w in payload["weights"]],
-        biases=[np.array(b) for b in payload["biases"]],
-        head=payload["head"],
-        norm_mean=None if payload["norm_mean"] is None else np.array(payload["norm_mean"]),
-        norm_std=None if payload["norm_std"] is None else np.array(payload["norm_std"]),
-    )

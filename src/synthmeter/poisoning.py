@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MalformedRow
+from .errors import InvalidConfig, MalformedRow
 from .profiles import Horizon, ProfileSet, Role, read_wide, require_same_horizon, write_wide
 
 SEEN = "seen"
@@ -33,9 +33,9 @@ class OutlierSpec:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ValueError("count must be positive")
+            raise InvalidConfig("count must be positive")
         if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+            raise InvalidConfig("sigma must be non-negative")
 
 
 def make_outliers(

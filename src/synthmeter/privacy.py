@@ -16,7 +16,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -58,14 +58,7 @@ class ReconstructionResult:
         return {
             "fraction_reconstructed": {repr(r): v for r, v in self.fraction_reconstructed.items()},
             "per_outlier_nn_distance_ratio": [float(v) for v in self.per_outlier_nn_distance_ratio],
-            "ks": None
-            if self.ks is None
-            else {
-                "statistic": self.ks.statistic,
-                "p_value": self.ks.p_value,
-                "m": self.ks.m,
-                "n": self.ks.n,
-            },
+            "ks": None if self.ks is None else self.ks.as_dict(),
         }
 
 
@@ -77,12 +70,7 @@ class MiaResult:
     discriminator_train_loss_trace: list[float] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "attack_set_size": self.attack_set_size,
-            "positive_fraction": self.positive_fraction,
-            "discriminator_train_loss_trace": self.discriminator_train_loss_trace,
-        }
+        return asdict(self)
 
 
 def _sample_rows(profile_set: ProfileSet, size: int, rng: np.random.Generator) -> ProfileSet:
@@ -90,6 +78,13 @@ def _sample_rows(profile_set: ProfileSet, size: int, rng: np.random.Generator) -
         return profile_set
     picks = rng.choice(len(profile_set), size=size, replace=False)
     return profile_set.subset(np.sort(picks))
+
+
+def _downsample(rows: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` rows drawn without replacement, kept in their input order."""
+    if len(rows) <= size:
+        return rows
+    return rows[np.sort(rng.choice(len(rows), size=size, replace=False))]
 
 
 def reconstruction_ks(
@@ -159,10 +154,8 @@ def _train_discriminator(
     down-sampling of the larger one so 0.5 stays the uninformative prior."""
     rng = np.random.default_rng(seed)
     size = min(len(positives), len(negatives))
-    if len(positives) > size:
-        positives = positives[np.sort(rng.choice(len(positives), size=size, replace=False))]
-    if len(negatives) > size:
-        negatives = negatives[np.sort(rng.choice(len(negatives), size=size, replace=False))]
+    positives = _downsample(positives, size, rng)
+    negatives = _downsample(negatives, size, rng)
     x = np.vstack([positives, negatives])
     y = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
     width = x.shape[1]
@@ -204,12 +197,8 @@ def mia_plain(
     trained = _train_discriminator(synthetic.values, disc_half, seed=seed, config=train_config)
 
     size = min(len(train), len(attack_half))
-    train_rows = train.values
-    if len(train_rows) > size:
-        train_rows = train_rows[np.sort(rng.choice(len(train_rows), size=size, replace=False))]
-    neg_rows = attack_half
-    if len(neg_rows) > size:
-        neg_rows = neg_rows[np.sort(rng.choice(len(neg_rows), size=size, replace=False))]
+    train_rows = _downsample(train.values, size, rng)
+    neg_rows = _downsample(attack_half, size, rng)
     attack_x = np.vstack([train_rows, neg_rows])
     truth = np.concatenate([np.ones(len(train_rows), dtype=bool), np.zeros(len(neg_rows), dtype=bool)])
 

@@ -13,13 +13,14 @@ import datetime as dt
 import enum
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     EmptyResult,
     HorizonMismatch,
+    InvalidConfig,
     MalformedRow,
     NonFiniteValue,
     TooFewHouseholds,
@@ -111,10 +112,6 @@ class ProfileSet:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
     def subset(self, indices, role: Role | None = None) -> "ProfileSet":
         idx = np.asarray(indices)
         if idx.dtype == bool:
@@ -132,19 +129,7 @@ class ProfileSet:
         )
 
     def with_role(self, role: Role) -> "ProfileSet":
-        return ProfileSet(
-            values=self.values,
-            household_ids=self.household_ids,
-            start_dates=self.start_dates,
-            horizon=self.horizon,
-            role=role,
-            labels=self.labels,
-            artificial=self.artificial,
-        )
-
-    def households(self) -> list[str]:
-        """Distinct household ids in first-seen order."""
-        return list(dict.fromkeys(self.household_ids))
+        return replace(self, role=role)
 
 
 def require_same_horizon(*sets: ProfileSet) -> Horizon:
@@ -163,7 +148,7 @@ class SplitSpec:
 
     def __post_init__(self):
         if not (0.0 < self.holdout_fraction < 1.0):
-            raise ValueError("holdout_fraction must be in (0, 1)")
+            raise InvalidConfig("holdout_fraction must be in (0, 1)")
 
 
 @dataclass

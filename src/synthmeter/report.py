@@ -14,13 +14,13 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, fidelity, kernels, nnet, privacy, utility
-from .errors import RatioNotComputed, SynthmeterError
+from .errors import RatioNotComputed, SynthmeterError, check_known
 from .generators import GeneratorMetadata
 from .poisoning import read_registry
 from .profiles import Horizon, Role, read_wide
@@ -36,12 +36,7 @@ class PolicyVerdict:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "policy_ratio": self.policy_ratio,
-            "max_fraction": self.max_fraction,
-            "fraction_at_ratio": self.fraction_at_ratio,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def threshold_policy_check(
@@ -70,17 +65,11 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def _write_table(path: Path, header: list[str], rows) -> None:
+def write_table(path, header: list[str], rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def write_reconstruction_curve(result: privacy.ReconstructionResult, path) -> None:
-    """The ratio,fraction table of a reconstruction curve, by ascending ratio."""
-    fractions = result.fraction_reconstructed
-    _write_table(path, ["ratio", "fraction"], [(r, fractions[r]) for r in sorted(fractions)])
 
 
 def _cell(value) -> str:
@@ -120,9 +109,7 @@ def _resolve(base: Path, value: str) -> Path:
     return path if path.is_absolute() else base / path
 
 
-def _fidelity_section(manifest, train, synthetic, seed, output_dir, side_files):
-    section = manifest.get("fidelity")
-    options = dict(section) if isinstance(section, dict) else {}
+def _fidelity_section(options, seed, train, synthetic):
     config = fidelity.FidelityConfig.from_options(options, seed)
     result = fidelity.evaluate_fidelity(train, synthetic, config)
 
@@ -137,44 +124,42 @@ def _fidelity_section(manifest, train, synthetic, seed, output_dir, side_files):
         for i in range(len(quantiles)):
             row += [stats_real[1 + i, slot], stats_syn[1 + i, slot]]
         rows.append(row)
-    stats_path = output_dir / "per_slot_statistics.csv"
-    _write_table(stats_path, header, rows)
-    side_files.append(stats_path)
 
     projection = kernels.pca_project(train, [train, synthetic])
-    pca_path = output_dir / "pca_coordinates.csv"
     pca_rows = []
     for name, coords in zip(("real", "synthetic"), projection.projections):
         pca_rows.extend([name, xy[0], xy[1]] for xy in coords)
-    _write_table(pca_path, ["set", "x", "y"], pca_rows)
-    side_files.append(pca_path)
-    return result.as_dict()
+    tables = {
+        "per_slot_statistics.csv": (header, rows),
+        "pca_coordinates.csv": (["set", "x", "y"], pca_rows),
+    }
+    return result.as_dict(), tables
 
 
-def _privacy_section(manifest, base, train, holdout, synthetic, horizon, seed, output_dir, side_files):
-    section = manifest.get("privacy")
-    options = dict(section) if isinstance(section, dict) else {}
-    run_all = section is True
-    out: dict = {}
+PRIVACY_ATTACKS = ("recon", "recon_poisoned", "mia", "mia_poisoned")
+PRIVACY_KEYS = (*PRIVACY_ATTACKS, "policy", "sample_size", "threshold_ratios")
+UTILITY_FILES = ("real_fit", "synthetic_fit", "eval")
+UTILITY_KEYS = (*UTILITY_FILES, "tasks", "epochs", "allow_overlap")
 
-    if run_all or options.get("recon", False):
+
+def privacy_section(options: dict, seed: int, train, holdout, synthetic, registry):
+    """Run the attacks ``options`` switches on; the others read ``not_run``.
+
+    Returns the section and its side tables (the reconstruction curve).
+    ``registry`` may be None when no poisoned attack is on.
+    """
+    check_known("privacy option", options, PRIVACY_KEYS)
+    out = {key: dict(NOT_RUN) for key in ("ks", "reconstruction", "mia_plain", "mia_poisoned")}
+    tables = {}
+
+    if options.get("recon"):
         ks = privacy.reconstruction_ks(
             train, holdout, synthetic,
             sample_size=options.get("sample_size"), seed=seed,
         )
-        out["ks"] = {"statistic": ks.statistic, "p_value": ks.p_value, "m": ks.m, "n": ks.n}
-    else:
-        out["ks"] = dict(NOT_RUN)
+        out["ks"] = ks.as_dict()
 
-    wants_poisoned = run_all or options.get("recon_poisoned", False) or options.get("mia_poisoned", False)
-    registry = None
-    if wants_poisoned:
-        registry_path = manifest.get("registry")
-        if registry_path is None:
-            raise SynthmeterError("poisoned attacks require a registry file in the manifest")
-        registry = read_registry(_resolve(base, registry_path), horizon=horizon)
-
-    if run_all or options.get("recon_poisoned", False):
+    if options.get("recon_poisoned"):
         ratios = options.get("threshold_ratios")
         config = privacy.ReconstructionConfig(
             threshold_ratios=tuple(float(r) for r in ratios)
@@ -185,75 +170,50 @@ def _privacy_section(manifest, base, train, holdout, synthetic, horizon, seed, o
         )
         recon = privacy.reconstruction_poisoned(registry, synthetic, config)
         out["reconstruction"] = recon.as_dict()
-        curve_path = output_dir / "reconstruction_cdf.csv"
-        write_reconstruction_curve(recon, curve_path)
-        side_files.append(curve_path)
+        fractions = recon.fraction_reconstructed
+        tables["reconstruction_cdf.csv"] = (
+            ["ratio", "fraction"], [(r, fractions[r]) for r in sorted(fractions)]
+        )
         policy = options.get("policy")
         if policy:
             verdict = threshold_policy_check(
                 recon, float(policy["ratio"]), float(policy["max_fraction"])
             )
             out["policy_verdict"] = verdict.as_dict()
-    else:
-        out["reconstruction"] = dict(NOT_RUN)
 
-    if run_all or options.get("mia", False):
+    if options.get("mia"):
         out["mia_plain"] = privacy.mia_plain(train, holdout, synthetic, seed=seed).as_dict()
-    else:
-        out["mia_plain"] = dict(NOT_RUN)
 
-    if run_all or options.get("mia_poisoned", False):
+    if options.get("mia_poisoned"):
         out["mia_poisoned"] = privacy.mia_poisoned(registry, synthetic, holdout, seed=seed).as_dict()
-    else:
-        out["mia_poisoned"] = dict(NOT_RUN)
-    return out
+    return out, tables
 
 
-def _utility_section(manifest, base, horizon, seed, output_dir, side_files, digests):
-    section = manifest.get("utility")
-    options = dict(section) if isinstance(section, dict) else {}
-    for key in ("real_fit", "synthetic_fit", "eval"):
-        if key not in options:
-            raise SynthmeterError(f"utility section requires the {key!r} file")
-    real_fit = read_wide(_resolve(base, options["real_fit"]), Role.TRAIN, horizon=horizon)
-    synthetic_fit = read_wide(_resolve(base, options["synthetic_fit"]), Role.SYNTHETIC, horizon=horizon)
-    real_eval = read_wide(_resolve(base, options["eval"]), Role.HOLDOUT, horizon=horizon)
-    for key in ("real_fit", "synthetic_fit", "eval"):
-        digests[f"utility_{key}"] = file_digest(_resolve(base, options[key]))
+def utility_section(options: dict, seed: int, real_fit, synthetic_fit, real_eval):
+    """Run the TSTR tasks ``options`` names (all by default), in order.
 
-    fit_years = {d.year for d in real_fit.start_dates}
-    eval_years = {d.year for d in real_eval.start_dates}
-    if fit_years & eval_years and not options.get("allow_overlap", False):
+    Returns the list of task results and their epoch traces as side tables.
+    """
+    check_known("utility option", options, UTILITY_KEYS)
+    tasks = options.get("tasks", list(utility.TASKS))
+    check_known("utility task", tasks, utility.TASKS)
+    overlap = {d.year for d in real_fit.start_dates} & {d.year for d in real_eval.start_dates}
+    if overlap and not options.get("allow_overlap", False):
         raise SynthmeterError(
-            f"evaluation years {sorted(fit_years & eval_years)} overlap the fit period; "
-            "set allow_overlap to override"
+            f"evaluation years {sorted(overlap)} overlap the fit period; "
+            "set allow_overlap (--allow-overlap on the command line) to override"
         )
 
-    tasks = options.get("tasks", ["classify", "forecast_mean", "forecast_quantile"])
     epochs = int(options.get("epochs", 50))
-    results = []
-    for task in tasks:
-        if task == "classify":
-            config = nnet.TrainConfig(loss=nnet.BCE, epochs=epochs, seed=seed)
-            result = utility.tstr_classify(real_fit, synthetic_fit, real_eval, config)
-        elif task == "forecast_mean":
-            config = nnet.TrainConfig(loss=nnet.MSE, epochs=epochs, seed=seed)
-            result = utility.tstr_forecast_mean(real_fit, synthetic_fit, real_eval, config)
-        elif task == "forecast_quantile":
-            config = nnet.TrainConfig(loss=nnet.PINBALL, pinball_q=0.95, epochs=epochs, seed=seed)
-            result = utility.tstr_forecast_quantile(real_fit, synthetic_fit, real_eval, config)
-        else:
-            raise SynthmeterError(f"unknown utility task {task!r}")
-        trace_path = output_dir / f"tstr_{task}_trace.csv"
-        trace_header = (
-            ["epoch", "acc_real", "acc_synthetic"]
-            if task == "classify"
-            else ["epoch", "score_real", "score_synthetic"]
-        )
-        _write_table(trace_path, trace_header, result.epochs_trace)
-        side_files.append(trace_path)
+    results, tables = [], {}
+    for name in tasks:
+        task = utility.TASKS[name]
+        config = nnet.TrainConfig(loss=task.loss, epochs=epochs, seed=seed)
+        # the public entry, looked up on the module so a tracer wrapping it sees the call
+        result = getattr(utility, f"tstr_{name}")(real_fit, synthetic_fit, real_eval, config)
+        tables[f"tstr_{name}_trace.csv"] = (list(task.trace_header), result.epochs_trace)
         results.append(result.as_dict())
-    return results
+    return results, tables
 
 
 def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None) -> EvaluationOutcome:
@@ -276,6 +236,16 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
     digests: dict[str, str] = {}
     side_files: list[Path] = []
     failures: list[str] = []
+    loaded: dict = {}
+
+    def load(digest_key: str, name: str, role: Role):
+        """Read and hash a manifest file once per (path, role), however
+        many manifest keys name it; each key still gets its digest."""
+        path = _resolve(base, name)
+        if (path, role) not in loaded:
+            loaded[path, role] = (read_wide(path, role, horizon=horizon), file_digest(path))
+        profiles, digests[digest_key] = loaded[path, role]
+        return profiles
 
     train = holdout = synthetic = None
     needs_core = any(manifest.get(k) for k in ("fidelity", "privacy"))
@@ -283,11 +253,9 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
         for key in ("train", "holdout", "synthetic"):
             if key not in manifest:
                 raise SynthmeterError(f"manifest requires the {key!r} file for fidelity/privacy")
-        train = read_wide(_resolve(base, manifest["train"]), Role.TRAIN, horizon=horizon)
-        holdout = read_wide(_resolve(base, manifest["holdout"]), Role.HOLDOUT, horizon=horizon)
-        synthetic = read_wide(_resolve(base, manifest["synthetic"]), Role.SYNTHETIC, horizon=horizon)
-        for key in ("train", "holdout", "synthetic"):
-            digests[key] = file_digest(_resolve(base, manifest[key]))
+        train = load("train", manifest["train"], Role.TRAIN)
+        holdout = load("holdout", manifest["holdout"], Role.HOLDOUT)
+        synthetic = load("synthetic", manifest["synthetic"], Role.SYNTHETIC)
     if manifest.get("registry"):
         digests["registry"] = file_digest(_resolve(base, manifest["registry"]))
 
@@ -311,38 +279,48 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
         "seeds": {"global": seed},
     }
 
-    if manifest.get("fidelity"):
+    def options_of(name: str) -> dict:
+        section = manifest.get(name)
+        return dict(section) if isinstance(section, dict) else {}
+
+    def run_fidelity():
+        return _fidelity_section(options_of("fidelity"), seed, train, synthetic)
+
+    def run_privacy():
+        # ``"privacy": true`` runs every attack
+        if manifest["privacy"] is True:
+            options = dict.fromkeys(PRIVACY_ATTACKS, True)
+        else:
+            options = options_of("privacy")
+        registry = None
+        if options.get("recon_poisoned") or options.get("mia_poisoned"):
+            if manifest.get("registry") is None:
+                raise SynthmeterError("poisoned attacks require a registry file in the manifest")
+            registry = read_registry(_resolve(base, manifest["registry"]), horizon=horizon)
+        return privacy_section(options, seed, train, holdout, synthetic, registry)
+
+    def run_utility():
+        options = options_of("utility")
+        for key in UTILITY_FILES:
+            if key not in options:
+                raise SynthmeterError(f"utility section requires the {key!r} file")
+        real_fit = load("utility_real_fit", options["real_fit"], Role.TRAIN)
+        synthetic_fit = load("utility_synthetic_fit", options["synthetic_fit"], Role.SYNTHETIC)
+        real_eval = load("utility_eval", options["eval"], Role.HOLDOUT)
+        return utility_section(options, seed, real_fit, synthetic_fit, real_eval)
+
+    for name, run in (("fidelity", run_fidelity), ("privacy", run_privacy), ("utility", run_utility)):
+        if not manifest.get(name):
+            report[name] = dict(NOT_RUN)
+            continue
         try:
-            report["fidelity"] = _fidelity_section(
-                manifest, train, synthetic, seed, output_dir, side_files
-            )
+            report[name], tables = run()
+            for filename, (header, rows) in tables.items():
+                write_table(output_dir / filename, header, rows)
+                side_files.append(output_dir / filename)
         except Exception as exc:  # noqa: BLE001 - suite failures become report entries
-            failures.append(f"fidelity: {exc}")
-            report["fidelity"] = {"status": "failed", "error": str(exc)}
-    else:
-        report["fidelity"] = dict(NOT_RUN)
-
-    if manifest.get("privacy"):
-        try:
-            report["privacy"] = _privacy_section(
-                manifest, base, train, holdout, synthetic, horizon, seed, output_dir, side_files
-            )
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"privacy: {exc}")
-            report["privacy"] = {"status": "failed", "error": str(exc)}
-    else:
-        report["privacy"] = dict(NOT_RUN)
-
-    if manifest.get("utility"):
-        try:
-            report["utility"] = _utility_section(
-                manifest, base, horizon, seed, output_dir, side_files, digests
-            )
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"utility: {exc}")
-            report["utility"] = {"status": "failed", "error": str(exc)}
-    else:
-        report["utility"] = dict(NOT_RUN)
+            failures.append(f"{name}: {exc}")
+            report[name] = {"status": "failed", "error": str(exc)}
 
     report_path = output_dir / "report.json"
     with open(report_path, "w") as fh:

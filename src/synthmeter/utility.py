@@ -10,20 +10,13 @@ one is still a mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from . import nnet
-from .errors import HorizonMismatch, MissingLabels
+from .errors import HorizonMismatch, InvalidConfig, MissingLabels
 from .profiles import Horizon, ProfileSet, SUMMER_AUTUMN, WINTER_SPRING, require_same_horizon
-
-ACCURACY = "accuracy"
-RMSE = "rmse"
-PINBALL_95 = "pinball_q"
-
-CLASSIFIER_HIDDEN = (64, 32)
-FORECASTER_HIDDEN = (64, 32)
-
 
 @dataclass
 class TstrResult:
@@ -56,145 +49,110 @@ def season_targets(profiles: ProfileSet) -> np.ndarray:
     return targets
 
 
-def _paired_training(
-    real_fit_x: np.ndarray,
-    real_fit_y: np.ndarray,
-    synthetic_fit_x: np.ndarray,
-    synthetic_fit_y: np.ndarray,
-    head: str,
-    hidden: tuple[int, ...],
-    config: nnet.TrainConfig,
-    score_fn,
-):
-    """Train the two arms with identical seeds/config; only the data differs."""
-    width = real_fit_x.shape[1]
-    trace: dict[int, list[float]] = {}
-
-    def callback_for(slot: int):
-        def callback(model: nnet.MlpModel, epoch: int):
-            trace.setdefault(epoch, [np.nan, np.nan])[slot] = score_fn(model)
-
-        return callback
-
-    results = []
-    for slot, (x, y) in enumerate(
-        ((real_fit_x, real_fit_y), (synthetic_fit_x, synthetic_fit_y))
-    ):
-        model = nnet.init_model([width, *hidden, 1], head=head, seed=config.seed)
-        run_config = replace(config, batch_size=min(config.batch_size, len(x)))
-        results.append(nnet.train(model, x, y, run_config, epoch_callback=callback_for(slot)))
-    epochs_trace = [(e, vals[0], vals[1]) for e, vals in sorted(trace.items())]
-    return results[0].model, results[1].model, epochs_trace
-
-
-def tstr_classify(
-    real_fit: ProfileSet,
-    synthetic_fit: ProfileSet,
-    real_eval: ProfileSet,
-    config: nnet.TrainConfig | None = None,
-) -> TstrResult:
-    """Season classification (winter/spring vs summer/autumn) from raw slots."""
-    require_same_horizon(real_fit, synthetic_fit, real_eval)
-    if config is None:
-        config = nnet.TrainConfig(loss=nnet.BCE)
-    if config.loss != nnet.BCE:
-        raise ValueError("classification uses binary cross-entropy")
-    y_real = season_targets(real_fit)
-    y_syn = season_targets(synthetic_fit)
-    y_eval = season_targets(real_eval)
-    eval_x = real_eval.values
-
-    def accuracy(model: nnet.MlpModel) -> float:
-        probs = np.atleast_1d(nnet.forward(model, eval_x))
-        return float(((probs > 0.5) == (y_eval > 0.5)).mean())
-
-    model_real, model_syn, trace = _paired_training(
-        real_fit.values, y_real, synthetic_fit.values, y_syn,
-        head=nnet.SIGMOID, hidden=CLASSIFIER_HIDDEN, config=config, score_fn=accuracy,
-    )
-    score_real = accuracy(model_real)
-    score_syn = accuracy(model_syn)
-    return TstrResult(
-        metric_name=ACCURACY,
-        score_real_trained=score_real,
-        score_synthetic_trained=score_syn,
-        absolute_gap=abs(score_real - score_syn),
-        epochs_trace=trace,
-    )
-
-
 def _forecast_arrays(profiles: ProfileSet) -> tuple[np.ndarray, np.ndarray]:
     if profiles.horizon is not Horizon.DAILY:
         raise HorizonMismatch("forecasting tasks require the daily horizon")
     return profiles.values[:, :47], profiles.values[:, 47]
 
 
-def tstr_forecast_mean(
+def _accuracy(pred: np.ndarray, y: np.ndarray, q: float) -> float:
+    return float(((pred > 0.5) == (y > 0.5)).mean())
+
+
+def _rmse(pred: np.ndarray, y: np.ndarray, q: float) -> float:
+    return float(np.sqrt(np.mean((pred - y) ** 2)))
+
+
+def _mean_pinball(pred: np.ndarray, y: np.ndarray, q: float) -> float:
+    return float(nnet.pinball_loss(y, pred, q).mean())
+
+
+@dataclass(frozen=True)
+class Task:
+    """One TSTR task: how a profile set becomes (inputs, targets), the
+    network head and training loss, and how a model's predictions on the
+    evaluation set are scored (given the config's ``pinball_q``)."""
+
+    arrays: Callable[[ProfileSet], tuple[np.ndarray, np.ndarray]]
+    head: str
+    hidden: tuple[int, ...]
+    loss: str
+    metric: Callable[[np.ndarray, np.ndarray, float], float]
+    metric_name: str  # formatted with the config's pinball_q as ``q``
+    trace_header: tuple[str, str, str]
+
+
+# Keyed by the manifest's task names; ``tstr_<name>`` is the public entry.
+TASKS = {
+    # season classification (winter/spring vs summer/autumn) from raw slots
+    "classify": Task(
+        arrays=lambda profiles: (profiles.values, season_targets(profiles)),
+        head=nnet.SIGMOID, hidden=(64, 32), loss=nnet.BCE,
+        metric=_accuracy, metric_name="accuracy",
+        trace_header=("epoch", "acc_real", "acc_synthetic"),
+    ),
+    # the final half-hour from the preceding 47, scored by RMSE
+    "forecast_mean": Task(
+        arrays=_forecast_arrays,
+        head=nnet.LINEAR, hidden=(64, 32), loss=nnet.MSE,
+        metric=_rmse, metric_name="rmse",
+        trace_header=("epoch", "score_real", "score_synthetic"),
+    ),
+    # the final half-hour's q-quantile (0.95 by default), scored by pinball loss
+    "forecast_quantile": Task(
+        arrays=_forecast_arrays,
+        head=nnet.LINEAR, hidden=(64, 32), loss=nnet.PINBALL,
+        metric=_mean_pinball, metric_name="pinball_q{q}",
+        trace_header=("epoch", "score_real", "score_synthetic"),
+    ),
+}
+
+
+def _tstr(
+    name: str,
     real_fit: ProfileSet,
     synthetic_fit: ProfileSet,
     real_eval: ProfileSet,
-    config: nnet.TrainConfig | None = None,
+    config: nnet.TrainConfig | None,
 ) -> TstrResult:
-    """Predict the final half-hour from the preceding 47; score by RMSE."""
+    """Train the two arms with identical seeds and config (only the fit data
+    differs) and score both on the real evaluation set."""
+    task = TASKS[name]
     require_same_horizon(real_fit, synthetic_fit, real_eval)
     if config is None:
-        config = nnet.TrainConfig(loss=nnet.MSE)
-    if config.loss != nnet.MSE:
-        raise ValueError("mean forecasting uses mean squared error")
-    x_real, y_real = _forecast_arrays(real_fit)
-    x_syn, y_syn = _forecast_arrays(synthetic_fit)
-    x_eval, y_eval = _forecast_arrays(real_eval)
+        config = nnet.TrainConfig(loss=task.loss)
+    if config.loss != task.loss:
+        raise InvalidConfig(f"the {name} task trains with the {task.loss!r} loss, got {config.loss!r}")
+    arms = [task.arrays(real_fit), task.arrays(synthetic_fit)]
+    x_eval, y_eval = task.arrays(real_eval)
 
-    def rmse(model: nnet.MlpModel) -> float:
-        pred = np.atleast_1d(nnet.forward(model, x_eval))
-        return float(np.sqrt(np.mean((pred - y_eval) ** 2)))
+    def score(model: nnet.MlpModel) -> float:
+        return task.metric(np.atleast_1d(nnet.forward(model, x_eval)), y_eval, config.pinball_q)
 
-    model_real, model_syn, trace = _paired_training(
-        x_real, y_real, x_syn, y_syn,
-        head=nnet.LINEAR, hidden=FORECASTER_HIDDEN, config=config, score_fn=rmse,
-    )
-    score_real = rmse(model_real)
-    score_syn = rmse(model_syn)
+    scores, traces = [], []
+    for x, y in arms:
+        per_epoch: list[float] = []
+        model = nnet.init_model([x.shape[1], *task.hidden, 1], head=task.head, seed=config.seed)
+        run_config = replace(config, batch_size=min(config.batch_size, len(x)))
+        result = nnet.train(model, x, y, run_config, epoch_callback=lambda m, _: per_epoch.append(score(m)))
+        scores.append(score(result.model))
+        traces.append(per_epoch)
     return TstrResult(
-        metric_name=RMSE,
-        score_real_trained=score_real,
-        score_synthetic_trained=score_syn,
-        absolute_gap=abs(score_real - score_syn),
-        epochs_trace=trace,
+        metric_name=task.metric_name.format(q=config.pinball_q),
+        score_real_trained=scores[0],
+        score_synthetic_trained=scores[1],
+        absolute_gap=abs(scores[0] - scores[1]),
+        epochs_trace=[(epoch, *pair) for epoch, pair in enumerate(zip(*traces))],
     )
 
 
-def tstr_forecast_quantile(
-    real_fit: ProfileSet,
-    synthetic_fit: ProfileSet,
-    real_eval: ProfileSet,
-    config: nnet.TrainConfig | None = None,
-) -> TstrResult:
-    """Predict the final half-hour's 95th-quantile demand; score by pinball loss."""
-    require_same_horizon(real_fit, synthetic_fit, real_eval)
-    if config is None:
-        config = nnet.TrainConfig(loss=nnet.PINBALL, pinball_q=0.95)
-    if config.loss != nnet.PINBALL:
-        raise ValueError("quantile forecasting uses the pinball loss")
-    x_real, y_real = _forecast_arrays(real_fit)
-    x_syn, y_syn = _forecast_arrays(synthetic_fit)
-    x_eval, y_eval = _forecast_arrays(real_eval)
-    q = config.pinball_q
+def tstr_classify(real_fit, synthetic_fit, real_eval, config=None) -> TstrResult:
+    return _tstr("classify", real_fit, synthetic_fit, real_eval, config)
 
-    def mean_pinball(model: nnet.MlpModel) -> float:
-        pred = np.atleast_1d(nnet.forward(model, x_eval))
-        return float(nnet.pinball_loss(y_eval, pred, q).mean())
 
-    model_real, model_syn, trace = _paired_training(
-        x_real, y_real, x_syn, y_syn,
-        head=nnet.LINEAR, hidden=FORECASTER_HIDDEN, config=config, score_fn=mean_pinball,
-    )
-    score_real = mean_pinball(model_real)
-    score_syn = mean_pinball(model_syn)
-    return TstrResult(
-        metric_name=f"{PINBALL_95}{q}",
-        score_real_trained=score_real,
-        score_synthetic_trained=score_syn,
-        absolute_gap=abs(score_real - score_syn),
-        epochs_trace=trace,
-    )
+def tstr_forecast_mean(real_fit, synthetic_fit, real_eval, config=None) -> TstrResult:
+    return _tstr("forecast_mean", real_fit, synthetic_fit, real_eval, config)
+
+
+def tstr_forecast_quantile(real_fit, synthetic_fit, real_eval, config=None) -> TstrResult:
+    return _tstr("forecast_quantile", real_fit, synthetic_fit, real_eval, config)

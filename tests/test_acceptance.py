@@ -20,6 +20,7 @@ from synthmeter.poisoning import OutlierSpec, inject, make_attack_registry
 from synthmeter.profiles import Horizon, ProfileSet, Role, SplitSpec, split_households
 
 from conftest import profile_set
+from test_nnet import gradient_check
 
 
 def criterion(number: int, description: str, checks: dict[str, bool]) -> None:
@@ -172,17 +173,17 @@ def test_criterion_05_gradient_fidelity():
         x = rng.normal(size=(12, 2))
         model_s = nnet.init_model([2, 4, 1], head=nnet.SIGMOID, seed=seed)
         y_binary = rng.integers(0, 2, size=12).astype(float)
-        bce_ok &= nnet.gradient_check(model_s, nnet.TrainConfig(loss=nnet.BCE), x, y_binary) < 1e-4
+        bce_ok &= gradient_check(model_s, nnet.TrainConfig(loss=nnet.BCE), x, y_binary) < 1e-4
 
         model_l = nnet.init_model([2, 4, 1], head=nnet.LINEAR, seed=seed)
         y_real = rng.normal(size=12)
-        mse_ok &= nnet.gradient_check(model_l, nnet.TrainConfig(loss=nnet.MSE), x, y_real) < 1e-4
+        mse_ok &= gradient_check(model_l, nnet.TrainConfig(loss=nnet.MSE), x, y_real) < 1e-4
 
         # pinball off-kink: |y - logit| = 1 >> finite-difference step
         logits = np.atleast_1d(nnet.logits(model_l, x))
         y_off = logits + np.where(rng.random(12) > 0.5, 1.0, -1.0)
         pinball_ok &= (
-            nnet.gradient_check(
+            gradient_check(
                 model_l, nnet.TrainConfig(loss=nnet.PINBALL, pinball_q=0.95), x, y_off
             )
             < 1e-4

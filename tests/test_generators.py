@@ -1,47 +1,12 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from synthmeter import gmm, kernels
-from synthmeter.errors import HorizonMismatch
-from synthmeter.generators import (
-    GeneratorMetadata,
-    MemorizerConfig,
-    gmm_generate,
-    load_external,
-    memorizer_generate,
-)
-from synthmeter.profiles import Horizon, Role, write_wide
+from synthmeter.generators import MemorizerConfig, gmm_generate, memorizer_generate
+from synthmeter.profiles import Role
 
 from conftest import profile_set
-
-
-class TestLoadExternal:
-    def test_valid_file_pass_through(self, small_population, tmp_path):
-        path = tmp_path / "synthetic.csv"
-        write_wide(small_population, path)
-        loaded = load_external(path, GeneratorMetadata(name="ext"), horizon=Horizon.DAILY)
-        assert loaded.role is Role.SYNTHETIC
-        assert len(loaded) == len(small_population)
-
-    def test_wrong_width_rejected(self, tmp_path):
-        path = tmp_path / "synthetic.csv"
-        cols = ",".join(f"hh_{i:02d}" for i in range(47))
-        lines = [f"household_id,start_date,label,{cols}"]
-        lines.append("s0,2012-01-01,," + ",".join(["0.1"] * 47))
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(HorizonMismatch):
-            load_external(path, GeneratorMetadata(name="ext"), horizon=Horizon.DAILY)
-
-    def test_round_trip(self, small_population, tmp_path):
-        path = tmp_path / "a.csv"
-        write_wide(small_population, path)
-        loaded = load_external(path, GeneratorMetadata(name="ext"))
-        again = tmp_path / "b.csv"
-        write_wide(loaded, again)
-        reloaded = load_external(again, GeneratorMetadata(name="ext"))
-        np.testing.assert_array_equal(loaded.values, reloaded.values)
 
 
 class TestMemorizer:

@@ -168,16 +168,3 @@ def _sample_raw(model: gmm.GmmModel, n: int, seed: int) -> np.ndarray:
     noise = rng.standard_normal((n, model.n_dims))
     return model.means[comps] + np.sqrt(model.variances[comps]) * noise
 
-
-class TestSaveLoad:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        x = rng.normal(0.4, 0.1, size=(60, 48)).clip(min=0)
-        model = gmm.fit(profile_set(x), gmm.FitConfig(k=3, seed=1))
-        path = tmp_path / "model.json"
-        gmm.save(model, path)
-        loaded = gmm.load(path)
-        np.testing.assert_array_equal(loaded.weights, model.weights)
-        np.testing.assert_array_equal(loaded.means, model.means)
-        np.testing.assert_array_equal(loaded.variances, model.variances)
-        assert loaded.config == model.config

@@ -314,6 +314,50 @@ class TestMatchesReferenceLoop:
         assert "at epoch 0" not in messages[0]
 
 
+def gradient_check(model: nnet.MlpModel, config: nnet.TrainConfig, inputs, targets) -> float:
+    """Max relative error between nnet's analytic gradients and central
+    finite differences.
+
+    Step 1e-5, double precision. Intended for small models only. Criterion
+    05 of the acceptance suite imports it from here.
+    """
+    x = np.asarray(inputs, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64).reshape(len(x), -1)
+    if model.n_parameters() > 10_000:
+        raise ValueError("gradient_check is for small models (<= 1e4 parameters)")
+    nnet._check_head_loss(model, config)
+    work = model.copy()
+    x_n = nnet._normalise(work, x)
+
+    activations, z = nnet._forward_pass(work, x_n)
+    _, grad_z = nnet._loss_and_grad(config, z, y)
+    grads_w, grads_b = nnet._backward(work, activations, grad_z)
+
+    step = 1e-5
+
+    def loss_at() -> float:
+        _, z_now = nnet._forward_pass(work, x_n)
+        loss, _ = nnet._loss_and_grad(config, z_now, y)
+        return loss
+
+    max_rel = 0.0
+    for params, grads in ((work.weights, grads_w), (work.biases, grads_b)):
+        for arr, grad in zip(params, grads):
+            flat = arr.ravel()
+            gflat = grad.ravel()
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + step
+                hi = loss_at()
+                flat[j] = orig - step
+                lo = loss_at()
+                flat[j] = orig
+                numeric = (hi - lo) / (2.0 * step)
+                denom = max(abs(numeric) + abs(gflat[j]), 1e-8)
+                max_rel = max(max_rel, abs(numeric - gflat[j]) / denom)
+    return max_rel
+
+
 class TestGradientCheck:
     def test_bce_small_network(self):
         rng = np.random.default_rng(0)
@@ -321,7 +365,7 @@ class TestGradientCheck:
             model = tiny_model([2, 4, 1], nnet.SIGMOID, seed=seed)
             x = rng.normal(size=(16, 2))
             y = rng.integers(0, 2, size=16).astype(float)
-            error = nnet.gradient_check(model, nnet.TrainConfig(loss=nnet.BCE), x, y)
+            error = gradient_check(model, nnet.TrainConfig(loss=nnet.BCE), x, y)
             assert error < 1e-4
 
     def test_mse_at_perfect_fit(self):
@@ -331,7 +375,7 @@ class TestGradientCheck:
             w[:] = 0.0
         x = np.random.default_rng(1).normal(size=(10, 3))
         y = np.zeros(10)
-        error = nnet.gradient_check(model, nnet.TrainConfig(loss=nnet.MSE), x, y)
+        error = gradient_check(model, nnet.TrainConfig(loss=nnet.MSE), x, y)
         assert error < 1e-6
 
     def test_pinball_off_kink(self):
@@ -341,26 +385,8 @@ class TestGradientCheck:
             x = rng.normal(size=(12, 2))
             logits = np.atleast_1d(nnet.logits(model, x))
             y = logits + np.where(rng.random(12) > 0.5, 1.0, -1.0)  # |u| = 1 >> step
-            error = nnet.gradient_check(
+            error = gradient_check(
                 model, nnet.TrainConfig(loss=nnet.PINBALL, pinball_q=0.95), x, y
             )
             assert error < 1e-4
 
-
-class TestSaveLoad:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(40, 5))
-        y = (x.sum(axis=1) > 0).astype(float)
-        result = nnet.train(
-            tiny_model([5, 6, 1], nnet.SIGMOID, seed=2),
-            x,
-            y,
-            nnet.TrainConfig(loss=nnet.BCE, epochs=3, batch_size=10, seed=0),
-        )
-        path = tmp_path / "model.json"
-        nnet.save(result.model, path)
-        loaded = nnet.load(path)
-        np.testing.assert_array_equal(
-            nnet.forward(loaded, x), nnet.forward(result.model, x)
-        )

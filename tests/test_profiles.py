@@ -399,6 +399,13 @@ class TestWideFormat:
         assert again.start_dates == small_population.start_dates
         assert again.labels == small_population.labels
 
+    def test_read_applies_role_and_horizon(self, small_population, tmp_path):
+        path = tmp_path / "synthetic.csv"
+        write_wide(small_population, path)
+        loaded = read_wide(path, Role.SYNTHETIC, horizon=Horizon.DAILY)
+        assert loaded.role is Role.SYNTHETIC
+        assert len(loaded) == len(small_population)
+
     def test_header_width_checked(self, tmp_path):
         path = tmp_path / "wide.csv"
         cols = ",".join(f"hh_{i:02d}" for i in range(47))

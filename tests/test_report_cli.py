@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -172,6 +174,72 @@ class TestRunFullEvaluation:
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
         coords = (tmp_path / "out" / "pca_coordinates.csv").read_text().splitlines()
         assert coords[0] == "set,x,y"
+
+    @pytest.mark.parametrize(
+        "section, options, message",
+        [
+            ("fidelity", {"mmd_bandwith": 1.0}, "unknown fidelity option 'mmd_bandwith'; did you mean 'mmd_bandwidth'"),
+            ("privacy", {"recon": True, "sample_sise": 5}, "unknown privacy option 'sample_sise'; did you mean 'sample_size'"),
+            ("utility", {"epcohs": 2}, "unknown utility option 'epcohs'; did you mean 'epochs'"),
+            ("utility", {"tasks": ["clasify"]}, "unknown utility task 'clasify'; did you mean 'classify'"),
+        ],
+        ids=["fidelity_key", "privacy_key", "utility_key", "utility_task"],
+    )
+    def test_unknown_key_fails_its_section(self, workspace, tmp_path, section, options, message):
+        files = {"real_fit": "train.csv", "synthetic_fit": "synthetic.csv", "eval": "holdout.csv"}
+        manifest = write_manifest(
+            workspace,
+            {
+                "horizon": "daily",
+                "train": "train.csv",
+                "holdout": "holdout.csv",
+                "synthetic": "synthetic.csv",
+                section: {**(files if section == "utility" else {}), **options},
+            },
+            name=f"typo_{section}.json",
+        )
+        outcome = report.run_full_evaluation(manifest, output_dir=tmp_path / "out")
+        assert outcome.failures == [f"{section}: {outcome.report[section]['error']}"]
+        assert outcome.report[section]["status"] == "failed"
+        assert outcome.report[section]["error"].startswith(message)
+
+    def test_repeated_file_read_and_hashed_once(self, workspace, tmp_path, monkeypatch):
+        calls = {"read_wide": [], "file_digest": []}
+
+        def counting(name):
+            original = getattr(report, name)
+
+            def wrapper(path, *args, **kwargs):
+                calls[name].append(Path(path).name)
+                return original(path, *args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(report, name, counting(name))
+        manifest = write_manifest(
+            workspace,
+            {
+                "horizon": "daily",
+                "train": "train.csv",
+                "holdout": "holdout.csv",
+                "synthetic": "synthetic.csv",
+                "privacy": {"recon": True},
+                "utility": {"real_fit": "train.csv", "synthetic_fit": "synthetic.csv",
+                            "eval": "missing.csv", "allow_overlap": True},
+            },
+            name="repeated.json",
+        )
+        outcome = report.run_full_evaluation(manifest, output_dir=tmp_path / "out")
+        # train.csv is the TRAIN set twice and synthetic.csv the SYNTHETIC set twice
+        assert calls["read_wide"] == ["train.csv", "holdout.csv", "synthetic.csv", "missing.csv"]
+        assert calls["file_digest"] == ["train.csv", "holdout.csv", "synthetic.csv"]
+        digests = outcome.report["input_digests"]
+        assert digests["utility_real_fit"] == digests["train"]
+        assert digests["utility_synthetic_fit"] == digests["synthetic"]
+        # the unreadable utility file fails only its own section
+        assert outcome.report["utility"]["status"] == "failed"
+        assert "statistic" in outcome.report["privacy"]["ks"]
 
 
 class TestCli:
@@ -389,6 +457,27 @@ class TestCli:
         assert not fits  # rejected before any mixture fit
         assert not (tmp_path / "synthetic.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["split", "--input", "{real}", "--holdout-fraction", "1.5",
+             "--train-out", "{out}", "--holdout-out", "{out2}"],
+            ["inject-outliers", "--train", "{real}", "--count", "0",
+             "--poisoned-out", "{out}", "--registry-out", "{out2}"],
+            ["inject-outliers", "--train", "{real}", "--sigma", "-1",
+             "--poisoned-out", "{out}", "--registry-out", "{out2}"],
+        ],
+        ids=["split_fraction_1.5", "inject_count_0", "inject_sigma_negative"],
+    )
+    def test_spec_error_exits_2(self, tmp_path, capsys, command):
+        write_wide(demo.make_population(20, 6, seed=8), tmp_path / "real.csv")
+        paths = {"real": tmp_path / "real.csv", "out": tmp_path / "a.csv", "out2": tmp_path / "b.csv"}
+        rc = cli.main([arg.format(**paths) for arg in command])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "a.csv").exists() and not (tmp_path / "b.csv").exists()
+
     def test_utility_zero_epochs_exits_2(self, tmp_path, capsys):
         fit = demo.make_population(20, 8, seed=3, day_step=36)
         write_wide(fit, tmp_path / "fit.csv")
@@ -473,3 +562,63 @@ class TestCli:
         rc = cli.main(["--output-dir", str(tmp_path / "bundle"), "evaluate", "--manifest", "demo"])
         assert rc == 0
         assert list((tmp_path / "bundle").rglob("report.json"))
+
+
+@pytest.fixture(scope="module")
+def demo_evaluation(tmp_path_factory):
+    """A small demo workspace and its ``evaluate`` report, as written to disk."""
+    base = tmp_path_factory.mktemp("demo_eval")
+    manifest = cli.build_demo_workspace(base / "ws", households=40, days=8, seed=1)
+    outcome = report.run_full_evaluation(manifest, output_dir=base / "out")
+    assert outcome.ok
+    return base / "ws", json.loads(outcome.report_path.read_text())
+
+
+@pytest.mark.parametrize(
+    "command, entry",
+    [
+        (["privacy", "recon", "--train", "{train}", "--holdout", "{holdout}", "--synthetic", "{synthetic}"],
+         ("privacy", "ks")),
+        (["privacy", "recon-poisoned", "--registry", "{registry}", "--synthetic", "{synthetic}"],
+         ("privacy", "reconstruction")),
+        (["privacy", "mia", "--train", "{train}", "--holdout", "{holdout}", "--synthetic", "{synthetic}"],
+         ("privacy", "mia_plain")),
+        (["privacy", "mia-poisoned", "--registry", "{registry}", "--synthetic", "{synthetic}",
+          "--holdout", "{holdout}"],
+         ("privacy", "mia_poisoned")),
+        (["utility", "tstr-classify", "--real-fit", "{train}", "--synthetic-fit", "{synthetic_fit}",
+          "--eval", "{eval}", "--epochs", "20"],
+         ("utility", 0)),
+        (["utility", "tstr-forecast", "--kind", "mean", "--real-fit", "{train}",
+          "--synthetic-fit", "{synthetic_fit}", "--eval", "{eval}", "--epochs", "20"],
+         ("utility", 1)),
+        (["utility", "tstr-forecast", "--kind", "q95", "--real-fit", "{train}",
+          "--synthetic-fit", "{synthetic_fit}", "--eval", "{eval}", "--epochs", "20"],
+         ("utility", 2)),
+    ],
+    ids=["recon", "recon_poisoned", "mia", "mia_poisoned", "tstr_classify", "tstr_mean", "tstr_q95"],
+)
+def test_subcommand_writes_its_evaluate_entry(demo_evaluation, tmp_path, command, entry):
+    workspace, evaluated = demo_evaluation
+    files = {name: workspace / f"{name}.csv"
+             for name in ("train", "holdout", "synthetic", "registry", "synthetic_fit", "eval")}
+    out = tmp_path / "entry.json"
+    rc = cli.main([arg.format(**files) for arg in command] + ["--seed", "1", "--report", str(out)])
+    assert rc == 0
+    section, key = entry
+    assert json.loads(out.read_text()) == evaluated[section][key]
+
+
+def test_trace_targets_resolve():
+    """Every (module, function) the benchmark tracer wraps exists, so a
+    rename cannot silently break ``perfbench/run.py --trace 1``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fn, _, _ in tracing.TARGETS
+        if not callable(getattr(importlib.import_module(f"synthmeter.{mod}"), fn, None))
+    ]
+    assert missing == []
