@@ -5,22 +5,31 @@ the intraday forecasters. Deliberately small: ReLU hidden layers, a
 sigmoid or linear head, mini-batch gradient descent with momentum 0.9,
 and bit-reproducible training for a fixed seed and data order.
 
-Training runs from one workspace allocated per ``train`` call, because at
-batch sizes near 64 the cost of a step is numpy's per-call overhead, not
-its arithmetic. Parameters, gradients and momentum velocities each live in
-one flat buffer; the model's weight and bias arrays are views into the
-parameter buffer, so the momentum step is four whole-buffer operations.
-Each layer's outputs and back-propagated deltas are written into buffers
-of ``batch_size`` rows, sliced for a short last batch, and each epoch's
-shuffled rows are gathered into one buffer. A step allocates nothing the
-size of the model or of a layer's output; only the loss's per-row
-temporaries and the ReLU masks remain.
+One step loop trains K arms of one architecture in lockstep: ``train``
+is the K = 1 call, ``train_arms`` the K-arm one (the paired TSTR arms).
+Arms share the seed and row count, so they draw the same permutation and
+cut the same batches, and one stacked step is one step of every arm:
+each layer is a batched ``np.matmul`` over a leading arm axis.
 
-Contract: the workspace changes where results are stored, never what is
-computed. Every float operation is the one a plain step loop performs, on
-the same operands and in the same order (``tests/test_nnet.py`` keeps that
-loop as its oracle), so weights, loss traces and every report built from
-them are bit-identical to it.
+Training runs from one workspace allocated per call, because at batch
+sizes near 64 the cost of a step is numpy's per-call overhead, not its
+arithmetic; stacking K arms shares that overhead among them. Parameters,
+gradients and momentum velocities each live in one flat (K, P) buffer;
+each arm's model holds weight and bias views into its row of the
+parameter buffer, so the momentum step is four whole-buffer operations.
+Each layer's outputs and back-propagated deltas are written into
+(K, batch_size, width) buffers, cut once for a short last batch, and each
+epoch's shuffled rows are gathered into one (K, rows, width) buffer. A
+step allocates nothing the size of the model or of a layer's output;
+only the loss's per-row temporaries and the ReLU masks remain. Batch
+losses are summed into a per-epoch buffer and checked once per epoch.
+
+Contract: the workspace and the stacking change where results are
+stored, never what is computed. Every float operation is the one a plain
+one-arm step loop performs, on the same operands and in the same order
+(``tests/test_nnet.py`` keeps that loop as its oracle), so each arm's
+weights, loss trace and every report built from them are bit-identical
+to it.
 """
 
 from __future__ import annotations
@@ -105,17 +114,19 @@ def _normalise(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def _forward_pass(
-    model: MlpModel, x: np.ndarray, out: list[np.ndarray] | None = None
+    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray, out: list[np.ndarray] | None = None
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Returns hidden activations (post-ReLU, starting with the input) and logits.
 
-    ``out``, if given, holds one array per layer with at least ``len(x)``
-    rows; each layer's output is written into its leading rows.
+    Serves one model (``x`` of shape (rows, width)) or K stacked arms
+    (``x`` (K, rows, width), weights (K, fan_in, fan_out), biases
+    (K, 1, fan_out)). ``out``, if given, holds one array per layer shaped
+    like that layer's output, to write it into.
     """
     activations = [x]
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = np.matmul(activations[-1], w, out=None if out is None else out[i][: len(x)])
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(activations[-1], w, out=None if out is None else out[i])
         z += b
         if i == last:
             return activations, z
@@ -140,7 +151,7 @@ def forward(model: MlpModel, inputs) -> np.ndarray:
         x = x[None, :]
     if x.shape[1] != model.layer_sizes[0]:
         raise DimensionMismatch(f"expected input width {model.layer_sizes[0]}, got {x.shape[1]}")
-    _, logits = _forward_pass(model, _normalise(model, x))
+    _, logits = _forward_pass(model.weights, model.biases, _normalise(model, x))
     out = _sigmoid(logits) if model.head == SIGMOID else logits
     out = out[:, 0] if out.shape[1] == 1 else out
     return out[0] if squeeze else out
@@ -153,7 +164,7 @@ def logits(model: MlpModel, inputs) -> np.ndarray:
         x = x[None, :]
     if x.shape[1] != model.layer_sizes[0]:
         raise DimensionMismatch(f"expected input width {model.layer_sizes[0]}, got {x.shape[1]}")
-    _, z = _forward_pass(model, _normalise(model, x))
+    _, z = _forward_pass(model.weights, model.biases, _normalise(model, x))
     return z[:, 0] if z.shape[1] == 1 else z
 
 
@@ -173,16 +184,22 @@ def _check_head_loss(model: MlpModel, config: TrainConfig) -> None:
 
 
 def _loss_and_grad(
-    config: TrainConfig, logits_z: np.ndarray, targets: np.ndarray, out: np.ndarray | None = None
+    config: TrainConfig,
+    logits_z: np.ndarray,
+    targets: np.ndarray,
+    out: np.ndarray | None = None,
+    loss_out: np.ndarray | None = None,
 ):
-    """Mean loss over the batch and its gradient w.r.t. the logits.
+    """Summed loss over each batch (the last two axes) and the gradient of
+    the mean loss w.r.t. the logits.
 
-    The gradient is written into ``out`` if given, an array shaped like
-    the logits.
+    A batch's mean loss is its sum over rows x output width. The gradient
+    is written into ``out`` if given, an array shaped like the logits, and
+    the sums into ``loss_out``, shaped like the leading (arm) axes.
     """
     z = logits_z
     y = targets
-    n = len(y)
+    n = y.shape[-2]
     if config.loss == BCE:
         # stable form on logits: max(z,0) - z*y + log(1 + exp(-|z|)). As
         # exp(-|z|) is exp(-z) for z >= 0 and exp(z) below, it also gives the
@@ -205,40 +222,39 @@ def _loss_and_grad(
         nonneg = u >= 0
         terms = np.where(nonneg, q * u, (q - 1.0) * u)
         grad = np.divide(np.where(nonneg, -q, 1.0 - q), n, out=out)
-    # np.mean's own sum and division, without its per-call overhead
-    return float(np.add.reduce(terms, axis=None)) / terms.size, grad
+    # np.mean's own sum, without its per-call overhead
+    return np.add.reduce(terms, axis=(-2, -1), out=loss_out), grad
 
 
-def _backward(model: MlpModel, activations: list[np.ndarray], grad_logits: np.ndarray, out=None):
-    """Weight and bias gradients by back-propagation.
+def _backward(weights: list[np.ndarray], activations: list[np.ndarray], grad_logits: np.ndarray, out=None):
+    """Weight and bias gradients by back-propagation, for one model or K
+    stacked arms as in ``_forward_pass``.
 
     ``out``, if given, is ``(grads_w, grads_b, deltas)``: arrays shaped like
     the weights and biases to write the gradients into, and one array per
-    hidden layer with at least ``len(grad_logits)`` rows for its deltas.
+    hidden layer shaped like its deltas.
     """
-    last = len(model.weights) - 1
+    last = len(weights) - 1
     if out is None:
         out = [None] * (last + 1), [None] * (last + 1), [None] * last
     grads_w, grads_b, deltas = out
     delta = grad_logits
     for i in range(last, -1, -1):
-        grads_w[i] = np.matmul(activations[i].T, delta, out=grads_w[i])
-        grads_b[i] = np.add.reduce(delta, axis=0, out=grads_b[i])
+        grads_w[i] = np.matmul(activations[i].mT, delta, out=grads_w[i])
+        grads_b[i] = np.add.reduce(delta, axis=-2, out=grads_b[i])
         if i > 0:
-            buffer = deltas[i - 1]
-            delta = np.matmul(
-                delta, model.weights[i].T, out=None if buffer is None else buffer[: len(delta)]
-            )
+            delta = np.matmul(delta, weights[i].mT, out=deltas[i - 1])
             delta *= activations[i] > 0
     return grads_w, grads_b
 
 
 def _flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Consecutive views of ``flat`` with the given shapes."""
+    """Consecutive views of the columns of the (K, P) ``flat``, shaped
+    (K, *shape) for each of the given shapes."""
     views, offset = [], 0
     for shape in shapes:
         size = math.prod(shape)
-        views.append(flat[offset : offset + size].reshape(shape))
+        views.append(flat[:, offset : offset + size].reshape(len(flat), *shape))
         offset += size
     return views
 
@@ -265,6 +281,35 @@ def train(
     trace holds the mean batch loss per epoch. NaN or infinite loss
     aborts with NonFiniteLoss.
     """
+    [result] = _train_arms([model], [inputs], [targets], config, standardize, [epoch_callback])
+    return result
+
+
+def train_arms(
+    models: list[MlpModel],
+    inputs,
+    targets,
+    config: TrainConfig,
+    epoch_callbacks=None,
+) -> list[TrainResult]:
+    """``train`` for K arms in lockstep: arm k trains ``models[k]`` on
+    ``inputs[k]`` and ``targets[k]`` with ``epoch_callbacks[k]`` (None for
+    none), and its result is bit-identical to that ``train`` call.
+
+    The arms share one architecture and row count. Each keeps its own
+    standardisation constants. The first NaN or infinite loss of any arm,
+    in step order, aborts every arm with that arm's NonFiniteLoss; a later
+    arm's error can thus come first where ``train`` runs would raise an
+    earlier arm's.
+    """
+    if epoch_callbacks is None:
+        epoch_callbacks = [None] * len(models)
+    if not models or not len(models) == len(inputs) == len(targets) == len(epoch_callbacks):
+        raise ValueError("need one input set, target set and callback per model, and one model or more")
+    return _train_arms(models, inputs, targets, config, True, epoch_callbacks)
+
+
+def _checked_arrays(model: MlpModel, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layer_sizes[0]:
@@ -274,62 +319,100 @@ def train(
     y = y.reshape(len(x), -1)
     if y.shape[1] != model.layer_sizes[-1]:
         raise DimensionMismatch(f"expected target width {model.layer_sizes[-1]}")
-    if config.batch_size > len(x):
-        raise ValueError(f"batch_size {config.batch_size} exceeds {len(x)} samples")
-    _check_head_loss(model, config)
+    return x, y
 
-    out = model.copy()
-    if standardize:
-        out.norm_mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        out.norm_std = np.where(std > 0, std, 1.0)
-    x_n = _normalise(out, x)
 
-    # the workspace: see the module docstring
-    arrays = [a for pair in zip(out.weights, out.biases) for a in pair]
-    shapes = [a.shape for a in arrays]
-    params = np.concatenate([a.ravel() for a in arrays])
-    grads = np.empty_like(params)
-    velocity = np.zeros_like(params)
-    param_views = _flat_views(params, shapes)
-    out.weights, out.biases = param_views[0::2], param_views[1::2]
-    grad_views = _flat_views(grads, shapes)
-    rows = config.batch_size
-    hidden_deltas = [np.empty((rows, k)) for k in out.layer_sizes[1:-1]]
-    backward_out = (grad_views[0::2], grad_views[1::2], hidden_deltas)
-    outputs = [np.empty((rows, k)) for k in out.layer_sizes[1:]]
-    grad_logits = np.empty((rows, out.layer_sizes[-1]))
+def _train_arms(models, inputs, targets, config: TrainConfig, standardize: bool, epoch_callbacks):
+    """The one step loop: see the module docstring."""
+    arrays = [_checked_arrays(m, x, y) for m, x, y in zip(models, inputs, targets)]
+    sizes = models[0].layer_sizes
+    rows = len(arrays[0][0])
+    if any(m.layer_sizes != sizes for m in models):
+        raise DimensionMismatch("arms trained together need one architecture")
+    if any(len(x) != rows for x, _ in arrays):
+        raise DimensionMismatch("arms trained together need equal row counts")
+    if config.batch_size > rows:
+        raise ValueError(f"batch_size {config.batch_size} exceeds {rows} samples")
+    for model in models:
+        _check_head_loss(model, config)
+
+    arms = len(models)
+    outs = [model.copy() for model in models]
     # C order whatever the input's layout, so batches are the contiguous
     # row blocks that fancy indexing would give
+    x_n = np.empty((arms, rows, sizes[0]))
+    for out, (x, _), x_arm in zip(outs, arrays, x_n):
+        if standardize:
+            out.norm_mean = x.mean(axis=0)
+            std = x.std(axis=0)
+            out.norm_std = np.where(std > 0, std, 1.0)
+        x_arm[...] = _normalise(out, x)
+    y = np.stack([y for _, y in arrays])
+
+    # the workspace: see the module docstring
+    params = np.stack([
+        np.concatenate([a.ravel() for pair in zip(out.weights, out.biases) for a in pair]) for out in outs
+    ])
+    grads = np.empty_like(params)
+    velocity = np.zeros_like(params)
+    shapes = [a.shape for pair in zip(outs[0].weights, outs[0].biases) for a in pair]
+    param_views = _flat_views(params, shapes)
+    weights, biases = param_views[0::2], param_views[1::2]
+    for k, out in enumerate(outs):
+        out.weights, out.biases = [w[k] for w in weights], [b[k] for b in biases]
+    # each arm's biases broadcast over its batch rows
+    biases = [b[:, None, :] for b in biases]
+    grad_views = _flat_views(grads, shapes)
+    batch = config.batch_size
+    outputs = [np.empty((arms, batch, width)) for width in sizes[1:]]
+    deltas = [np.empty((arms, batch, width)) for width in sizes[1:-1]]
+    grad_logits = np.empty((arms, batch, sizes[-1]))
+    starts = range(0, rows, batch)
+
+    def cut(n: int):
+        """(layer outputs, backward buffers, logit gradient) for a batch of n rows."""
+        return (
+            [o[:, :n] for o in outputs],
+            (grad_views[0::2], grad_views[1::2], [d[:, :n] for d in deltas]),
+            grad_logits[:, :n],
+        )
+
+    full, last = cut(batch), cut(rows - starts[-1])
+    # each step's loss sums, and the term counts that make them means
+    losses = np.empty((len(starts), arms))
+    n_terms = np.array([[min(batch, rows - start) * sizes[-1]] for start in starts], dtype=np.float64)
     x_epoch = np.empty(x_n.shape)
     y_epoch = np.empty(y.shape)
 
     rng = np.random.default_rng(config.seed)
-    trace: list[float] = []
+    traces: list[list[float]] = [[] for _ in outs]
     for epoch in range(config.epochs):
-        order = rng.permutation(len(x_n))
+        order = rng.permutation(rows)
         # a permutation has no out-of-range index to clip; "clip" only spares
         # the buffered copy that the default "raise" makes of ``out``
-        np.take(x_n, order, axis=0, out=x_epoch, mode="clip")
-        np.take(y, order, axis=0, out=y_epoch, mode="clip")
-        epoch_losses: list[float] = []
-        # divergence surfaces as NonFiniteLoss, not as numpy warnings
+        np.take(x_n, order, axis=1, out=x_epoch, mode="clip")
+        np.take(y, order, axis=1, out=y_epoch, mode="clip")
+        # divergence surfaces as NonFiniteLoss, not as numpy warnings; steps
+        # after a non-finite loss only run on to the epoch's end, where it aborts
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(order), config.batch_size):
-                stop = start + config.batch_size
-                activations, z = _forward_pass(out, x_epoch[start:stop], outputs)
-                loss, grad_z = _loss_and_grad(config, z, y_epoch[start:stop], grad_logits[: len(z)])
-                if not math.isfinite(loss):
-                    raise NonFiniteLoss(f"loss became {loss} at epoch {epoch}")
-                epoch_losses.append(loss)
-                _backward(out, activations, grad_z, backward_out)
+            for step, start in enumerate(starts):
+                stop = start + batch
+                layer_out, backward_out, grad_out = full if stop <= rows else last
+                activations, z = _forward_pass(weights, biases, x_epoch[:, start:stop], layer_out)
+                _, grad_z = _loss_and_grad(config, z, y_epoch[:, start:stop], grad_out, losses[step])
+                _backward(weights, activations, grad_z, backward_out)
                 # velocity = MOMENTUM * velocity - learning_rate * gradient
                 velocity *= MOMENTUM
                 grads *= config.learning_rate
                 velocity -= grads
                 params += velocity
-        trace.append(float(np.mean(epoch_losses)))
-        if epoch_callback is not None:
-            epoch_callback(out, epoch)
-    return TrainResult(model=out, loss_trace=trace)
-
+            losses /= n_terms
+        bad = np.argwhere(~np.isfinite(losses))
+        if len(bad):
+            step, arm = bad[0]
+            raise NonFiniteLoss(f"loss became {float(losses[step, arm])} at epoch {epoch}")
+        for k, (out, trace, callback) in enumerate(zip(outs, traces, epoch_callbacks)):
+            trace.append(float(np.mean(losses[:, k])))
+            if callback is not None:
+                callback(out, epoch)
+    return [TrainResult(model=out, loss_trace=trace) for out, trace in zip(outs, traces)]

@@ -93,8 +93,6 @@ class OutlierRegistry:
     seen_outliers: ProfileSet
     unseen_same_dist: ProfileSet
     unseen_diff_dist: ProfileSet
-    spec: OutlierSpec
-    diff_spec: OutlierSpec
 
     def attack_set(self) -> tuple[ProfileSet, np.ndarray]:
         """All registry rows in fixed group order plus boolean membership labels."""
@@ -142,8 +140,6 @@ def make_attack_registry(
         seen_outliers=seen,
         unseen_same_dist=unseen_same,
         unseen_diff_dist=unseen_diff,
-        spec=spec,
-        diff_spec=diff_dist_spec,
     )
 
 
@@ -163,11 +159,8 @@ def read_registry(path, horizon: Horizon | None = None) -> OutlierRegistry:
     for name, rows in groups.items():
         if not rows:
             raise MalformedRow(1, f"registry group {name!r} is empty")
-    spec = OutlierSpec(count=len(groups[SEEN]))
     return OutlierRegistry(
         seen_outliers=combined.subset(groups[SEEN]),
         unseen_same_dist=combined.subset(groups[UNSEEN_SAME]),
         unseen_diff_dist=combined.subset(groups[UNSEEN_DIFF]),
-        spec=spec,
-        diff_spec=replace(spec, mu=2.0 * spec.mu),
     )

@@ -73,9 +73,8 @@ def write_table(path, header: list[str], rows) -> None:
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    # np.float64 is a float whose repr reads np.float64(...), which CSV readers cannot parse
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
@@ -140,6 +139,10 @@ PRIVACY_ATTACKS = ("recon", "recon_poisoned", "mia", "mia_poisoned")
 PRIVACY_KEYS = (*PRIVACY_ATTACKS, "policy", "sample_size", "threshold_ratios")
 UTILITY_FILES = ("real_fit", "synthetic_fit", "eval")
 UTILITY_KEYS = (*UTILITY_FILES, "tasks", "epochs", "allow_overlap")
+MANIFEST_KEYS = (
+    "horizon", "seed", "train", "holdout", "synthetic", "registry", "generator",
+    "fidelity", "privacy", "utility",
+)
 
 
 def privacy_section(options: dict, seed: int, train, holdout, synthetic, registry):
@@ -225,6 +228,7 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
     manifest_path = Path(manifest_path)
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    check_known("manifest key", manifest, MANIFEST_KEYS)
     base = manifest_path.parent
     output_dir = Path(output_dir) if output_dir else base / "evaluation"
     output_dir.mkdir(parents=True, exist_ok=True)

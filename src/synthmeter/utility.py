@@ -5,6 +5,13 @@ on the real and synthetic fit sets and both scored on held-out real
 data. The utility measure is the absolute performance gap, not the raw
 score: a synthetic-trained model doing *better* than the real-trained
 one is still a mismatch.
+
+When the two fit sets have the same row count (as every demo-built
+workspace has), the arms train in lockstep as one stacked model
+(``nnet.train_arms``), bit-identical to training them one after the
+other; otherwise, or when the stacked run diverges, they train one after
+the other, so a divergence raises the real arm's error first as it
+always did.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import nnet
-from .errors import HorizonMismatch, InvalidConfig, MissingLabels
+from .errors import HorizonMismatch, InvalidConfig, MissingLabels, NonFiniteLoss
 from .profiles import Horizon, ProfileSet, SUMMER_AUTUMN, WINTER_SPRING, require_same_horizon
 
 @dataclass
@@ -129,14 +136,29 @@ def _tstr(
     def score(model: nnet.MlpModel) -> float:
         return task.metric(np.atleast_1d(nnet.forward(model, x_eval)), y_eval, config.pinball_q)
 
-    scores, traces = [], []
-    for x, y in arms:
-        per_epoch: list[float] = []
-        model = nnet.init_model([x.shape[1], *task.hidden, 1], head=task.head, seed=config.seed)
-        run_config = replace(config, batch_size=min(config.batch_size, len(x)))
-        result = nnet.train(model, x, y, run_config, epoch_callback=lambda m, _: per_epoch.append(score(m)))
-        scores.append(score(result.model))
-        traces.append(per_epoch)
+    model = nnet.init_model([x_eval.shape[1], *task.hidden, 1], head=task.head, seed=config.seed)
+
+    def fit(stacked: bool) -> tuple[list[nnet.TrainResult], list[list[float]]]:
+        traces: list[list[float]] = [[] for _ in arms]
+        callbacks = [lambda m, _, trace=trace: trace.append(score(m)) for trace in traces]
+        configs = [replace(config, batch_size=min(config.batch_size, len(x))) for x, _ in arms]
+        if stacked:
+            xs, ys = zip(*arms)
+            return nnet.train_arms([model] * len(arms), xs, ys, configs[0], epoch_callbacks=callbacks), traces
+        return [
+            nnet.train(model, x, y, run_config, epoch_callback=callback)
+            for (x, y), run_config, callback in zip(arms, configs, callbacks)
+        ], traces
+
+    results = None
+    if len(arms[0][0]) == len(arms[1][0]):
+        try:
+            results, traces = fit(stacked=True)
+        except NonFiniteLoss:
+            pass  # retrained one by one below, which raises the real arm's error first
+    if results is None:
+        results, traces = fit(stacked=False)
+    scores = [score(result.model) for result in results]
     return TstrResult(
         metric_name=task.metric_name.format(q=config.pinball_q),
         score_real_trained=scores[0],

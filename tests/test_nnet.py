@@ -314,6 +314,69 @@ class TestMatchesReferenceLoop:
         assert "at epoch 0" not in messages[0]
 
 
+class TestStackedArms:
+    """``train_arms`` against one ``reference_train`` run per arm."""
+
+    @pytest.mark.parametrize("loss", [nnet.BCE, nnet.MSE, nnet.PINBALL])
+    @pytest.mark.parametrize("batch_size", [40, 96], ids=["short_last_batch", "clamped_to_rows"])
+    def test_each_arm_bit_identical(self, loss, batch_size):
+        # three arms with their own data and their own initial weights
+        tasks = [_task(loss, 48, seed=seed) for seed in (0, 1, 2)]
+        models = [tiny_model([48, 64, 32, 1], head, seed=seed) for seed, (_, _, head) in enumerate(tasks)]
+        config = nnet.TrainConfig(loss=loss, batch_size=batch_size, epochs=3, seed=2, pinball_q=0.9)
+        seen = [[] for _ in tasks]
+        got = nnet.train_arms(
+            models, [x for x, _, _ in tasks], [y for _, y, _ in tasks], config,
+            epoch_callbacks=[lambda m, e, arm=arm: arm.append((e, m.copy())) for arm in seen],
+        )
+        for model, (x, y, _), result, arm_seen in zip(models, tasks, got, seen, strict=True):
+            want_seen = []
+            want = reference_train(model, x, y, config, epoch_callback=lambda m, e: want_seen.append((e, m.copy())))
+            _assert_models_identical(result.model, want.model)
+            assert result.loss_trace == want.loss_trace
+            assert [e for e, _ in arm_seen] == [e for e, _ in want_seen] == [0, 1, 2]
+            for (_, seen_model), (_, want_model) in zip(arm_seen, want_seen):
+                _assert_models_identical(seen_model, want_model)
+
+    def test_one_arm_without_callback(self):
+        tasks = [_task(nnet.MSE, 6, rows=50, seed=seed) for seed in (3, 4)]
+        model = tiny_model([6, 8, 1], nnet.LINEAR, seed=0)
+        config = nnet.TrainConfig(loss=nnet.MSE, batch_size=16, epochs=4, seed=1)
+        epochs = []
+        got = nnet.train_arms(
+            [model, model], [x for x, _, _ in tasks], [y for _, y, _ in tasks], config,
+            epoch_callbacks=[None, lambda m, e: epochs.append(e)],
+        )
+        assert epochs == [0, 1, 2, 3]
+        for (x, y, _), result in zip(tasks, got, strict=True):
+            want = reference_train(model, x, y, config)
+            _assert_models_identical(result.model, want.model)
+            assert result.loss_trace == want.loss_trace
+
+    def test_divergent_arm_raises_its_own_error(self):
+        # at this rate the arm on y converges and the arm on 1000 y diverges
+        x, y, head = _task(nnet.MSE, 5)
+        config = nnet.TrainConfig(loss=nnet.MSE, batch_size=32, epochs=50, seed=0, learning_rate=0.05)
+        model = tiny_model([5, 8, 1], head, seed=0)
+        assert np.isfinite(reference_train(model, x, y, config).loss_trace).all()
+        with pytest.raises(NonFiniteLoss) as want:
+            reference_train(model, x, y * 1e3, config)
+        with pytest.raises(NonFiniteLoss) as got:
+            nnet.train_arms([model, model], [x, x], [y, y * 1e3], config)
+        assert str(got.value) == str(want.value)
+
+    def test_arms_must_match(self):
+        x, y, head = _task(nnet.MSE, 5)
+        config = nnet.TrainConfig(loss=nnet.MSE, batch_size=16, epochs=1)
+        model = tiny_model([5, 8, 1], head)
+        with pytest.raises(DimensionMismatch, match="row counts"):
+            nnet.train_arms([model, model], [x, x[:-1]], [y, y[:-1]], config)
+        with pytest.raises(DimensionMismatch, match="architecture"):
+            nnet.train_arms([model, tiny_model([5, 4, 1], head)], [x, x], [y, y], config)
+        with pytest.raises(ValueError, match="one input set"):
+            nnet.train_arms([model, model], [x], [y], config)
+
+
 def gradient_check(model: nnet.MlpModel, config: nnet.TrainConfig, inputs, targets) -> float:
     """Max relative error between nnet's analytic gradients and central
     finite differences.
@@ -329,16 +392,16 @@ def gradient_check(model: nnet.MlpModel, config: nnet.TrainConfig, inputs, targe
     work = model.copy()
     x_n = nnet._normalise(work, x)
 
-    activations, z = nnet._forward_pass(work, x_n)
+    activations, z = nnet._forward_pass(work.weights, work.biases, x_n)
     _, grad_z = nnet._loss_and_grad(config, z, y)
-    grads_w, grads_b = nnet._backward(work, activations, grad_z)
+    grads_w, grads_b = nnet._backward(work.weights, activations, grad_z)
 
     step = 1e-5
 
     def loss_at() -> float:
-        _, z_now = nnet._forward_pass(work, x_n)
-        loss, _ = nnet._loss_and_grad(config, z_now, y)
-        return loss
+        _, z_now = nnet._forward_pass(work.weights, work.biases, x_n)
+        total, _ = nnet._loss_and_grad(config, z_now, y)
+        return float(total) / z_now.size
 
     max_rel = 0.0
     for params, grads in ((work.weights, grads_w), (work.biases, grads_b)):

@@ -166,6 +166,10 @@ class TestRunFullEvaluation:
             tmp_path / "out" / "per_slot_statistics.csv", delimiter=",", names=True
         )
         assert len(stats) == 48
+        values = [name for name in stats.dtype.names if name != "slot"]
+        assert len(values) == 6
+        for name in values:
+            assert np.isfinite(stats[name]).all(), name
         curve = np.genfromtxt(
             tmp_path / "out" / "reconstruction_cdf.csv", delimiter=",", names=True
         )
@@ -477,6 +481,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "a.csv").exists() and not (tmp_path / "b.csv").exists()
+
+    def test_unknown_manifest_key_exits_2(self, workspace, tmp_path, capsys):
+        manifest = write_manifest(
+            workspace,
+            {"train": "train.csv", "holdout": "holdout.csv", "synthetic": "synthetic.csv", "fidelty": True},
+            name="typo.json",
+        )
+        rc = cli.main(["evaluate", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'fidelty'" in err and "'fidelity'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_utility_zero_epochs_exits_2(self, tmp_path, capsys):
         fit = demo.make_population(20, 8, seed=3, day_step=36)

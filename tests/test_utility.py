@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from synthmeter import demo, nnet, utility
-from synthmeter.errors import HorizonMismatch, MissingLabels
+from synthmeter.errors import HorizonMismatch, MissingLabels, NonFiniteLoss
 from synthmeter.profiles import ProfileSet, Role
 
 from conftest import profile_set
@@ -151,3 +152,105 @@ class TestArmsSymmetry:
         assert first.absolute_gap == abs(
             first.score_real_trained - first.score_synthetic_trained
         )
+
+
+def sequential_tstr(name, real_fit, synthetic_fit, real_eval, config):
+    """The arms trained one after the other with ``nnet.train``, real first:
+    the oracle for the lockstep path."""
+    task = utility.TASKS[name]
+    x_eval, y_eval = task.arrays(real_eval)
+
+    def score(model):
+        return task.metric(np.atleast_1d(nnet.forward(model, x_eval)), y_eval, config.pinball_q)
+
+    scores, traces = [], []
+    for profiles in (real_fit, synthetic_fit):
+        x, y = task.arrays(profiles)
+        trace = []
+        model = nnet.init_model([x.shape[1], *task.hidden, 1], head=task.head, seed=config.seed)
+        run_config = replace(config, batch_size=min(config.batch_size, len(x)))
+        result = nnet.train(model, x, y, run_config, epoch_callback=lambda m, _: trace.append(score(m)))
+        scores.append(score(result.model))
+        traces.append(trace)
+    return utility.TstrResult(
+        metric_name=task.metric_name.format(q=config.pinball_q),
+        score_real_trained=scores[0],
+        score_synthetic_trained=scores[1],
+        absolute_gap=abs(scores[0] - scores[1]),
+        epochs_trace=[(epoch, *pair) for epoch, pair in enumerate(zip(*traces))],
+    )
+
+
+@pytest.fixture
+def stacked_calls(monkeypatch):
+    """Counts the stacked training runs ``utility`` starts."""
+    calls = []
+    train_arms = nnet.train_arms
+    monkeypatch.setattr(nnet, "train_arms", lambda *a, **k: calls.append(1) or train_arms(*a, **k))
+    return calls
+
+
+def _forecast_sets(synthetic_scale=1.0, synthetic_rows=200):
+    rng = np.random.default_rng(21)
+    values = np.maximum(rng.normal(0.4, 0.2, size=(500, 48)), 0.0)
+    real = profile_set(values[:200])
+    synthetic = profile_set(values[200 : 200 + synthetic_rows] * synthetic_scale, role=Role.SYNTHETIC)
+    return real, synthetic, profile_set(values[400:], role=Role.HOLDOUT)
+
+
+def _arm_error(name, profiles, config):
+    """The NonFiniteLoss message of one arm trained alone, or None."""
+    task = utility.TASKS[name]
+    x, y = task.arrays(profiles)
+    model = nnet.init_model([x.shape[1], *task.hidden, 1], head=task.head, seed=config.seed)
+    try:
+        nnet.train(model, x, y, config)
+    except NonFiniteLoss as exc:
+        return str(exc)
+    return None
+
+
+class TestLockstepArms:
+    def test_equal_sizes_match_sequential(self, season_sets, fast_config, stacked_calls):
+        fit, evaluation = season_sets
+        rng = np.random.default_rng(16)
+        jittered = replace(
+            fit, values=np.maximum(fit.values + rng.normal(0, 0.05, fit.values.shape), 0.0), role=Role.SYNTHETIC
+        )
+        result = utility.tstr_classify(fit, jittered, evaluation, fast_config)
+        assert stacked_calls == [1]
+        assert result == sequential_tstr("classify", fit, jittered, evaluation, fast_config)
+
+    @pytest.mark.parametrize("name", ["forecast_mean", "forecast_quantile"])
+    def test_unequal_sizes_match_sequential(self, name, stacked_calls):
+        real, synthetic, evaluation = _forecast_sets(synthetic_rows=150)
+        loss = utility.TASKS[name].loss
+        config = nnet.TrainConfig(loss=loss, epochs=5, seed=0, learning_rate=0.02)
+        result = getattr(utility, f"tstr_{name}")(real, synthetic, evaluation, config)
+        assert stacked_calls == []
+        assert result == sequential_tstr(name, real, synthetic, evaluation, config)
+
+    def test_only_synthetic_arm_diverges(self, stacked_calls):
+        real, synthetic, evaluation = _forecast_sets(synthetic_scale=3.0)
+        config = nnet.TrainConfig(loss=nnet.MSE, epochs=20, seed=0, learning_rate=10.0)
+        assert _arm_error("forecast_mean", real, config) is None
+        want = _arm_error("forecast_mean", synthetic, config)
+        assert want is not None
+        with pytest.raises(NonFiniteLoss) as got:
+            utility.tstr_forecast_mean(real, synthetic, evaluation, config)
+        assert stacked_calls == [1]
+        assert str(got.value) == want
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_both_arms_diverge_raises_the_real_arms_error(self, stacked_calls):
+        # the synthetic arm diverges at an earlier step than the real one, so
+        # the stacked run stops on its error, and the real arm's must win
+        real, synthetic, evaluation = _forecast_sets(synthetic_scale=3.0)
+        config = nnet.TrainConfig(loss=nnet.MSE, epochs=40, seed=0, learning_rate=10.0)
+        want = _arm_error("forecast_mean", real, config)
+        other = _arm_error("forecast_mean", synthetic, config)
+        assert want is not None and other is not None and want != other
+        with pytest.raises(NonFiniteLoss) as got:
+            utility.tstr_forecast_mean(real, synthetic, evaluation, config)
+        assert stacked_calls == [1]
+        assert str(got.value) == want
