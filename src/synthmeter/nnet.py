@@ -5,8 +5,8 @@ the intraday forecasters. Deliberately small: ReLU hidden layers, a
 sigmoid or linear head, mini-batch gradient descent with momentum 0.9,
 and bit-reproducible training for a fixed seed and data order.
 
-One step loop trains K arms of one architecture in lockstep: ``train``
-is the K = 1 call, ``train_arms`` the K-arm one (the paired TSTR arms).
+One step loop, ``train_arms``, trains K arms of one architecture in
+lockstep: ``train`` is its K = 1 call, the paired TSTR arms its K = 2 one.
 Arms share the seed and row count, so they draw the same permutation and
 cut the same batches, and one stacked step is one step of every arm:
 each layer is a batched ``np.matmul`` over a leading arm axis.
@@ -240,10 +240,10 @@ def _backward(weights: list[np.ndarray], activations: list[np.ndarray], grad_log
     grads_w, grads_b, deltas = out
     delta = grad_logits
     for i in range(last, -1, -1):
-        grads_w[i] = np.matmul(activations[i].mT, delta, out=grads_w[i])
+        grads_w[i] = np.matmul(activations[i].swapaxes(-1, -2), delta, out=grads_w[i])
         grads_b[i] = np.add.reduce(delta, axis=-2, out=grads_b[i])
         if i > 0:
-            delta = np.matmul(delta, weights[i].mT, out=deltas[i - 1])
+            delta = np.matmul(delta, weights[i].swapaxes(-1, -2), out=deltas[i - 1])
             delta *= activations[i] > 0
     return grads_w, grads_b
 
@@ -281,32 +281,8 @@ def train(
     trace holds the mean batch loss per epoch. NaN or infinite loss
     aborts with NonFiniteLoss.
     """
-    [result] = _train_arms([model], [inputs], [targets], config, standardize, [epoch_callback])
+    [result] = train_arms([model], [inputs], [targets], config, [epoch_callback], standardize)
     return result
-
-
-def train_arms(
-    models: list[MlpModel],
-    inputs,
-    targets,
-    config: TrainConfig,
-    epoch_callbacks=None,
-) -> list[TrainResult]:
-    """``train`` for K arms in lockstep: arm k trains ``models[k]`` on
-    ``inputs[k]`` and ``targets[k]`` with ``epoch_callbacks[k]`` (None for
-    none), and its result is bit-identical to that ``train`` call.
-
-    The arms share one architecture and row count. Each keeps its own
-    standardisation constants. The first NaN or infinite loss of any arm,
-    in step order, aborts every arm with that arm's NonFiniteLoss; a later
-    arm's error can thus come first where ``train`` runs would raise an
-    earlier arm's.
-    """
-    if epoch_callbacks is None:
-        epoch_callbacks = [None] * len(models)
-    if not models or not len(models) == len(inputs) == len(targets) == len(epoch_callbacks):
-        raise ValueError("need one input set, target set and callback per model, and one model or more")
-    return _train_arms(models, inputs, targets, config, True, epoch_callbacks)
 
 
 def _checked_arrays(model: MlpModel, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -322,9 +298,27 @@ def _checked_arrays(model: MlpModel, inputs, targets) -> tuple[np.ndarray, np.nd
     return x, y
 
 
-def _train_arms(models, inputs, targets, config: TrainConfig, standardize: bool, epoch_callbacks):
-    """The one step loop: see the module docstring."""
-    arrays = [_checked_arrays(m, x, y) for m, x, y in zip(models, inputs, targets)]
+def train_arms(
+    models: list[MlpModel],
+    inputs,
+    targets,
+    config: TrainConfig,
+    epoch_callbacks,
+    standardize: bool = True,
+) -> list[TrainResult]:
+    """``train`` for K arms in lockstep: arm k trains ``models[k]`` on
+    ``inputs[k]`` and ``targets[k]`` with ``epoch_callbacks[k]`` (None for
+    none), and its result is bit-identical to that ``train`` call. This is
+    the one step loop; see the module docstring.
+
+    The arms share one architecture and row count. Each keeps its own
+    standardisation constants. The first NaN or infinite loss of any arm,
+    in step order, aborts every arm with that arm's NonFiniteLoss; a later
+    arm's error can thus come first where ``train`` runs would raise an
+    earlier arm's.
+    """
+    given = zip(models, inputs, targets, epoch_callbacks, strict=True)
+    arrays = [_checked_arrays(m, x, y) for m, x, y, _ in given]
     sizes = models[0].layer_sizes
     rows = len(arrays[0][0])
     if any(m.layer_sizes != sizes for m in models):

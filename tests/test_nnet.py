@@ -362,7 +362,7 @@ class TestStackedArms:
         with pytest.raises(NonFiniteLoss) as want:
             reference_train(model, x, y * 1e3, config)
         with pytest.raises(NonFiniteLoss) as got:
-            nnet.train_arms([model, model], [x, x], [y, y * 1e3], config)
+            nnet.train_arms([model, model], [x, x], [y, y * 1e3], config, [None, None])
         assert str(got.value) == str(want.value)
 
     def test_arms_must_match(self):
@@ -370,11 +370,13 @@ class TestStackedArms:
         config = nnet.TrainConfig(loss=nnet.MSE, batch_size=16, epochs=1)
         model = tiny_model([5, 8, 1], head)
         with pytest.raises(DimensionMismatch, match="row counts"):
-            nnet.train_arms([model, model], [x, x[:-1]], [y, y[:-1]], config)
+            nnet.train_arms([model, model], [x, x[:-1]], [y, y[:-1]], config, [None, None])
         with pytest.raises(DimensionMismatch, match="architecture"):
-            nnet.train_arms([model, tiny_model([5, 4, 1], head)], [x, x], [y, y], config)
-        with pytest.raises(ValueError, match="one input set"):
-            nnet.train_arms([model, model], [x], [y], config)
+            nnet.train_arms([model, tiny_model([5, 4, 1], head)], [x, x], [y, y], config, [None, None])
+        with pytest.raises(ValueError, match="shorter"):
+            nnet.train_arms([model, model], [x], [y], config, [None, None])
+        with pytest.raises(ValueError, match="shorter"):
+            nnet.train_arms([model, model], [x, x], [y, y], config, [None])
 
 
 def gradient_check(model: nnet.MlpModel, config: nnet.TrainConfig, inputs, targets) -> float:

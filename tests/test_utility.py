@@ -183,10 +183,17 @@ def sequential_tstr(name, real_fit, synthetic_fit, real_eval, config):
 
 @pytest.fixture
 def stacked_calls(monkeypatch):
-    """Counts the stacked training runs ``utility`` starts."""
+    """Counts the stacked training runs ``utility`` starts: the ``train_arms``
+    calls with more than one arm (``nnet.train`` is its one-arm call)."""
     calls = []
     train_arms = nnet.train_arms
-    monkeypatch.setattr(nnet, "train_arms", lambda *a, **k: calls.append(1) or train_arms(*a, **k))
+
+    def counting(models, *args, **kwargs):
+        if len(models) > 1:
+            calls.append(1)
+        return train_arms(models, *args, **kwargs)
+
+    monkeypatch.setattr(nnet, "train_arms", counting)
     return calls
 
 
