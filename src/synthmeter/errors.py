@@ -34,7 +34,8 @@ class MalformedRow(SynthmeterError):
 
 
 class NonFiniteValue(SynthmeterError):
-    """A profile holds NaN or an infinite kWh value."""
+    """A profile holds NaN or an infinite kWh value, or a score computed
+    from profiles is NaN or infinite."""
 
 
 class EmptyResult(SynthmeterError):

@@ -7,8 +7,8 @@
 5. Cluster-total comparisons: count-normalised MAE/RMSE plus ACF and
    peak MMDs over cluster-total profiles.
 
-One mixture model is fit on the real set per evaluation and reused for
-metrics 4 and 5.
+``evaluate_fidelity`` is the one entry: it computes all five, in this
+order, and fits one mixture model on the real set for metrics 4 and 5.
 """
 
 from __future__ import annotations
@@ -113,91 +113,12 @@ class FidelityReport:
         }
 
 
-def acf_fidelity(real: ProfileSet, synthetic: ProfileSet, config: FidelityConfig) -> float:
-    """MMD between the two sets of per-profile autocorrelation rows."""
-    require_same_horizon(real, synthetic)
-    acf_real = kernels.acf(real, config.acf_max_lag)
-    acf_syn = kernels.acf(synthetic, config.acf_max_lag)
-    if len(acf_real.coefficients) < 2 or len(acf_syn.coefficients) < 2:
-        raise DegenerateInput("need at least 2 nonzero-variance profiles per set")
-    return kernels.mmd2_rbf(acf_real.coefficients, acf_syn.coefficients, config.mmd_bandwidth).mmd2
-
-
-def deviation_sums(
-    real: ProfileSet, synthetic: ProfileSet, config: FidelityConfig
-) -> tuple[float, dict[float, float]]:
-    """Sum over slots of |real stat - synthetic stat| for mean and quantiles (kWh)."""
-    require_same_horizon(real, synthetic)
-    return _deviation_sums(_slot_statistics(real, synthetic, config), config)
-
-
-def _slot_statistics(
-    real: ProfileSet, synthetic: ProfileSet, config: FidelityConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    quantiles = list(config.quantiles)
-    return kernels.per_slot_statistics(real, quantiles), kernels.per_slot_statistics(synthetic, quantiles)
-
-
-def _deviation_sums(
-    statistics: tuple[np.ndarray, np.ndarray], config: FidelityConfig
-) -> tuple[float, dict[float, float]]:
-    stats_real, stats_syn = statistics
-    diffs = np.abs(stats_real - stats_syn).sum(axis=1)
-    mean_sum = float(diffs[0])
-    quantile_sums = {q: float(diffs[1 + i]) for i, q in enumerate(config.quantiles)}
-    return mean_sum, quantile_sums
-
-
-def peaks_fidelity(real: ProfileSet, synthetic: ProfileSet, config: FidelityConfig) -> float:
-    """MMD between peak-masked profile sets (top peaks_n slots kept in place)."""
-    require_same_horizon(real, synthetic)
-    masked_real = kernels.peak_mask(real, config.peaks_n)
-    masked_syn = kernels.peak_mask(synthetic, config.peaks_n)
-    return kernels.mmd2_rbf(masked_real, masked_syn, config.mmd_bandwidth).mmd2
-
-
-def cluster_fidelity(
+def _aggregate(
     real: ProfileSet,
     synthetic: ProfileSet,
+    k: int,
+    labels: tuple[np.ndarray, np.ndarray],
     config: FidelityConfig,
-    model: gmm.GmmModel | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """KL(real label distribution || synthetic label distribution).
-
-    The mixture is fit on the real set unless a pre-fit model is passed.
-    Returns (kl, real_distribution, synthetic_distribution).
-    """
-    require_same_horizon(real, synthetic)
-    if model is None:
-        model = fit_cluster_model(real, config)
-    return _cluster_kl(model.k, _cluster_labels(model, real, synthetic), config)
-
-
-def _cluster_labels(
-    model: gmm.GmmModel, real: ProfileSet, synthetic: ProfileSet
-) -> tuple[np.ndarray, np.ndarray]:
-    return gmm.predict(model, real).labels, gmm.predict(model, synthetic).labels
-
-
-def _cluster_kl(
-    k: int, labels: tuple[np.ndarray, np.ndarray], config: FidelityConfig
-) -> tuple[float, np.ndarray, np.ndarray]:
-    dist_real = gmm.label_distribution(labels[0], k)
-    dist_syn = gmm.label_distribution(labels[1], k)
-    kl = kernels.kl_divergence(dist_real, dist_syn, smoothing=config.kl_smoothing)
-    return kl, dist_real, dist_syn
-
-
-def fit_cluster_model(real: ProfileSet, config: FidelityConfig) -> gmm.GmmModel:
-    fit_config = gmm.FitConfig(k=config.clusters_k, seed=config.seed)
-    return gmm.fit(real, fit_config)
-
-
-def aggregated_fidelity(
-    real: ProfileSet,
-    synthetic: ProfileSet,
-    config: FidelityConfig,
-    model: gmm.GmmModel | None = None,
 ) -> AggregatedFidelity:
     """Compare per-cluster total consumption profiles.
 
@@ -207,19 +128,6 @@ def aggregated_fidelity(
     and peak MMDs need at least two usable clusters; with fewer they are
     reported as None.
     """
-    require_same_horizon(real, synthetic)
-    if model is None:
-        model = fit_cluster_model(real, config)
-    return _aggregate(real, synthetic, model.k, _cluster_labels(model, real, synthetic), config)
-
-
-def _aggregate(
-    real: ProfileSet,
-    synthetic: ProfileSet,
-    k: int,
-    labels: tuple[np.ndarray, np.ndarray],
-    config: FidelityConfig,
-) -> AggregatedFidelity:
     labels_real, labels_syn = labels
     totals_real, totals_syn = [], []
     empty_syn = empty_real = 0
@@ -273,25 +181,38 @@ def evaluate_fidelity(
 ) -> FidelityReport:
     """Run all five metrics with one shared mixture fit on the real set."""
     require_same_horizon(real, synthetic)
+    bandwidth = config.mmd_bandwidth
+    # 1. ACF: MMD between the per-profile autocorrelation rows
     acf_real = kernels.acf(real, config.acf_max_lag)
     acf_syn = kernels.acf(synthetic, config.acf_max_lag)
     if len(acf_real.coefficients) < 2 or len(acf_syn.coefficients) < 2:
         raise DegenerateInput("need at least 2 nonzero-variance profiles per set")
-    acf_mmd = kernels.mmd2_rbf(
-        acf_real.coefficients, acf_syn.coefficients, config.mmd_bandwidth
+    acf_mmd = kernels.mmd2_rbf(acf_real.coefficients, acf_syn.coefficients, bandwidth).mmd2
+    # 2. per slot: sum over slots of |real stat - synthetic stat| for the
+    # mean and each quantile (kWh), plus the raw-profile MMD
+    quantiles = list(config.quantiles)
+    stats_real = kernels.per_slot_statistics(real, quantiles)
+    stats_syn = kernels.per_slot_statistics(synthetic, quantiles)
+    diffs = np.abs(stats_real - stats_syn).sum(axis=1)
+    profile_mmd = kernels.mmd2_rbf(real.values, synthetic.values, bandwidth).mmd2
+    # 3. peaks: MMD between profiles with only their top peaks_n slots kept in place
+    peaks_mmd = kernels.mmd2_rbf(
+        kernels.peak_mask(real, config.peaks_n), kernels.peak_mask(synthetic, config.peaks_n), bandwidth
     ).mmd2
-    slot_statistics = _slot_statistics(real, synthetic, config)
-    mean_sum, quantile_sums = _deviation_sums(slot_statistics, config)
-    profile_mmd = kernels.mmd2_rbf(real.values, synthetic.values, config.mmd_bandwidth).mmd2
-    peaks_mmd = peaks_fidelity(real, synthetic, config)
-    model = fit_cluster_model(real, config)
-    labels = _cluster_labels(model, real, synthetic)
-    cluster_kl, _, _ = _cluster_kl(model.k, labels, config)
+    # 4. clusters: KL(real label distribution || synthetic label distribution)
+    model = gmm.fit(real, gmm.FitConfig(k=config.clusters_k, seed=config.seed))
+    labels = gmm.predict(model, real).labels, gmm.predict(model, synthetic).labels
+    cluster_kl = kernels.kl_divergence(
+        gmm.label_distribution(labels[0], model.k),
+        gmm.label_distribution(labels[1], model.k),
+        smoothing=config.kl_smoothing,
+    )
+    # 5. cluster totals
     aggregated = _aggregate(real, synthetic, model.k, labels, config)
     return FidelityReport(
         acf_mmd=acf_mmd,
-        mean_deviation_sum=mean_sum,
-        quantile_deviation_sums=quantile_sums,
+        mean_deviation_sum=float(diffs[0]),
+        quantile_deviation_sums={q: float(diffs[1 + i]) for i, q in enumerate(config.quantiles)},
         profile_mmd=profile_mmd,
         peaks_mmd=peaks_mmd,
         cluster_kl=cluster_kl,
@@ -302,5 +223,5 @@ def evaluate_fidelity(
             "aggregation_empty_synthetic_clusters": aggregated.empty_synthetic_clusters,
             "aggregation_empty_real_clusters": aggregated.empty_real_clusters,
         },
-        slot_statistics=slot_statistics,
+        slot_statistics=(stats_real, stats_syn),
     )

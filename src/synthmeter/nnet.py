@@ -278,8 +278,9 @@ def train(
     The input standardisation constants are computed from this training
     set and stored in the returned model. ``epoch_callback(model, epoch)``
     runs after each epoch, e.g. to record evaluation traces. The loss
-    trace holds the mean batch loss per epoch. NaN or infinite loss
-    aborts with NonFiniteLoss.
+    trace holds the mean batch loss per epoch. A batch size above the row
+    count trains on the full set each step. NaN or infinite loss aborts
+    with NonFiniteLoss.
     """
     [result] = train_arms([model], [inputs], [targets], config, [epoch_callback], standardize)
     return result
@@ -325,8 +326,6 @@ def train_arms(
         raise DimensionMismatch("arms trained together need one architecture")
     if any(len(x) != rows for x, _ in arrays):
         raise DimensionMismatch("arms trained together need equal row counts")
-    if config.batch_size > rows:
-        raise ValueError(f"batch_size {config.batch_size} exceeds {rows} samples")
     for model in models:
         _check_head_loss(model, config)
 
@@ -357,7 +356,7 @@ def train_arms(
     # each arm's biases broadcast over its batch rows
     biases = [b[:, None, :] for b in biases]
     grad_views = _flat_views(grads, shapes)
-    batch = config.batch_size
+    batch = min(config.batch_size, rows)
     outputs = [np.empty((arms, batch, width)) for width in sizes[1:]]
     deltas = [np.empty((arms, batch, width)) for width in sizes[1:-1]]
     grad_logits = np.empty((arms, batch, sizes[-1]))

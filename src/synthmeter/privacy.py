@@ -16,7 +16,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ def default_threshold_ratios() -> tuple[float, ...]:
 @dataclass(frozen=True)
 class ReconstructionConfig:
     threshold_ratios: tuple[float, ...] = field(default_factory=default_threshold_ratios)
-    synthetic_sample_size: int | None = None  # None: min(len(synthetic), 2000)
+    synthetic_sample_size: int | None = None  # None: see _sample_size
     seed: int = 0
 
     def __post_init__(self):
@@ -52,13 +52,13 @@ class ReconstructionConfig:
 class ReconstructionResult:
     fraction_reconstructed: dict[float, float]
     per_outlier_nn_distance_ratio: np.ndarray
-    ks: kernels.KsResult | None = None
 
     def as_dict(self) -> dict:
         return {
             "fraction_reconstructed": {repr(r): v for r, v in self.fraction_reconstructed.items()},
             "per_outlier_nn_distance_ratio": [float(v) for v in self.per_outlier_nn_distance_ratio],
-            "ks": None if self.ks is None else self.ks.as_dict(),
+            # always null; kept because the perfbench/reference reports carry the key
+            "ks": None,
         }
 
 
@@ -73,18 +73,16 @@ class MiaResult:
         return asdict(self)
 
 
-def _sample_rows(profile_set: ProfileSet, size: int, rng: np.random.Generator) -> ProfileSet:
-    if size >= len(profile_set):
-        return profile_set
-    picks = rng.choice(len(profile_set), size=size, replace=False)
-    return profile_set.subset(np.sort(picks))
-
-
 def _downsample(rows: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
     """``size`` rows drawn without replacement, kept in their input order."""
     if len(rows) <= size:
         return rows
     return rows[np.sort(rng.choice(len(rows), size=size, replace=False))]
+
+
+def _sample_size(requested: int | None, synthetic: ProfileSet) -> int:
+    """Synthetic rows a distance attack samples (None: all, up to 2000)."""
+    return min(len(synthetic), 2000) if requested is None else requested
 
 
 def reconstruction_ks(
@@ -102,11 +100,10 @@ def reconstruction_ks(
     close to the training set.
     """
     require_same_horizon(train, holdout, synthetic)
-    if sample_size is None:
-        sample_size = min(len(synthetic), 2000)
+    sample_size = _sample_size(sample_size, synthetic)
     if sample_size < 5:
         raise InsufficientSamples("need at least 5 sampled synthetic rows")
-    sample = _sample_rows(synthetic, sample_size, np.random.default_rng(seed))
+    sample = _downsample(synthetic.values, sample_size, np.random.default_rng(seed))
     d_train = kernels.nearest_neighbor_distances(sample, train).nn_distance
     d_holdout = kernels.nearest_neighbor_distances(sample, holdout).nn_distance
     return kernels.ks_one_tailed(d_train, d_holdout)
@@ -130,10 +127,8 @@ def reconstruction_poisoned(
     if len(outliers) == 0 or len(synthetic) == 0:
         raise InsufficientSamples("registry outliers and synthetic set must be non-empty")
     require_same_horizon(outliers, synthetic)
-    sample_size = config.synthetic_sample_size
-    if sample_size is None:
-        sample_size = min(len(synthetic), 2000)
-    sample = _sample_rows(synthetic, sample_size, np.random.default_rng(config.seed))
+    sample_size = _sample_size(config.synthetic_sample_size, synthetic)
+    sample = _downsample(synthetic.values, sample_size, np.random.default_rng(config.seed))
     nn = kernels.nearest_neighbor_distances(outliers, sample)
     norms = np.linalg.norm(outliers.values, axis=1)
     ratios = nn.nn_distance / norms
@@ -148,7 +143,6 @@ def _train_discriminator(
     positives: np.ndarray,
     negatives: np.ndarray,
     seed: int,
-    config: nnet.TrainConfig | None = None,
 ) -> nnet.TrainResult:
     """Synthetic-vs-real discriminator. Sides are balanced by seeded
     down-sampling of the larger one so 0.5 stays the uninformative prior."""
@@ -160,11 +154,7 @@ def _train_discriminator(
     y = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
     width = x.shape[1]
     model = nnet.init_model([width, *DEFAULT_DISCRIMINATOR_HIDDEN, 1], head=nnet.SIGMOID, seed=seed)
-    if config is None:
-        config = nnet.TrainConfig(loss=nnet.BCE, seed=seed)
-    if config.batch_size > len(x):
-        config = replace(config, batch_size=len(x))
-    return nnet.train(model, x, y, config)
+    return nnet.train(model, x, y, nnet.TrainConfig(loss=nnet.BCE, seed=seed))
 
 
 def mia_plain(
@@ -172,7 +162,6 @@ def mia_plain(
     holdout: ProfileSet,
     synthetic: ProfileSet,
     seed: int = 0,
-    train_config: nnet.TrainConfig | None = None,
 ) -> MiaResult:
     """Plain membership inference.
 
@@ -194,7 +183,7 @@ def mia_plain(
     disc_half = holdout.values[np.sort(order[:half])]
     attack_half = holdout.values[np.sort(order[half:])]
 
-    trained = _train_discriminator(synthetic.values, disc_half, seed=seed, config=train_config)
+    trained = _train_discriminator(synthetic.values, disc_half, seed=seed)
 
     size = min(len(train), len(attack_half))
     train_rows = _downsample(train.values, size, rng)
@@ -212,25 +201,23 @@ def mia_plain(
     )
 
 
-def threshold_precision(probs: np.ndarray, truth: np.ndarray, threshold: float = 0.5) -> float:
-    """Precision of predictions strictly above the threshold.
+def threshold_precision(probs: np.ndarray, truth: np.ndarray) -> float:
+    """Precision of predictions strictly above probability 0.5.
 
-    With no positive predictions (e.g. a discriminator stuck at the
-    threshold) the precision is undefined; the random-guess value 0.5
+    With no positive predictions (e.g. a discriminator stuck at 0.5)
+    the precision is undefined; the random-guess value 0.5
     is reported by convention.
     """
     probs = np.asarray(probs, dtype=np.float64)
     truth = np.asarray(truth, dtype=bool)
-    predicted = probs > threshold
+    predicted = probs > 0.5
     if predicted.sum() == 0:
         return 0.5
     return float(truth[predicted].mean())
 
 
-def top_fraction_precision(
-    scores: np.ndarray, truth: np.ndarray, positive_fraction: float = 1.0 / 3.0
-) -> float:
-    """Precision when the top ceil(fraction * n) scores are predicted positive.
+def top_fraction_precision(scores: np.ndarray, truth: np.ndarray) -> float:
+    """Precision when the top third, ceil(n / 3), of scores is predicted positive.
 
     Ordering is by descending score with exact ties resolved by input
     order. When the predicted-positive count equals the number of true
@@ -241,7 +228,7 @@ def top_fraction_precision(
     n = len(scores)
     if n == 0 or len(truth) != n:
         raise ValueError("scores and truth must be equal-length and non-empty")
-    n_pos = int(np.ceil(positive_fraction * n))
+    n_pos = int(np.ceil(1.0 / 3.0 * n))
     order = np.lexsort((np.arange(n), -scores))
     picked = order[:n_pos]
     return float(truth[picked].sum() / n_pos)
@@ -252,7 +239,6 @@ def mia_poisoned(
     synthetic: ProfileSet,
     holdout: ProfileSet,
     seed: int = 0,
-    train_config: nnet.TrainConfig | None = None,
 ) -> MiaResult:
     """Outlier-poisoned membership inference.
 
@@ -267,9 +253,9 @@ def mia_poisoned(
     require_same_horizon(attack, synthetic, holdout)
     if len(holdout) == 0 or len(synthetic) == 0:
         raise InsufficientSamples("holdout and synthetic sets must be non-empty")
-    trained = _train_discriminator(synthetic.values, holdout.values, seed=seed, config=train_config)
+    trained = _train_discriminator(synthetic.values, holdout.values, seed=seed)
     scores = np.atleast_1d(nnet.logits(trained.model, attack.values))
-    precision = top_fraction_precision(scores, truth, positive_fraction=1.0 / 3.0)
+    precision = top_fraction_precision(scores, truth)
     return MiaResult(
         precision=precision,
         attack_set_size=len(attack),

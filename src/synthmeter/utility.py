@@ -16,13 +16,13 @@ always did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import nnet
-from .errors import HorizonMismatch, InvalidConfig, MissingLabels, NonFiniteLoss
+from .errors import HorizonMismatch, InvalidConfig, MissingLabels, NonFiniteLoss, NonFiniteValue
 from .profiles import Horizon, ProfileSet, SUMMER_AUTUMN, WINTER_SPRING, require_same_horizon
 
 @dataclass
@@ -141,13 +141,11 @@ def _tstr(
     def fit(stacked: bool) -> tuple[list[nnet.TrainResult], list[list[float]]]:
         traces: list[list[float]] = [[] for _ in arms]
         callbacks = [lambda m, _, trace=trace: trace.append(score(m)) for trace in traces]
-        configs = [replace(config, batch_size=min(config.batch_size, len(x))) for x, _ in arms]
         if stacked:
             xs, ys = zip(*arms)
-            return nnet.train_arms([model] * len(arms), xs, ys, configs[0], epoch_callbacks=callbacks), traces
+            return nnet.train_arms([model] * len(arms), xs, ys, config, epoch_callbacks=callbacks), traces
         return [
-            nnet.train(model, x, y, run_config, epoch_callback=callback)
-            for (x, y), run_config, callback in zip(arms, configs, callbacks)
+            nnet.train(model, x, y, config, epoch_callback=callback) for (x, y), callback in zip(arms, callbacks)
         ], traces
 
     results = None
@@ -158,9 +156,14 @@ def _tstr(
             pass  # retrained one by one below, which raises the real arm's error first
     if results is None:
         results, traces = fit(stacked=False)
+    metric_name = task.metric_name.format(q=config.pinball_q)
     scores = [score(result.model) for result in results]
+    # a loss that stays finite can still give an infinite score
+    for arm, arm_score, trace in zip(("real", "synthetic"), scores, traces):
+        if not np.isfinite([*trace, arm_score]).all():
+            raise NonFiniteValue(f"{name}: the {arm}-trained arm's {metric_name} is not finite")
     return TstrResult(
-        metric_name=task.metric_name.format(q=config.pinball_q),
+        metric_name=metric_name,
         score_real_trained=scores[0],
         score_synthetic_trained=scores[1],
         absolute_gap=abs(scores[0] - scores[1]),

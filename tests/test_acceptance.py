@@ -329,7 +329,9 @@ def test_criterion_09_fidelity_identity_and_monotonicity():
             role=Role.SYNTHETIC,
         )
         profile_mmd = kernels.mmd2_rbf(real.values, jittered.values).mmd2
-        peaks_mmd = fidelity.peaks_fidelity(real, jittered, config)
+        peaks_mmd = kernels.mmd2_rbf(
+            kernels.peak_mask(real, config.peaks_n), kernels.peak_mask(jittered, config.peaks_n), config.mmd_bandwidth
+        ).mmd2
         monotone &= profile_mmd > previous_profile and peaks_mmd > previous_peaks
         previous_profile, previous_peaks = profile_mmd, peaks_mmd
 

@@ -25,6 +25,11 @@ def copy_as_synthetic(ps: ProfileSet) -> ProfileSet:
     return ps.with_role(Role.SYNTHETIC)
 
 
+def fit_mixture(real: ProfileSet, config: fidelity.FidelityConfig) -> gmm.GmmModel:
+    """The mixture ``evaluate_fidelity`` fits on the real set."""
+    return gmm.fit(real, gmm.FitConfig(k=config.clusters_k, seed=config.seed))
+
+
 class TestConfig:
     def test_unknown_option_names_nearest_key(self):
         with pytest.raises(InvalidConfig, match="'mmd_bandwith'.*'mmd_bandwidth'"):
@@ -83,17 +88,10 @@ class TestDeviationSums:
             role=Role.SYNTHETIC,
             labels=real_set.labels,
         )
-        mean_sum, quantile_sums = fidelity.deviation_sums(real_set, shifted, config)
-        assert mean_sum == pytest.approx(4.8, abs=1e-9)
-        for value in quantile_sums.values():
+        report = fidelity.evaluate_fidelity(real_set, shifted, config)
+        assert report.mean_deviation_sum == pytest.approx(4.8, abs=1e-9)
+        for value in report.quantile_deviation_sums.values():
             assert value == pytest.approx(4.8, abs=1e-9)
-
-    def test_single_profile_constant_sets(self, config):
-        ones = profile_set(np.full((1, 48), 1.0))
-        twos = profile_set(np.full((1, 48), 2.0), role=Role.SYNTHETIC)
-        mean_sum, quantile_sums = fidelity.deviation_sums(ones, twos, config)
-        assert mean_sum == pytest.approx(48.0)
-        assert all(v == pytest.approx(48.0) for v in quantile_sums.values())
 
 
 class TestAcfFidelity:
@@ -101,60 +99,53 @@ class TestAcfFidelity:
         rng = np.random.default_rng(0)
         permuted_values = np.stack([rng.permutation(row) for row in real_set.values])
         permuted = profile_set(permuted_values, role=Role.SYNTHETIC)
-        base = fidelity.acf_fidelity(real_set, copy_as_synthetic(real_set), config)
-        worse = fidelity.acf_fidelity(real_set, permuted, config)
+        base = fidelity.evaluate_fidelity(real_set, copy_as_synthetic(real_set), config).acf_mmd
+        worse = fidelity.evaluate_fidelity(real_set, permuted, config).acf_mmd
         assert worse > base + 1e-6
 
     def test_memorizer_not_worse_than_sampler(self, real_set, config):
         memorized = memorizer_generate(real_set, 300, MemorizerConfig(jitter_sigma=0.01, seed=1))
         sampled = gmm_generate(real_set, 300, gmm.FitConfig(k=8, seed=1))
-        close = fidelity.acf_fidelity(real_set, memorized, config)
-        far = fidelity.acf_fidelity(real_set, sampled, config)
+        close = fidelity.evaluate_fidelity(real_set, memorized, config).acf_mmd
+        far = fidelity.evaluate_fidelity(real_set, sampled, config).acf_mmd
         assert close <= far
 
 
 class TestPeaksFidelity:
     def test_circular_shift_increases_distance(self, real_set, config):
         shifted = profile_set(np.roll(real_set.values, 12, axis=1), role=Role.SYNTHETIC)
-        base = fidelity.peaks_fidelity(real_set, copy_as_synthetic(real_set), config)
-        worse = fidelity.peaks_fidelity(real_set, shifted, config)
+        base = fidelity.evaluate_fidelity(real_set, copy_as_synthetic(real_set), config).peaks_mmd
+        worse = fidelity.evaluate_fidelity(real_set, shifted, config).peaks_mmd
         assert worse > base + 1e-6
 
     def test_doubled_magnitude_increases_distance(self, real_set, config):
         doubled = profile_set(real_set.values * 2.0, role=Role.SYNTHETIC)
-        base = fidelity.peaks_fidelity(real_set, copy_as_synthetic(real_set), config)
-        worse = fidelity.peaks_fidelity(real_set, doubled, config)
+        base = fidelity.evaluate_fidelity(real_set, copy_as_synthetic(real_set), config).peaks_mmd
+        worse = fidelity.evaluate_fidelity(real_set, doubled, config).peaks_mmd
         assert worse > base + 1e-6
 
 
 class TestClusterFidelity:
     def test_collapsed_synthetic_positive_kl(self, real_set, config):
-        model = fidelity.fit_cluster_model(real_set, config)
+        model = fit_mixture(real_set, config)
         labels = gmm.predict(model, real_set).labels
         biggest = np.bincount(labels, minlength=model.k).argmax()
         collapsed = real_set.subset(labels == biggest, role=Role.SYNTHETIC)
-        kl_small_smoothing, _, _ = fidelity.cluster_fidelity(
+        kl_small_smoothing = fidelity.evaluate_fidelity(
             real_set, collapsed, fidelity.FidelityConfig(clusters_k=8, seed=0, kl_smoothing=1e-9)
-        )
-        kl_large_smoothing, _, _ = fidelity.cluster_fidelity(
+        ).cluster_kl
+        kl_large_smoothing = fidelity.evaluate_fidelity(
             real_set, collapsed, fidelity.FidelityConfig(clusters_k=8, seed=0, kl_smoothing=1e-3)
-        )
+        ).cluster_kl
         assert kl_small_smoothing > 0
         assert kl_small_smoothing > kl_large_smoothing
-
-    def test_label_distributions_normalised(self, real_set, config):
-        _, dist_real, dist_syn = fidelity.cluster_fidelity(
-            real_set, copy_as_synthetic(real_set), config
-        )
-        assert dist_real.sum() == pytest.approx(1.0, abs=1e-12)
-        assert dist_syn.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAggregated:
     def test_k1_closed_form(self, real_set):
         config = fidelity.FidelityConfig(clusters_k=1, seed=0)
         doubled = profile_set(real_set.values * 2.0, role=Role.SYNTHETIC)
-        result = fidelity.aggregated_fidelity(real_set, doubled, config)
+        result = fidelity.evaluate_fidelity(real_set, doubled, config).aggregated
         total = real_set.values.sum(axis=0)
         # one cluster: synthetic total is 2x, rescale factor n/n = 1
         expected_mae = np.abs(total - 2.0 * total).mean()
@@ -164,11 +155,11 @@ class TestAggregated:
 
     def test_exclusions_counted(self, real_set):
         config = fidelity.FidelityConfig(clusters_k=6, seed=0)
-        model = fidelity.fit_cluster_model(real_set, config)
+        model = fit_mixture(real_set, config)
         labels = gmm.predict(model, real_set).labels
         keep = labels == np.bincount(labels, minlength=model.k).argmax()
         collapsed = real_set.subset(keep, role=Role.SYNTHETIC)
-        result = fidelity.aggregated_fidelity(real_set, collapsed, config, model=model)
+        result = fidelity.evaluate_fidelity(real_set, collapsed, config).aggregated
         populated_real = len(np.unique(labels))
         assert result.empty_synthetic_clusters == populated_real - 1
         assert result.clusters_used == 1
@@ -193,10 +184,10 @@ class TestProperties:
             np.maximum(real_set.values + rng.normal(0, 0.05, real_set.values.shape), 0.0),
             role=Role.SYNTHETIC,
         )
-        base = fidelity.aggregated_fidelity(real_set, noisy, config)
+        base = fidelity.evaluate_fidelity(real_set, noisy, config).aggregated
         scaled_real = profile_set(real_set.values * 3.0)
         scaled_syn = profile_set(noisy.values * 3.0, role=Role.SYNTHETIC)
-        scaled = fidelity.aggregated_fidelity(scaled_real, scaled_syn, config)
+        scaled = fidelity.evaluate_fidelity(scaled_real, scaled_syn, config).aggregated
         assert scaled.cluster_total_mae == pytest.approx(3.0 * base.cluster_total_mae, rel=0.2)
 
     def test_mmd_invariant_under_row_permutation(self, real_set, config):
@@ -222,7 +213,7 @@ class TestProperties:
                 role=Role.SYNTHETIC,
             )
             profile_mmd = kernels.mmd2_rbf(real_set.values, jittered.values).mmd2
-            peaks_mmd = fidelity.peaks_fidelity(real_set, jittered, config)
+            peaks_mmd = fidelity.evaluate_fidelity(real_set, jittered, config).peaks_mmd
             assert profile_mmd > previous_profile
             assert peaks_mmd > previous_peaks
             previous_profile, previous_peaks = profile_mmd, peaks_mmd

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from synthmeter import gmm
+from synthmeter import demo, gmm
 from synthmeter.errors import DimensionMismatch, TooFewRows
 from conftest import profile_set
 
@@ -96,6 +96,16 @@ class TestPredict:
         )
         with pytest.raises(DimensionMismatch):
             gmm.predict(model, np.zeros((3, 5)))
+
+
+class TestLabelDistribution:
+    def test_label_distributions_normalised(self):
+        real = demo.make_population(80, 8, seed=21)
+        model = gmm.fit(real, gmm.FitConfig(k=8, seed=0))
+        for rows in (real, real.subset(np.arange(len(real)) < len(real) // 2)):
+            dist = gmm.label_distribution(gmm.predict(model, rows).labels, model.k)
+            assert dist.shape == (model.k,)
+            assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSample:

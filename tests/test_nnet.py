@@ -270,7 +270,9 @@ class TestTrain:
 class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("loss", [nnet.BCE, nnet.MSE, nnet.PINBALL])
     @pytest.mark.parametrize("layers", [[48, 64, 32, 1], [5, 1]], ids=["48-64-32-1", "5-1"])
-    @pytest.mark.parametrize("batch_size", [32, 40, 96], ids=["divides", "partial", "full"])
+    @pytest.mark.parametrize(
+        "batch_size", [32, 40, 96, 200], ids=["divides", "partial", "full", "above_rows"]
+    )
     def test_bit_identical(self, loss, layers, batch_size):
         x, y, head = _task(loss, layers[0])
         config = nnet.TrainConfig(loss=loss, batch_size=batch_size, epochs=4, seed=2, pinball_q=0.95)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from synthmeter import demo, nnet, utility
-from synthmeter.errors import HorizonMismatch, MissingLabels, NonFiniteLoss
+from synthmeter.errors import HorizonMismatch, MissingLabels, NonFiniteLoss, NonFiniteValue
 from synthmeter.profiles import ProfileSet, Role
 
 from conftest import profile_set
@@ -247,6 +247,15 @@ class TestLockstepArms:
             utility.tstr_forecast_mean(real, synthetic, evaluation, config)
         assert stacked_calls == [1]
         assert str(got.value) == want
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_score_raises(self):
+        # at 29 epochs the training loss stays finite but the last epoch's
+        # predictions overflow the RMSE to inf
+        real, _, evaluation = _forecast_sets(synthetic_scale=3.0)
+        config = nnet.TrainConfig(loss=nnet.MSE, epochs=29, seed=0, learning_rate=10.0)
+        with pytest.raises(NonFiniteValue, match="forecast_mean: the real-trained arm's rmse is not finite"):
+            utility.tstr_forecast_mean(real, real.with_role(Role.SYNTHETIC), evaluation, config)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_both_arms_diverge_raises_the_real_arms_error(self, stacked_calls):
