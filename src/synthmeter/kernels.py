@@ -7,13 +7,15 @@ autocorrelation, peak masking, per-slot statistics and 2-d PCA.
 
 The three pairwise-distance consumers (the exact nearest-neighbour scan,
 the median-heuristic bandwidth and the RBF MMD kernel sums) read squared
-distances from one blocked generator, so their memory is bounded by
-``_BLOCK_ENTRIES`` rather than growing with the product of the row
-counts. The median bandwidth stays exact. A random sample of rows only
+distances from one blocked generator. A block is at most ``_BLOCK_ROWS``
+rows of the wider operand and at most ``_BLOCK_ENTRIES`` values, so their
+memory does not grow with the product of the row counts. The median
+bandwidth stays exact. A random sample of ``_SAMPLE_ROWS`` rows only
 proposes a window of values around the median (Floyd and Rivest, CACM
 1975); one sweep over all pairs counts the values below the window and
-keeps those inside it, and the exact count decides whether the middle
-rank(s) lie inside. If they do not, two-pass bucket selection finds them.
+keeps up to ``_WINDOW_CAPACITY`` values inside it, and the exact count
+decides whether the middle rank(s) lie inside. If they do not, two-pass
+bucket selection finds them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,11 @@ from .profiles import ProfileSet
 #: sentinel bandwidth: use the median pairwise distance of the pooled sample
 MEDIAN_HEURISTIC = "median"
 
-#: float64 entries in one block of squared distances (16 MB)
+# a block of squared distances is at most 50 rows (400 kB per 1,000
+# columns) and at most 2M float64 (16 MB); small blocks stay in cache, and
+# 50 rows keep each matrix product long enough that re-packing the right
+# operand costs little
+_BLOCK_ROWS = 50
 _BLOCK_ENTRIES = 2_000_000
 
 # a clamped squared distance is a float64 >= +0, so its bit pattern read as
@@ -45,12 +51,14 @@ _BLOCK_ENTRIES = 2_000_000
 _BUCKET_SHIFT = 44
 _N_BUCKETS = 1 << (63 - _BUCKET_SHIFT)
 
-# the median's one-sweep window spans the sample's rank quantiles 0.5 +- h,
-# h <= 3 %, and its buffer holds 1.2 times the values such a window should
-# catch; h shrinks so that the buffer stays within 1.5 blocks
+# the median's one-sweep window spans the rank quantiles 0.5 +- h of the
+# ~1M pairs of a 1,414-row sample, h <= 3 %, and its buffer holds 1.2 times
+# the values such a window should catch; h shrinks so that the buffer stays
+# within 3M values (24 MB)
+_SAMPLE_ROWS = 1_414
 _MAX_WINDOW_RANK = 0.03
 _WINDOW_SLACK = 1.2
-_MAX_WINDOW_BLOCKS = 1.5
+_WINDOW_CAPACITY = 3_000_000
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -75,9 +83,10 @@ def _sq_distance_blocks(a: np.ndarray, b: np.ndarray | None = None):
     the 2-d array of a run of rows of ``a`` against every row of ``b``. With
     no ``b``, each block is the 1-d array of pairs (i, j > i) of ``a`` for a
     run of rows i; only the columns from the run's first row onward are
-    computed. A block holds at most ``_BLOCK_ENTRIES`` values (one row at
-    least). Two buffers serve every block, so a yielded block is valid only
-    until the next one is requested; consumers may overwrite it.
+    computed. A block holds at most ``_BLOCK_ROWS`` rows and at most
+    ``_BLOCK_ENTRIES`` values (one row at least). Two buffers serve every
+    block, so a yielded block is valid only until the next one is
+    requested; consumers may overwrite it.
     """
     a_sq = np.einsum("ij,ij->i", a, a)
     pairs = b is None
@@ -91,13 +100,13 @@ def _sq_distance_blocks(a: np.ndarray, b: np.ndarray | None = None):
     # block is scaled instead
     fold = _smallest_magnitude(a) * _smallest_magnitude(b) >= np.finfo(np.float64).tiny
     b_scaled = -2.0 * b if fold else b
-    size = min(len(a) * len(b), max(_BLOCK_ENTRIES, len(b)))
+    size = min(len(a) * len(b), max(min(_BLOCK_ROWS * len(b), _BLOCK_ENTRIES), len(b)))
     gram_buffer, d2_buffer = np.empty(size), np.empty(size)
     start = 0
     while start < len(a):
         first_col = start if pairs else 0
         cols = len(b) - first_col
-        rows = min(len(a) - start, max(1, _BLOCK_ENTRIES // cols))
+        rows = min(len(a) - start, max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // cols)))
         stop = start + rows
         gram = gram_buffer[: rows * cols].reshape(rows, cols)
         np.matmul(a[start:stop], b_scaled[first_col:].T, out=gram)
@@ -240,15 +249,16 @@ def _sample_window(pooled: np.ndarray, n_pairs: int) -> tuple[int, int, int]:
     the number of values the window may keep.
 
     The sample's rows are drawn at random, not strided: a stride can alias
-    with the household-by-day order of the rows. Its pairs fill one block.
+    with the household-by-day order of the rows.
     """
-    capacity = int(_MAX_WINDOW_BLOCKS * _BLOCK_ENTRIES)
-    h = min(_MAX_WINDOW_RANK, capacity / (2.0 * _WINDOW_SLACK * n_pairs))
-    size = min(len(pooled), math.isqrt(_BLOCK_ENTRIES))
+    h = min(_MAX_WINDOW_RANK, _WINDOW_CAPACITY / (2.0 * _WINDOW_SLACK * n_pairs))
+    size = min(len(pooled), _SAMPLE_ROWS)
     rows = np.sort(np.random.default_rng(0).choice(len(pooled), size=size, replace=False))
-    # size * size <= _BLOCK_ENTRIES, so the generator yields a single block
-    (sample,) = _sq_distance_blocks(pooled[rows])
-    bits = sample.view(np.int64)
+    bits = np.empty(size * (size - 1) // 2, dtype=np.int64)
+    end = 0
+    for d2 in _sq_distance_blocks(pooled[rows]):
+        bits[end : end + len(d2)] = d2.view(np.int64)
+        end += len(d2)
     lo, hi = int((0.5 - h) * (len(bits) - 1)), math.ceil((0.5 + h) * (len(bits) - 1))
     bits.partition([lo, hi])
     return int(bits[lo]), int(bits[hi]), math.ceil(2.0 * _WINDOW_SLACK * h * n_pairs)

@@ -79,9 +79,6 @@ class MlpModel:
     norm_mean: np.ndarray | None = None
     norm_std: np.ndarray | None = None
 
-    def n_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
     def copy(self) -> "MlpModel":
         return MlpModel(
             layer_sizes=list(self.layer_sizes),

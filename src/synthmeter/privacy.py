@@ -45,6 +45,10 @@ class ReconstructionConfig:
             raise InvalidConfig("at least one threshold ratio is required")
         if ratios[0] <= 0.0 or ratios[-1] > 1.0:
             raise InvalidConfig("threshold ratios must lie in (0, 1]")
+        if self.synthetic_sample_size is not None and self.synthetic_sample_size < 1:
+            raise InvalidConfig(
+                f"synthetic sample size must be at least 1, got {self.synthetic_sample_size}"
+            )
         object.__setattr__(self, "threshold_ratios", ratios)
 
 

@@ -210,7 +210,12 @@ class TestBlockedPairwise:
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
+        # blocks of at most 3 rows and 37 values, so either cap can bind; the
+        # median's sample and window shrink with them, to 6 rows and 55 values
+        monkeypatch.setattr(kernels, "_BLOCK_ROWS", 3)
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 37)
+        monkeypatch.setattr(kernels, "_SAMPLE_ROWS", 6)
+        monkeypatch.setattr(kernels, "_WINDOW_CAPACITY", 55)
 
     @pytest.mark.parametrize("n_x, n_y", [(18, 19), (19, 19), (40, 27), (1, 1)])
     def test_bandwidth_matches_dense_median_bit_for_bit(self, n_x, n_y):
@@ -277,10 +282,10 @@ class TestMedianSelection:
     @pytest.mark.parametrize("n_x, n_y", [(1500, 1500), (1500, 1502)])
     def test_one_sweep_matches_dense_median_bit_for_bit(self, n_x, n_y, fallbacks):
         # 3000 and 3002 pooled rows give 4,498,500 (even) and 4,504,501 (odd)
-        # pairs; the sample holds isqrt(_BLOCK_ENTRIES) rows, a strict subset
+        # pairs; the sample holds _SAMPLE_ROWS rows, a strict subset
         rng = np.random.default_rng(n_x + n_y)
         x, y = dyadic_rows(rng, n_x), dyadic_rows(rng, n_y)
-        assert math.isqrt(kernels._BLOCK_ENTRIES) < n_x + n_y
+        assert kernels._SAMPLE_ROWS < n_x + n_y
         assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y)
         assert not fallbacks
 
@@ -316,6 +321,26 @@ class TestMedianSelection:
         assert len(fallbacks) == 1
 
 
+def test_block_shape_keeps_window_and_bandwidth(monkeypatch):
+    # one-row blocks, the 50-row cap, and 2M-entry blocks with no row cap
+    # (the blocks the window was first sized by) over one 3,000-row pool
+    rng = np.random.default_rng(30)
+    x, y = dyadic_rows(rng, 1500), dyadic_rows(rng, 1500)
+    pooled = np.vstack([x, y])
+    n_pairs = len(pooled) * (len(pooled) - 1) // 2
+    windows, bandwidths, mmds = [], [], []
+    for block_rows in (1, 50, 2**62):
+        monkeypatch.setattr(kernels, "_BLOCK_ROWS", block_rows)
+        windows.append(kernels._sample_window(pooled, n_pairs))
+        result = kernels.mmd2_rbf(x, y)
+        bandwidths.append(result.bandwidth)
+        mmds.append(result.mmd2)
+    assert windows[0] == windows[1] == windows[2]
+    assert bandwidths == [dense_median_bandwidth(x, y)] * 3
+    assert mmds[0] == pytest.approx(mmds[1], rel=1e-12, abs=0.0)
+    assert mmds[2] == pytest.approx(mmds[1], rel=1e-12, abs=0.0)
+
+
 def test_sq_distance_fold_keeps_subnormal_products_exact():
     # products of entries near 1e-160 are subnormal, where a.(-2b) rounds
     # differently from -2(a.b); the blocks must still match the dense formula
@@ -334,13 +359,16 @@ def test_mmd_memory_bounded_by_block_not_n():
     # The dense kernels peaked at 723 MB here (the 6000^2 pooled distance
     # matrix with its upper-triangle copies, then 3000^2 kernel matrices).
     # Blocked, the live arrays are the generator's two reused buffers of
-    # _BLOCK_ENTRIES float64 (16 MB each) plus per-block masks and the
-    # median's window buffer, which here holds 7.2 % of the pairs; the bound,
-    # four blocks (64 MB), does not depend on n. Measured: 51 MB.
+    # _BLOCK_ROWS rows of the 6,000 pooled columns (2.4 MB each) plus
+    # per-block masks, and the median's window buffer (here 7.2 % of the
+    # pairs, at most _WINDOW_CAPACITY values) or its sample's ~1M pairs.
+    # The bound, the window's capacity plus four such blocks (33.6 MB),
+    # grows with the row count, not with the number of pairs. Measured:
+    # 20 MB (51 MB with the earlier 2M-entry blocks).
     rng = np.random.default_rng(0)
     x = rng.gamma(0.5, 0.4, size=(3000, 48))
     y = rng.gamma(0.55, 0.4, size=(3000, 48))
-    bound = 4 * kernels._BLOCK_ENTRIES * 8
+    bound = 8 * (kernels._WINDOW_CAPACITY + 4 * kernels._BLOCK_ROWS * (len(x) + len(y)))
     tracemalloc.start()
     try:
         kernels.mmd2_rbf(x, y)

@@ -390,7 +390,7 @@ def gradient_check(model: nnet.MlpModel, config: nnet.TrainConfig, inputs, targe
     """
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64).reshape(len(x), -1)
-    if model.n_parameters() > 10_000:
+    if sum(w.size + b.size for w, b in zip(model.weights, model.biases)) > 10_000:
         raise ValueError("gradient_check is for small models (<= 1e4 parameters)")
     nnet._check_head_loss(model, config)
     work = model.copy()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from synthmeter import demo, gmm, privacy
-from synthmeter.errors import InsufficientSamples
+from synthmeter.errors import InsufficientSamples, InvalidConfig
 from synthmeter.generators import MemorizerConfig, gmm_generate, memorizer_generate
 from synthmeter.poisoning import OutlierSpec, make_attack_registry
 from synthmeter.profiles import Horizon, Role, SplitSpec, split_households
@@ -135,6 +135,19 @@ class TestReconstructionPoisoned:
         np.testing.assert_allclose(
             base.per_outlier_nn_distance_ratio, permuted.per_outlier_nn_distance_ratio, atol=0
         )
+
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_sample_size_below_one_rejected(self, size):
+        with pytest.raises(InvalidConfig, match="at least 1"):
+            privacy.ReconstructionConfig(synthetic_sample_size=size)
+
+    def test_sample_size_of_one_accepted(self, registry):
+        result = privacy.reconstruction_poisoned(
+            registry, profile_set(np.zeros((5, 48)), role=Role.SYNTHETIC),
+            privacy.ReconstructionConfig(synthetic_sample_size=1),
+        )
+        assert len(result.per_outlier_nn_distance_ratio) == len(registry.seen_outliers)
 
 
 class TestGeneratorControls:

@@ -344,6 +344,21 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "recon.json").exists()
 
+    def test_recon_poisoned_negative_sample_size_exits_2(self, workspace, tmp_path, capsys):
+        rc = cli.main(
+            [
+                "privacy", "recon-poisoned",
+                "--registry", str(workspace / "registry.csv"),
+                "--synthetic", str(workspace / "synthetic.csv"),
+                "--sample-size", "-1",
+                "--report", str(tmp_path / "recon.json"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "sample size" in err
+        assert not (tmp_path / "recon.json").exists()
+
     def test_generate_gmm_and_fidelity(self, tmp_path):
         population = demo.make_population(40, 6, seed=8)
         write_wide(population, tmp_path / "real.csv")
