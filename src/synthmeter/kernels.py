@@ -39,9 +39,10 @@ from .profiles import ProfileSet
 MEDIAN_HEURISTIC = "median"
 
 # a block of squared distances is at most 50 rows (400 kB per 1,000
-# columns) and at most 2M float64 (16 MB); small blocks stay in cache, and
-# 50 rows keep each matrix product long enough that re-packing the right
-# operand costs little
+# columns) and at most 2M float64 (16 MB). Larger blocks run no faster;
+# blocks of fewer rows need more matrix products, and each one re-packs the
+# whole right operand (fixed 2^18-entry blocks, 6 rows at 20k rows per
+# side, made the bandwidth there 16-29 % slower)
 _BLOCK_ROWS = 50
 _BLOCK_ENTRIES = 2_000_000
 

@@ -364,7 +364,7 @@ def test_mmd_memory_bounded_by_block_not_n():
     # pairs, at most _WINDOW_CAPACITY values) or its sample's ~1M pairs.
     # The bound, the window's capacity plus four such blocks (33.6 MB),
     # grows with the row count, not with the number of pairs. Measured:
-    # 20 MB (51 MB with the earlier 2M-entry blocks).
+    # 20 MB.
     rng = np.random.default_rng(0)
     x = rng.gamma(0.5, 0.4, size=(3000, 48))
     y = rng.gamma(0.55, 0.4, size=(3000, 48))
