@@ -9,12 +9,11 @@ seed-deterministic.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
-from . import __version__, fidelity, generators, gmm, poisoning, report
+from . import __version__, generators, gmm, poisoning, report
 from .demo import build_demo_workspace, labelled_gmm_synthetic  # noqa: F401 - public via cli
 from .errors import InvalidConfig, SynthmeterError
 from .profiles import (
@@ -221,13 +220,9 @@ def _cmd_generate(args) -> int:
 def _cmd_fidelity(args) -> int:
     real = read_wide(args.real, Role.TRAIN)
     synthetic = read_wide(args.synthetic, Role.SYNTHETIC, horizon=real.horizon)
-    options = {}
-    if args.config:
-        with open(args.config) as fh:
-            options = json.load(fh)
-    config = fidelity.FidelityConfig.from_options(options, args.seed)
-    result = fidelity.evaluate_fidelity(real, synthetic, config)
-    _write_json(args.report, result.as_dict())
+    options = report.read_json(args.config) if args.config else {}
+    section, _ = report.fidelity_section(options, args.seed, real, synthetic)
+    _write_json(args.report, section)
     print(f"fidelity report written to {args.report}")
     return 0
 
@@ -344,7 +339,7 @@ def main(argv=None) -> int:
     _apply_global_defaults(args)
     try:
         return _COMMANDS[args.command](args)
-    except SynthmeterError as exc:
+    except (SynthmeterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

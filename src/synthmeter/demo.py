@@ -110,7 +110,7 @@ def write_long_csv(profiles: ProfileSet, path) -> int:
     return len(profiles) * length
 
 
-def labelled_gmm_synthetic(train, seed: int = 0, max_k: int = 10):
+def labelled_gmm_synthetic(train, seed: int = 0):
     """Season-labelled synthetic data for TSTR: one mixture per season half,
     sampled at the subset's own size and tagged with its label."""
     parts: list = []
@@ -120,7 +120,7 @@ def labelled_gmm_synthetic(train, seed: int = 0, max_k: int = 10):
         if not rows:
             raise SynthmeterError(f"no {label} profiles to fit the season mixture on")
         subset = train.subset(rows)
-        k = min(max_k, max(1, len(subset) // 20))
+        k = min(10, max(1, len(subset) // 20))
         part = generators.gmm_generate(subset, len(subset), gmm.FitConfig(k=k, seed=seed))
         parts.append(part.values)
         labels.extend([label] * len(part))

@@ -38,6 +38,10 @@ class NonFiniteValue(SynthmeterError):
     from profiles is NaN or infinite."""
 
 
+class NegativeValue(SynthmeterError, ValueError):
+    """A real (not injected) profile holds a negative kWh value."""
+
+
 class EmptyResult(SynthmeterError):
     """An operation produced no usable profiles."""
 

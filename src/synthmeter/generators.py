@@ -28,7 +28,7 @@ EXTERNAL = "external"
 
 @dataclass(frozen=True)
 class GeneratorMetadata:
-    name: str
+    name: str = EXTERNAL
     kind: str = EXTERNAL
     claimed_epsilon: float | None = None
     claimed_delta: float | None = None

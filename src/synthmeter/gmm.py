@@ -102,7 +102,7 @@ def _seed_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _run_em(x: np.ndarray, config: FitConfig, rng: np.random.Generator) -> GmmModel:
-    n, dims = x.shape
+    n = len(x)
     k = config.k
     means = _seed_means(x, k, rng)
     global_var = np.maximum(x.var(axis=0), config.variance_floor)
@@ -196,12 +196,12 @@ def sample(model: GmmModel, n: int, seed: int, horizon: Horizon | None = None) -
     clamp_count = int((values < 0).sum())
     values = np.maximum(values, 0.0)
     if horizon is None:
-        by_length = {h.length: h for h in Horizon}
-        if model.n_dims not in by_length:
+        try:
+            horizon = Horizon(model.n_dims)
+        except ValueError:
             raise DimensionMismatch(
                 f"model width {model.n_dims} matches no known horizon; pass one explicitly"
-            )
-        horizon = by_length[model.n_dims]
+            ) from None
     epoch = dt.date(2000, 1, 1)
     profiles = ProfileSet(
         values=values,

@@ -399,30 +399,21 @@ def acf(profiles, max_lag: int) -> AcfResult:
     )
 
 
-def top_n_peaks(values, n: int) -> np.ndarray:
-    """Keep the n largest values in place, zero the rest.
+def peak_mask(profiles, n: int) -> np.ndarray:
+    """Keep the n largest values of each profile in place, zero the rest.
 
     Ties at the cutoff go to the earliest slot. Kept values are copied
-    bit for bit and never move. n >= len(values) returns the profile
-    unchanged.
+    bit for bit and never move. n >= the profile length returns the
+    profiles unchanged.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    x = np.asarray(values, dtype=np.float64).ravel()
-    if n >= len(x):
-        return x.copy()
-    # stable order: value descending, then slot index ascending
-    order = np.lexsort((np.arange(len(x)), -x))
-    out = np.zeros_like(x)
-    keep = order[:n]
-    out[keep] = x[keep]
-    return out
-
-
-def peak_mask(profiles, n: int) -> np.ndarray:
-    """Apply top_n_peaks to every row of a profile matrix."""
     x = _as_matrix(profiles)
-    return np.stack([top_n_peaks(row, n) for row in x])
+    # stable order: value descending, then slot index ascending
+    keep = np.argsort(-x, axis=1, kind="stable")[:, :n]
+    out = np.zeros_like(x)
+    np.put_along_axis(out, keep, np.take_along_axis(x, keep, axis=1), axis=1)
+    return out
 
 
 def per_slot_statistics(profiles, quantiles: list[float]) -> np.ndarray:
@@ -452,7 +443,7 @@ class PcaProjection:
     projections: list[np.ndarray]  # one (n_i, 2) table per input set
 
 
-def pca_project(fit_on, project: list, dims: int = 2) -> PcaProjection:
+def pca_project(fit_on, project: list) -> PcaProjection:
     """Fit a 2-d PCA on one set, project any number of sets with it.
 
     Components are the top eigenvectors of the covariance of the
@@ -460,8 +451,8 @@ def pca_project(fit_on, project: list, dims: int = 2) -> PcaProjection:
     of each component is positive, so output is deterministic.
     """
     x = _as_matrix(fit_on)
-    if len(x) < dims + 1:
-        raise DegenerateInput(f"need at least {dims + 1} rows to fit, got {len(x)}")
+    if len(x) < 3:
+        raise DegenerateInput(f"need at least 3 rows to fit, got {len(x)}")
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (len(x) - 1)
@@ -470,10 +461,10 @@ def pca_project(fit_on, project: list, dims: int = 2) -> PcaProjection:
     eigenvalues = eigenvalues[order]
     eigenvectors = eigenvectors[:, order]
     positive = eigenvalues > max(eigenvalues[0], 0.0) * 1e-12
-    if positive[:dims].sum() < dims:
-        raise RankDeficient(f"covariance has fewer than {dims} positive eigenvalues")
-    components = eigenvectors[:, :dims].T
-    for i in range(dims):
+    if positive[:2].sum() < 2:
+        raise RankDeficient("covariance has fewer than 2 positive eigenvalues")
+    components = eigenvectors[:, :2].T
+    for i in range(2):
         pivot = np.argmax(np.abs(components[i]))
         if components[i, pivot] < 0:
             components[i] = -components[i]
@@ -481,6 +472,6 @@ def pca_project(fit_on, project: list, dims: int = 2) -> PcaProjection:
     return PcaProjection(
         components=components,
         mean=mean,
-        explained_variance=eigenvalues[:dims],
+        explained_variance=eigenvalues[:2],
         projections=projections,
     )

@@ -140,28 +140,30 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward(model: MlpModel, inputs) -> np.ndarray:
-    """Deterministic forward pass; sigmoid heads yield probabilities in (0, 1)."""
+def _checked_logits(model: MlpModel, inputs) -> tuple[np.ndarray, bool]:
+    """Pre-head outputs, one row per input row, and whether ``inputs`` was
+    a single 1-d row to squeeze back."""
     x = np.asarray(inputs, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
     if x.shape[1] != model.layer_sizes[0]:
         raise DimensionMismatch(f"expected input width {model.layer_sizes[0]}, got {x.shape[1]}")
-    _, logits = _forward_pass(model.weights, model.biases, _normalise(model, x))
-    out = _sigmoid(logits) if model.head == SIGMOID else logits
+    _, z = _forward_pass(model.weights, model.biases, _normalise(model, x))
+    return z, squeeze
+
+
+def forward(model: MlpModel, inputs) -> np.ndarray:
+    """Deterministic forward pass; sigmoid heads yield probabilities in (0, 1)."""
+    z, squeeze = _checked_logits(model, inputs)
+    out = _sigmoid(z) if model.head == SIGMOID else z
     out = out[:, 0] if out.shape[1] == 1 else out
     return out[0] if squeeze else out
 
 
 def logits(model: MlpModel, inputs) -> np.ndarray:
     """Raw pre-head outputs; useful for ranking beyond sigmoid saturation."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != model.layer_sizes[0]:
-        raise DimensionMismatch(f"expected input width {model.layer_sizes[0]}, got {x.shape[1]}")
-    _, z = _forward_pass(model.weights, model.biases, _normalise(model, x))
+    z, _ = _checked_logits(model, inputs)
     return z[:, 0] if z.shape[1] == 1 else z
 
 
@@ -267,7 +269,6 @@ def train(
     inputs,
     targets,
     config: TrainConfig,
-    standardize: bool = True,
     epoch_callback=None,
 ) -> TrainResult:
     """Mini-batch gradient descent with momentum 0.9 on a copy of the model.
@@ -279,7 +280,7 @@ def train(
     count trains on the full set each step. NaN or infinite loss aborts
     with NonFiniteLoss.
     """
-    [result] = train_arms([model], [inputs], [targets], config, [epoch_callback], standardize)
+    [result] = train_arms([model], [inputs], [targets], config, [epoch_callback])
     return result
 
 
@@ -302,7 +303,6 @@ def train_arms(
     targets,
     config: TrainConfig,
     epoch_callbacks,
-    standardize: bool = True,
 ) -> list[TrainResult]:
     """``train`` for K arms in lockstep: arm k trains ``models[k]`` on
     ``inputs[k]`` and ``targets[k]`` with ``epoch_callbacks[k]`` (None for
@@ -332,10 +332,9 @@ def train_arms(
     # row blocks that fancy indexing would give
     x_n = np.empty((arms, rows, sizes[0]))
     for out, (x, _), x_arm in zip(outs, arrays, x_n):
-        if standardize:
-            out.norm_mean = x.mean(axis=0)
-            std = x.std(axis=0)
-            out.norm_std = np.where(std > 0, std, 1.0)
+        out.norm_mean = x.mean(axis=0)
+        std = x.std(axis=0)
+        out.norm_std = np.where(std > 0, std, 1.0)
         x_arm[...] = _normalise(out, x)
     y = np.stack([y for _, y in arrays])
 

@@ -1,4 +1,4 @@
-"""Canonical load-profile containers, ingestion and household/time splits.
+"""Canonical load-profile containers, ingestion and household splits.
 
 A profile is a fixed-length vector of half-hourly consumption (kWh): 48
 slots for a day, 336 for a week. Sets of profiles are stored as an
@@ -22,6 +22,7 @@ from .errors import (
     HorizonMismatch,
     InvalidConfig,
     MalformedRow,
+    NegativeValue,
     NonFiniteValue,
     TooFewHouseholds,
 )
@@ -44,9 +45,9 @@ class Horizon(enum.Enum):
     @classmethod
     def from_name(cls, name: str) -> "Horizon":
         try:
-            return cls[name.upper()]
+            return cls[str(name).upper()]
         except KeyError:
-            raise ValueError(f"unknown horizon {name!r}; expected daily or weekly") from None
+            raise InvalidConfig(f"unknown horizon {name!r}; expected daily or weekly") from None
 
 
 class Role(enum.Enum):
@@ -92,16 +93,17 @@ class ProfileSet:
         artificial = self.artificial if self.artificial else (False,) * n
         if not (len(self.household_ids) == len(self.start_dates) == len(labels) == len(artificial) == n):
             raise ValueError("metadata lengths do not match the number of profile rows")
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise NonFiniteValue(
-                f"non-finite kWh in profile row {row} "
-                f"(household {self.household_ids[row]}, {self.start_dates[row]})"
-            )
         real = ~np.asarray(artificial, dtype=bool)
-        if n and np.any(values[real] < 0):
-            raise ValueError("negative kWh in non-artificial profiles")
+        for error, kind, bad in (
+            (NonFiniteValue, "non-finite", ~np.isfinite(values).all(axis=1)),
+            (NegativeValue, "negative", (values < 0).any(axis=1) & real),
+        ):
+            if bad.any():
+                row = int(np.argmax(bad))
+                raise error(
+                    f"{kind} kWh in profile row {row} "
+                    f"(household {self.household_ids[row]}, {self.start_dates[row]})"
+                )
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "household_ids", tuple(self.household_ids))
@@ -142,8 +144,6 @@ def require_same_horizon(*sets: ProfileSet) -> Horizon:
 @dataclass(frozen=True)
 class SplitSpec:
     holdout_fraction: float = 0.5
-    train_years: tuple[int, ...] = ()
-    eval_years: tuple[int, ...] = ()
     seed: int = 0
 
     def __post_init__(self):
@@ -282,37 +282,6 @@ def split_households(data: ProfileSet, spec: SplitSpec) -> tuple[ProfileSet, Pro
     return data.subset(~mask, role=Role.TRAIN), data.subset(mask, role=Role.HOLDOUT)
 
 
-@dataclass
-class TimeSplit:
-    fit: ProfileSet
-    evaluation: ProfileSet
-    discarded: int
-
-
-def split_time(data: ProfileSet, spec: SplitSpec) -> TimeSplit:
-    """Partition profiles by calendar year of their start date.
-
-    Profiles dated outside both year lists are discarded and counted.
-    """
-    train_years = set(spec.train_years)
-    eval_years = set(spec.eval_years)
-    if not train_years or not eval_years:
-        raise ValueError("train_years and eval_years must both be non-empty")
-    if train_years & eval_years:
-        raise ValueError("train_years and eval_years overlap")
-    years = np.array([d.year for d in data.start_dates])
-    fit_mask = np.isin(years, sorted(train_years))
-    eval_mask = np.isin(years, sorted(eval_years))
-    discarded = int(len(data) - fit_mask.sum() - eval_mask.sum())
-    if not fit_mask.any() or not eval_mask.any():
-        raise EmptyResult("a time-split side received no profiles")
-    return TimeSplit(
-        fit=data.subset(fit_mask, role=Role.TRAIN),
-        evaluation=data.subset(eval_mask, role=Role.HOLDOUT),
-        discarded=discarded,
-    )
-
-
 def _slot_columns(length: int) -> list[str]:
     return [f"hh_{i:02d}" for i in range(length)]
 
@@ -356,10 +325,10 @@ def read_wide(
                 f"{path} has {n_slots} value columns, expected {horizon.length}"
             )
         if horizon is None:
-            by_length = {h.length: h for h in Horizon}
-            if n_slots not in by_length:
-                raise HorizonMismatch(f"{path} has {n_slots} value columns; no known horizon matches")
-            horizon = by_length[n_slots]
+            try:
+                horizon = Horizon(n_slots)
+            except ValueError:
+                raise HorizonMismatch(f"{path} has {n_slots} value columns; no known horizon matches") from None
         if header[3:] != _slot_columns(horizon.length):
             raise MalformedRow(1, "slot columns must be hh_00..hh_{L-1}")
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, fidelity, kernels, nnet, privacy, utility
-from .errors import RatioNotComputed, SynthmeterError, check_known
+from .errors import InvalidConfig, RatioNotComputed, SynthmeterError, check_known
 from .generators import GeneratorMetadata
 from .poisoning import read_registry
 from .profiles import Horizon, Role, read_wide
@@ -91,6 +91,15 @@ def render_report(report: dict) -> str:
     return json.dumps(report, indent=1, sort_keys=True, default=_json_default) + "\n"
 
 
+def read_json(path):
+    """Parse a manifest or config file; malformed JSON raises InvalidConfig."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"{path} is not valid JSON: {exc}") from None
+
+
 @dataclass
 class EvaluationOutcome:
     report: dict
@@ -108,7 +117,9 @@ def _resolve(base: Path, value: str) -> Path:
     return path if path.is_absolute() else base / path
 
 
-def _fidelity_section(options, seed, train, synthetic):
+def fidelity_section(options: dict, seed: int, train, synthetic):
+    """Run the fidelity metrics; returns the section and its side tables
+    (per-slot statistics and PCA coordinates)."""
     config = fidelity.FidelityConfig.from_options(options, seed)
     result = fidelity.evaluate_fidelity(train, synthetic, config)
 
@@ -226,16 +237,28 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
     timestamp is the only varying field.
     """
     manifest_path = Path(manifest_path)
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path)
     check_known("manifest key", manifest, MANIFEST_KEYS)
     base = manifest_path.parent
     output_dir = Path(output_dir) if output_dir else base / "evaluation"
-    output_dir.mkdir(parents=True, exist_ok=True)
 
     horizon = Horizon.from_name(manifest.get("horizon", "daily"))
     if seed is None:
         seed = int(manifest.get("seed", 0))
+
+    def options_of(name: str) -> dict:
+        section = manifest.get(name)
+        return dict(section) if isinstance(section, dict) else {}
+
+    # a switch must be a JSON boolean: the string "no" is truthy
+    for name, key in [*(("privacy", k) for k in PRIVACY_ATTACKS), ("utility", "allow_overlap")]:
+        value = options_of(name).get(key, False)
+        if not isinstance(value, bool):
+            raise InvalidConfig(f"{name} option {key!r} must be true or false, got {value!r}")
+    generator = manifest.get("generator")
+    if generator:
+        check_known("generator key", generator, [f.name for f in fields(GeneratorMetadata)])
+    output_dir.mkdir(parents=True, exist_ok=True)
 
     digests: dict[str, str] = {}
     side_files: list[Path] = []
@@ -263,32 +286,17 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
     if manifest.get("registry"):
         digests["registry"] = file_digest(_resolve(base, manifest["registry"]))
 
-    generator_meta = None
-    if manifest.get("generator"):
-        raw = manifest["generator"]
-        generator_meta = GeneratorMetadata(
-            name=raw.get("name", "external"),
-            kind=raw.get("kind", "external"),
-            claimed_epsilon=raw.get("claimed_epsilon"),
-            claimed_delta=raw.get("claimed_delta"),
-            notes=raw.get("notes", ""),
-        )
-
     report: dict = {
         "toolkit_version": __version__,
         "timestamp": dt.datetime.now(dt.timezone.utc).isoformat(),
         "input_digests": digests,
-        "generator_metadata": None if generator_meta is None else generator_meta.as_dict(),
+        "generator_metadata": GeneratorMetadata(**generator).as_dict() if generator else None,
         "config_echo": manifest,
         "seeds": {"global": seed},
     }
 
-    def options_of(name: str) -> dict:
-        section = manifest.get(name)
-        return dict(section) if isinstance(section, dict) else {}
-
     def run_fidelity():
-        return _fidelity_section(options_of("fidelity"), seed, train, synthetic)
+        return fidelity_section(options_of("fidelity"), seed, train, synthetic)
 
     def run_privacy():
         # ``"privacy": true`` runs every attack

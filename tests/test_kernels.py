@@ -447,19 +447,28 @@ class TestAcf:
             kernels.acf(np.zeros((2, 48)), max_lag=48)
 
 
+def reference_peak_mask(x, n):
+    """Oracle: one lexsort per row, value descending then slot ascending."""
+    out = np.zeros_like(x)
+    for row, masked in zip(x, out):
+        keep = np.lexsort((np.arange(len(row)), -row))[:n]
+        masked[keep] = row[keep]
+    return out
+
+
 class TestTopNPeaks:
     def test_hand_selection(self):
         np.testing.assert_array_equal(
-            kernels.top_n_peaks([1.0, 3.0, 2.0, 5.0], 2), [0.0, 3.0, 0.0, 5.0]
+            kernels.peak_mask([[1.0, 3.0, 2.0, 5.0]], 2), [[0.0, 3.0, 0.0, 5.0]]
         )
 
     def test_n_at_least_length_unchanged(self):
-        x = np.arange(48.0)
-        np.testing.assert_array_equal(kernels.top_n_peaks(x, 48), x)
+        x = np.arange(48.0)[None, :]
+        np.testing.assert_array_equal(kernels.peak_mask(x, 48), x)
 
     def test_tie_break_earliest_slot(self):
         np.testing.assert_array_equal(
-            kernels.top_n_peaks([2.0, 2.0, 2.0, 1.0], 2), [2.0, 2.0, 0.0, 0.0]
+            kernels.peak_mask([[2.0, 2.0, 2.0, 1.0]], 2), [[2.0, 2.0, 0.0, 0.0]]
         )
 
     @settings(max_examples=50, deadline=None)
@@ -468,10 +477,23 @@ class TestTopNPeaks:
         n=st.integers(1, 24),
     )
     def test_kept_values_bit_exact_in_place(self, values, n):
-        masked = kernels.top_n_peaks(values, n)
+        masked = kernels.peak_mask(values[None, :], n)[0]
         kept = masked != 0.0
         assert np.array_equal(masked[kept], values[kept])
         assert kept.sum() <= n
+
+    @pytest.mark.parametrize("n", [1, 4, 47, 48, 60])
+    @pytest.mark.parametrize("data", ["gamma", "half_step_ties", "signed_zeros"])
+    def test_matches_per_row_lexsort_bit_for_bit(self, data, n):
+        rng = np.random.default_rng(11)
+        x = rng.gamma(2.0, 0.3, size=(200, 48))
+        if data == "half_step_ties":
+            x = np.round(x * 2.0) / 2.0
+        elif data == "signed_zeros":
+            x = np.round(x) * rng.choice([-1.0, 1.0], size=x.shape)
+            x[:5] = rng.choice([-0.0, 0.0], size=(5, 48))
+        got = kernels.peak_mask(x, n)
+        assert got.view(np.int64).tolist() == reference_peak_mask(x, n).view(np.int64).tolist()
 
 
 class TestPerSlotStatistics:

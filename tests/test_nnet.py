@@ -65,15 +65,14 @@ def _reference_backward(model, activations, delta):
     return grads_w, grads_b
 
 
-def reference_train(model, inputs, targets, config, standardize=True, epoch_callback=None):
+def reference_train(model, inputs, targets, config, epoch_callback=None):
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64).reshape(len(x), -1)
     out = model.copy()
-    if standardize:
-        out.norm_mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        out.norm_std = np.where(std > 0, std, 1.0)
-    x_n = x if out.norm_mean is None else (x - out.norm_mean) / out.norm_std
+    out.norm_mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    out.norm_std = np.where(std > 0, std, 1.0)
+    x_n = (x - out.norm_mean) / out.norm_std
     rng = np.random.default_rng(config.seed)
     vel_w = [np.zeros_like(w) for w in out.weights]
     vel_b = [np.zeros_like(b) for b in out.biases]
@@ -205,7 +204,7 @@ class TestTrain:
         config = nnet.TrainConfig(
             loss=nnet.PINBALL, pinball_q=0.95, epochs=300, batch_size=100, seed=0, learning_rate=0.02
         )
-        result = nnet.train(tiny_model([3, 4, 1], nnet.LINEAR, seed=1), x, y, config, standardize=False)
+        result = nnet.train(tiny_model([3, 4, 1], nnet.LINEAR, seed=1), x, y, config)
         prediction = float(np.atleast_1d(nnet.forward(result.model, x[:1]))[0])
         target = np.quantile(y, 0.95)
         assert abs(prediction - target) < 0.15
@@ -225,7 +224,7 @@ class TestTrain:
         y = rng.normal(size=32) * 1e6
         config = nnet.TrainConfig(loss=nnet.MSE, epochs=50, batch_size=8, learning_rate=100.0, seed=0)
         with pytest.raises(NonFiniteLoss):
-            nnet.train(tiny_model([3, 8, 1], nnet.LINEAR, seed=0), x, y, config, standardize=False)
+            nnet.train(tiny_model([3, 8, 1], nnet.LINEAR, seed=0), x, y, config)
 
     def test_epoch_callback_sees_each_epoch(self):
         rng = np.random.default_rng(1)
@@ -282,13 +281,13 @@ class TestMatchesReferenceLoop:
         _assert_models_identical(got.model, want.model)
         assert got.loss_trace == want.loss_trace
 
-    def test_unstandardised_fortran_order_inputs(self):
+    def test_fortran_order_inputs(self):
         x, y, head = _task(nnet.MSE, 6)
         x = np.asfortranarray(x)
         config = nnet.TrainConfig(loss=nnet.MSE, batch_size=20, epochs=3, seed=0)
         model = tiny_model([6, 8, 1], head, seed=0)
-        got = nnet.train(model, x, y, config, standardize=False)
-        want = reference_train(model, x, y, config, standardize=False)
+        got = nnet.train(model, x, y, config)
+        want = reference_train(model, x, y, config)
         _assert_models_identical(got.model, want.model)
         assert got.loss_trace == want.loss_trace
 

@@ -14,6 +14,7 @@ from synthmeter.errors import (
     EmptyResult,
     HorizonMismatch,
     MalformedRow,
+    NegativeValue,
     SynthmeterError,
     TooFewHouseholds,
 )
@@ -30,7 +31,6 @@ from synthmeter.profiles import (
     read_wide,
     season_label,
     split_households,
-    split_time,
     write_wide,
 )
 
@@ -429,10 +429,13 @@ class TestWideFormat:
 
 class TestProfileSet:
     def test_negative_values_rejected_unless_artificial(self):
-        with pytest.raises(ValueError):
-            profile_set(np.full((1, 48), -1.0))
-        ps = profile_set(np.full((1, 48), -1.0), artificial=True)
-        assert ps.artificial == (True,)
+        values = np.full((5, 48), 0.4)
+        values[3, 17] = values[4, 0] = -1.0
+        with pytest.raises(NegativeValue, match=r"row 3 \(household h00003, 2012-01-04\)") as err:
+            profile_set(values)
+        assert isinstance(err.value, ValueError)
+        ps = profile_set(values, artificial=True)
+        assert ps.artificial == (True,) * 5
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("artificial", [False, True])
@@ -506,35 +509,3 @@ class TestSplitHouseholds:
         train, holdout = split_households(ps, SplitSpec(holdout_fraction=fraction, seed=seed))
         assert set(train.household_ids).isdisjoint(holdout.household_ids)
         assert set(train.household_ids) | set(holdout.household_ids) == set(ps.household_ids)
-
-
-class TestSplitTime:
-    def _dated(self, years_counts):
-        values, dates = [], []
-        for year, count in years_counts.items():
-            for i in range(count):
-                values.append(np.full(48, 0.2))
-                dates.append(dt.date(year, 1 + (i % 12), 1))
-        return profile_set(np.stack(values), start_dates=dates)
-
-    def test_paper_style_split(self):
-        data = self._dated({2012: 30, 2013: 30, 2014: 30})
-        result = split_time(data, SplitSpec(train_years=(2012, 2013), eval_years=(2014,)))
-        assert len(result.fit) == 60
-        assert len(result.evaluation) == 30
-        assert result.discarded == 0
-
-    def test_unlisted_years_discarded_with_count(self):
-        data = self._dated({2011: 5, 2012: 10, 2014: 10})
-        result = split_time(data, SplitSpec(train_years=(2012,), eval_years=(2014,)))
-        assert result.discarded == 5
-
-    def test_empty_side_raises(self):
-        data = self._dated({2012: 10})
-        with pytest.raises(EmptyResult):
-            split_time(data, SplitSpec(train_years=(2012,), eval_years=(2014,)))
-
-    def test_overlapping_years_rejected(self):
-        data = self._dated({2012: 10, 2014: 10})
-        with pytest.raises(ValueError):
-            split_time(data, SplitSpec(train_years=(2012, 2014), eval_years=(2014,)))

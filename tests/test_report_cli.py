@@ -510,6 +510,63 @@ class TestCli:
         assert "'fidelty'" in err and "'fidelity'" in err
         assert not (tmp_path / "out").exists()
 
+    # each bad input and the text its error line must contain
+    BAD_INPUT = {
+        "horizon": "unknown horizon 'hourly'; expected daily or weekly",
+        "negative_fidelity": "negative kWh in profile row 2 (household H",
+        "negative_split": "negative kWh in profile row 2 (household H",
+        "negative_evaluate": "negative kWh in profile row 2 (household H",
+        "missing_manifest": "No such file or directory: '{missing}.json'",
+        "missing_input": "No such file or directory: '{missing}.csv'",
+        "manifest_json": "{bad} is not valid JSON",
+        "config_json": "{bad} is not valid JSON",
+        "recon_switch": "privacy option 'recon' must be true or false, got 'no'",
+        "allow_overlap_switch": "utility option 'allow_overlap' must be true or false, got 'no'",
+        "generator_key": "unknown generator key 'claimed_epsilonn'; did you mean 'claimed_epsilon'?",
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_INPUT))
+    def test_bad_input_exits_2_naming_its_cause(self, workspace, tmp_path, capsys, case):
+        files = {name: str(workspace / f"{name}.csv") for name in ("train", "holdout", "synthetic")}
+        lines = (workspace / "train.csv").read_text().splitlines()
+        row = lines[3].split(",")
+        row[10] = "-0.5"
+        lines[3] = ",".join(row)
+        negative = tmp_path / "negative.csv"
+        negative.write_text("\n".join(lines) + "\n")
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"fidelity": true,')
+        missing = tmp_path / "missing"
+        overrides = {
+            "horizon": {"horizon": "hourly"},
+            "negative_evaluate": {"train": str(negative)},
+            "missing_input": {"synthetic": f"{missing}.csv"},
+            "recon_switch": {"privacy": {"recon": "no", "mia": True}},
+            "allow_overlap_switch": {"utility": {"allow_overlap": "no"}},
+            "generator_key": {"generator": {"name": "x", "claimed_epsilonn": 1.0}},
+        }
+        manifest = write_manifest(tmp_path, {**files, "fidelity": True, **overrides.get(case, {})})
+        out = ["--report", str(tmp_path / "r.json")]
+
+        def evaluate(path):
+            return ["evaluate", "--manifest", str(path), "--output-dir", str(tmp_path / "out")]
+
+        commands = {
+            "negative_fidelity": ["fidelity", "--real", str(negative), "--synthetic", files["synthetic"], *out],
+            "negative_split": ["split", "--input", str(negative), "--holdout-fraction", "0.5",
+                               "--train-out", str(tmp_path / "a.csv"), "--holdout-out", str(tmp_path / "b.csv")],
+            "missing_manifest": evaluate(f"{missing}.json"),
+            "manifest_json": evaluate(bad),
+            "config_json": ["fidelity", "--real", files["train"], "--synthetic", files["synthetic"],
+                            "--config", str(bad), *out],
+        }
+        rc = cli.main(commands.get(case, evaluate(manifest)))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert self.BAD_INPUT[case].format(missing=missing, bad=bad) in err
+        assert not any(tmp_path.glob("[abr].*"))
+
     def test_utility_zero_epochs_exits_2(self, tmp_path, capsys):
         fit = demo.make_population(20, 8, seed=3, day_step=36)
         write_wide(fit, tmp_path / "fit.csv")
