@@ -18,7 +18,6 @@ from .demo import build_demo_workspace, labelled_gmm_synthetic  # noqa: F401 - p
 from .errors import InvalidConfig, SynthmeterError
 from .profiles import (
     Horizon,
-    Role,
     SplitSpec,
     ingest,
     read_wide,
@@ -67,7 +66,6 @@ def _add_generate(sub) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jitter", type=float, default=0.0, help="memorizer jitter sigma (kWh)")
     p.add_argument("--k", type=int, default=25, help="gmm component count")
-    p.add_argument("--epsilon", type=float, default=None, help="claimed epsilon, recorded only")
     p.add_argument("--output", required=True)
 
 
@@ -172,7 +170,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    data = read_wide(args.input, Role.TRAIN)
+    data = read_wide(args.input)
     train, holdout = split_households(data, SplitSpec(holdout_fraction=args.holdout_fraction, seed=args.seed))
     write_wide(train, args.train_out)
     write_wide(holdout, args.holdout_out)
@@ -184,7 +182,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    train = read_wide(args.train, Role.TRAIN)
+    train = read_wide(args.train)
     spec = poisoning.OutlierSpec(count=args.count, mu=args.mu, sigma=args.sigma, seed=args.seed)
     diff_spec = None
     if args.diff_mu is not None:
@@ -200,7 +198,7 @@ def _cmd_inject(args) -> int:
 def _cmd_generate(args) -> int:
     if args.n < 1:  # before the mixture fit, which would otherwise run first
         raise InvalidConfig(f"--n must be at least 1, got {args.n}")
-    train = read_wide(args.train, Role.TRAIN)
+    train = read_wide(args.train)
     if args.kind == "memorizer":
         config = generators.MemorizerConfig(jitter_sigma=args.jitter, seed=args.seed)
         synthetic = generators.memorizer_generate(train, args.n, config)
@@ -212,14 +210,13 @@ def _cmd_generate(args) -> int:
         clamp = sample.clamp_count
     write_wide(synthetic, args.output)
     note = "" if clamp is None else f" ({clamp} negative draws clamped to 0)"
-    eps = "" if args.epsilon is None else f", claimed epsilon {args.epsilon} recorded only"
-    print(f"generated {args.n} {args.kind} profiles{note}{eps}")
+    print(f"generated {args.n} {args.kind} profiles{note}")
     return 0
 
 
 def _cmd_fidelity(args) -> int:
-    real = read_wide(args.real, Role.TRAIN)
-    synthetic = read_wide(args.synthetic, Role.SYNTHETIC, horizon=real.horizon)
+    real = read_wide(args.real)
+    synthetic = read_wide(args.synthetic, horizon=real.horizon)
     options = report.read_json(args.config) if args.config else {}
     section, _ = report.fidelity_section(options, args.seed, real, synthetic)
     _write_json(args.report, section)
@@ -267,10 +264,10 @@ def _cmd_privacy(args) -> int:
     if hasattr(args, "registry"):
         registry = poisoning.read_registry(args.registry)
     if hasattr(args, "train"):
-        train = read_wide(args.train, Role.TRAIN)
-    synthetic = read_wide(args.synthetic, Role.SYNTHETIC, horizon=None if train is None else train.horizon)
+        train = read_wide(args.train)
+    synthetic = read_wide(args.synthetic, horizon=None if train is None else train.horizon)
     if hasattr(args, "holdout"):
-        holdout = read_wide(args.holdout, Role.HOLDOUT, horizon=synthetic.horizon)
+        holdout = read_wide(args.holdout, horizon=synthetic.horizon)
     section, tables = report.privacy_section(options, args.seed, train, holdout, synthetic, registry)
     _write_json(args.report, section[entry])
     if summary is not None:
@@ -285,9 +282,9 @@ def _cmd_privacy(args) -> int:
 
 
 def _cmd_utility(args) -> int:
-    real_fit = read_wide(args.real_fit, Role.TRAIN)
-    synthetic_fit = read_wide(args.synthetic_fit, Role.SYNTHETIC, horizon=real_fit.horizon)
-    real_eval = read_wide(args.eval, Role.HOLDOUT, horizon=real_fit.horizon)
+    real_fit = read_wide(args.real_fit)
+    synthetic_fit = read_wide(args.synthetic_fit, horizon=real_fit.horizon)
+    real_eval = read_wide(args.eval, horizon=real_fit.horizon)
     task = _TASKS[args.task if args.task == "tstr-classify" else args.kind]
     options = {"tasks": [task], "epochs": args.epochs, "allow_overlap": args.allow_overlap}
     (result,), _ = report.utility_section(options, args.seed, real_fit, synthetic_fit, real_eval)

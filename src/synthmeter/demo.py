@@ -22,7 +22,7 @@ import numpy as np
 
 from . import generators, gmm, poisoning
 from .errors import SynthmeterError
-from .profiles import Horizon, ProfileSet, Role, SplitSpec, SUMMER_AUTUMN, WINTER_SPRING
+from .profiles import Horizon, ProfileSet, SplitSpec, SUMMER_AUTUMN, WINTER_SPRING
 from .profiles import ingest, season_label, split_households, write_wide
 
 _SLOTS = np.arange(48)
@@ -89,7 +89,6 @@ def make_population(
         household_ids=tuple(ids),
         start_dates=tuple(dates),
         horizon=Horizon.DAILY,
-        role=Role.TRAIN,
         labels=tuple(season_label(d) for d in dates),
     )
     return profile_set
@@ -130,7 +129,6 @@ def labelled_gmm_synthetic(train, seed: int = 0):
         household_ids=tuple(f"synfit_{i:06d}" for i in range(len(values))),
         start_dates=(min(train.start_dates),) * len(values),
         horizon=train.horizon,
-        role=Role.SYNTHETIC,
         labels=tuple(labels),
     )
 

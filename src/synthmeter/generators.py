@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gmm
 from .errors import InvalidConfig
-from .profiles import ProfileSet, Role
+from .profiles import ProfileSet
 
 EXTERNAL = "external"
 
@@ -73,7 +73,6 @@ def memorizer_generate(train: ProfileSet, n: int, config: MemorizerConfig) -> Pr
         household_ids=tuple(f"memorizer_{i:06d}" for i in range(n)),
         start_dates=(epoch,) * n,
         horizon=train.horizon,
-        role=Role.SYNTHETIC,
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, TooFewRows
-from .profiles import Horizon, ProfileSet, Role
+from .profiles import Horizon, ProfileSet
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -208,7 +208,6 @@ def sample(model: GmmModel, n: int, seed: int, horizon: Horizon | None = None) -
         household_ids=tuple(f"gmm_{i:06d}" for i in range(n)),
         start_dates=(epoch,) * n,
         horizon=horizon,
-        role=Role.SYNTHETIC,
     )
     return SampleResult(profiles=profiles, clamp_count=clamp_count)
 

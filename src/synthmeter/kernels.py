@@ -438,8 +438,6 @@ def per_slot_statistics(profiles, quantiles: list[float]) -> np.ndarray:
 @dataclass
 class PcaProjection:
     components: np.ndarray  # (2, L)
-    mean: np.ndarray
-    explained_variance: np.ndarray
     projections: list[np.ndarray]  # one (n_i, 2) table per input set
 
 
@@ -469,9 +467,4 @@ def pca_project(fit_on, project: list) -> PcaProjection:
         if components[i, pivot] < 0:
             components[i] = -components[i]
     projections = [(_as_matrix(s) - mean) @ components.T for s in project]
-    return PcaProjection(
-        components=components,
-        mean=mean,
-        explained_variance=eigenvalues[:2],
-        projections=projections,
-    )
+    return PcaProjection(components=components, projections=projections)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidConfig, MalformedRow
-from .profiles import Horizon, ProfileSet, Role, read_wide, require_same_horizon, write_wide
+from .profiles import Horizon, ProfileSet, read_wide, require_same_horizon, write_wide
 
 SEEN = "seen"
 UNSEEN_SAME = "unseen_same"
@@ -58,7 +58,6 @@ def make_outliers(
         household_ids=tuple(f"outlier_{group}_{i:04d}" for i in range(spec.count)),
         start_dates=(_REGISTRY_DATE,) * spec.count,
         horizon=horizon,
-        role=Role.ATTACK,
         labels=(group,) * spec.count,
         artificial=(True,) * spec.count,
     )
@@ -80,7 +79,6 @@ def inject(train: ProfileSet, outliers: ProfileSet, seed: int) -> ProfileSet:
         household_ids=tuple(ids[i] for i in order),
         start_dates=tuple(dates[i] for i in order),
         horizon=train.horizon,
-        role=Role.TRAIN,
         labels=tuple(labels[i] for i in order),
         artificial=tuple(artificial[i] for i in order),
     )
@@ -107,7 +105,6 @@ class OutlierRegistry:
             household_ids=ids,
             start_dates=dates,
             horizon=horizon,
-            role=Role.ATTACK,
             labels=labels,
             artificial=(True,) * len(values),
         )
@@ -150,7 +147,7 @@ def write_registry(registry: OutlierRegistry, path) -> None:
 
 
 def read_registry(path, horizon: Horizon | None = None) -> OutlierRegistry:
-    combined = read_wide(path, role=Role.ATTACK, horizon=horizon, artificial=True)
+    combined = read_wide(path, horizon=horizon, artificial=True)
     groups = {SEEN: [], UNSEEN_SAME: [], UNSEEN_DIFF: []}
     for i, label in enumerate(combined.labels):
         if label not in groups:

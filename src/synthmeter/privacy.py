@@ -195,7 +195,7 @@ def mia_plain(
     attack_x = np.vstack([train_rows, neg_rows])
     truth = np.concatenate([np.ones(len(train_rows), dtype=bool), np.zeros(len(neg_rows), dtype=bool)])
 
-    probs = np.atleast_1d(nnet.forward(trained.model, attack_x))
+    probs = nnet.forward(trained.model, attack_x)
     precision = threshold_precision(probs, truth)
     return MiaResult(
         precision=precision,
@@ -258,7 +258,7 @@ def mia_poisoned(
     if len(holdout) == 0 or len(synthetic) == 0:
         raise InsufficientSamples("holdout and synthetic sets must be non-empty")
     trained = _train_discriminator(synthetic.values, holdout.values, seed=seed)
-    scores = np.atleast_1d(nnet.logits(trained.model, attack.values))
+    scores = nnet.logits(trained.model, attack.values)
     precision = top_fraction_precision(scores, truth)
     return MiaResult(
         precision=precision,

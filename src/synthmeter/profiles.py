@@ -13,7 +13,7 @@ import datetime as dt
 import enum
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,13 +50,6 @@ class Horizon(enum.Enum):
             raise InvalidConfig(f"unknown horizon {name!r}; expected daily or weekly") from None
 
 
-class Role(enum.Enum):
-    TRAIN = "train"
-    HOLDOUT = "holdout"
-    SYNTHETIC = "synthetic"
-    ATTACK = "attack"
-
-
 def season_label(start_date: dt.date) -> str:
     """Season of a profile's first day: WS for Dec-May, SA for Jun-Nov."""
     return WINTER_SPRING if start_date.month in _WS_MONTHS else SUMMER_AUTUMN
@@ -77,7 +70,6 @@ class ProfileSet:
     household_ids: tuple[str, ...]
     start_dates: tuple[dt.date, ...]
     horizon: Horizon
-    role: Role
     labels: tuple[str, ...] = ()
     artificial: tuple[bool, ...] = ()
 
@@ -114,7 +106,7 @@ class ProfileSet:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def subset(self, indices, role: Role | None = None) -> "ProfileSet":
+    def subset(self, indices) -> "ProfileSet":
         idx = np.asarray(indices)
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
@@ -125,13 +117,9 @@ class ProfileSet:
             household_ids=tuple(self.household_ids[i] for i in idx),
             start_dates=tuple(self.start_dates[i] for i in idx),
             horizon=self.horizon,
-            role=role if role is not None else self.role,
             labels=tuple(self.labels[i] for i in idx),
             artificial=tuple(self.artificial[i] for i in idx),
         )
-
-    def with_role(self, role: Role) -> "ProfileSet":
-        return replace(self, role=role)
 
 
 def require_same_horizon(*sets: ProfileSet) -> Horizon:
@@ -256,7 +244,6 @@ def ingest(readings_path, horizon: Horizon) -> IngestResult:
         household_ids=tuple(h for h, _ in kept),
         start_dates=tuple(d for _, d in kept),
         horizon=horizon,
-        role=Role.TRAIN,
         labels=tuple(season_label(d) for _, d in kept),
     )
     return IngestResult(profiles=profile_set, rows_read=rows_read, dropped_periods=dropped)
@@ -279,7 +266,7 @@ def split_households(data: ProfileSet, spec: SplitSpec) -> tuple[ProfileSet, Pro
     order = rng.permutation(n)
     holdout_ids = {households[i] for i in order[:n_holdout]}
     mask = np.array([hid in holdout_ids for hid in data.household_ids])
-    return data.subset(~mask, role=Role.TRAIN), data.subset(mask, role=Role.HOLDOUT)
+    return data.subset(~mask), data.subset(mask)
 
 
 def _slot_columns(length: int) -> list[str]:
@@ -300,12 +287,7 @@ def write_wide(profiles: ProfileSet, path) -> None:
         )
 
 
-def read_wide(
-    path,
-    role: Role,
-    horizon: Horizon | None = None,
-    artificial: bool = False,
-) -> ProfileSet:
+def read_wide(path, horizon: Horizon | None = None, artificial: bool = False) -> ProfileSet:
     """Read a canonical wide profile file.
 
     When ``horizon`` is given, files of the wrong width raise
@@ -362,7 +344,6 @@ def read_wide(
         household_ids=tuple(ids),
         start_dates=tuple(dates),
         horizon=horizon,
-        role=role,
         labels=tuple(labels),
         artificial=(artificial,) * len(rows),
     )

@@ -23,7 +23,7 @@ from . import __version__, fidelity, kernels, nnet, privacy, utility
 from .errors import InvalidConfig, RatioNotComputed, SynthmeterError, check_known
 from .generators import GeneratorMetadata
 from .poisoning import read_registry
-from .profiles import Horizon, Role, read_wide
+from .profiles import Horizon, read_wide
 
 NOT_RUN = {"status": "not_run"}
 
@@ -150,10 +150,8 @@ PRIVACY_ATTACKS = ("recon", "recon_poisoned", "mia", "mia_poisoned")
 PRIVACY_KEYS = (*PRIVACY_ATTACKS, "policy", "sample_size", "threshold_ratios")
 UTILITY_FILES = ("real_fit", "synthetic_fit", "eval")
 UTILITY_KEYS = (*UTILITY_FILES, "tasks", "epochs", "allow_overlap")
-MANIFEST_KEYS = (
-    "horizon", "seed", "train", "holdout", "synthetic", "registry", "generator",
-    "fidelity", "privacy", "utility",
-)
+SUITES = ("fidelity", "privacy", "utility")
+MANIFEST_KEYS = ("horizon", "seed", "train", "holdout", "synthetic", "registry", "generator", *SUITES)
 
 
 def privacy_section(options: dict, seed: int, train, holdout, synthetic, registry):
@@ -243,18 +241,26 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
     output_dir = Path(output_dir) if output_dir else base / "evaluation"
 
     horizon = Horizon.from_name(manifest.get("horizon", "daily"))
-    if seed is None:
-        seed = int(manifest.get("seed", 0))
 
     def options_of(name: str) -> dict:
         section = manifest.get(name)
         return dict(section) if isinstance(section, dict) else {}
 
-    # a switch must be a JSON boolean: the string "no" is truthy
+    # JSON types are checked, not coerced: true is an int and the string "no" is truthy
+    for key, types, expected in [
+        ("seed", (int,), "an integer"),
+        ("generator", (dict,), "an object"),
+        *((name, (dict, bool, type(None)), "an object, true, false or null") for name in SUITES),
+    ]:
+        value = manifest.get(key, types[0]())
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise InvalidConfig(f"manifest key {key!r} must be {expected}, got {value!r}")
     for name, key in [*(("privacy", k) for k in PRIVACY_ATTACKS), ("utility", "allow_overlap")]:
         value = options_of(name).get(key, False)
         if not isinstance(value, bool):
             raise InvalidConfig(f"{name} option {key!r} must be true or false, got {value!r}")
+    if seed is None:
+        seed = manifest.get("seed", 0)
     generator = manifest.get("generator")
     if generator:
         check_known("generator key", generator, [f.name for f in fields(GeneratorMetadata)])
@@ -265,13 +271,13 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
     failures: list[str] = []
     loaded: dict = {}
 
-    def load(digest_key: str, name: str, role: Role):
-        """Read and hash a manifest file once per (path, role), however
-        many manifest keys name it; each key still gets its digest."""
+    def load(digest_key: str, name: str):
+        """Read and hash a manifest file once per path, however many
+        manifest keys name it; each key still gets its digest."""
         path = _resolve(base, name)
-        if (path, role) not in loaded:
-            loaded[path, role] = (read_wide(path, role, horizon=horizon), file_digest(path))
-        profiles, digests[digest_key] = loaded[path, role]
+        if path not in loaded:
+            loaded[path] = (read_wide(path, horizon=horizon), file_digest(path))
+        profiles, digests[digest_key] = loaded[path]
         return profiles
 
     train = holdout = synthetic = None
@@ -280,9 +286,9 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
         for key in ("train", "holdout", "synthetic"):
             if key not in manifest:
                 raise SynthmeterError(f"manifest requires the {key!r} file for fidelity/privacy")
-        train = load("train", manifest["train"], Role.TRAIN)
-        holdout = load("holdout", manifest["holdout"], Role.HOLDOUT)
-        synthetic = load("synthetic", manifest["synthetic"], Role.SYNTHETIC)
+        train = load("train", manifest["train"])
+        holdout = load("holdout", manifest["holdout"])
+        synthetic = load("synthetic", manifest["synthetic"])
     if manifest.get("registry"):
         digests["registry"] = file_digest(_resolve(base, manifest["registry"]))
 
@@ -316,9 +322,9 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
         for key in UTILITY_FILES:
             if key not in options:
                 raise SynthmeterError(f"utility section requires the {key!r} file")
-        real_fit = load("utility_real_fit", options["real_fit"], Role.TRAIN)
-        synthetic_fit = load("utility_synthetic_fit", options["synthetic_fit"], Role.SYNTHETIC)
-        real_eval = load("utility_eval", options["eval"], Role.HOLDOUT)
+        real_fit = load("utility_real_fit", options["real_fit"])
+        synthetic_fit = load("utility_synthetic_fit", options["synthetic_fit"])
+        real_eval = load("utility_eval", options["eval"])
         return utility_section(options, seed, real_fit, synthetic_fit, real_eval)
 
     for name, run in (("fidelity", run_fidelity), ("privacy", run_privacy), ("utility", run_utility)):

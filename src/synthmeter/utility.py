@@ -134,7 +134,7 @@ def _tstr(
     x_eval, y_eval = task.arrays(real_eval)
 
     def score(model: nnet.MlpModel) -> float:
-        return task.metric(np.atleast_1d(nnet.forward(model, x_eval)), y_eval, config.pinball_q)
+        return task.metric(nnet.forward(model, x_eval), y_eval, config.pinball_q)
 
     model = nnet.init_model([x_eval.shape[1], *task.hidden, 1], head=task.head, seed=config.seed)
 

@@ -5,10 +5,10 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from synthmeter.profiles import Horizon, ProfileSet, Role
+from synthmeter.profiles import Horizon, ProfileSet
 
 
-def profile_set(values, role=Role.TRAIN, horizon=None, labels=None, start_dates=None, artificial=False):
+def profile_set(values, horizon=None, labels=None, start_dates=None, artificial=False):
     """Wrap a raw value matrix in a ProfileSet with generated metadata."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
@@ -23,7 +23,6 @@ def profile_set(values, role=Role.TRAIN, horizon=None, labels=None, start_dates=
         household_ids=tuple(f"h{i:05d}" for i in range(n)),
         start_dates=tuple(start_dates),
         horizon=horizon,
-        role=role,
         labels=tuple(labels) if labels is not None else (),
         artificial=(artificial,) * n,
     )

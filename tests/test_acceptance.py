@@ -17,7 +17,7 @@ import pytest
 from synthmeter import cli, demo, fidelity, gmm, kernels, nnet, privacy, report, utility
 from synthmeter.generators import MemorizerConfig, gmm_generate, memorizer_generate
 from synthmeter.poisoning import OutlierSpec, inject, make_attack_registry
-from synthmeter.profiles import Horizon, ProfileSet, Role, SplitSpec, split_households
+from synthmeter.profiles import Horizon, ProfileSet, SplitSpec, split_households
 
 from conftest import profile_set
 from test_nnet import gradient_check
@@ -308,7 +308,7 @@ def test_criterion_08_plain_mia_and_ks_sanity():
 def test_criterion_09_fidelity_identity_and_monotonicity():
     real = demo.make_population(120, 10, seed=21)
     config = fidelity.FidelityConfig(clusters_k=25, seed=0)
-    identity = fidelity.evaluate_fidelity(real, real.with_role(Role.SYNTHETIC), config)
+    identity = fidelity.evaluate_fidelity(real, real, config)
     identity_ok = (
         abs(identity.acf_mmd) <= 1e-10
         and identity.mean_deviation_sum <= 1e-9
@@ -326,7 +326,6 @@ def test_criterion_09_fidelity_identity_and_monotonicity():
     for sigma in (0.05, 0.1, 0.2):
         jittered = profile_set(
             np.maximum(real.values + rng.normal(0, sigma, real.values.shape), 0.0),
-            role=Role.SYNTHETIC,
         )
         profile_mmd = kernels.mmd2_rbf(real.values, jittered.values).mmd2
         peaks_mmd = kernels.mmd2_rbf(
@@ -347,14 +346,14 @@ def test_criterion_10_tstr_controls():
     evaluation = demo.make_population(60, 10, seed=32, day_step=36, start=dt.date(2014, 1, 2))
 
     classify = utility.tstr_classify(
-        fit, fit.with_role(Role.SYNTHETIC), evaluation, nnet.TrainConfig(loss=nnet.BCE, seed=0)
+        fit, fit, evaluation, nnet.TrainConfig(loss=nnet.BCE, seed=0)
     )
     forecast = utility.tstr_forecast_mean(
-        fit, fit.with_role(Role.SYNTHETIC), evaluation, nnet.TrainConfig(loss=nnet.MSE, seed=0)
+        fit, fit, evaluation, nnet.TrainConfig(loss=nnet.MSE, seed=0)
     )
     quantile = utility.tstr_forecast_quantile(
         fit,
-        fit.with_role(Role.SYNTHETIC),
+        fit,
         evaluation,
         nnet.TrainConfig(loss=nnet.PINBALL, pinball_q=0.95, seed=0),
     )
@@ -372,7 +371,6 @@ def test_criterion_10_tstr_controls():
         household_ids=fit.household_ids,
         start_dates=fit.start_dates,
         horizon=fit.horizon,
-        role=Role.SYNTHETIC,
         labels=fit.labels,
     )
     damaged = utility.tstr_forecast_mean(
@@ -395,7 +393,7 @@ def test_criterion_11_scale_free_radius():
     synthetic_values = np.maximum(rng.normal(5.0, 1.5, size=(400, 48)), 0.0)
     base = privacy.reconstruction_poisoned(
         registry,
-        profile_set(synthetic_values, role=Role.SYNTHETIC),
+        profile_set(synthetic_values),
         privacy.ReconstructionConfig(synthetic_sample_size=400),
     )
     stable = True
@@ -405,13 +403,12 @@ def test_criterion_11_scale_free_radius():
         )
         scaled_registry.seen_outliers = profile_set(
             registry.seen_outliers.values * c,
-            role=Role.ATTACK,
             labels=registry.seen_outliers.labels,
             artificial=True,
         )
         scaled = privacy.reconstruction_poisoned(
             scaled_registry,
-            profile_set(synthetic_values * c, role=Role.SYNTHETIC),
+            profile_set(synthetic_values * c),
             privacy.ReconstructionConfig(synthetic_sample_size=400),
         )
         stable &= bool(

@@ -6,7 +6,7 @@ import pytest
 from synthmeter import demo, fidelity, gmm, kernels
 from synthmeter.errors import InvalidConfig
 from synthmeter.generators import MemorizerConfig, gmm_generate, memorizer_generate
-from synthmeter.profiles import ProfileSet, Role
+from synthmeter.profiles import ProfileSet
 
 from conftest import profile_set
 
@@ -19,10 +19,6 @@ def real_set():
 @pytest.fixture(scope="module")
 def config():
     return fidelity.FidelityConfig(clusters_k=8, seed=0)
-
-
-def copy_as_synthetic(ps: ProfileSet) -> ProfileSet:
-    return ps.with_role(Role.SYNTHETIC)
 
 
 def fit_mixture(real: ProfileSet, config: fidelity.FidelityConfig) -> gmm.GmmModel:
@@ -66,7 +62,7 @@ def test_evaluate_fidelity_predicts_and_summarises_each_set_once(real_set, confi
 
 class TestIdentity:
     def test_all_metrics_zero_on_identical_sets(self, real_set, config):
-        report = fidelity.evaluate_fidelity(real_set, copy_as_synthetic(real_set), config)
+        report = fidelity.evaluate_fidelity(real_set, real_set, config)
         assert abs(report.acf_mmd) <= 1e-10
         assert report.mean_deviation_sum == 0.0
         assert all(v == 0.0 for v in report.quantile_deviation_sums.values())
@@ -85,7 +81,6 @@ class TestDeviationSums:
             household_ids=real_set.household_ids,
             start_dates=real_set.start_dates,
             horizon=real_set.horizon,
-            role=Role.SYNTHETIC,
             labels=real_set.labels,
         )
         report = fidelity.evaluate_fidelity(real_set, shifted, config)
@@ -98,8 +93,8 @@ class TestAcfFidelity:
     def test_slot_permutation_increases_distance(self, real_set, config):
         rng = np.random.default_rng(0)
         permuted_values = np.stack([rng.permutation(row) for row in real_set.values])
-        permuted = profile_set(permuted_values, role=Role.SYNTHETIC)
-        base = fidelity.evaluate_fidelity(real_set, copy_as_synthetic(real_set), config).acf_mmd
+        permuted = profile_set(permuted_values)
+        base = fidelity.evaluate_fidelity(real_set, real_set, config).acf_mmd
         worse = fidelity.evaluate_fidelity(real_set, permuted, config).acf_mmd
         assert worse > base + 1e-6
 
@@ -113,14 +108,14 @@ class TestAcfFidelity:
 
 class TestPeaksFidelity:
     def test_circular_shift_increases_distance(self, real_set, config):
-        shifted = profile_set(np.roll(real_set.values, 12, axis=1), role=Role.SYNTHETIC)
-        base = fidelity.evaluate_fidelity(real_set, copy_as_synthetic(real_set), config).peaks_mmd
+        shifted = profile_set(np.roll(real_set.values, 12, axis=1))
+        base = fidelity.evaluate_fidelity(real_set, real_set, config).peaks_mmd
         worse = fidelity.evaluate_fidelity(real_set, shifted, config).peaks_mmd
         assert worse > base + 1e-6
 
     def test_doubled_magnitude_increases_distance(self, real_set, config):
-        doubled = profile_set(real_set.values * 2.0, role=Role.SYNTHETIC)
-        base = fidelity.evaluate_fidelity(real_set, copy_as_synthetic(real_set), config).peaks_mmd
+        doubled = profile_set(real_set.values * 2.0)
+        base = fidelity.evaluate_fidelity(real_set, real_set, config).peaks_mmd
         worse = fidelity.evaluate_fidelity(real_set, doubled, config).peaks_mmd
         assert worse > base + 1e-6
 
@@ -130,7 +125,7 @@ class TestClusterFidelity:
         model = fit_mixture(real_set, config)
         labels = gmm.predict(model, real_set).labels
         biggest = np.bincount(labels, minlength=model.k).argmax()
-        collapsed = real_set.subset(labels == biggest, role=Role.SYNTHETIC)
+        collapsed = real_set.subset(labels == biggest)
         kl_small_smoothing = fidelity.evaluate_fidelity(
             real_set, collapsed, fidelity.FidelityConfig(clusters_k=8, seed=0, kl_smoothing=1e-9)
         ).cluster_kl
@@ -144,7 +139,7 @@ class TestClusterFidelity:
 class TestAggregated:
     def test_k1_closed_form(self, real_set):
         config = fidelity.FidelityConfig(clusters_k=1, seed=0)
-        doubled = profile_set(real_set.values * 2.0, role=Role.SYNTHETIC)
+        doubled = profile_set(real_set.values * 2.0)
         result = fidelity.evaluate_fidelity(real_set, doubled, config).aggregated
         total = real_set.values.sum(axis=0)
         # one cluster: synthetic total is 2x, rescale factor n/n = 1
@@ -158,7 +153,7 @@ class TestAggregated:
         model = fit_mixture(real_set, config)
         labels = gmm.predict(model, real_set).labels
         keep = labels == np.bincount(labels, minlength=model.k).argmax()
-        collapsed = real_set.subset(keep, role=Role.SYNTHETIC)
+        collapsed = real_set.subset(keep)
         result = fidelity.evaluate_fidelity(real_set, collapsed, config).aggregated
         populated_real = len(np.unique(labels))
         assert result.empty_synthetic_clusters == populated_real - 1
@@ -171,7 +166,7 @@ class TestWeeklyHorizon:
         values = np.maximum(rng.normal(0.3, 0.15, size=(40, 336)), 0.0)
         weekly = profile_set(values)
         config = fidelity.FidelityConfig(clusters_k=4, seed=0)
-        result = fidelity.evaluate_fidelity(weekly, weekly.with_role(Role.SYNTHETIC), config)
+        result = fidelity.evaluate_fidelity(weekly, weekly, config)
         assert abs(result.profile_mmd) <= 1e-10
         assert result.mean_deviation_sum == 0.0
 
@@ -182,11 +177,10 @@ class TestProperties:
         rng = np.random.default_rng(5)
         noisy = profile_set(
             np.maximum(real_set.values + rng.normal(0, 0.05, real_set.values.shape), 0.0),
-            role=Role.SYNTHETIC,
         )
         base = fidelity.evaluate_fidelity(real_set, noisy, config).aggregated
         scaled_real = profile_set(real_set.values * 3.0)
-        scaled_syn = profile_set(noisy.values * 3.0, role=Role.SYNTHETIC)
+        scaled_syn = profile_set(noisy.values * 3.0)
         scaled = fidelity.evaluate_fidelity(scaled_real, scaled_syn, config).aggregated
         assert scaled.cluster_total_mae == pytest.approx(3.0 * base.cluster_total_mae, rel=0.2)
 
@@ -194,7 +188,6 @@ class TestProperties:
         rng = np.random.default_rng(11)
         noisy = profile_set(
             np.maximum(real_set.values + rng.normal(0, 0.1, real_set.values.shape), 0.0),
-            role=Role.SYNTHETIC,
         )
         base = kernels.mmd2_rbf(real_set.values, noisy.values, 1.0).mmd2
         permuted = kernels.mmd2_rbf(
@@ -210,7 +203,6 @@ class TestProperties:
         for sigma in (0.05, 0.1, 0.2):
             jittered = profile_set(
                 np.maximum(real_set.values + rng.normal(0, sigma, real_set.values.shape), 0.0),
-                role=Role.SYNTHETIC,
             )
             profile_mmd = kernels.mmd2_rbf(real_set.values, jittered.values).mmd2
             peaks_mmd = fidelity.evaluate_fidelity(real_set, jittered, config).peaks_mmd

@@ -4,7 +4,6 @@ import numpy as np
 
 from synthmeter import gmm, kernels
 from synthmeter.generators import MemorizerConfig, gmm_generate, memorizer_generate
-from synthmeter.profiles import Role
 
 from conftest import profile_set
 
@@ -14,7 +13,6 @@ class TestMemorizer:
         out = memorizer_generate(small_population, 200, MemorizerConfig(jitter_sigma=0.0, seed=1))
         train_rows = {tuple(row) for row in small_population.values}
         assert all(tuple(row) in train_rows for row in out.values)
-        assert out.role is Role.SYNTHETIC
 
     def test_sequential_identity(self, small_population):
         n = len(small_population)

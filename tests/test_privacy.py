@@ -7,7 +7,7 @@ from synthmeter import demo, gmm, privacy
 from synthmeter.errors import InsufficientSamples, InvalidConfig
 from synthmeter.generators import MemorizerConfig, gmm_generate, memorizer_generate
 from synthmeter.poisoning import OutlierSpec, make_attack_registry
-from synthmeter.profiles import Horizon, Role, SplitSpec, split_households
+from synthmeter.profiles import Horizon, SplitSpec, split_households
 
 from conftest import profile_set
 
@@ -51,12 +51,12 @@ class TestReconstructionKs:
 
 class TestReconstructionPoisoned:
     def test_verbatim_outliers_fully_reconstructed(self, registry):
-        synthetic = registry.seen_outliers.with_role(Role.SYNTHETIC)
+        synthetic = registry.seen_outliers
         result = privacy.reconstruction_poisoned(registry, synthetic)
         assert all(v == 1.0 for v in result.fraction_reconstructed.values())
 
     def test_zero_synthetic_reconstructs_only_at_one(self, registry):
-        synthetic = profile_set(np.zeros((20, 48)), role=Role.SYNTHETIC)
+        synthetic = profile_set(np.zeros((20, 48)))
         result = privacy.reconstruction_poisoned(registry, synthetic)
         for ratio, fraction in result.fraction_reconstructed.items():
             if ratio < 1.0:
@@ -67,7 +67,7 @@ class TestReconstructionPoisoned:
     def test_cdf_monotone(self, registry):
         rng = np.random.default_rng(0)
         synthetic = profile_set(
-            np.maximum(rng.normal(4.0, 2.0, size=(100, 48)), 0.0), role=Role.SYNTHETIC
+            np.maximum(rng.normal(4.0, 2.0, size=(100, 48)), 0.0)
         )
         result = privacy.reconstruction_poisoned(registry, synthetic)
         ordered = [result.fraction_reconstructed[r] for r in sorted(result.fraction_reconstructed)]
@@ -76,7 +76,7 @@ class TestReconstructionPoisoned:
     def test_fraction_matches_ratio_vector(self, registry):
         rng = np.random.default_rng(1)
         synthetic = profile_set(
-            np.maximum(rng.normal(5.0, 1.5, size=(60, 48)), 0.0), role=Role.SYNTHETIC
+            np.maximum(rng.normal(5.0, 1.5, size=(60, 48)), 0.0)
         )
         result = privacy.reconstruction_poisoned(registry, synthetic)
         for ratio, fraction in result.fraction_reconstructed.items():
@@ -87,17 +87,17 @@ class TestReconstructionPoisoned:
         rng = np.random.default_rng(2)
         synthetic_values = np.maximum(rng.normal(5.0, 1.0, size=(40, 48)), 0.0)
         base = privacy.reconstruction_poisoned(
-            registry, profile_set(synthetic_values, role=Role.SYNTHETIC)
+            registry, profile_set(synthetic_values)
         )
         scaled_registry = make_attack_registry(
             OutlierSpec(count=50, mu=6.0, sigma=1.0, seed=13), Horizon.DAILY
         )
         scaled_registry.seen_outliers = profile_set(
-            registry.seen_outliers.values * scale, role=Role.ATTACK, artificial=True,
+            registry.seen_outliers.values * scale, artificial=True,
             labels=registry.seen_outliers.labels,
         )
         scaled = privacy.reconstruction_poisoned(
-            scaled_registry, profile_set(synthetic_values * scale, role=Role.SYNTHETIC)
+            scaled_registry, profile_set(synthetic_values * scale)
         )
         np.testing.assert_allclose(
             scaled.per_outlier_nn_distance_ratio,
@@ -110,11 +110,11 @@ class TestReconstructionPoisoned:
         near = np.maximum(rng.normal(5.5, 1.0, size=(30, 48)), 0.0)
         far = np.full((10, 48), 100.0)
         base = privacy.reconstruction_poisoned(
-            registry, profile_set(near, role=Role.SYNTHETIC),
+            registry, profile_set(near),
             privacy.ReconstructionConfig(synthetic_sample_size=30),
         )
         extended = privacy.reconstruction_poisoned(
-            registry, profile_set(np.vstack([near, far]), role=Role.SYNTHETIC),
+            registry, profile_set(np.vstack([near, far])),
             privacy.ReconstructionConfig(synthetic_sample_size=40),
         )
         np.testing.assert_array_equal(
@@ -125,11 +125,11 @@ class TestReconstructionPoisoned:
         rng = np.random.default_rng(4)
         values = np.maximum(rng.normal(5.0, 1.0, size=(50, 48)), 0.0)
         base = privacy.reconstruction_poisoned(
-            registry, profile_set(values, role=Role.SYNTHETIC),
+            registry, profile_set(values),
             privacy.ReconstructionConfig(synthetic_sample_size=50),
         )
         permuted = privacy.reconstruction_poisoned(
-            registry, profile_set(values[rng.permutation(50)], role=Role.SYNTHETIC),
+            registry, profile_set(values[rng.permutation(50)]),
             privacy.ReconstructionConfig(synthetic_sample_size=50),
         )
         np.testing.assert_allclose(
@@ -144,7 +144,7 @@ class TestReconstructionPoisoned:
 
     def test_sample_size_of_one_accepted(self, registry):
         result = privacy.reconstruction_poisoned(
-            registry, profile_set(np.zeros((5, 48)), role=Role.SYNTHETIC),
+            registry, profile_set(np.zeros((5, 48))),
             privacy.ReconstructionConfig(synthetic_sample_size=1),
         )
         assert len(result.per_outlier_nn_distance_ratio) == len(registry.seen_outliers)
@@ -251,7 +251,7 @@ class TestMiaPlain:
         # an untrained (zero-epoch equivalent) discriminator: force the
         # degenerate path by training on identical positives and negatives
         train, holdout = split_population
-        synthetic = holdout.subset(range(len(holdout) // 2), role=Role.SYNTHETIC)
+        synthetic = holdout.subset(range(len(holdout) // 2))
         result = privacy.mia_plain(train, holdout, synthetic, seed=0)
         assert 0.0 <= result.precision <= 1.0
 
@@ -263,7 +263,7 @@ class TestMiaPlain:
 
     def test_holdout_too_small(self, split_population):
         train, _ = split_population
-        tiny = train.subset([0, 1], role=Role.HOLDOUT)
+        tiny = train.subset([0, 1])
         synthetic = memorizer_generate(train, 50, MemorizerConfig(0.0, seed=0))
         with pytest.raises(InsufficientSamples):
             privacy.mia_plain(train, tiny, synthetic, seed=0)

@@ -22,7 +22,6 @@ from synthmeter.profiles import (
     Horizon,
     IngestResult,
     ProfileSet,
-    Role,
     SplitSpec,
     _parse_timestamp,
     _slot_columns,
@@ -129,7 +128,6 @@ def reference_ingest(readings_path, horizon):
         household_ids=tuple(h for h, _, _ in kept),
         start_dates=tuple(d for _, d, _ in kept),
         horizon=horizon,
-        role=Role.TRAIN,
         labels=tuple(season_label(d) for _, d, _ in kept),
     )
     return IngestResult(profiles=profile_set, rows_read=rows_read, dropped_periods=dropped)
@@ -393,17 +391,17 @@ class TestWideFormat:
     def test_round_trip_identical(self, small_population, tmp_path):
         path = tmp_path / "wide.csv"
         write_wide(small_population, path)
-        again = read_wide(path, Role.TRAIN)
+        again = read_wide(path)
         assert np.array_equal(again.values, small_population.values)
         assert again.household_ids == small_population.household_ids
         assert again.start_dates == small_population.start_dates
         assert again.labels == small_population.labels
 
-    def test_read_applies_role_and_horizon(self, small_population, tmp_path):
+    def test_read_applies_horizon(self, small_population, tmp_path):
         path = tmp_path / "synthetic.csv"
         write_wide(small_population, path)
-        loaded = read_wide(path, Role.SYNTHETIC, horizon=Horizon.DAILY)
-        assert loaded.role is Role.SYNTHETIC
+        loaded = read_wide(path, horizon=Horizon.DAILY)
+        assert loaded.horizon is Horizon.DAILY
         assert len(loaded) == len(small_population)
 
     def test_header_width_checked(self, tmp_path):
@@ -411,7 +409,7 @@ class TestWideFormat:
         cols = ",".join(f"hh_{i:02d}" for i in range(47))
         path.write_text(f"household_id,start_date,label,{cols}\n")
         with pytest.raises(HorizonMismatch):
-            read_wide(path, Role.SYNTHETIC, horizon=Horizon.DAILY)
+            read_wide(path, horizon=Horizon.DAILY)
 
     def test_bad_value_reports_line(self, tmp_path):
         source = profile_set(np.full((2, 48), 0.4))
@@ -423,7 +421,7 @@ class TestWideFormat:
         lines[2] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedRow) as err:
-            read_wide(path, Role.TRAIN)
+            read_wide(path)
         assert err.value.line == 3
 
 
@@ -457,7 +455,6 @@ class TestProfileSet:
                 household_ids=("a",),
                 start_dates=(dt.date(2012, 1, 1),),
                 horizon=Horizon.DAILY,
-                role=Role.TRAIN,
             )
 
 
@@ -484,7 +481,6 @@ class TestSplitHouseholds:
             household_ids=tuple(f"h{i}" for i in range(100)),
             start_dates=(dt.date(2012, 1, 1),) * 100,
             horizon=Horizon.DAILY,
-            role=Role.TRAIN,
         )
         train, holdout = split_households(ps, SplitSpec(holdout_fraction=0.2, seed=0))
         assert len(set(train.household_ids)) == 80
@@ -504,7 +500,6 @@ class TestSplitHouseholds:
             household_ids=tuple(f"h{i}" for i in range(20)),
             start_dates=(dt.date(2012, 1, 1),) * 20,
             horizon=Horizon.DAILY,
-            role=Role.TRAIN,
         )
         train, holdout = split_households(ps, SplitSpec(holdout_fraction=fraction, seed=seed))
         assert set(train.household_ids).isdisjoint(holdout.household_ids)

@@ -12,7 +12,7 @@ from synthmeter import cli, demo, fidelity, gmm, kernels, privacy, report
 from synthmeter.errors import RatioNotComputed
 from synthmeter.generators import MemorizerConfig, memorizer_generate
 from synthmeter.poisoning import OutlierSpec, make_attack_registry, write_registry
-from synthmeter.profiles import Horizon, Role, SplitSpec, read_wide, split_households, write_wide
+from synthmeter.profiles import Horizon, SplitSpec, read_wide, split_households, write_wide
 
 
 @pytest.fixture(scope="module")
@@ -229,18 +229,19 @@ class TestRunFullEvaluation:
                 "holdout": "holdout.csv",
                 "synthetic": "synthetic.csv",
                 "privacy": {"recon": True},
-                "utility": {"real_fit": "train.csv", "synthetic_fit": "synthetic.csv",
+                "utility": {"real_fit": "synthetic.csv", "synthetic_fit": "train.csv",
                             "eval": "missing.csv", "allow_overlap": True},
             },
             name="repeated.json",
         )
         outcome = report.run_full_evaluation(manifest, output_dir=tmp_path / "out")
-        # train.csv is the TRAIN set twice and synthetic.csv the SYNTHETIC set twice
+        # train.csv is also the synthetic fit set and synthetic.csv the real fit set:
+        # a file is read once per path, whatever data each key names it as
         assert calls["read_wide"] == ["train.csv", "holdout.csv", "synthetic.csv", "missing.csv"]
         assert calls["file_digest"] == ["train.csv", "holdout.csv", "synthetic.csv"]
         digests = outcome.report["input_digests"]
-        assert digests["utility_real_fit"] == digests["train"]
-        assert digests["utility_synthetic_fit"] == digests["synthetic"]
+        assert digests["utility_synthetic_fit"] == digests["train"]
+        assert digests["utility_real_fit"] == digests["synthetic"]
         # the unreadable utility file fails only its own section
         assert outcome.report["utility"]["status"] == "failed"
         assert "statistic" in outcome.report["privacy"]["ks"]
@@ -270,8 +271,8 @@ class TestCli:
             ]
         )
         assert rc == 0
-        train = read_wide(tmp_path / "train.csv", Role.TRAIN)
-        holdout = read_wide(tmp_path / "holdout.csv", Role.HOLDOUT)
+        train = read_wide(tmp_path / "train.csv")
+        holdout = read_wide(tmp_path / "holdout.csv")
         assert set(train.household_ids).isdisjoint(holdout.household_ids)
 
     def test_inject_generate_attack_pipeline(self, tmp_path):
@@ -408,8 +409,8 @@ class TestCli:
         )
         assert rc == 0
         payload = json.loads((tmp_path / "fidelity.json").read_text())
-        real = read_wide(tmp_path / "real.csv", Role.TRAIN)
-        synthetic = read_wide(tmp_path / "synthetic.csv", Role.SYNTHETIC, horizon=real.horizon)
+        real = read_wide(tmp_path / "real.csv")
+        synthetic = read_wide(tmp_path / "synthetic.csv", horizon=real.horizon)
         fixed, median = (
             fidelity.evaluate_fidelity(
                 real, synthetic, fidelity.FidelityConfig(clusters_k=4, mmd_bandwidth=bandwidth, seed=0)
@@ -523,6 +524,10 @@ class TestCli:
         "recon_switch": "privacy option 'recon' must be true or false, got 'no'",
         "allow_overlap_switch": "utility option 'allow_overlap' must be true or false, got 'no'",
         "generator_key": "unknown generator key 'claimed_epsilonn'; did you mean 'claimed_epsilon'?",
+        "seed_string": "manifest key 'seed' must be an integer, got 'x'",
+        "seed_bool": "manifest key 'seed' must be an integer, got True",
+        "generator_bool": "manifest key 'generator' must be an object, got True",
+        "privacy_string": "manifest key 'privacy' must be an object, true, false or null, got 'yes'",
     }
 
     @pytest.mark.parametrize("case", list(BAD_INPUT))
@@ -544,6 +549,10 @@ class TestCli:
             "recon_switch": {"privacy": {"recon": "no", "mia": True}},
             "allow_overlap_switch": {"utility": {"allow_overlap": "no"}},
             "generator_key": {"generator": {"name": "x", "claimed_epsilonn": 1.0}},
+            "seed_string": {"seed": "x"},
+            "seed_bool": {"seed": True},
+            "generator_bool": {"generator": True},
+            "privacy_string": {"privacy": "yes"},
         }
         manifest = write_manifest(tmp_path, {**files, "fidelity": True, **overrides.get(case, {})})
         out = ["--report", str(tmp_path / "r.json")]

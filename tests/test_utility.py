@@ -8,7 +8,7 @@ import pytest
 
 from synthmeter import demo, nnet, utility
 from synthmeter.errors import HorizonMismatch, MissingLabels, NonFiniteLoss, NonFiniteValue
-from synthmeter.profiles import ProfileSet, Role
+from synthmeter.profiles import ProfileSet
 
 from conftest import profile_set
 
@@ -28,7 +28,7 @@ def fast_config():
 class TestClassify:
     def test_same_data_control_zero_gap(self, season_sets, fast_config):
         fit, evaluation = season_sets
-        result = utility.tstr_classify(fit, fit.with_role(Role.SYNTHETIC), evaluation, fast_config)
+        result = utility.tstr_classify(fit, fit, evaluation, fast_config)
         # identical data, identical seeds: the two arms are bit-identical
         assert result.absolute_gap == 0.0
         assert result.metric_name == "accuracy"
@@ -36,14 +36,13 @@ class TestClassify:
     def test_constant_input_collapses_to_majority(self, season_sets, fast_config):
         fit, evaluation = season_sets
         constant = profile_set(
-            np.tile(fit.values.mean(axis=0), (len(fit), 1)), role=Role.SYNTHETIC,
+            np.tile(fit.values.mean(axis=0), (len(fit), 1)),
         )
         constant = ProfileSet(
             values=constant.values,
             household_ids=constant.household_ids,
             start_dates=constant.start_dates,
             horizon=constant.horizon,
-            role=Role.SYNTHETIC,
             labels=fit.labels,
         )
         result = utility.tstr_classify(fit, constant, evaluation, fast_config)
@@ -53,13 +52,13 @@ class TestClassify:
 
     def test_missing_labels(self, season_sets, fast_config):
         fit, evaluation = season_sets
-        unlabelled = profile_set(fit.values, role=Role.SYNTHETIC)
+        unlabelled = profile_set(fit.values)
         with pytest.raises(MissingLabels):
             utility.tstr_classify(fit, unlabelled, evaluation, fast_config)
 
     def test_epochs_trace_shape(self, season_sets, fast_config):
         fit, evaluation = season_sets
-        result = utility.tstr_classify(fit, fit.with_role(Role.SYNTHETIC), evaluation, fast_config)
+        result = utility.tstr_classify(fit, fit, evaluation, fast_config)
         assert len(result.epochs_trace) == fast_config.epochs
         epochs = [e for e, _, _ in result.epochs_trace]
         assert epochs == list(range(fast_config.epochs))
@@ -73,9 +72,9 @@ class TestForecastMean:
         values = np.maximum(rng.normal(0.4, 0.2, size=(3600, 48)), 0.0)
         values[:, 47] = values[:, 46]
         fit = profile_set(values[:3000])
-        evaluation = profile_set(values[3000:], role=Role.HOLDOUT)
+        evaluation = profile_set(values[3000:])
         config = nnet.TrainConfig(loss=nnet.MSE, epochs=200, seed=0, learning_rate=0.01)
-        result = utility.tstr_forecast_mean(fit, fit.with_role(Role.SYNTHETIC), evaluation, config)
+        result = utility.tstr_forecast_mean(fit, fit, evaluation, config)
         assert result.score_real_trained <= 0.05
         assert result.absolute_gap == 0.0
 
@@ -84,10 +83,10 @@ class TestForecastMean:
         values = np.maximum(rng.normal(0.4, 0.2, size=(600, 48)), 0.0)
         values[:, 47] = values[:, 46]
         fit = profile_set(values[:400])
-        evaluation = profile_set(values[400:], role=Role.HOLDOUT)
+        evaluation = profile_set(values[400:])
         destroyed_values = values[:400].copy()
         destroyed_values[:, 47] = rng.permutation(destroyed_values[:, 47])
-        destroyed = profile_set(destroyed_values, role=Role.SYNTHETIC)
+        destroyed = profile_set(destroyed_values)
         config = nnet.TrainConfig(loss=nnet.MSE, epochs=60, seed=0, learning_rate=0.02)
         result = utility.tstr_forecast_mean(fit, destroyed, evaluation, config)
         assert result.score_synthetic_trained > result.score_real_trained
@@ -96,7 +95,7 @@ class TestForecastMean:
         weekly = profile_set(np.full((10, 336), 0.2))
         with pytest.raises(HorizonMismatch):
             utility.tstr_forecast_mean(
-                weekly, weekly.with_role(Role.SYNTHETIC), weekly.with_role(Role.HOLDOUT)
+                weekly, weekly, weekly
             )
 
 
@@ -106,11 +105,11 @@ class TestForecastQuantile:
         values = np.full((800, 48), 0.3)
         values[:, 47] = rng.gamma(2.0, 0.2, size=800)
         fit = profile_set(values[:600])
-        evaluation = profile_set(values[600:], role=Role.HOLDOUT)
+        evaluation = profile_set(values[600:])
         config = nnet.TrainConfig(
             loss=nnet.PINBALL, pinball_q=0.95, epochs=300, seed=0, learning_rate=0.02
         )
-        result = utility.tstr_forecast_quantile(fit, fit.with_role(Role.SYNTHETIC), evaluation, config)
+        result = utility.tstr_forecast_quantile(fit, fit, evaluation, config)
         y_eval = evaluation.values[:, 47]
         optimum = np.quantile(values[:600, 47], 0.95)
         optimal_loss = nnet.pinball_loss(y_eval, np.full_like(y_eval, optimum), 0.95).mean()
@@ -121,11 +120,11 @@ class TestForecastQuantile:
         values = np.full((800, 48), 0.3)
         values[:, 47] = 0.5 + rng.normal(0, 0.1, size=800)  # symmetric noise
         fit = profile_set(np.maximum(values[:600], 0))
-        evaluation = profile_set(np.maximum(values[600:], 0), role=Role.HOLDOUT)
+        evaluation = profile_set(np.maximum(values[600:], 0))
         config = nnet.TrainConfig(
             loss=nnet.PINBALL, pinball_q=0.5, epochs=200, seed=0, learning_rate=0.02
         )
-        result = utility.tstr_forecast_quantile(fit, fit.with_role(Role.SYNTHETIC), evaluation, config)
+        result = utility.tstr_forecast_quantile(fit, fit, evaluation, config)
         model_prediction_loss = result.score_real_trained
         median_loss = nnet.pinball_loss(
             evaluation.values[:, 47], np.full(len(evaluation), 0.5), 0.5
@@ -142,7 +141,6 @@ class TestArmsSymmetry:
             household_ids=fit.household_ids,
             start_dates=fit.start_dates,
             horizon=fit.horizon,
-            role=Role.SYNTHETIC,
             labels=fit.labels,
         )
         first = utility.tstr_classify(fit, jittered, evaluation, fast_config)
@@ -201,8 +199,8 @@ def _forecast_sets(synthetic_scale=1.0, synthetic_rows=200):
     rng = np.random.default_rng(21)
     values = np.maximum(rng.normal(0.4, 0.2, size=(500, 48)), 0.0)
     real = profile_set(values[:200])
-    synthetic = profile_set(values[200 : 200 + synthetic_rows] * synthetic_scale, role=Role.SYNTHETIC)
-    return real, synthetic, profile_set(values[400:], role=Role.HOLDOUT)
+    synthetic = profile_set(values[200 : 200 + synthetic_rows] * synthetic_scale)
+    return real, synthetic, profile_set(values[400:])
 
 
 def _arm_error(name, profiles, config):
@@ -222,7 +220,7 @@ class TestLockstepArms:
         fit, evaluation = season_sets
         rng = np.random.default_rng(16)
         jittered = replace(
-            fit, values=np.maximum(fit.values + rng.normal(0, 0.05, fit.values.shape), 0.0), role=Role.SYNTHETIC
+            fit, values=np.maximum(fit.values + rng.normal(0, 0.05, fit.values.shape), 0.0)
         )
         result = utility.tstr_classify(fit, jittered, evaluation, fast_config)
         assert stacked_calls == [1]
@@ -255,7 +253,7 @@ class TestLockstepArms:
         real, _, evaluation = _forecast_sets(synthetic_scale=3.0)
         config = nnet.TrainConfig(loss=nnet.MSE, epochs=29, seed=0, learning_rate=10.0)
         with pytest.raises(NonFiniteValue, match="forecast_mean: the real-trained arm's rmse is not finite"):
-            utility.tstr_forecast_mean(real, real.with_role(Role.SYNTHETIC), evaluation, config)
+            utility.tstr_forecast_mean(real, real, evaluation, config)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_both_arms_diverge_raises_the_real_arms_error(self, stacked_calls):
