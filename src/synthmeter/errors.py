@@ -39,7 +39,7 @@ class NonFiniteValue(SynthmeterError):
 
 
 class NegativeValue(SynthmeterError, ValueError):
-    """A real (not injected) profile holds a negative kWh value."""
+    """A profile holds a negative kWh value."""
 
 
 class EmptyResult(SynthmeterError):

@@ -59,7 +59,18 @@ def make_outliers(
         start_dates=(_REGISTRY_DATE,) * spec.count,
         horizon=horizon,
         labels=(group,) * spec.count,
-        artificial=(True,) * spec.count,
+    )
+
+
+def _concat(*sets: ProfileSet) -> ProfileSet:
+    """The rows of ``sets`` in order, with their ids, dates and labels."""
+    horizon = require_same_horizon(*sets)  # before vstack, whose own error would hide the cause
+    return ProfileSet(
+        values=np.vstack([s.values for s in sets]),
+        household_ids=tuple(h for s in sets for h in s.household_ids),
+        start_dates=tuple(d for s in sets for d in s.start_dates),
+        horizon=horizon,
+        labels=tuple(l for s in sets for l in s.labels),
     )
 
 
@@ -67,21 +78,8 @@ def inject(train: ProfileSet, outliers: ProfileSet, seed: int) -> ProfileSet:
     """Union of train and outliers, shuffled by seed; never mutates inputs."""
     if len(outliers) == 0:
         return train
-    require_same_horizon(train, outliers)
-    values = np.vstack([train.values, outliers.values])
-    ids = train.household_ids + outliers.household_ids
-    dates = train.start_dates + outliers.start_dates
-    labels = train.labels + outliers.labels
-    artificial = train.artificial + outliers.artificial
-    order = np.random.default_rng(seed).permutation(len(values))
-    return ProfileSet(
-        values=values[order],
-        household_ids=tuple(ids[i] for i in order),
-        start_dates=tuple(dates[i] for i in order),
-        horizon=train.horizon,
-        labels=tuple(labels[i] for i in order),
-        artificial=tuple(artificial[i] for i in order),
-    )
+    union = _concat(train, outliers)
+    return union.subset(np.random.default_rng(seed).permutation(len(union)))
 
 
 @dataclass
@@ -94,22 +92,8 @@ class OutlierRegistry:
 
     def attack_set(self) -> tuple[ProfileSet, np.ndarray]:
         """All registry rows in fixed group order plus boolean membership labels."""
-        sets = [self.seen_outliers, self.unseen_same_dist, self.unseen_diff_dist]
-        horizon = require_same_horizon(*sets)
-        values = np.vstack([s.values for s in sets])
-        ids = tuple(h for s in sets for h in s.household_ids)
-        dates = tuple(d for s in sets for d in s.start_dates)
-        labels = tuple(l for s in sets for l in s.labels)
-        combined = ProfileSet(
-            values=values,
-            household_ids=ids,
-            start_dates=dates,
-            horizon=horizon,
-            labels=labels,
-            artificial=(True,) * len(values),
-        )
-        truth = np.array([label == SEEN for label in labels])
-        return combined, truth
+        combined = _concat(self.seen_outliers, self.unseen_same_dist, self.unseen_diff_dist)
+        return combined, np.array([label == SEEN for label in combined.labels])
 
 
 def make_attack_registry(
@@ -147,7 +131,7 @@ def write_registry(registry: OutlierRegistry, path) -> None:
 
 
 def read_registry(path, horizon: Horizon | None = None) -> OutlierRegistry:
-    combined = read_wide(path, horizon=horizon, artificial=True)
+    combined = read_wide(path, horizon=horizon)
     groups = {SEEN: [], UNSEEN_SAME: [], UNSEEN_DIFF: []}
     for i, label in enumerate(combined.labels):
         if label not in groups:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import kernels, nnet
-from .errors import InsufficientSamples, InvalidConfig
+from .errors import DegenerateInput, InsufficientSamples, InvalidConfig
 from .poisoning import OutlierRegistry
 from .profiles import ProfileSet, require_same_horizon
 
@@ -131,10 +131,16 @@ def reconstruction_poisoned(
     if len(outliers) == 0 or len(synthetic) == 0:
         raise InsufficientSamples("registry outliers and synthetic set must be non-empty")
     require_same_horizon(outliers, synthetic)
+    norms = np.linalg.norm(outliers.values, axis=1)
+    if not norms.all():
+        row = int(np.argmin(norms))
+        raise DegenerateInput(
+            f"registry outlier row {row} (household {outliers.household_ids[row]}) is all zero; "
+            "its distance ratio is undefined"
+        )
     sample_size = _sample_size(config.synthetic_sample_size, synthetic)
     sample = _downsample(synthetic.values, sample_size, np.random.default_rng(config.seed))
     nn = kernels.nearest_neighbor_distances(outliers, sample)
-    norms = np.linalg.norm(outliers.values, axis=1)
     ratios = nn.nn_distance / norms
     fractions = {r: float((ratios <= r).mean()) for r in config.threshold_ratios}
     return ReconstructionResult(

@@ -61,9 +61,8 @@ class ProfileSet:
 
     ``values`` has shape (n, horizon.length); rows are kWh per half-hour.
     ``labels`` holds free-form row tags ("" when absent): season labels
-    WS/SA for real data, registry group tags for attack sets.
-    ``artificial`` marks injected rows, which are exempt from the
-    non-negativity check. Every value must be finite.
+    WS/SA for real data, registry group tags for attack sets. Every value
+    must be finite and non-negative.
     """
 
     values: np.ndarray
@@ -71,7 +70,6 @@ class ProfileSet:
     start_dates: tuple[dt.date, ...]
     horizon: Horizon
     labels: tuple[str, ...] = ()
-    artificial: tuple[bool, ...] = ()
 
     def __post_init__(self):
         values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
@@ -82,13 +80,11 @@ class ProfileSet:
             )
         n = values.shape[0]
         labels = self.labels if self.labels else ("",) * n
-        artificial = self.artificial if self.artificial else (False,) * n
-        if not (len(self.household_ids) == len(self.start_dates) == len(labels) == len(artificial) == n):
+        if not (len(self.household_ids) == len(self.start_dates) == len(labels) == n):
             raise ValueError("metadata lengths do not match the number of profile rows")
-        real = ~np.asarray(artificial, dtype=bool)
         for error, kind, bad in (
             (NonFiniteValue, "non-finite", ~np.isfinite(values).all(axis=1)),
-            (NegativeValue, "negative", (values < 0).any(axis=1) & real),
+            (NegativeValue, "negative", (values < 0).any(axis=1)),
         ):
             if bad.any():
                 row = int(np.argmax(bad))
@@ -101,7 +97,6 @@ class ProfileSet:
         object.__setattr__(self, "household_ids", tuple(self.household_ids))
         object.__setattr__(self, "start_dates", tuple(self.start_dates))
         object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "artificial", tuple(artificial))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -118,7 +113,6 @@ class ProfileSet:
             start_dates=tuple(self.start_dates[i] for i in idx),
             horizon=self.horizon,
             labels=tuple(self.labels[i] for i in idx),
-            artificial=tuple(self.artificial[i] for i in idx),
         )
 
 
@@ -287,7 +281,7 @@ def write_wide(profiles: ProfileSet, path) -> None:
         )
 
 
-def read_wide(path, horizon: Horizon | None = None, artificial: bool = False) -> ProfileSet:
+def read_wide(path, horizon: Horizon | None = None) -> ProfileSet:
     """Read a canonical wide profile file.
 
     When ``horizon`` is given, files of the wrong width raise
@@ -345,5 +339,4 @@ def read_wide(path, horizon: Horizon | None = None, artificial: bool = False) ->
         start_dates=tuple(dates),
         horizon=horizon,
         labels=tuple(labels),
-        artificial=(artificial,) * len(rows),
     )

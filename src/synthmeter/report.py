@@ -154,6 +154,29 @@ SUITES = ("fidelity", "privacy", "utility")
 MANIFEST_KEYS = ("horizon", "seed", "train", "holdout", "synthetic", "registry", "generator", *SUITES)
 
 
+def _is(value, *types) -> bool:
+    """isinstance for a JSON value, where a boolean is no int or float."""
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
+# (section, key, accepts its JSON value, expected); section None is the manifest's top level
+VALUE_TYPES = [
+    (None, "seed", lambda v: _is(v, int), "an integer"),
+    (None, "generator", lambda v: _is(v, dict), "an object"),
+    *((None, s, lambda v: _is(v, dict, bool, type(None)), "an object, true, false or null") for s in SUITES),
+    *((name, key, lambda v: _is(v, bool), "true or false")
+      for name, key in [*(("privacy", k) for k in PRIVACY_ATTACKS), ("utility", "allow_overlap")]),
+    ("privacy", "sample_size", lambda v: _is(v, int, type(None)), "an integer or null"),
+    ("privacy", "threshold_ratios", lambda v: _is(v, list) and all(_is(r, int, float) for r in v),
+     "a list of numbers"),
+    ("privacy", "policy",
+     lambda v: _is(v, dict) and all(_is(v.get(k), int, float) for k in ("ratio", "max_fraction")),
+     "an object with numeric ratio and max_fraction"),
+    ("utility", "epochs", lambda v: _is(v, int), "an integer"),
+    ("utility", "tasks", lambda v: _is(v, list) and all(_is(t, str) for t in v), "a list of strings"),
+]
+
+
 def privacy_section(options: dict, seed: int, train, holdout, synthetic, registry):
     """Run the attacks ``options`` switches on; the others read ``not_run``.
 
@@ -247,18 +270,11 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
         return dict(section) if isinstance(section, dict) else {}
 
     # JSON types are checked, not coerced: true is an int and the string "no" is truthy
-    for key, types, expected in [
-        ("seed", (int,), "an integer"),
-        ("generator", (dict,), "an object"),
-        *((name, (dict, bool, type(None)), "an object, true, false or null") for name in SUITES),
-    ]:
-        value = manifest.get(key, types[0]())
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-            raise InvalidConfig(f"manifest key {key!r} must be {expected}, got {value!r}")
-    for name, key in [*(("privacy", k) for k in PRIVACY_ATTACKS), ("utility", "allow_overlap")]:
-        value = options_of(name).get(key, False)
-        if not isinstance(value, bool):
-            raise InvalidConfig(f"{name} option {key!r} must be true or false, got {value!r}")
+    for name, key, accepts, expected in VALUE_TYPES:
+        scope = manifest if name is None else options_of(name)
+        if key in scope and not accepts(scope[key]):
+            where = "manifest key" if name is None else f"{name} option"
+            raise InvalidConfig(f"{where} {key!r} must be {expected}, got {scope[key]!r}")
     if seed is None:
         seed = manifest.get("seed", 0)
     generator = manifest.get("generator")

@@ -8,7 +8,7 @@ import pytest
 from synthmeter.profiles import Horizon, ProfileSet
 
 
-def profile_set(values, horizon=None, labels=None, start_dates=None, artificial=False):
+def profile_set(values, horizon=None, labels=None, start_dates=None):
     """Wrap a raw value matrix in a ProfileSet with generated metadata."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
@@ -24,7 +24,6 @@ def profile_set(values, horizon=None, labels=None, start_dates=None, artificial=
         start_dates=tuple(start_dates),
         horizon=horizon,
         labels=tuple(labels) if labels is not None else (),
-        artificial=(artificial,) * n,
     )
 
 

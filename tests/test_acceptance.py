@@ -404,7 +404,6 @@ def test_criterion_11_scale_free_radius():
         scaled_registry.seen_outliers = profile_set(
             registry.seen_outliers.values * c,
             labels=registry.seen_outliers.labels,
-            artificial=True,
         )
         scaled = privacy.reconstruction_poisoned(
             scaled_registry,

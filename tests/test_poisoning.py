@@ -31,10 +31,6 @@ class TestMakeOutliers:
         out = make_outliers(OutlierSpec(count=100, mu=6.0, sigma=1.0, seed=3), Horizon.DAILY)
         assert np.all(out.values > 0)  # a clamp would be a six-sigma event
 
-    def test_marked_artificial(self):
-        out = make_outliers(OutlierSpec(count=2, seed=0), Horizon.DAILY)
-        assert all(out.artificial)
-
 
 class TestInject:
     def test_empty_injection_returns_train(self, small_population):

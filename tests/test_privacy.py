@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from synthmeter import demo, gmm, privacy
-from synthmeter.errors import InsufficientSamples, InvalidConfig
+from synthmeter.errors import DegenerateInput, InsufficientSamples, InvalidConfig
 from synthmeter.generators import MemorizerConfig, gmm_generate, memorizer_generate
 from synthmeter.poisoning import OutlierSpec, make_attack_registry
 from synthmeter.profiles import Horizon, SplitSpec, split_households
@@ -64,6 +66,13 @@ class TestReconstructionPoisoned:
         # the zero row sits exactly at distance ||x||: ratio 1.0 counts
         assert result.fraction_reconstructed[1.0] == 1.0
 
+    def test_zero_norm_outlier_names_first_zero_row(self, registry):
+        values = registry.seen_outliers.values.copy()
+        values[[2, 4]] = 0.0  # make_outliers clamps a spec with mu well below 0 to this
+        zeroed = replace(registry, seen_outliers=profile_set(values))
+        with pytest.raises(DegenerateInput, match=r"row 2 \(household h00002\) is all zero"):
+            privacy.reconstruction_poisoned(zeroed, registry.unseen_same_dist)
+
     def test_cdf_monotone(self, registry):
         rng = np.random.default_rng(0)
         synthetic = profile_set(
@@ -93,8 +102,7 @@ class TestReconstructionPoisoned:
             OutlierSpec(count=50, mu=6.0, sigma=1.0, seed=13), Horizon.DAILY
         )
         scaled_registry.seen_outliers = profile_set(
-            registry.seen_outliers.values * scale, artificial=True,
-            labels=registry.seen_outliers.labels,
+            registry.seen_outliers.values * scale, labels=registry.seen_outliers.labels,
         )
         scaled = privacy.reconstruction_poisoned(
             scaled_registry, profile_set(synthetic_values * scale)

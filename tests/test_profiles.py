@@ -426,23 +426,20 @@ class TestWideFormat:
 
 
 class TestProfileSet:
-    def test_negative_values_rejected_unless_artificial(self):
+    def test_negative_values_rejected(self):
         values = np.full((5, 48), 0.4)
         values[3, 17] = values[4, 0] = -1.0
         with pytest.raises(NegativeValue, match=r"row 3 \(household h00003, 2012-01-04\)") as err:
             profile_set(values)
         assert isinstance(err.value, ValueError)
-        ps = profile_set(values, artificial=True)
-        assert ps.artificial == (True,) * 5
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("artificial", [False, True])
-    def test_non_finite_values_rejected(self, bad, artificial):
+    def test_non_finite_values_rejected(self, bad):
         values = np.full((5, 48), 0.4)
         values[3, 17] = bad
         values[4, 0] = bad
         with pytest.raises(SynthmeterError, match=r"row 3 \(household h00003, 2012-01-04\)"):
-            profile_set(values, artificial=artificial)
+            profile_set(values)
 
     def test_values_immutable(self, small_population):
         with pytest.raises(ValueError):

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -528,17 +530,35 @@ class TestCli:
         "seed_bool": "manifest key 'seed' must be an integer, got True",
         "generator_bool": "manifest key 'generator' must be an object, got True",
         "privacy_string": "manifest key 'privacy' must be an object, true, false or null, got 'yes'",
+        "negative_registry": "negative kWh in profile row 2 (household outlier_seen_0002, 2000-01-01)",
+        "zero_norm_registry": "registry outlier row 2 (household outlier_seen_0002) is all zero",
+        "sample_size_string": "privacy option 'sample_size' must be an integer or null, got '5'",
+        "sample_size_float": "privacy option 'sample_size' must be an integer or null, got 5.5",
+        "ratios_string": "privacy option 'threshold_ratios' must be a list of numbers, got '0.3'",
+        "policy_no_max_fraction": "privacy option 'policy' must be an object with numeric ratio and max_fraction",
+        "policy_list": "privacy option 'policy' must be an object with numeric ratio and max_fraction, got [0.3",
+        "epochs_string": "utility option 'epochs' must be an integer, got 'ten'",
+        "tasks_string": "utility option 'tasks' must be a list of strings, got 'classify'",
     }
 
     @pytest.mark.parametrize("case", list(BAD_INPUT))
     def test_bad_input_exits_2_naming_its_cause(self, workspace, tmp_path, capsys, case):
-        files = {name: str(workspace / f"{name}.csv") for name in ("train", "holdout", "synthetic")}
-        lines = (workspace / "train.csv").read_text().splitlines()
-        row = lines[3].split(",")
-        row[10] = "-0.5"
-        lines[3] = ",".join(row)
-        negative = tmp_path / "negative.csv"
-        negative.write_text("\n".join(lines) + "\n")
+        files = {name: str(workspace / f"{name}.csv") for name in ("train", "holdout", "synthetic", "registry")}
+        fit = {"real_fit": files["train"], "synthetic_fit": files["synthetic"], "eval": files["holdout"],
+               "allow_overlap": True}
+
+        def edited(name, slots, value):
+            """A copy of a workspace file whose profile row 2 reads ``value`` in ``slots``."""
+            lines = (workspace / f"{name}.csv").read_text().splitlines()
+            row = lines[3].split(",")
+            for slot in slots:
+                row[3 + slot] = value
+            lines[3] = ",".join(row)
+            path = tmp_path / f"{name}_{value}.csv"
+            path.write_text("\n".join(lines) + "\n")
+            return str(path)
+
+        negative = edited("train", [7], "-0.5")
         bad = tmp_path / "bad.json"
         bad.write_text('{"fidelity": true,')
         missing = tmp_path / "missing"
@@ -553,6 +573,13 @@ class TestCli:
             "seed_bool": {"seed": True},
             "generator_bool": {"generator": True},
             "privacy_string": {"privacy": "yes"},
+            "sample_size_string": {"privacy": {"recon": True, "sample_size": "5"}},
+            "sample_size_float": {"privacy": {"recon": True, "sample_size": 5.5}},
+            "ratios_string": {"privacy": {"recon_poisoned": True, "threshold_ratios": "0.3"}},
+            "policy_no_max_fraction": {"privacy": {"recon_poisoned": True, "policy": {"ratio": 0.3}}},
+            "policy_list": {"privacy": {"recon_poisoned": True, "policy": [0.3, 0.0]}},
+            "epochs_string": {"utility": {**fit, "epochs": "ten"}},
+            "tasks_string": {"utility": {**fit, "tasks": "classify"}},
         }
         manifest = write_manifest(tmp_path, {**files, "fidelity": True, **overrides.get(case, {})})
         out = ["--report", str(tmp_path / "r.json")]
@@ -560,7 +587,12 @@ class TestCli:
         def evaluate(path):
             return ["evaluate", "--manifest", str(path), "--output-dir", str(tmp_path / "out")]
 
+        def recon_poisoned(registry):
+            return ["privacy", "recon-poisoned", "--registry", registry, "--synthetic", files["synthetic"], *out]
+
         commands = {
+            "negative_registry": recon_poisoned(edited("registry", [7], "-0.5")),
+            "zero_norm_registry": recon_poisoned(edited("registry", range(48), "0.0")),
             "negative_fidelity": ["fidelity", "--real", str(negative), "--synthetic", files["synthetic"], *out],
             "negative_split": ["split", "--input", str(negative), "--holdout-fraction", "0.5",
                                "--train-out", str(tmp_path / "a.csv"), "--holdout-out", str(tmp_path / "b.csv")],
@@ -707,16 +739,35 @@ def test_subcommand_writes_its_evaluate_entry(demo_evaluation, tmp_path, command
     assert json.loads(out.read_text()) == evaluated[section][key]
 
 
-def test_trace_targets_resolve():
-    """Every (module, function) the benchmark tracer wraps exists, so a
-    rename cannot silently break ``perfbench/run.py --trace 1``."""
+@pytest.fixture(scope="module")
+def trace_targets():
+    """``perfbench/tracing.py``'s TARGETS, loaded read-only from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing.TARGETS
+
+
+def test_trace_targets_resolve(trace_targets):
+    """Every (module, function) the benchmark tracer wraps exists, so a
+    rename cannot silently break ``perfbench/run.py --trace 1``."""
     missing = [
         f"{mod}.{fn}"
-        for mod, fn, _, _ in tracing.TARGETS
+        for mod, fn, _, _ in trace_targets
         if not callable(getattr(importlib.import_module(f"synthmeter.{mod}"), fn, None))
     ]
     assert missing == []
+
+
+def test_trace_counters_read_parameters(trace_targets):
+    """Every ``args["name"]`` a tracer counter reads is a parameter of the
+    function it counts, so a renamed parameter cannot crash a traced run."""
+    unknown = []
+    for mod, fn, _, counter in trace_targets:
+        if counter is None:
+            continue
+        params = inspect.signature(getattr(importlib.import_module(f"synthmeter.{mod}"), fn)).parameters
+        read = re.findall(r'args\["(\w+)"\]', inspect.getsource(counter))
+        unknown += [f"{mod}.{fn}: {name}" for name in read if name not in params]
+    assert unknown == []
