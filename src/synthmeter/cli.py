@@ -26,6 +26,13 @@ from .profiles import (
 )
 
 
+def _seed(text: str) -> int:
+    """argparse type of every --seed: numpy takes only non-negative seeds."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _horizon_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--horizon", choices=["daily", "weekly"], default="daily")
 
@@ -41,7 +48,7 @@ def _add_split(sub) -> None:
     p = sub.add_parser("split", help="split profiles into train/holdout households")
     p.add_argument("--input", required=True)
     p.add_argument("--holdout-fraction", type=float, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--train-out", required=True)
     p.add_argument("--holdout-out", required=True)
 
@@ -53,7 +60,7 @@ def _add_inject(sub) -> None:
     p.add_argument("--mu", type=float, default=6.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--diff-mu", type=float, default=None, help="different-distribution mean (default 2*mu)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--poisoned-out", required=True)
     p.add_argument("--registry-out", required=True)
 
@@ -63,7 +70,7 @@ def _add_generate(sub) -> None:
     p.add_argument("--kind", choices=["memorizer", "gmm"], required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--jitter", type=float, default=0.0, help="memorizer jitter sigma (kWh)")
     p.add_argument("--k", type=int, default=25, help="gmm component count")
     p.add_argument("--output", required=True)
@@ -74,7 +81,7 @@ def _add_fidelity(sub) -> None:
     p.add_argument("--real", required=True)
     p.add_argument("--synthetic", required=True)
     p.add_argument("--config", default=None, help="JSON file of FidelityConfig overrides")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--report", required=True)
 
 
@@ -94,7 +101,7 @@ def _add_privacy(sub) -> None:
             parser.add_argument("--ratios", default=None, help="start:stop:step, e.g. 0.05:1.0:0.05")
         if name.startswith("recon"):
             parser.add_argument("--sample-size", type=int, default=None)
-        parser.add_argument("--seed", type=int, default=None)
+        parser.add_argument("--seed", type=_seed, default=None)
         parser.add_argument("--report", required=True)
         if name == "recon-poisoned":
             parser.add_argument("--curve-out", default=None, help="ratio,fraction table path")
@@ -110,7 +117,7 @@ def _add_utility(sub) -> None:
     for parser in (cls, fc):
         for name in ("--real-fit", "--synthetic-fit", "--eval"):
             parser.add_argument(name, required=True)
-        parser.add_argument("--seed", type=int, default=None)
+        parser.add_argument("--seed", type=_seed, default=None)
         parser.add_argument("--epochs", type=int, default=50)
         parser.add_argument("--allow-overlap", action="store_true")
         parser.add_argument("--report", required=True)
@@ -120,7 +127,7 @@ def _add_evaluate(sub) -> None:
     p = sub.add_parser("evaluate", help="run every suite a manifest requests")
     p.add_argument("--manifest", required=True, help="manifest JSON, or 'demo' for the bundled fixture")
     p.add_argument("--output-dir", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
 
 
 def _add_demo(sub) -> None:
@@ -128,13 +135,13 @@ def _add_demo(sub) -> None:
     p.add_argument("--output-dir", required=True)
     p.add_argument("--households", type=int, default=250)
     p.add_argument("--days", type=int, default=20)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="synthmeter", description=__doc__)
     parser.add_argument("--version", action="version", version=f"synthmeter {__version__}")
-    parser.add_argument("--seed", type=int, default=None, dest="global_seed",
+    parser.add_argument("--seed", type=_seed, default=None, dest="global_seed",
                         help="default seed for any subcommand that does not set its own")
     parser.add_argument("--output-dir", default=None, dest="global_output_dir",
                         help="default output directory for evaluate/demo")
@@ -218,6 +225,7 @@ def _cmd_fidelity(args) -> int:
     real = read_wide(args.real)
     synthetic = read_wide(args.synthetic, horizon=real.horizon)
     options = report.read_json(args.config) if args.config else {}
+    report.check_options("fidelity", options)
     section, _ = report.fidelity_section(options, args.seed, real, synthetic)
     _write_json(args.report, section)
     print(f"fidelity report written to {args.report}")

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import generators, gmm, poisoning
-from .errors import SynthmeterError
+from .errors import InvalidConfig, SynthmeterError
 from .profiles import Horizon, ProfileSet, SplitSpec, SUMMER_AUTUMN, WINTER_SPRING
 from .profiles import ingest, season_label, split_households, write_wide
 
@@ -138,6 +138,9 @@ def build_demo_workspace(
 ) -> Path:
     """Materialise the bundled end-to-end demo: ingest -> split -> inject ->
     generate -> manifest. Returns the manifest path."""
+    for name, value in (("households", households), ("days", days)):
+        if value < 1:
+            raise InvalidConfig(f"{name} must be at least 1, got {value}")
     target = Path(target)
     target.mkdir(parents=True, exist_ok=True)
 

@@ -14,12 +14,12 @@ order, and fits one mixture model on the real set for metrics 4 and 5.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import gmm, kernels
-from .errors import DegenerateInput, InvalidConfig, check_known
+from .errors import DegenerateInput, InvalidConfig
 from .profiles import ProfileSet, require_same_horizon
 
 
@@ -34,6 +34,7 @@ class FidelityConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "quantiles", tuple(self.quantiles))  # a JSON list arrives as a list
         if self.acf_max_lag < 1 or self.peaks_n < 1 or self.clusters_k < 1:
             raise InvalidConfig("acf_max_lag, peaks_n and clusters_k must be positive")
         for q in self.quantiles:
@@ -52,27 +53,6 @@ class FidelityConfig:
                 f"mmd_bandwidth must be {kernels.MEDIAN_HEURISTIC!r} or a positive finite number,"
                 f" got {bandwidth!r}"
             )
-
-    @classmethod
-    def from_options(cls, options: dict, seed: int) -> FidelityConfig:
-        """Config from a JSON mapping (a manifest section or a CLI config
-        file); absent keys keep their defaults, unknown keys are rejected."""
-        check_known("fidelity option", options, (f.name for f in fields(cls) if f.name != "seed"))
-        defaults = cls()
-        try:
-            return cls(
-                acf_max_lag=int(options.get("acf_max_lag", defaults.acf_max_lag)),
-                quantiles=tuple(float(q) for q in options.get("quantiles", defaults.quantiles)),
-                peaks_n=int(options.get("peaks_n", defaults.peaks_n)),
-                clusters_k=int(options.get("clusters_k", defaults.clusters_k)),
-                mmd_bandwidth=options.get("mmd_bandwidth", defaults.mmd_bandwidth),
-                kl_smoothing=float(options.get("kl_smoothing", defaults.kl_smoothing)),
-                seed=seed,
-            )
-        except InvalidConfig:
-            raise
-        except (TypeError, ValueError) as exc:  # a value int() or float() cannot convert
-            raise InvalidConfig(f"fidelity options: {exc}") from None
 
 
 @dataclass

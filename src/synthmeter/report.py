@@ -14,7 +14,7 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +120,7 @@ def _resolve(base: Path, value: str) -> Path:
 def fidelity_section(options: dict, seed: int, train, synthetic):
     """Run the fidelity metrics; returns the section and its side tables
     (per-slot statistics and PCA coordinates)."""
-    config = fidelity.FidelityConfig.from_options(options, seed)
+    config = fidelity.FidelityConfig(**options, seed=seed)
     result = fidelity.evaluate_fidelity(train, synthetic, config)
 
     quantiles = list(config.quantiles)
@@ -147,11 +147,8 @@ def fidelity_section(options: dict, seed: int, train, synthetic):
 
 
 PRIVACY_ATTACKS = ("recon", "recon_poisoned", "mia", "mia_poisoned")
-PRIVACY_KEYS = (*PRIVACY_ATTACKS, "policy", "sample_size", "threshold_ratios")
 UTILITY_FILES = ("real_fit", "synthetic_fit", "eval")
-UTILITY_KEYS = (*UTILITY_FILES, "tasks", "epochs", "allow_overlap")
 SUITES = ("fidelity", "privacy", "utility")
-MANIFEST_KEYS = ("horizon", "seed", "train", "holdout", "synthetic", "registry", "generator", *SUITES)
 
 
 def _is(value, *types) -> bool:
@@ -159,22 +156,65 @@ def _is(value, *types) -> bool:
     return isinstance(value, types) and (bool in types or not isinstance(value, bool))
 
 
-# (section, key, accepts its JSON value, expected); section None is the manifest's top level
-VALUE_TYPES = [
-    (None, "seed", lambda v: _is(v, int), "an integer"),
-    (None, "generator", lambda v: _is(v, dict), "an object"),
-    *((None, s, lambda v: _is(v, dict, bool, type(None)), "an object, true, false or null") for s in SUITES),
-    *((name, key, lambda v: _is(v, bool), "true or false")
-      for name, key in [*(("privacy", k) for k in PRIVACY_ATTACKS), ("utility", "allow_overlap")]),
-    ("privacy", "sample_size", lambda v: _is(v, int, type(None)), "an integer or null"),
-    ("privacy", "threshold_ratios", lambda v: _is(v, list) and all(_is(r, int, float) for r in v),
-     "a list of numbers"),
-    ("privacy", "policy",
-     lambda v: _is(v, dict) and all(_is(v.get(k), int, float) for k in ("ratio", "max_fraction")),
-     "an object with numeric ratio and max_fraction"),
-    ("utility", "epochs", lambda v: _is(v, int), "an integer"),
-    ("utility", "tasks", lambda v: _is(v, list) and all(_is(t, str) for t in v), "a list of strings"),
-]
+def _list_of(*types, empty: bool = True):
+    return lambda v: _is(v, list) and (empty or len(v) > 0) and all(_is(x, *types) for x in v)
+
+
+_NUMBER, _NULL = (int, float), type(None)
+_SWITCH = (lambda v: _is(v, bool), "true or false")
+_INTEGER = (lambda v: _is(v, int), "an integer")
+_TEXT = (lambda v: _is(v, str), "a string")
+_CLAIM = (lambda v: _is(v, *_NUMBER, _NULL), "a number or null")
+
+# section -> (the noun its errors use, {key: (accepts its JSON value, expected)});
+# JSON types are checked, not coerced: true is an int and the string "no" is truthy
+OPTIONS = {
+    "manifest": ("manifest key", {
+        "horizon": _TEXT,
+        "seed": (lambda v: _is(v, int) and v >= 0, "a non-negative integer"),
+        **dict.fromkeys(("train", "holdout", "synthetic", "registry"), _TEXT),
+        "generator": (lambda v: _is(v, dict), "an object"),
+        **dict.fromkeys(SUITES, (lambda v: _is(v, dict, bool, _NULL), "an object, true, false or null")),
+    }),
+    "generator": ("generator key", {
+        "name": _TEXT, "kind": _TEXT, "claimed_epsilon": _CLAIM, "claimed_delta": _CLAIM, "notes": _TEXT,
+    }),
+    "fidelity": ("fidelity option", {
+        **dict.fromkeys(("acf_max_lag", "peaks_n", "clusters_k"), _INTEGER),
+        "quantiles": (_list_of(*_NUMBER), "a list of numbers"),
+        "mmd_bandwidth": (lambda v: v == kernels.MEDIAN_HEURISTIC or _is(v, *_NUMBER),
+                          f"a number or {kernels.MEDIAN_HEURISTIC!r}"),
+        "kl_smoothing": (lambda v: _is(v, *_NUMBER), "a number"),
+    }),
+    "privacy": ("privacy option", {
+        **dict.fromkeys(PRIVACY_ATTACKS, _SWITCH),
+        "policy": (lambda v: _is(v, dict) and all(_is(v.get(k), *_NUMBER) for k in ("ratio", "max_fraction")),
+                   "an object with numeric ratio and max_fraction"),
+        "sample_size": (lambda v: _is(v, int, _NULL), "an integer or null"),
+        "threshold_ratios": (_list_of(*_NUMBER, empty=False), "a non-empty list of numbers"),
+    }),
+    "utility": ("utility option", {
+        **dict.fromkeys(UTILITY_FILES, _TEXT),
+        "tasks": (_list_of(str, empty=False), "a non-empty list of strings"),
+        "epochs": _INTEGER,
+        "allow_overlap": _SWITCH,
+    }),
+}
+
+
+def check_options(section: str, options) -> None:
+    """Reject a manifest section or ``fidelity --config`` file that is no JSON object,
+    names an unknown key or task, or gives a key a value of the wrong JSON type."""
+    noun, entries = OPTIONS[section]
+    if not isinstance(options, dict):
+        raise InvalidConfig(f"{noun}s must be given as a JSON object, got {options!r}")
+    check_known(noun, options, entries)
+    for key, value in options.items():
+        accepts, expected = entries[key]
+        if not accepts(value):
+            raise InvalidConfig(f"{noun} {key!r} must be {expected}, got {value!r}")
+    if section == "utility":
+        check_known("utility task", options.get("tasks", ()), utility.TASKS)
 
 
 def privacy_section(options: dict, seed: int, train, holdout, synthetic, registry):
@@ -183,7 +223,6 @@ def privacy_section(options: dict, seed: int, train, holdout, synthetic, registr
     Returns the section and its side tables (the reconstruction curve).
     ``registry`` may be None when no poisoned attack is on.
     """
-    check_known("privacy option", options, PRIVACY_KEYS)
     out = {key: dict(NOT_RUN) for key in ("ks", "reconstruction", "mia_plain", "mia_poisoned")}
     tables = {}
 
@@ -195,11 +234,8 @@ def privacy_section(options: dict, seed: int, train, holdout, synthetic, registr
         out["ks"] = ks.as_dict()
 
     if options.get("recon_poisoned"):
-        ratios = options.get("threshold_ratios")
         config = privacy.ReconstructionConfig(
-            threshold_ratios=tuple(float(r) for r in ratios)
-            if ratios
-            else privacy.default_threshold_ratios(),
+            threshold_ratios=options.get("threshold_ratios", privacy.default_threshold_ratios()),
             synthetic_sample_size=options.get("sample_size"),
             seed=seed,
         )
@@ -229,9 +265,7 @@ def utility_section(options: dict, seed: int, real_fit, synthetic_fit, real_eval
 
     Returns the list of task results and their epoch traces as side tables.
     """
-    check_known("utility option", options, UTILITY_KEYS)
     tasks = options.get("tasks", list(utility.TASKS))
-    check_known("utility task", tasks, utility.TASKS)
     overlap = {d.year for d in real_fit.start_dates} & {d.year for d in real_eval.start_dates}
     if overlap and not options.get("allow_overlap", False):
         raise SynthmeterError(
@@ -239,7 +273,7 @@ def utility_section(options: dict, seed: int, real_fit, synthetic_fit, real_eval
             "set allow_overlap (--allow-overlap on the command line) to override"
         )
 
-    epochs = int(options.get("epochs", 50))
+    epochs = options.get("epochs", 50)
     results, tables = [], {}
     for name in tasks:
         task = utility.TASKS[name]
@@ -259,7 +293,10 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
     """
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)
-    check_known("manifest key", manifest, MANIFEST_KEYS)
+    check_options("manifest", manifest)
+    for name, value in manifest.items():
+        if isinstance(value, dict):  # after the check above, a suite or the generator
+            check_options(name, value)
     base = manifest_path.parent
     output_dir = Path(output_dir) if output_dir else base / "evaluation"
 
@@ -269,17 +306,9 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
         section = manifest.get(name)
         return dict(section) if isinstance(section, dict) else {}
 
-    # JSON types are checked, not coerced: true is an int and the string "no" is truthy
-    for name, key, accepts, expected in VALUE_TYPES:
-        scope = manifest if name is None else options_of(name)
-        if key in scope and not accepts(scope[key]):
-            where = "manifest key" if name is None else f"{name} option"
-            raise InvalidConfig(f"{where} {key!r} must be {expected}, got {scope[key]!r}")
     if seed is None:
         seed = manifest.get("seed", 0)
     generator = manifest.get("generator")
-    if generator:
-        check_known("generator key", generator, [f.name for f in fields(GeneratorMetadata)])
     output_dir.mkdir(parents=True, exist_ok=True)
 
     digests: dict[str, str] = {}
@@ -321,11 +350,8 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
         return fidelity_section(options_of("fidelity"), seed, train, synthetic)
 
     def run_privacy():
-        # ``"privacy": true`` runs every attack
-        if manifest["privacy"] is True:
-            options = dict.fromkeys(PRIVACY_ATTACKS, True)
-        else:
-            options = options_of("privacy")
+        # ``"privacy": true`` runs every attack (an empty object never runs)
+        options = options_of("privacy") or dict.fromkeys(PRIVACY_ATTACKS, True)
         registry = None
         if options.get("recon_poisoned") or options.get("mia_poisoned"):
             if manifest.get("registry") is None:

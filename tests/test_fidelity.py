@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from synthmeter import demo, fidelity, gmm, kernels
+from synthmeter import demo, fidelity, gmm, kernels, report
 from synthmeter.errors import InvalidConfig
 from synthmeter.generators import MemorizerConfig, gmm_generate, memorizer_generate
 from synthmeter.profiles import ProfileSet
@@ -29,11 +29,11 @@ def fit_mixture(real: ProfileSet, config: fidelity.FidelityConfig) -> gmm.GmmMod
 class TestConfig:
     def test_unknown_option_names_nearest_key(self):
         with pytest.raises(InvalidConfig, match="'mmd_bandwith'.*'mmd_bandwidth'"):
-            fidelity.FidelityConfig.from_options({"mmd_bandwith": 1.0}, seed=0)
+            report.check_options("fidelity", {"mmd_bandwith": 1.0})
 
     def test_unknown_option_without_near_key_lists_valid_keys(self):
         with pytest.raises(InvalidConfig, match="valid keys: acf_max_lag"):
-            fidelity.FidelityConfig.from_options({"zzz": 1}, seed=0)
+            report.check_options("fidelity", {"zzz": 1})
 
 
 def test_evaluate_fidelity_predicts_and_summarises_each_set_once(real_set, config, monkeypatch):

@@ -5,14 +5,17 @@ import importlib.util
 import inspect
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthmeter import cli, demo, fidelity, gmm, kernels, privacy, report
-from synthmeter.errors import RatioNotComputed
-from synthmeter.generators import MemorizerConfig, memorizer_generate
+from synthmeter.errors import InvalidConfig, RatioNotComputed
+from synthmeter.generators import GeneratorMetadata, MemorizerConfig, memorizer_generate
 from synthmeter.poisoning import OutlierSpec, make_attack_registry, write_registry
 from synthmeter.profiles import Horizon, SplitSpec, read_wide, split_households, write_wide
 
@@ -180,34 +183,6 @@ class TestRunFullEvaluation:
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
         coords = (tmp_path / "out" / "pca_coordinates.csv").read_text().splitlines()
         assert coords[0] == "set,x,y"
-
-    @pytest.mark.parametrize(
-        "section, options, message",
-        [
-            ("fidelity", {"mmd_bandwith": 1.0}, "unknown fidelity option 'mmd_bandwith'; did you mean 'mmd_bandwidth'"),
-            ("privacy", {"recon": True, "sample_sise": 5}, "unknown privacy option 'sample_sise'; did you mean 'sample_size'"),
-            ("utility", {"epcohs": 2}, "unknown utility option 'epcohs'; did you mean 'epochs'"),
-            ("utility", {"tasks": ["clasify"]}, "unknown utility task 'clasify'; did you mean 'classify'"),
-        ],
-        ids=["fidelity_key", "privacy_key", "utility_key", "utility_task"],
-    )
-    def test_unknown_key_fails_its_section(self, workspace, tmp_path, section, options, message):
-        files = {"real_fit": "train.csv", "synthetic_fit": "synthetic.csv", "eval": "holdout.csv"}
-        manifest = write_manifest(
-            workspace,
-            {
-                "horizon": "daily",
-                "train": "train.csv",
-                "holdout": "holdout.csv",
-                "synthetic": "synthetic.csv",
-                section: {**(files if section == "utility" else {}), **options},
-            },
-            name=f"typo_{section}.json",
-        )
-        outcome = report.run_full_evaluation(manifest, output_dir=tmp_path / "out")
-        assert outcome.failures == [f"{section}: {outcome.report[section]['error']}"]
-        assert outcome.report[section]["status"] == "failed"
-        assert outcome.report[section]["error"].startswith(message)
 
     def test_repeated_file_read_and_hashed_once(self, workspace, tmp_path, monkeypatch):
         calls = {"read_wide": [], "file_digest": []}
@@ -526,19 +501,35 @@ class TestCli:
         "recon_switch": "privacy option 'recon' must be true or false, got 'no'",
         "allow_overlap_switch": "utility option 'allow_overlap' must be true or false, got 'no'",
         "generator_key": "unknown generator key 'claimed_epsilonn'; did you mean 'claimed_epsilon'?",
-        "seed_string": "manifest key 'seed' must be an integer, got 'x'",
-        "seed_bool": "manifest key 'seed' must be an integer, got True",
+        "seed_string": "manifest key 'seed' must be a non-negative integer, got 'x'",
+        "seed_bool": "manifest key 'seed' must be a non-negative integer, got True",
+        "seed_negative": "manifest key 'seed' must be a non-negative integer, got -5",
         "generator_bool": "manifest key 'generator' must be an object, got True",
         "privacy_string": "manifest key 'privacy' must be an object, true, false or null, got 'yes'",
         "negative_registry": "negative kWh in profile row 2 (household outlier_seen_0002, 2000-01-01)",
         "zero_norm_registry": "registry outlier row 2 (household outlier_seen_0002) is all zero",
         "sample_size_string": "privacy option 'sample_size' must be an integer or null, got '5'",
         "sample_size_float": "privacy option 'sample_size' must be an integer or null, got 5.5",
-        "ratios_string": "privacy option 'threshold_ratios' must be a list of numbers, got '0.3'",
+        "ratios_string": "privacy option 'threshold_ratios' must be a non-empty list of numbers, got '0.3'",
+        "ratios_empty": "privacy option 'threshold_ratios' must be a non-empty list of numbers, got []",
         "policy_no_max_fraction": "privacy option 'policy' must be an object with numeric ratio and max_fraction",
         "policy_list": "privacy option 'policy' must be an object with numeric ratio and max_fraction, got [0.3",
         "epochs_string": "utility option 'epochs' must be an integer, got 'ten'",
-        "tasks_string": "utility option 'tasks' must be a list of strings, got 'classify'",
+        "tasks_string": "utility option 'tasks' must be a non-empty list of strings, got 'classify'",
+        "tasks_empty": "utility option 'tasks' must be a non-empty list of strings, got []",
+        "fidelity_key": "unknown fidelity option 'mmd_bandwith'; did you mean 'mmd_bandwidth'?",
+        "privacy_key": "unknown privacy option 'sample_sise'; did you mean 'sample_size'?",
+        "utility_key": "unknown utility option 'epcohs'; did you mean 'epochs'?",
+        "utility_task": "unknown utility task 'clasify'; did you mean 'classify'?",
+        "train_number": "manifest key 'train' must be a string, got 5",
+        "config_number": "fidelity options must be given as a JSON object, got 5",
+        "lag_float": "fidelity option 'acf_max_lag' must be an integer, got 2.9",
+        "clusters_bool": "fidelity option 'clusters_k' must be an integer, got True",
+        "peaks_string": "fidelity option 'peaks_n' must be an integer, got '5'",
+        "epsilon_string": "generator key 'claimed_epsilon' must be a number or null, got 'one'",
+        "generator_name_number": "generator key 'name' must be a string, got 5",
+        "demo_households_0": "households must be at least 1, got 0",
+        "demo_days_0": "days must be at least 1, got 0",
     }
 
     @pytest.mark.parametrize("case", list(BAD_INPUT))
@@ -561,6 +552,8 @@ class TestCli:
         negative = edited("train", [7], "-0.5")
         bad = tmp_path / "bad.json"
         bad.write_text('{"fidelity": true,')
+        number = tmp_path / "number.json"
+        number.write_text("5")
         missing = tmp_path / "missing"
         overrides = {
             "horizon": {"horizon": "hourly"},
@@ -580,6 +573,19 @@ class TestCli:
             "policy_list": {"privacy": {"recon_poisoned": True, "policy": [0.3, 0.0]}},
             "epochs_string": {"utility": {**fit, "epochs": "ten"}},
             "tasks_string": {"utility": {**fit, "tasks": "classify"}},
+            "seed_negative": {"seed": -5},
+            "ratios_empty": {"privacy": {"recon_poisoned": True, "threshold_ratios": []}},
+            "tasks_empty": {"utility": {**fit, "tasks": []}},
+            "fidelity_key": {"fidelity": {"mmd_bandwith": 1.0}},
+            "privacy_key": {"privacy": {"recon": True, "sample_sise": 5}},
+            "utility_key": {"utility": {**fit, "epcohs": 2}},
+            "utility_task": {"utility": {**fit, "tasks": ["clasify"]}},
+            "train_number": {"train": 5},
+            "lag_float": {"fidelity": {"acf_max_lag": 2.9}},
+            "clusters_bool": {"fidelity": {"clusters_k": True}},
+            "peaks_string": {"fidelity": {"peaks_n": "5"}},
+            "epsilon_string": {"generator": {"claimed_epsilon": "one"}},
+            "generator_name_number": {"generator": {"name": 5}},
         }
         manifest = write_manifest(tmp_path, {**files, "fidelity": True, **overrides.get(case, {})})
         out = ["--report", str(tmp_path / "r.json")]
@@ -600,6 +606,10 @@ class TestCli:
             "manifest_json": evaluate(bad),
             "config_json": ["fidelity", "--real", files["train"], "--synthetic", files["synthetic"],
                             "--config", str(bad), *out],
+            "config_number": ["fidelity", "--real", files["train"], "--synthetic", files["synthetic"],
+                              "--config", str(number), *out],
+            "demo_households_0": ["demo", "--output-dir", str(tmp_path / "a.demo"), "--households", "0"],
+            "demo_days_0": ["demo", "--output-dir", str(tmp_path / "a.demo"), "--days", "0"],
         }
         rc = cli.main(commands.get(case, evaluate(manifest)))
         assert rc == 2
@@ -607,6 +617,35 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert self.BAD_INPUT[case].format(missing=missing, bad=bad) in err
         assert not any(tmp_path.glob("[abr].*"))
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["split", "--input", "p.csv", "--holdout-fraction", "0.5", "--train-out", "a.csv",
+             "--holdout-out", "b.csv"],
+            ["inject-outliers", "--train", "p.csv", "--poisoned-out", "a.csv", "--registry-out", "b.csv"],
+            ["generate", "--kind", "gmm", "--train", "p.csv", "--n", "5", "--output", "a.csv"],
+            ["fidelity", "--real", "p.csv", "--synthetic", "p.csv", "--report", "r.json"],
+            ["privacy", "recon", "--train", "p.csv", "--holdout", "p.csv", "--synthetic", "p.csv",
+             "--report", "r.json"],
+            ["utility", "tstr-classify", "--real-fit", "p.csv", "--synthetic-fit", "p.csv", "--eval", "p.csv",
+             "--report", "r.json"],
+            ["evaluate", "--manifest", "m.json"],
+            ["demo", "--output-dir", "ws"],
+        ],
+        ids=["split", "inject", "generate", "fidelity", "privacy", "utility", "evaluate", "demo"],
+    )
+    @pytest.mark.parametrize("where", ["subcommand", "global"])
+    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys, command, where):
+        monkeypatch.chdir(tmp_path)
+        argv = [*command, "--seed", "-1"] if where == "subcommand" else ["--seed", "-1", *command]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --seed: must be a non-negative integer, got '-1'" in err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_utility_zero_epochs_exits_2(self, tmp_path, capsys):
         fit = demo.make_population(20, 8, seed=3, day_step=36)
@@ -692,6 +731,52 @@ class TestCli:
         rc = cli.main(["--output-dir", str(tmp_path / "bundle"), "evaluate", "--manifest", "demo"])
         assert rc == 0
         assert list((tmp_path / "bundle").rglob("report.json"))
+
+
+def test_option_table_matches_config_fields():
+    """The fidelity and generator rows name exactly the config fields they fill."""
+    assert set(report.OPTIONS["fidelity"][1]) == {f.name for f in fields(fidelity.FidelityConfig)} - {"seed"}
+    assert set(report.OPTIONS["generator"][1]) == {f.name for f in fields(GeneratorMetadata)}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.floats(-10, 10) | st.text(max_size=4),
+    lambda values: st.lists(values, max_size=3) | st.dictionaries(st.text(max_size=4), values, max_size=3),
+    max_leaves=4,
+)
+ENTRIES = [(section, key) for section, (_, entries) in report.OPTIONS.items() for key in entries]
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("perturbed")
+
+
+@settings(max_examples=150, deadline=None)
+@given(entry=st.sampled_from(ENTRIES), typo=st.booleans(), data=st.data())
+def test_perturbed_manifest_fails_before_any_file_is_read(manifest_dir, entry, typo, data):
+    """A wrong JSON type for any key, or a typo of any key, raises an
+    InvalidConfig naming that key before any profile file is read."""
+    section, key = entry
+    noun, entries = report.OPTIONS[section]
+    accepts, _ = entries[key]
+    if typo:
+        key = data.draw(st.sampled_from([key + "s", key[:-1], key.replace("_", "")]).filter(
+            lambda k: k not in entries), label="typo")
+        value = data.draw(JSON_VALUES, label="value")
+    else:
+        value = data.draw(JSON_VALUES.filter(lambda v: not accepts(v)), label="value")
+    options = {key: value}
+    manifest = write_manifest(manifest_dir, options if section == "manifest" else {section: options})
+
+    def unread(path, *args, **kwargs):
+        raise AssertionError(f"{path} was read before the manifest was checked")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "read_wide", unread)
+        with pytest.raises(InvalidConfig, match=re.escape(f"{noun} {key!r}")):
+            report.run_full_evaluation(manifest, output_dir=manifest_dir / "out")
+    assert not (manifest_dir / "out").exists()
 
 
 @pytest.fixture(scope="module")
