@@ -7,20 +7,35 @@ autocorrelation, peak masking, per-slot statistics and 2-d PCA.
 
 The three pairwise-distance consumers (the exact nearest-neighbour scan,
 the median-heuristic bandwidth and the RBF MMD kernel sums) read squared
-distances from one blocked generator. A block is at most ``_BLOCK_ROWS``
-rows of the wider operand and at most ``_BLOCK_ENTRIES`` values, so their
-memory does not grow with the product of the row counts. The median
-bandwidth stays exact. A random sample of ``_SAMPLE_ROWS`` rows only
-proposes a window of values around the median (Floyd and Rivest, CACM
-1975); one sweep over all pairs counts the values below the window and
-keeps up to ``_WINDOW_CAPACITY`` values inside it, and the exact count
-decides whether the middle rank(s) lie inside. If they do not, two-pass
-bucket selection finds them.
+distances in blocks of rows. A block is at most ``_BLOCK_ROWS`` rows of
+the wider operand and at most ``_BLOCK_ENTRIES`` values, so their memory
+does not grow with the product of the row counts. The median bandwidth
+stays exact. A random sample of ``_SAMPLE_ROWS`` rows only proposes a
+window of values around the median (Floyd and Rivest, CACM 1975); one
+sweep over all pairs counts the values below the window and keeps up to
+``_WINDOW_CAPACITY`` values inside it, and the exact count decides
+whether the middle rank(s) lie inside. If they do not, two-pass bucket
+selection finds them.
+
+The median's sweeps and the three kernel sums run on ``_WORKERS``
+threads, two when the process may run on two CPUs: the calling thread
+and one helper take alternate blocks of one fixed block schedule (numpy
+releases the interpreter lock in the matrix products and large ufunc
+loops). One and two workers give the same bits: the schedule, and so
+every matrix product, does not depend on the worker count; counts are
+integer sums; the median's window is sorted before use; and the kernel
+sums combine their per-block sums with the exactly rounded
+``math.fsum`` (Shewchuk, DCG 1997). Each worker computes its blocks in
+one block buffer, so two workers hold about the memory that one worker's
+two buffers held. The nearest-neighbour scan stays on the calling
+thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,9 +57,24 @@ MEDIAN_HEURISTIC = "median"
 # columns) and at most 2M float64 (16 MB). Larger blocks run no faster;
 # blocks of fewer rows need more matrix products, and each one re-packs the
 # whole right operand (fixed 2^18-entry blocks, 6 rows at 20k rows per
-# side, made the bandwidth there 16-29 % slower)
+# side, made the bandwidth there 16-29 % slower). Every sweep, on any
+# number of workers, cuts its blocks by these caps: the last bits of a few
+# distances depend on the block shape that BLAS sees (half-height blocks
+# of 25 rows changed 3,561 of the 12.5M pair distances of 5,000 rows), so
+# the blocks must not follow the worker count. Each worker computes a block
+# in one buffer, so two workers hold two such buffers (8 MB at 10,000
+# columns)
 _BLOCK_ROWS = 50
 _BLOCK_ENTRIES = 2_000_000
+
+# the norm sums |a_i|^2 + |b_j|^2 are added to a block this many rows at a
+# time, from a buffer a tenth the size of a 50-row block; one row at a time
+# made the median and MMD sweeps slower
+_SUM_ROWS = 5
+
+# two workers when the process may run on two CPUs (platforms without an
+# affinity mask get one)
+_WORKERS = 2 if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2 else 1
 
 # a clamped squared distance is a float64 >= +0, so its bit pattern read as
 # int64 sorts like the value; dropping the low 44 bits keeps the exponent and
@@ -76,57 +106,138 @@ def _smallest_magnitude(m: np.ndarray) -> float:
     return float(nonzero.min()) if nonzero.size else math.inf
 
 
-def _sq_distance_blocks(a: np.ndarray, b: np.ndarray | None = None):
-    """Clamped squared Euclidean distances, one block of rows at a time.
+class _Distances:
+    """Clamped squared Euclidean distances of the rows of ``a`` against the
+    rows of ``b``, or of the pairs (i, j > i) of ``a`` when ``b`` is None,
+    one block of rows of ``a`` at a time.
 
     Every value is max(|a_i|^2 + |b_j|^2 - 2 a_i.b_j, 0), evaluated in the
-    same order as the dense matrix expression. Against ``b``, each block is
-    the 2-d array of a run of rows of ``a`` against every row of ``b``. With
-    no ``b``, each block is the 1-d array of pairs (i, j > i) of ``a`` for a
-    run of rows i; only the columns from the run's first row onward are
-    computed. A block holds at most ``_BLOCK_ROWS`` rows and at most
-    ``_BLOCK_ENTRIES`` values (one row at least). Two buffers serve every
-    block, so a yielded block is valid only until the next one is
-    requested; consumers may overwrite it.
+    same order as the dense matrix expression. ``schedule`` lists the blocks
+    as runs [start, stop) of rows, in order: each at most ``max_rows`` rows
+    and at most ``max_entries`` values (one row at least), where for pairs
+    only the columns from a run's first row onward are computed. The row
+    norms and the scaled right operand are made once, so blocks made on
+    different threads share them; each block is written into buffers its
+    caller owns.
     """
-    a_sq = np.einsum("ij,ij->i", a, a)
-    pairs = b is None
-    if pairs:
-        b, b_sq = a, a_sq
-    else:
-        b_sq = np.einsum("ij,ij->i", b, b)
-    # scaling b by -2 once saves a pass over every block and gives -2(a.b)
-    # bit for bit, as doubling commutes with rounding in the normal range;
-    # when the smallest nonzero entries can form a subnormal product, each
-    # block is scaled instead
-    fold = _smallest_magnitude(a) * _smallest_magnitude(b) >= np.finfo(np.float64).tiny
-    b_scaled = -2.0 * b if fold else b
-    size = min(len(a) * len(b), max(min(_BLOCK_ROWS * len(b), _BLOCK_ENTRIES), len(b)))
-    gram_buffer, d2_buffer = np.empty(size), np.empty(size)
-    start = 0
-    while start < len(a):
-        first_col = start if pairs else 0
-        cols = len(b) - first_col
-        rows = min(len(a) - start, max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // cols)))
-        stop = start + rows
-        gram = gram_buffer[: rows * cols].reshape(rows, cols)
-        np.matmul(a[start:stop], b_scaled[first_col:].T, out=gram)
-        if not fold:
-            gram *= -2.0
+
+    def __init__(self, a: np.ndarray, b: np.ndarray | None, max_rows: int, max_entries: int):
+        self.a = a
+        self.a_sq = np.einsum("ij,ij->i", a, a)
+        self.pairs = b is None
+        if self.pairs:
+            b, self.b_sq = a, self.a_sq
+        else:
+            self.b_sq = np.einsum("ij,ij->i", b, b)
+        # scaling b by -2 once saves a pass over every block and gives -2(a.b)
+        # bit for bit, as doubling commutes with rounding in the normal range;
+        # when the smallest nonzero entries can form a subnormal product, each
+        # block is scaled instead
+        self.fold = _smallest_magnitude(a) * _smallest_magnitude(b) >= np.finfo(np.float64).tiny
+        self.b_scaled = -2.0 * b if self.fold else b
+        self.schedule, start = [], 0
+        while start < len(a):
+            cols = len(b) - (start if self.pairs else 0)
+            stop = start + min(len(a) - start, max(1, min(max_rows, max_entries // cols)))
+            self.schedule.append((start, stop))
+            start = stop
+        self.size = min(len(a) * len(b), max(min(max_rows * len(b), max_entries), len(b)))
+
+    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """A buffer that any block of the schedule fits, and one for up to
+        ``_SUM_ROWS`` rows of norm sums."""
+        return np.empty(self.size), np.empty(min(self.size, _SUM_ROWS * len(self.b_scaled)))
+
+    def block(self, start: int, stop: int, buffers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The distances of rows [start, stop) of ``a``, written into
+        ``buffers``: the 2-d block against every row of ``b``, or for pairs
+        the 1-d array of (i, j > i) for those rows i. The block is valid
+        until the buffers are reused, and its consumer may overwrite it."""
+        d2_buffer, sum_buffer = buffers
+        first_col = start if self.pairs else 0
+        rows, cols = stop - start, len(self.b_scaled) - first_col
         d2 = d2_buffer[: rows * cols].reshape(rows, cols)
-        np.add(a_sq[start:stop, None], b_sq[None, first_col:], out=d2)
-        d2 += gram
+        np.matmul(self.a[start:stop], self.b_scaled[first_col:].T, out=d2)
+        if not self.fold:
+            d2 *= -2.0
+        # the norm sums are rounded first, as in the dense expression; adding
+        # the product to them or them to the product rounds alike
+        step = len(sum_buffer) // cols
+        for lo in range(0, rows, step):
+            hi = min(rows, lo + step)
+            sums = sum_buffer[: (hi - lo) * cols].reshape(hi - lo, cols)
+            np.add(self.a_sq[start + lo : start + hi, None], self.b_sq[None, first_col:], out=sums)
+            d2[lo:hi] += sums
         np.maximum(d2, 0.0, out=d2)
-        if pairs:
-            # pack each row's j > i tail into the spent gram buffer
-            end = 0
-            for k, row in enumerate(d2):
-                tail = row[k + 1 :]
-                gram_buffer[end : end + len(tail)] = tail
-                end += len(tail)
-            d2 = gram_buffer[:end]
-        yield d2
-        start = stop
+        if not self.pairs:
+            return d2
+        # pack each row's j > i tail to the front of the buffer; a tail only
+        # moves towards the front, never over a row still to be read, and
+        # numpy copies overlapping 1-d runs of one buffer correctly
+        end = 0
+        for k, row in enumerate(d2):
+            tail = row[k + 1 :]
+            d2_buffer[end : end + len(tail)] = tail
+            end += len(tail)
+        return d2_buffer[:end]
+
+
+def _sq_distance_blocks(a: np.ndarray, b: np.ndarray | None = None):
+    """The blocks of at most ``_BLOCK_ROWS`` rows and ``_BLOCK_ENTRIES``
+    values, in row order, on the calling thread.
+
+    The nearest-neighbour scan reads this serial schedule (its per-row loop
+    holds the interpreter lock); ``_sweep`` runs the same blocks on
+    ``_WORKERS`` threads. One block buffer serves every block, so a yielded
+    block is valid only until the next one is requested; consumers may
+    overwrite it.
+    """
+    distances = _Distances(a, b, _BLOCK_ROWS, _BLOCK_ENTRIES)
+    buffers = distances.buffers()
+    for start, stop in distances.schedule:
+        yield distances.block(start, stop, buffers)
+
+
+def _sweep(consume, a: np.ndarray, b: np.ndarray | None = None) -> None:
+    """Call ``consume`` on every block of squared distances, on ``_WORKERS`` threads.
+
+    The blocks are those of ``_sq_distance_blocks``, whatever the worker
+    count. Worker w (the calling thread is worker 0, the others are helper
+    threads) takes blocks w, w + _WORKERS, ... into its own buffers; a
+    schedule of fewer blocks starts fewer workers. The norms, the scaled operand and every buffer are
+    made here, on the calling thread, before any helper starts. ``consume``
+    may overwrite the block, runs on every worker at once, and must give
+    the same result in any block order. The first exception raised in any
+    worker stops every worker at its next block and is raised here once
+    all have stopped.
+    """
+    distances = _Distances(a, b, _BLOCK_ROWS, _BLOCK_ENTRIES)
+    # no worker without a block
+    workers = max(1, min(_WORKERS, len(distances.schedule)))
+    buffers = [distances.buffers() for _ in range(workers)]
+    stop = threading.Event()
+    errors = []
+
+    def work(worker: int) -> None:
+        try:
+            for start, end in distances.schedule[worker::workers]:
+                if stop.is_set():
+                    return
+                consume(distances.block(start, end, buffers[worker]))
+        except BaseException as exc:  # raised again below, on the calling thread
+            errors.append(exc)
+            stop.set()
+
+    helpers = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass
@@ -255,11 +366,10 @@ def _sample_window(pooled: np.ndarray, n_pairs: int) -> tuple[int, int, int]:
     h = min(_MAX_WINDOW_RANK, _WINDOW_CAPACITY / (2.0 * _WINDOW_SLACK * n_pairs))
     size = min(len(pooled), _SAMPLE_ROWS)
     rows = np.sort(np.random.default_rng(0).choice(len(pooled), size=size, replace=False))
-    bits = np.empty(size * (size - 1) // 2, dtype=np.int64)
-    end = 0
-    for d2 in _sq_distance_blocks(pooled[rows]):
-        bits[end : end + len(d2)] = d2.view(np.int64)
-        end += len(d2)
+    # every clamped squared distance has bits in [0, 2^63), so this window
+    # keeps all of the sample's pairs, in no fixed order
+    _, values = _keep_window(pooled[rows], 0, 1 << 63, size * (size - 1) // 2)
+    bits = values.view(np.int64)
     lo, hi = int((0.5 - h) * (len(bits) - 1)), math.ceil((0.5 + h) * (len(bits) - 1))
     bits.partition([lo, hi])
     return int(bits[lo]), int(bits[hi]), math.ceil(2.0 * _WINDOW_SLACK * h * n_pairs)
@@ -268,15 +378,24 @@ def _sample_window(pooled: np.ndarray, n_pairs: int) -> tuple[int, int, int]:
 def _bucket_window(pooled: np.ndarray, lo_rank: int, hi_rank: int) -> tuple[int, int, int]:
     """The bits [lo, hi) of the bucket(s) holding ranks lo_rank and hi_rank,
     and the exact number of values in them (one sweep)."""
-    # the sum iterates in a comprehension, so no block outlives it
-    counts = sum(
-        np.bincount(np.right_shift(bits, _BUCKET_SHIFT, out=bits), minlength=_N_BUCKETS)
-        for bits in (d2.view(np.int64) for d2 in _sq_distance_blocks(pooled))
-    )
+    counts = np.zeros(_N_BUCKETS, dtype=np.int64)
+    lock = threading.Lock()
+
+    def count(d2: np.ndarray) -> None:
+        bits = d2.view(np.int64)
+        block = np.bincount(np.right_shift(bits, _BUCKET_SHIFT, out=bits), minlength=_N_BUCKETS)
+        with lock:
+            np.add(counts, block, out=counts)
+
+    _sweep(count, pooled)
     cumulative = np.cumsum(counts)
     lo_bucket, hi_bucket = np.searchsorted(cumulative, [lo_rank, hi_rank], side="right")
     kept = int(counts[lo_bucket : hi_bucket + 1].sum())
     return int(lo_bucket) << _BUCKET_SHIFT, (int(hi_bucket) + 1) << _BUCKET_SHIFT, kept
+
+
+class _WindowFull(Exception):
+    """More values lie in a median window than its buffer holds."""
 
 
 def _keep_window(
@@ -284,23 +403,56 @@ def _keep_window(
 ) -> tuple[int, np.ndarray] | None:
     """One sweep: the number of pair squared distances whose bits are below
     ``lo``, and the values whose bits lie in [lo, hi), unsorted. None when
-    more than ``capacity`` values lie in the window."""
+    more than ``capacity`` values lie in the window.
+
+    The workers share one buffer and reserve each block's slots in it under
+    a lock, so the values land in no fixed order; the first reservation
+    that would overflow the buffer stops every worker.
+    """
     kept = np.empty(capacity, dtype=np.int64)
+    lock = threading.Lock()
     below = end = 0
-    for d2 in _sq_distance_blocks(pooled):
+
+    def keep(d2: np.ndarray) -> None:
+        nonlocal below, end
         # shifted by lo, bits below the window turn negative and bits inside
         # it, read as unsigned, fall under the window's width
         bits = np.subtract(d2.view(np.int64), lo, out=d2.view(np.int64))
-        below += np.count_nonzero(bits < 0)
+        n_below = np.count_nonzero(bits < 0)
         inside = bits.view(np.uint64) < hi - lo
         count = np.count_nonzero(inside)
-        if end + count > capacity:
-            return None
-        np.compress(inside, bits, out=kept[end : end + count])
-        end += count
+        with lock:
+            first = end
+            if first + count > capacity:
+                raise _WindowFull
+            below, end = below + n_below, first + count
+        np.compress(inside, bits, out=kept[first : first + count])
+
+    try:
+        _sweep(keep, pooled)
+    except _WindowFull:
+        return None
     kept = kept[:end]
     kept += lo
     return below, kept.view(np.float64)
+
+
+def _kernel_sum(scale: float, a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """Sum of exp(d2 / scale) over the squared distances of ``a`` against
+    ``b``, or of the pairs (i, j > i) of ``a``.
+
+    The blocks are those of the serial schedule, so each per-block sum is
+    the serial one bit for bit, and ``math.fsum`` is exactly rounded, so the
+    total does not depend on the order in which the workers add them.
+    """
+    totals = []
+
+    def add(d2: np.ndarray) -> None:
+        d2 /= scale
+        totals.append(float(np.exp(d2, out=d2).sum()))
+
+    _sweep(add, a, b)
+    return math.fsum(totals)
 
 
 def mmd2_rbf(x, y, bandwidth: float | str = MEDIAN_HEURISTIC) -> MmdResult:
@@ -324,17 +476,9 @@ def mmd2_rbf(x, y, bandwidth: float | str = MEDIAN_HEURISTIC) -> MmdResult:
     if sigma <= 0:
         raise DegenerateInput("bandwidth must be positive")
     scale = -2.0 * sigma * sigma
-
-    def kernel_sum(*sets) -> float:
-        total = []
-        for d2 in _sq_distance_blocks(*sets):
-            d2 /= scale
-            total.append(float(np.exp(d2, out=d2).sum()))
-        return math.fsum(total)
-
-    k_xx = (2.0 * kernel_sum(a) + len(a)) / (len(a) * len(a))
-    k_yy = (2.0 * kernel_sum(b) + len(b)) / (len(b) * len(b))
-    k_xy = kernel_sum(a, b) / (len(a) * len(b))
+    k_xx = (2.0 * _kernel_sum(scale, a) + len(a)) / (len(a) * len(a))
+    k_yy = (2.0 * _kernel_sum(scale, b) + len(b)) / (len(b) * len(b))
+    k_xy = _kernel_sum(scale, a, b) / (len(a) * len(b))
     return MmdResult(mmd2=k_xx + k_yy - 2.0 * k_xy, bandwidth=sigma)
 
 

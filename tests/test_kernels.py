@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -267,17 +270,19 @@ class TestBlockedPairwise:
         np.testing.assert_array_equal(result.nn_index, expected_i)
 
 
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """One entry per bucket-selection fallback of the median bandwidth."""
+    calls = []
+    bucket_window = kernels._bucket_window
+    monkeypatch.setattr(
+        kernels, "_bucket_window", lambda *args: calls.append(1) or bucket_window(*args)
+    )
+    return calls
+
+
 class TestMedianSelection:
     """The one-sweep median at the real block size, and its fallback."""
-
-    @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        calls = []
-        bucket_window = kernels._bucket_window
-        monkeypatch.setattr(
-            kernels, "_bucket_window", lambda *args: calls.append(1) or bucket_window(*args)
-        )
-        return calls
 
     @pytest.mark.parametrize("n_x, n_y", [(1500, 1500), (1500, 1502)])
     def test_one_sweep_matches_dense_median_bit_for_bit(self, n_x, n_y, fallbacks):
@@ -298,15 +303,16 @@ class TestMedianSelection:
             return (0, lo, capacity) if case == "window_below_median" else (lo, hi, 1)
 
         sweeps = []
-        blocks = kernels._sq_distance_blocks
+        sweep = kernels._sweep
         monkeypatch.setattr(kernels, "_sample_window", misleading_window)
         monkeypatch.setattr(
-            kernels, "_sq_distance_blocks", lambda *args: sweeps.append(1) or blocks(*args)
+            kernels, "_sweep", lambda *args, **kw: sweeps.append(1) or sweep(*args, **kw)
         )
         rng = np.random.default_rng(12)
         x, y = dyadic_rows(rng, 900), dyadic_rows(rng, 901)
         assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y)
-        # sample, window sweep, then the two bucket passes
+        # sample, window sweep, then the two bucket passes: one sweep per
+        # pass, however many workers share it
         assert len(sweeps) == 4 and len(fallbacks) == 1
 
     def test_tied_median_falls_back_exactly(self, fallbacks):
@@ -319,6 +325,139 @@ class TestMedianSelection:
         x, y = pooled[:1400], pooled[1400:]
         assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y) == 2.0
         assert len(fallbacks) == 1
+
+
+def on_workers(monkeypatch, counts, call):
+    """``call()`` once per worker count, with ``_WORKERS`` patched to it."""
+    results = []
+    for workers in counts:
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_WORKERS", workers)
+            results.append(call())
+    return results
+
+
+def gamma_rows(rng, n, shape=0.5):
+    # smooth positive loads whose distances round, unlike dyadic rows
+    return rng.gamma(shape, 0.4, size=(n, 48))
+
+
+class TestWorkers:
+    """One and two workers (and more) give the same bits."""
+
+    @pytest.mark.parametrize("case", ["hit", "miss", "overflow", "tied"])
+    def test_bandwidth_same_bits(self, case, fallbacks, monkeypatch):
+        rng = np.random.default_rng(40)
+        x, y = gamma_rows(rng, 900), gamma_rows(rng, 901, 0.55)
+        if case == "tied":
+            rows = np.zeros((3, 48))
+            rows[1, 0] = rows[2, 1] = 2.0
+            pooled = rows[np.arange(3000) % 3]
+            x, y = pooled[:1400], pooled[1400:]
+        sample_window = kernels._sample_window
+
+        def window(pooled, n_pairs):
+            lo, hi, capacity = sample_window(pooled, n_pairs)
+            return {"miss": (0, lo, capacity), "overflow": (lo, hi, 1)}.get(case, (lo, hi, capacity))
+
+        monkeypatch.setattr(kernels, "_sample_window", window)
+        one, two = on_workers(
+            monkeypatch, (1, 2), lambda: kernels.median_heuristic_bandwidth(x, y).hex()
+        )
+        assert one == two
+        assert len(fallbacks) == (0 if case == "hit" else 2)
+
+    def test_kernel_sums_same_bits(self, monkeypatch):
+        # 330 rows make 7 blocks of 50, the last of 30: an odd count, so the
+        # calling thread takes one block more than the helper
+        rng = np.random.default_rng(41)
+        x, y = gamma_rows(rng, 330), gamma_rows(rng, 260, 0.55)
+        scale = -2.0 * kernels.median_heuristic_bandwidth(x, y) ** 2
+        for sets in ((x,), (y,), (x, y)):
+            # the serial sum, as mmd2_rbf computed it before the sweeps were split
+            serial = math.fsum(
+                float(np.exp(d2 / scale).sum()) for d2 in kernels._sq_distance_blocks(*sets)
+            )
+            one, two = on_workers(monkeypatch, (1, 2), lambda: kernels._kernel_sum(scale, *sets))
+            assert one.hex() == two.hex() == serial.hex()
+
+    @pytest.mark.parametrize("worker", [0, 1])
+    def test_overflow_in_one_worker_falls_back_once(self, worker, fallbacks, monkeypatch):
+        # 110 one-column rows cut into blocks of 50 rows: rows 0-49 and
+        # 100-109 on the calling thread (worker 0), rows 50-99 on the
+        # helper. The window holds only the distance of the pair
+        # (50w, 50w + 1) and has no slot, so only the worker that owns that
+        # pair overflows.
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        rng = np.random.default_rng(42)
+        pooled = rng.uniform(0.0, 1.0, size=(110, 1))
+        sq = (pooled * pooled).ravel()
+        # one column: the blocks compute exactly this formula
+        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T), 0.0)
+        target = d2[50 * worker, 50 * worker + 1]
+        assert np.count_nonzero(d2[np.triu_indices(len(pooled), k=1)] == target) == 1
+        lo = int(np.float64(target).view(np.int64))
+        monkeypatch.setattr(kernels, "_sample_window", lambda pooled, n_pairs: (lo, lo + 1, 0))
+        kept = []
+        keep_window = kernels._keep_window
+        monkeypatch.setattr(
+            kernels, "_keep_window", lambda *args: kept.append(keep_window(*args)) or kept[-1]
+        )
+        x, y = pooled[:55], pooled[55:]
+        assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y)
+        assert kept[0] is None and len(fallbacks) == 1
+
+    @pytest.mark.parametrize("call", ["bandwidth", "mmd_fixed_bandwidth", "mmd_median"])
+    def test_helper_exception_propagates(self, call, monkeypatch):
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        block = kernels._Distances.block
+
+        def failing(self, *args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper thread failed")
+            return block(self, *args)
+
+        monkeypatch.setattr(kernels._Distances, "block", failing)
+        rng = np.random.default_rng(43)
+        x, y = gamma_rows(rng, 200), gamma_rows(rng, 210)
+        run = {
+            "bandwidth": lambda: kernels.median_heuristic_bandwidth(x, y),
+            "mmd_fixed_bandwidth": lambda: kernels.mmd2_rbf(x, y, bandwidth=1.0),
+            "mmd_median": lambda: kernels.mmd2_rbf(x, y),
+        }[call]
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper thread failed"):
+            run()
+        assert threading.active_count() == before
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # four workers over blocks of 4 rows, switching threads every
+        # microsecond: a lost update to the shared count, window slots,
+        # bucket counts or sums would change the bits
+        monkeypatch.setattr(kernels, "_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(44)
+        x, y = gamma_rows(rng, 120), gamma_rows(rng, 130, 0.55)
+        pooled = np.vstack([x, y])
+        n_pairs = len(pooled) * (len(pooled) - 1) // 2
+        lo, hi, capacity = kernels._sample_window(pooled, n_pairs)
+
+        def results():
+            below, kept = kernels._keep_window(pooled, lo, hi, capacity)
+            return (
+                below,
+                np.sort(kept).tobytes(),
+                kernels._bucket_window(pooled, (n_pairs - 1) // 2, n_pairs // 2),
+                kernels._kernel_sum(-2.0, x, y).hex(),
+                kernels.mmd2_rbf(x, y).mmd2.hex(),
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            one, four = on_workers(monkeypatch, (1, 4), results)
+        finally:
+            sys.setswitchinterval(interval)
+        assert one == four
 
 
 def test_block_shape_keeps_window_and_bandwidth(monkeypatch):
@@ -341,30 +480,61 @@ def test_block_shape_keeps_window_and_bandwidth(monkeypatch):
     assert mmds[2] == pytest.approx(mmds[1], rel=1e-12, abs=0.0)
 
 
-def test_sq_distance_fold_keeps_subnormal_products_exact():
+def swept_blocks(monkeypatch, a, b=None):
+    """The blocks one ``_sweep`` hands its consumer, copied, in row order."""
+    blocks, lock = {}, threading.Lock()
+    block = kernels._Distances.block
+
+    def recording(self, start, stop, buffers):
+        d2 = block(self, start, stop, buffers)
+        with lock:
+            blocks[start] = d2.copy()
+        return d2
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels._Distances, "block", recording)
+        kernels._sweep(lambda d2: None, a, b)
+    return [blocks[start] for start in sorted(blocks)]
+
+
+def test_sq_distance_fold_keeps_subnormal_products_exact(monkeypatch):
     # products of entries near 1e-160 are subnormal, where a.(-2b) rounds
-    # differently from -2(a.b); the blocks must still match the dense formula
+    # differently from -2(a.b); the blocks must still match the dense
+    # formula, serial or swept by one or two workers. 95 rows of a cut into
+    # 5 blocks of 20 (an odd count, the last of 15 rows) or 2 of 50 (the
+    # last of 45)
     rng = np.random.default_rng(5)
-    a = rng.uniform(0.5, 1.5, size=(90, 1)) * 1e-160
+    a = rng.uniform(0.5, 1.5, size=(95, 1)) * 1e-160
     b = rng.uniform(0.5, 1.5, size=(140, 1)) * 1e-160
     sq_a, sq_b = (a * a).ravel(), (b * b).ravel()
     dense = np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T), 0.0)
     folded = np.maximum(sq_a[:, None] + sq_b[None, :] + a @ (-2.0 * b).T, 0.0)
     assert np.count_nonzero(folded != dense) > 0
-    blocked = np.vstack([d2.copy() for d2 in kernels._sq_distance_blocks(a, b)])
-    np.testing.assert_array_equal(blocked, dense)
+    dense_pairs = np.maximum(sq_a[:, None] + sq_a[None, :] - 2.0 * (a @ a.T), 0.0)
+    upper = dense_pairs[np.triu_indices(len(a), k=1)]
+    for workers, block_rows in itertools.product((1, 2), (20, 50)):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        monkeypatch.setattr(kernels, "_BLOCK_ROWS", block_rows)
+        blocks = swept_blocks(monkeypatch, a, b)
+        np.testing.assert_array_equal(np.vstack(blocks), dense)
+        pair_blocks = swept_blocks(monkeypatch, a, None)
+        np.testing.assert_array_equal(np.concatenate(pair_blocks), upper)
+        serial = np.vstack([d2.copy() for d2 in kernels._sq_distance_blocks(a, b)])
+        np.testing.assert_array_equal(serial, dense)
 
 
-def test_mmd_memory_bounded_by_block_not_n():
+def test_mmd_memory_bounded_by_block_not_n(monkeypatch):
     # The dense kernels peaked at 723 MB here (the 6000^2 pooled distance
     # matrix with its upper-triangle copies, then 3000^2 kernel matrices).
-    # Blocked, the live arrays are the generator's two reused buffers of
-    # _BLOCK_ROWS rows of the 6,000 pooled columns (2.4 MB each) plus
-    # per-block masks, and the median's window buffer (here 7.2 % of the
-    # pairs, at most _WINDOW_CAPACITY values) or its sample's ~1M pairs.
-    # The bound, the window's capacity plus four such blocks (33.6 MB),
-    # grows with the row count, not with the number of pairs. Measured:
-    # 20 MB.
+    # Blocked, on two workers, the live arrays are each worker's block
+    # buffer of _BLOCK_ROWS rows of the 6,000 pooled columns (2.4 MB) and
+    # its norm-sum buffer (a tenth of that), plus per-block masks, and the
+    # median's window buffer (here 7.2 % of the pairs, at most
+    # _WINDOW_CAPACITY values) or its sample's ~1M pairs. The bound, the
+    # window's capacity plus four such blocks (33.6 MB), grows with the row
+    # count, not with the number of pairs. Measured: 21 MB (18 MB on one
+    # worker).
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
     rng = np.random.default_rng(0)
     x = rng.gamma(0.5, 0.4, size=(3000, 48))
     y = rng.gamma(0.55, 0.4, size=(3000, 48))
