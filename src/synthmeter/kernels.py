@@ -204,12 +204,12 @@ def _sweep(consume, a: np.ndarray, b: np.ndarray | None = None) -> None:
     The blocks are those of ``_sq_distance_blocks``, whatever the worker
     count. Worker w (the calling thread is worker 0, the others are helper
     threads) takes blocks w, w + _WORKERS, ... into its own buffers; a
-    schedule of fewer blocks starts fewer workers. The norms, the scaled operand and every buffer are
-    made here, on the calling thread, before any helper starts. ``consume``
-    may overwrite the block, runs on every worker at once, and must give
-    the same result in any block order. The first exception raised in any
-    worker stops every worker at its next block and is raised here once
-    all have stopped.
+    schedule of fewer blocks starts fewer workers. The norms, the scaled
+    operand and every buffer are made here, on the calling thread, before
+    any helper starts. ``consume`` may overwrite the block, runs on every
+    worker at once, and must give the same result in any block order. The
+    first exception raised in any worker stops every worker at its next
+    block and is raised here once all have stopped.
     """
     distances = _Distances(a, b, _BLOCK_ROWS, _BLOCK_ENTRIES)
     # no worker without a block

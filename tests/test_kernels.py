@@ -358,7 +358,8 @@ class TestWorkers:
 
         def window(pooled, n_pairs):
             lo, hi, capacity = sample_window(pooled, n_pairs)
-            return {"miss": (0, lo, capacity), "overflow": (lo, hi, 1)}.get(case, (lo, hi, capacity))
+            forced = {"miss": (0, lo, capacity), "overflow": (lo, hi, 1)}
+            return forced.get(case, (lo, hi, capacity))
 
         monkeypatch.setattr(kernels, "_sample_window", window)
         one, two = on_workers(
