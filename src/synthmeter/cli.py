@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, generators, gmm, poisoning, report
+from . import __version__, fidelity, generators, gmm, nnet, poisoning, privacy, report
 from .demo import build_demo_workspace, labelled_gmm_synthetic  # noqa: F401 - public via cli
 from .errors import InvalidConfig, SynthmeterError
 from .profiles import (
@@ -118,7 +118,7 @@ def _add_utility(sub) -> None:
         for name in ("--real-fit", "--synthetic-fit", "--eval"):
             parser.add_argument(name, required=True)
         parser.add_argument("--seed", type=_seed, default=None)
-        parser.add_argument("--epochs", type=int, default=50)
+        parser.add_argument("--epochs", type=int, default=nnet.TrainConfig.epochs)
         parser.add_argument("--allow-overlap", action="store_true")
         parser.add_argument("--report", required=True)
 
@@ -222,11 +222,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_fidelity(args) -> int:
-    real = read_wide(args.real)
-    synthetic = read_wide(args.synthetic, horizon=real.horizon)
     options = report.read_json(args.config) if args.config else {}
     report.check_options("fidelity", options)
-    section, _ = report.fidelity_section(options, args.seed, real, synthetic)
+    config = fidelity.FidelityConfig(**options, seed=args.seed)
+    real = read_wide(args.real)
+    synthetic = read_wide(args.synthetic, horizon=real.horizon)
+    section, _ = report.fidelity_section(config, real, synthetic)
     _write_json(args.report, section)
     print(f"fidelity report written to {args.report}")
     return 0
@@ -265,9 +266,8 @@ _TASKS = {"tstr-classify": "classify", "mean": "forecast_mean", "q95": "forecast
 
 def _cmd_privacy(args) -> int:
     entry, summary = _ATTACKS[args.attack]
-    options = {args.attack.replace("-", "_"): True, "sample_size": getattr(args, "sample_size", None)}
-    if getattr(args, "ratios", None):
-        options["threshold_ratios"] = _ratio_range(args.ratios)
+    ratios = {"threshold_ratios": _ratio_range(args.ratios)} if getattr(args, "ratios", None) else {}
+    config = privacy.ReconstructionConfig(**ratios, sample_size=getattr(args, "sample_size", None), seed=args.seed)
     registry = train = holdout = None
     if hasattr(args, "registry"):
         registry = poisoning.read_registry(args.registry)
@@ -276,7 +276,8 @@ def _cmd_privacy(args) -> int:
     synthetic = read_wide(args.synthetic, horizon=None if train is None else train.horizon)
     if hasattr(args, "holdout"):
         holdout = read_wide(args.holdout, horizon=synthetic.horizon)
-    section, tables = report.privacy_section(options, args.seed, train, holdout, synthetic, registry)
+    attacks = (args.attack.replace("-", "_"),)
+    section, tables = report.privacy_section(attacks, config, None, train, holdout, synthetic, registry)
     _write_json(args.report, section[entry])
     if summary is not None:
         print(summary(section[entry]))
@@ -290,12 +291,12 @@ def _cmd_privacy(args) -> int:
 
 
 def _cmd_utility(args) -> int:
+    task = _TASKS[args.task if args.task == "tstr-classify" else args.kind]
+    config = nnet.TrainConfig(epochs=args.epochs, seed=args.seed)
     real_fit = read_wide(args.real_fit)
     synthetic_fit = read_wide(args.synthetic_fit, horizon=real_fit.horizon)
     real_eval = read_wide(args.eval, horizon=real_fit.horizon)
-    task = _TASKS[args.task if args.task == "tstr-classify" else args.kind]
-    options = {"tasks": [task], "epochs": args.epochs, "allow_overlap": args.allow_overlap}
-    (result,), _ = report.utility_section(options, args.seed, real_fit, synthetic_fit, real_eval)
+    (result,), _ = report.utility_section((task,), config, args.allow_overlap, real_fit, synthetic_fit, real_eval)
     _write_json(args.report, result)
     print(
         f"{result['metric_name']}: real-trained {result['score_real_trained']:.4f}, "

@@ -90,5 +90,5 @@ class MissingLabels(SynthmeterError):
     """A labelled task was given profiles without season labels."""
 
 
-class RatioNotComputed(SynthmeterError):
-    """Policy threshold ratio absent from the reconstruction result."""
+class RatioNotComputed(InvalidConfig):
+    """Policy threshold ratio absent from the reconstruction's threshold grid."""

@@ -36,7 +36,7 @@ def default_threshold_ratios() -> tuple[float, ...]:
 @dataclass(frozen=True)
 class ReconstructionConfig:
     threshold_ratios: tuple[float, ...] = field(default_factory=default_threshold_ratios)
-    synthetic_sample_size: int | None = None  # None: see _sample_size
+    sample_size: int | None = None  # synthetic rows sampled; None: see _sample_size
     seed: int = 0
 
     def __post_init__(self):
@@ -45,10 +45,8 @@ class ReconstructionConfig:
             raise InvalidConfig("at least one threshold ratio is required")
         if ratios[0] <= 0.0 or ratios[-1] > 1.0:
             raise InvalidConfig("threshold ratios must lie in (0, 1]")
-        if self.synthetic_sample_size is not None and self.synthetic_sample_size < 1:
-            raise InvalidConfig(
-                f"synthetic sample size must be at least 1, got {self.synthetic_sample_size}"
-            )
+        if self.sample_size is not None and self.sample_size < 1:
+            raise InvalidConfig(f"synthetic sample size must be at least 1, got {self.sample_size}")
         object.__setattr__(self, "threshold_ratios", ratios)
 
 
@@ -116,7 +114,7 @@ def reconstruction_ks(
 def reconstruction_poisoned(
     registry: OutlierRegistry,
     synthetic: ProfileSet,
-    config: ReconstructionConfig | None = None,
+    config: ReconstructionConfig = ReconstructionConfig(),
 ) -> ReconstructionResult:
     """Outlier-poisoned reconstruction attack.
 
@@ -125,8 +123,6 @@ def reconstruction_poisoned(
     The reported curve is non-decreasing in r by construction and
     invariant to jointly rescaling synthetic rows and outliers.
     """
-    if config is None:
-        config = ReconstructionConfig()
     outliers = registry.seen_outliers
     if len(outliers) == 0 or len(synthetic) == 0:
         raise InsufficientSamples("registry outliers and synthetic set must be non-empty")
@@ -138,7 +134,7 @@ def reconstruction_poisoned(
             f"registry outlier row {row} (household {outliers.household_ids[row]}) is all zero; "
             "its distance ratio is undefined"
         )
-    sample_size = _sample_size(config.synthetic_sample_size, synthetic)
+    sample_size = _sample_size(config.sample_size, synthetic)
     sample = _downsample(synthetic.values, sample_size, np.random.default_rng(config.seed))
     nn = kernels.nearest_neighbor_distances(outliers, sample)
     ratios = nn.nn_distance / norms

@@ -14,7 +14,7 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,16 +39,20 @@ class PolicyVerdict:
         return asdict(self)
 
 
+def _grid_ratio(ratios, policy_ratio: float) -> float:
+    """The threshold ratio equal to ``policy_ratio``; RatioNotComputed if there is none."""
+    match = [r for r in ratios if abs(r - policy_ratio) < 1e-12]
+    if not match:
+        raise RatioNotComputed(f"policy ratio {policy_ratio} is not among the threshold ratios")
+    return match[0]
+
+
 def threshold_policy_check(
     result: privacy.ReconstructionResult, policy_ratio: float, max_fraction: float
 ) -> PolicyVerdict:
     """Stakeholder sign-off verdict: reconstruction fraction at the policy
     ratio must not exceed the agreed maximum."""
-    fractions = result.fraction_reconstructed
-    match = [r for r in fractions if abs(r - policy_ratio) < 1e-12]
-    if not match:
-        raise RatioNotComputed(f"ratio {policy_ratio} not among computed ratios")
-    fraction = fractions[match[0]]
+    fraction = result.fraction_reconstructed[_grid_ratio(result.fraction_reconstructed, policy_ratio)]
     return PolicyVerdict(
         policy_ratio=policy_ratio,
         max_fraction=max_fraction,
@@ -117,23 +121,17 @@ def _resolve(base: Path, value: str) -> Path:
     return path if path.is_absolute() else base / path
 
 
-def fidelity_section(options: dict, seed: int, train, synthetic):
+def fidelity_section(config: fidelity.FidelityConfig, train, synthetic):
     """Run the fidelity metrics; returns the section and its side tables
     (per-slot statistics and PCA coordinates)."""
-    config = fidelity.FidelityConfig(**options, seed=seed)
     result = fidelity.evaluate_fidelity(train, synthetic, config)
 
-    quantiles = list(config.quantiles)
-    stats_real, stats_syn = result.slot_statistics
     header = ["slot", "real_mean", "synthetic_mean"]
-    for q in quantiles:
+    for q in config.quantiles:
         header += [f"real_q{q}", f"synthetic_q{q}"]
-    rows = []
-    for slot in range(train.horizon.length):
-        row = [slot, stats_real[0, slot], stats_syn[0, slot]]
-        for i in range(len(quantiles)):
-            row += [stats_real[1 + i, slot], stats_syn[1 + i, slot]]
-        rows.append(row)
+    # a row per slot: each statistic's real value, then its synthetic value
+    columns = np.stack(result.slot_statistics, axis=1).reshape(-1, train.horizon.length)
+    rows = [[slot, *values] for slot, values in enumerate(columns.T)]
 
     projection = kernels.pca_project(train, [train, synthetic])
     pca_rows = []
@@ -217,8 +215,10 @@ def check_options(section: str, options) -> None:
         check_known("utility task", options.get("tasks", ()), utility.TASKS)
 
 
-def privacy_section(options: dict, seed: int, train, holdout, synthetic, registry):
-    """Run the attacks ``options`` switches on; the others read ``not_run``.
+def privacy_section(attacks, config: privacy.ReconstructionConfig, policy, train, holdout, synthetic, registry):
+    """Run ``attacks`` (of PRIVACY_ATTACKS) with ``config``'s seed and sample
+    size; the others read ``not_run``. ``policy`` is None or the (ratio,
+    max_fraction) pair the poisoned reconstruction's verdict checks.
 
     Returns the section and its side tables (the reconstruction curve).
     ``registry`` may be None when no poisoned attack is on.
@@ -226,63 +226,91 @@ def privacy_section(options: dict, seed: int, train, holdout, synthetic, registr
     out = {key: dict(NOT_RUN) for key in ("ks", "reconstruction", "mia_plain", "mia_poisoned")}
     tables = {}
 
-    if options.get("recon"):
-        ks = privacy.reconstruction_ks(
-            train, holdout, synthetic,
-            sample_size=options.get("sample_size"), seed=seed,
-        )
+    if "recon" in attacks:
+        ks = privacy.reconstruction_ks(train, holdout, synthetic, sample_size=config.sample_size, seed=config.seed)
         out["ks"] = ks.as_dict()
 
-    if options.get("recon_poisoned"):
-        config = privacy.ReconstructionConfig(
-            threshold_ratios=options.get("threshold_ratios", privacy.default_threshold_ratios()),
-            synthetic_sample_size=options.get("sample_size"),
-            seed=seed,
-        )
+    if "recon_poisoned" in attacks:
         recon = privacy.reconstruction_poisoned(registry, synthetic, config)
         out["reconstruction"] = recon.as_dict()
         fractions = recon.fraction_reconstructed
         tables["reconstruction_cdf.csv"] = (
             ["ratio", "fraction"], [(r, fractions[r]) for r in sorted(fractions)]
         )
-        policy = options.get("policy")
         if policy:
-            verdict = threshold_policy_check(
-                recon, float(policy["ratio"]), float(policy["max_fraction"])
-            )
-            out["policy_verdict"] = verdict.as_dict()
+            out["policy_verdict"] = threshold_policy_check(recon, *policy).as_dict()
 
-    if options.get("mia"):
-        out["mia_plain"] = privacy.mia_plain(train, holdout, synthetic, seed=seed).as_dict()
+    if "mia" in attacks:
+        out["mia_plain"] = privacy.mia_plain(train, holdout, synthetic, seed=config.seed).as_dict()
 
-    if options.get("mia_poisoned"):
-        out["mia_poisoned"] = privacy.mia_poisoned(registry, synthetic, holdout, seed=seed).as_dict()
+    if "mia_poisoned" in attacks:
+        out["mia_poisoned"] = privacy.mia_poisoned(registry, synthetic, holdout, seed=config.seed).as_dict()
     return out, tables
 
 
-def utility_section(options: dict, seed: int, real_fit, synthetic_fit, real_eval):
-    """Run the TSTR tasks ``options`` names (all by default), in order.
+def utility_section(tasks, config: nnet.TrainConfig, allow_overlap: bool, real_fit, synthetic_fit, real_eval):
+    """Run the TSTR ``tasks`` in order, each with ``config`` and its own loss.
 
     Returns the list of task results and their epoch traces as side tables.
     """
-    tasks = options.get("tasks", list(utility.TASKS))
     overlap = {d.year for d in real_fit.start_dates} & {d.year for d in real_eval.start_dates}
-    if overlap and not options.get("allow_overlap", False):
+    if overlap and not allow_overlap:
         raise SynthmeterError(
             f"evaluation years {sorted(overlap)} overlap the fit period; "
             "set allow_overlap (--allow-overlap on the command line) to override"
         )
 
-    epochs = options.get("epochs", 50)
     results, tables = [], {}
     for name in tasks:
         task = utility.TASKS[name]
-        config = nnet.TrainConfig(loss=task.loss, epochs=epochs, seed=seed)
+        task_config = replace(config, loss=task.loss)
         # the public entry, looked up on the module so a tracer wrapping it sees the call
-        result = getattr(utility, f"tstr_{name}")(real_fit, synthetic_fit, real_eval, config)
+        result = getattr(utility, f"tstr_{name}")(real_fit, synthetic_fit, real_eval, task_config)
         tables[f"tstr_{name}_trace.csv"] = (list(task.trace_header), result.epochs_trace)
         results.append(result.as_dict())
     return results, tables
+
+
+def _require(noun: str, options: dict, keys, reason: str) -> None:
+    for key in keys:
+        if key not in options:
+            raise InvalidConfig(f"{noun} {key!r} is required {reason}")
+
+
+def plan(manifest: dict, seed: int) -> dict[str, tuple]:
+    """Check the object sections of a manifest whose top level passed check_options, and
+    build each requested suite's configs before any file is read: the arguments its
+    section takes ahead of the profile sets. A bad key, type or range, a missing file
+    key or a policy ratio off the threshold grid raises InvalidConfig."""
+    for name, value in manifest.items():
+        if isinstance(value, dict):  # after the top-level check, a suite or the generator
+            check_options(name, value)
+    requested = {name: {} if manifest[name] is True else manifest[name] for name in SUITES if manifest.get(name)}
+    if requested.keys() & {"fidelity", "privacy"}:
+        _require("manifest key", manifest, ("train", "holdout", "synthetic"), "by fidelity and privacy")
+    suites: dict[str, tuple] = {}
+    if "fidelity" in requested:
+        suites["fidelity"] = (fidelity.FidelityConfig(**requested["fidelity"], seed=seed),)
+    if "privacy" in requested:
+        # ``"privacy": true`` runs every attack (an empty object never runs)
+        options = requested["privacy"] or dict.fromkeys(PRIVACY_ATTACKS, True)
+        attacks = tuple(name for name in PRIVACY_ATTACKS if options.get(name))
+        if {"recon_poisoned", "mia_poisoned"} & set(attacks):
+            _require("manifest key", manifest, ("registry",), "by the poisoned attacks")
+        sizes = {key: options[key] for key in ("threshold_ratios", "sample_size") if key in options}
+        config = privacy.ReconstructionConfig(**sizes, seed=seed)
+        policy = options.get("policy")
+        if policy:  # the verdict's (ratio, max_fraction), its ratio on the threshold grid
+            policy = (float(policy["ratio"]), float(policy["max_fraction"]))
+            _grid_ratio(config.threshold_ratios, policy[0])
+        suites["privacy"] = (attacks, config, policy)
+    if "utility" in requested:
+        options = requested["utility"]
+        _require("utility option", options, UTILITY_FILES, "to run the utility suite")
+        config = nnet.TrainConfig(**{key: options[key] for key in ("epochs",) if key in options}, seed=seed)
+        tasks = tuple(options.get("tasks", utility.TASKS))
+        suites["utility"] = (tasks, config, options.get("allow_overlap", False))
+    return suites
 
 
 def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None) -> EvaluationOutcome:
@@ -294,20 +322,12 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)
     check_options("manifest", manifest)
-    for name, value in manifest.items():
-        if isinstance(value, dict):  # after the check above, a suite or the generator
-            check_options(name, value)
-    base = manifest_path.parent
-    output_dir = Path(output_dir) if output_dir else base / "evaluation"
-
     horizon = Horizon.from_name(manifest.get("horizon", "daily"))
-
-    def options_of(name: str) -> dict:
-        section = manifest.get(name)
-        return dict(section) if isinstance(section, dict) else {}
-
     if seed is None:
         seed = manifest.get("seed", 0)
+    suites = plan(manifest, seed)
+    base = manifest_path.parent
+    output_dir = Path(output_dir) if output_dir else base / "evaluation"
     generator = manifest.get("generator")
     output_dir.mkdir(parents=True, exist_ok=True)
 
@@ -326,14 +346,8 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
         return profiles
 
     train = holdout = synthetic = None
-    needs_core = any(manifest.get(k) for k in ("fidelity", "privacy"))
-    if needs_core:
-        for key in ("train", "holdout", "synthetic"):
-            if key not in manifest:
-                raise SynthmeterError(f"manifest requires the {key!r} file for fidelity/privacy")
-        train = load("train", manifest["train"])
-        holdout = load("holdout", manifest["holdout"])
-        synthetic = load("synthetic", manifest["synthetic"])
+    if suites.keys() & {"fidelity", "privacy"}:
+        train, holdout, synthetic = (load(key, manifest[key]) for key in ("train", "holdout", "synthetic"))
     if manifest.get("registry"):
         digests["registry"] = file_digest(_resolve(base, manifest["registry"]))
 
@@ -346,35 +360,23 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
         "seeds": {"global": seed},
     }
 
-    def run_fidelity():
-        return fidelity_section(options_of("fidelity"), seed, train, synthetic)
+    def profiles_of(name: str) -> tuple:
+        """The profile sets a section takes after its configs; a suite's own files fail only it."""
+        if name == "fidelity":
+            return train, synthetic
+        if name == "utility":
+            return tuple(load(f"utility_{key}", manifest["utility"][key]) for key in UTILITY_FILES)
+        poisoned = {"recon_poisoned", "mia_poisoned"} & set(suites["privacy"][0])
+        registry = read_registry(_resolve(base, manifest["registry"]), horizon=horizon) if poisoned else None
+        return train, holdout, synthetic, registry
 
-    def run_privacy():
-        # ``"privacy": true`` runs every attack (an empty object never runs)
-        options = options_of("privacy") or dict.fromkeys(PRIVACY_ATTACKS, True)
-        registry = None
-        if options.get("recon_poisoned") or options.get("mia_poisoned"):
-            if manifest.get("registry") is None:
-                raise SynthmeterError("poisoned attacks require a registry file in the manifest")
-            registry = read_registry(_resolve(base, manifest["registry"]), horizon=horizon)
-        return privacy_section(options, seed, train, holdout, synthetic, registry)
-
-    def run_utility():
-        options = options_of("utility")
-        for key in UTILITY_FILES:
-            if key not in options:
-                raise SynthmeterError(f"utility section requires the {key!r} file")
-        real_fit = load("utility_real_fit", options["real_fit"])
-        synthetic_fit = load("utility_synthetic_fit", options["synthetic_fit"])
-        real_eval = load("utility_eval", options["eval"])
-        return utility_section(options, seed, real_fit, synthetic_fit, real_eval)
-
-    for name, run in (("fidelity", run_fidelity), ("privacy", run_privacy), ("utility", run_utility)):
-        if not manifest.get(name):
+    sections = {"fidelity": fidelity_section, "privacy": privacy_section, "utility": utility_section}
+    for name in SUITES:
+        if name not in suites:
             report[name] = dict(NOT_RUN)
             continue
         try:
-            report[name], tables = run()
+            report[name], tables = sections[name](*suites[name], *profiles_of(name))
             for filename, (header, rows) in tables.items():
                 write_table(output_dir / filename, header, rows)
                 side_files.append(output_dir / filename)

@@ -198,11 +198,11 @@ def test_criterion_05_gradient_fidelity():
 def test_criterion_06_poisoned_reconstruction_controls(poisoned_5k):
     poisoned, _, registry, clean = poisoned_5k
     start = time.perf_counter()
-    config = privacy.ReconstructionConfig(synthetic_sample_size=5000)
+    config = privacy.ReconstructionConfig(sample_size=5000)
 
     memorized = memorizer_generate(poisoned, 4 * len(poisoned), MemorizerConfig(0.01, seed=1))
     mem_result = privacy.reconstruction_poisoned(
-        registry, memorized, privacy.ReconstructionConfig(synthetic_sample_size=len(memorized))
+        registry, memorized, privacy.ReconstructionConfig(sample_size=len(memorized))
     )
 
     # negative control: a mixture that never saw the outliers
@@ -394,7 +394,7 @@ def test_criterion_11_scale_free_radius():
     base = privacy.reconstruction_poisoned(
         registry,
         profile_set(synthetic_values),
-        privacy.ReconstructionConfig(synthetic_sample_size=400),
+        privacy.ReconstructionConfig(sample_size=400),
     )
     stable = True
     for c in (0.5, 2.0, 10.0):
@@ -408,7 +408,7 @@ def test_criterion_11_scale_free_radius():
         scaled = privacy.reconstruction_poisoned(
             scaled_registry,
             profile_set(synthetic_values * c),
-            privacy.ReconstructionConfig(synthetic_sample_size=400),
+            privacy.ReconstructionConfig(sample_size=400),
         )
         stable &= bool(
             np.all(

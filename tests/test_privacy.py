@@ -119,11 +119,11 @@ class TestReconstructionPoisoned:
         far = np.full((10, 48), 100.0)
         base = privacy.reconstruction_poisoned(
             registry, profile_set(near),
-            privacy.ReconstructionConfig(synthetic_sample_size=30),
+            privacy.ReconstructionConfig(sample_size=30),
         )
         extended = privacy.reconstruction_poisoned(
             registry, profile_set(np.vstack([near, far])),
-            privacy.ReconstructionConfig(synthetic_sample_size=40),
+            privacy.ReconstructionConfig(sample_size=40),
         )
         np.testing.assert_array_equal(
             base.per_outlier_nn_distance_ratio, extended.per_outlier_nn_distance_ratio
@@ -134,11 +134,11 @@ class TestReconstructionPoisoned:
         values = np.maximum(rng.normal(5.0, 1.0, size=(50, 48)), 0.0)
         base = privacy.reconstruction_poisoned(
             registry, profile_set(values),
-            privacy.ReconstructionConfig(synthetic_sample_size=50),
+            privacy.ReconstructionConfig(sample_size=50),
         )
         permuted = privacy.reconstruction_poisoned(
             registry, profile_set(values[rng.permutation(50)]),
-            privacy.ReconstructionConfig(synthetic_sample_size=50),
+            privacy.ReconstructionConfig(sample_size=50),
         )
         np.testing.assert_allclose(
             base.per_outlier_nn_distance_ratio, permuted.per_outlier_nn_distance_ratio, atol=0
@@ -148,12 +148,12 @@ class TestReconstructionPoisoned:
     @pytest.mark.parametrize("size", [0, -1])
     def test_sample_size_below_one_rejected(self, size):
         with pytest.raises(InvalidConfig, match="at least 1"):
-            privacy.ReconstructionConfig(synthetic_sample_size=size)
+            privacy.ReconstructionConfig(sample_size=size)
 
     def test_sample_size_of_one_accepted(self, registry):
         result = privacy.reconstruction_poisoned(
             registry, profile_set(np.zeros((5, 48))),
-            privacy.ReconstructionConfig(synthetic_sample_size=1),
+            privacy.ReconstructionConfig(sample_size=1),
         )
         assert len(result.per_outlier_nn_distance_ratio) == len(registry.seen_outliers)
 
@@ -168,7 +168,7 @@ class TestGeneratorControls:
             poisoned, len(poisoned), MemorizerConfig(jitter_sigma=0.0, seed=0, sequential=True)
         )
         config = privacy.ReconstructionConfig(
-            threshold_ratios=(0.01, 0.3, 1.0), synthetic_sample_size=len(synthetic)
+            threshold_ratios=(0.01, 0.3, 1.0), sample_size=len(synthetic)
         )
         result = privacy.reconstruction_poisoned(registry, synthetic, config)
         assert result.fraction_reconstructed[0.01] == 1.0  # zero distance everywhere
@@ -177,7 +177,7 @@ class TestGeneratorControls:
         population = demo.make_population(60, 6, seed=23)  # outlier-free
         synthetic = gmm_generate(population, 500, gmm.FitConfig(k=5, seed=1))
         config = privacy.ReconstructionConfig(
-            threshold_ratios=(0.3,), synthetic_sample_size=len(synthetic)
+            threshold_ratios=(0.3,), sample_size=len(synthetic)
         )
         result = privacy.reconstruction_poisoned(registry, synthetic, config)
         assert result.fraction_reconstructed[0.3] == 0.0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthmeter import cli, demo, fidelity, gmm, kernels, privacy, report
+from synthmeter import cli, demo, fidelity, gmm, kernels, poisoning, privacy, report
 from synthmeter.errors import InvalidConfig, RatioNotComputed
 from synthmeter.generators import GeneratorMetadata, MemorizerConfig, memorizer_generate
 from synthmeter.poisoning import OutlierSpec, make_attack_registry, write_registry
@@ -39,6 +39,11 @@ def write_manifest(base: Path, payload: dict, name: str = "manifest.json") -> Pa
     path = base / name
     path.write_text(json.dumps(payload, indent=1))
     return path
+
+
+def unread(path, *args, **kwargs):
+    """Stands in for a file reader that a rejected input must never reach."""
+    raise AssertionError(f"{path} was read before the input was checked")
 
 
 class TestThresholdPolicy:
@@ -135,22 +140,6 @@ class TestRunFullEvaluation:
         assert outcome.ok
         verdict = outcome.report["privacy"]["policy_verdict"]
         assert set(verdict) == {"policy_ratio", "max_fraction", "fraction_at_ratio", "passed"}
-
-    def test_missing_registry_fails_privacy_section(self, workspace, tmp_path):
-        manifest = write_manifest(
-            workspace,
-            {
-                "horizon": "daily",
-                "train": "train.csv",
-                "holdout": "holdout.csv",
-                "synthetic": "synthetic.csv",
-                "privacy": {"recon_poisoned": True},
-            },
-            name="broken.json",
-        )
-        outcome = report.run_full_evaluation(manifest, output_dir=tmp_path / "out")
-        assert not outcome.ok
-        assert outcome.report["privacy"]["status"] == "failed"
 
     def test_side_file_schemas_round_trip(self, workspace, tmp_path):
         manifest = write_manifest(
@@ -322,7 +311,9 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "recon.json").exists()
 
-    def test_recon_poisoned_negative_sample_size_exits_2(self, workspace, tmp_path, capsys):
+    def test_recon_poisoned_negative_sample_size_exits_2(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "read_wide", unread)  # the config is built before any file is read
+        monkeypatch.setattr(poisoning, "read_registry", unread)
         rc = cli.main(
             [
                 "privacy", "recon-poisoned",
@@ -407,16 +398,18 @@ class TestCli:
             {"clusters_k": "four"},
             {"kl_smoothing": -1.0},
             {"mmd_bandwith": 1.0},
+            {"clusters_k": 0},
         ],
         ids=[
             "peaks_n_0", "bandwidth_typo", "bandwidth_negative", "clusters_k_text",
-            "kl_smoothing_negative", "unknown_key",
+            "kl_smoothing_negative", "unknown_key", "clusters_k_0",
         ],
     )
-    def test_fidelity_config_error_exits_2(self, tmp_path, capsys, options):
+    def test_fidelity_config_error_exits_2(self, tmp_path, capsys, monkeypatch, options):
         write_wide(demo.make_population(20, 6, seed=8), tmp_path / "real.csv")
         config = tmp_path / "fid.json"
         config.write_text(json.dumps(options))
+        monkeypatch.setattr(cli, "read_wide", unread)  # the config is built before any profile is read
         rc = cli.main(
             [
                 "fidelity",
@@ -530,10 +523,22 @@ class TestCli:
         "generator_name_number": "generator key 'name' must be a string, got 5",
         "demo_households_0": "households must be at least 1, got 0",
         "demo_days_0": "days must be at least 1, got 0",
+        "clusters_k_0": "acf_max_lag, peaks_n and clusters_k must be positive",
+        "quantile_1": "quantiles must be in (0, 1), got 1.0",
+        "epochs_0": "learning_rate, batch_size and epochs must be positive",
+        "ratio_0": "threshold ratios must lie in (0, 1]",
+        "sample_size_0": "synthetic sample size must be at least 1, got 0",
+        "registry_missing": "manifest key 'registry' is required by the poisoned attacks",
+        "registry_missing_privacy_true": "manifest key 'registry' is required by the poisoned attacks",
+        "utility_eval_missing": "utility option 'eval' is required to run the utility suite",
+        "utility_true": "utility option 'real_fit' is required to run the utility suite",
+        "policy_off_grid": "policy ratio 0.33 is not among the threshold ratios",
     }
+    # the cases above that must read a profile file to find their fault
+    READ_FIRST = ("negative_evaluate", "missing_input")
 
     @pytest.mark.parametrize("case", list(BAD_INPUT))
-    def test_bad_input_exits_2_naming_its_cause(self, workspace, tmp_path, capsys, case):
+    def test_bad_input_exits_2_naming_its_cause(self, workspace, tmp_path, capsys, monkeypatch, case):
         files = {name: str(workspace / f"{name}.csv") for name in ("train", "holdout", "synthetic", "registry")}
         fit = {"real_fit": files["train"], "synthetic_fit": files["synthetic"], "eval": files["holdout"],
                "allow_overlap": True}
@@ -586,8 +591,21 @@ class TestCli:
             "peaks_string": {"fidelity": {"peaks_n": "5"}},
             "epsilon_string": {"generator": {"claimed_epsilon": "one"}},
             "generator_name_number": {"generator": {"name": 5}},
+            "clusters_k_0": {"fidelity": {"clusters_k": 0}},
+            "quantile_1": {"fidelity": {"quantiles": [1.0]}},
+            "epochs_0": {"utility": {**fit, "epochs": 0}},
+            "ratio_0": {"privacy": {"recon_poisoned": True, "threshold_ratios": [0]}},
+            "sample_size_0": {"privacy": {"recon": True, "sample_size": 0}},
+            "registry_missing": {"registry": None, "privacy": {"recon": True, "mia_poisoned": True}},
+            "registry_missing_privacy_true": {"registry": None, "privacy": True},
+            "utility_eval_missing": {"utility": {key: fit[key] for key in ("real_fit", "synthetic_fit")}},
+            "utility_true": {"utility": True},
+            "policy_off_grid": {"privacy": {"recon_poisoned": True, "policy": {"ratio": 0.33, "max_fraction": 0.0}}},
         }
-        manifest = write_manifest(tmp_path, {**files, "fidelity": True, **overrides.get(case, {})})
+        # an override of None drops the key
+        payload = {key: value for key, value in {**files, "fidelity": True, **overrides.get(case, {})}.items()
+                   if value is not None}
+        manifest = write_manifest(tmp_path, payload)
         out = ["--report", str(tmp_path / "r.json")]
 
         def evaluate(path):
@@ -611,12 +629,18 @@ class TestCli:
             "demo_households_0": ["demo", "--output-dir", str(tmp_path / "a.demo"), "--households", "0"],
             "demo_days_0": ["demo", "--output-dir", str(tmp_path / "a.demo"), "--days", "0"],
         }
+        up_front = case not in commands and case not in self.READ_FIRST
+        if up_front:  # a manifest fault must stop the run before any profile file is read
+            monkeypatch.setattr(report, "read_wide", unread)
+            monkeypatch.setattr(report, "read_registry", unread)
         rc = cli.main(commands.get(case, evaluate(manifest)))
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert self.BAD_INPUT[case].format(missing=missing, bad=bad) in err
         assert not any(tmp_path.glob("[abr].*"))
+        if up_front:
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command",
@@ -647,9 +671,10 @@ class TestCli:
         assert err.count("error:") == 1 and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_utility_zero_epochs_exits_2(self, tmp_path, capsys):
+    def test_utility_zero_epochs_exits_2(self, tmp_path, capsys, monkeypatch):
         fit = demo.make_population(20, 8, seed=3, day_step=36)
         write_wide(fit, tmp_path / "fit.csv")
+        monkeypatch.setattr(cli, "read_wide", unread)  # the config is built before any profile is read
         rc = cli.main(
             [
                 "utility", "tstr-classify",
@@ -733,10 +758,28 @@ class TestCli:
         assert list((tmp_path / "bundle").rglob("report.json"))
 
 
+# a valid value other than the default for every privacy and utility option but the file paths
+NON_DEFAULT = {
+    "recon": True, "recon_poisoned": True, "mia": True, "mia_poisoned": True,
+    "policy": {"ratio": 0.3, "max_fraction": 0.5}, "sample_size": 7, "threshold_ratios": [0.3, 0.6],
+    "tasks": ["classify"], "epochs": 3, "allow_overlap": True,
+}
+
+
 def test_option_table_matches_config_fields():
-    """The fidelity and generator rows name exactly the config fields they fill."""
+    """The fidelity and generator rows name exactly the config fields they
+    fill, and every other privacy and utility option changes the plan."""
     assert set(report.OPTIONS["fidelity"][1]) == {f.name for f in fields(fidelity.FidelityConfig)} - {"seed"}
     assert set(report.OPTIONS["generator"][1]) == {f.name for f in fields(GeneratorMetadata)}
+    files = {key: f"{key}.csv" for key in ("train", "holdout", "synthetic", "registry")}
+    minimal = {"privacy": {"recon": False}, "utility": dict.fromkeys(report.UTILITY_FILES, "fit.csv")}
+    ignored = []
+    for section, options in minimal.items():
+        before = report.plan({**files, section: options}, 0)
+        for key in report.OPTIONS[section][1].keys() - report.UTILITY_FILES:
+            if report.plan({**files, section: {**options, key: NON_DEFAULT[key]}}, 0) == before:
+                ignored.append(key)
+    assert ignored == []
 
 
 JSON_VALUES = st.recursive(
@@ -768,9 +811,6 @@ def test_perturbed_manifest_fails_before_any_file_is_read(manifest_dir, entry, t
         value = data.draw(JSON_VALUES.filter(lambda v: not accepts(v)), label="value")
     options = {key: value}
     manifest = write_manifest(manifest_dir, options if section == "manifest" else {section: options})
-
-    def unread(path, *args, **kwargs):
-        raise AssertionError(f"{path} was read before the manifest was checked")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(report, "read_wide", unread)
