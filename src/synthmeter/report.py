@@ -297,8 +297,8 @@ def plan(manifest: dict, seed: int) -> dict[str, tuple]:
         attacks = tuple(name for name in PRIVACY_ATTACKS if options.get(name))
         if {"recon_poisoned", "mia_poisoned"} & set(attacks):
             _require("manifest key", manifest, ("registry",), "by the poisoned attacks")
-        sizes = {key: options[key] for key in ("threshold_ratios", "sample_size") if key in options}
-        config = privacy.ReconstructionConfig(**sizes, seed=seed)
+        overrides = {key: options[key] for key in ("threshold_ratios", "sample_size") if key in options}
+        config = privacy.ReconstructionConfig(**overrides, seed=seed)
         policy = options.get("policy")
         if policy:  # the verdict's (ratio, max_fraction), its ratio on the threshold grid
             policy = (float(policy["ratio"]), float(policy["max_fraction"]))
