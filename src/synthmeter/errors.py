@@ -25,6 +25,13 @@ def check_known(kind: str, names, known) -> None:
             raise InvalidConfig(f"unknown {kind} {name!r}{hint}")
 
 
+def check_value(key: str, value, ok: bool, expected: str) -> None:
+    """Reject a config value out of range, naming its key and the value; a
+    manifest's keys are unique across its sections, so the key also locates it."""
+    if not ok:
+        raise InvalidConfig(f"{key!r} must be {expected}, got {value!r}")
+
+
 class MalformedRow(SynthmeterError):
     """A source row could not be parsed; carries the 1-based line number."""
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import gmm, kernels
-from .errors import DegenerateInput, InvalidConfig
+from .errors import DegenerateInput, check_value
 from .profiles import ProfileSet, require_same_horizon
 
 
@@ -35,24 +35,15 @@ class FidelityConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "quantiles", tuple(self.quantiles))  # a JSON list arrives as a list
-        if self.acf_max_lag < 1 or self.peaks_n < 1 or self.clusters_k < 1:
-            raise InvalidConfig("acf_max_lag, peaks_n and clusters_k must be positive")
+        for key in ("acf_max_lag", "peaks_n", "clusters_k"):
+            check_value(key, getattr(self, key), getattr(self, key) >= 1, "at least 1")
         for q in self.quantiles:
-            if not (0.0 < q < 1.0):
-                raise InvalidConfig(f"quantiles must be in (0, 1), got {q}")
-        if self.kl_smoothing < 0:
-            raise InvalidConfig("kl_smoothing must be non-negative")
+            check_value("quantiles", q, 0.0 < q < 1.0, "in (0, 1)")
+        check_value("kl_smoothing", self.kl_smoothing, self.kl_smoothing >= 0, "non-negative")
         bandwidth = self.mmd_bandwidth
-        if bandwidth != kernels.MEDIAN_HEURISTIC and not (
-            isinstance(bandwidth, (int, float))
-            and not isinstance(bandwidth, bool)
-            and math.isfinite(bandwidth)
-            and bandwidth > 0
-        ):
-            raise InvalidConfig(
-                f"mmd_bandwidth must be {kernels.MEDIAN_HEURISTIC!r} or a positive finite number,"
-                f" got {bandwidth!r}"
-            )
+        number = isinstance(bandwidth, (int, float)) and not isinstance(bandwidth, bool)
+        ok = bandwidth == kernels.MEDIAN_HEURISTIC or (number and math.isfinite(bandwidth) and bandwidth > 0)
+        check_value("mmd_bandwidth", bandwidth, ok, f"{kernels.MEDIAN_HEURISTIC!r} or a positive finite number")
 
 
 @dataclass

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss
+from .errors import DimensionMismatch, NonFiniteLoss, check_value
 
 SIGMOID = "sigmoid"
 LINEAR = "linear"
@@ -61,12 +61,11 @@ class TrainConfig:
     pinball_q: float = 0.95
 
     def __post_init__(self):
-        if self.loss not in (BCE, MSE, PINBALL):
-            raise InvalidConfig(f"unknown loss {self.loss!r}")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise InvalidConfig("learning_rate, batch_size and epochs must be positive")
-        if not (0.0 < self.pinball_q < 1.0):
-            raise InvalidConfig("pinball_q must be in (0, 1)")
+        check_value("loss", self.loss, self.loss in (BCE, MSE, PINBALL), f"{BCE!r}, {MSE!r} or {PINBALL!r}")
+        check_value("learning_rate", self.learning_rate, self.learning_rate > 0, "positive")
+        for key in ("batch_size", "epochs"):
+            check_value(key, getattr(self, key), getattr(self, key) >= 1, "at least 1")
+        check_value("pinball_q", self.pinball_q, 0.0 < self.pinball_q < 1.0, "in (0, 1)")
 
 
 @dataclass
@@ -131,13 +130,13 @@ def _forward_pass(
     raise AssertionError("unreachable")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z: np.ndarray, e: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """The stable sigmoid: as e = exp(-|z|) is exp(-z) for z >= 0 and exp(z)
+    below, it is 1/(1 + exp(-z)) and exp(z)/(1 + exp(z)) there. ``e``, if
+    given, is exp(-|z|) already computed; ``out`` receives the result."""
+    if e is None:
+        e = np.exp(-np.abs(z))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def _checked_logits(model: MlpModel, inputs) -> tuple[np.ndarray, bool]:
@@ -200,14 +199,13 @@ def _loss_and_grad(
     y = targets
     n = y.shape[-2]
     if config.loss == BCE:
-        # stable form on logits: max(z,0) - z*y + log(1 + exp(-|z|)). As
-        # exp(-|z|) is exp(-z) for z >= 0 and exp(z) below, it also gives the
-        # sigmoid in its stable forms 1/(1 + exp(-z)) and exp(z)/(1 + exp(z)).
+        # stable form on logits: max(z,0) - z*y + log(1 + exp(-|z|)), whose
+        # exp(-|z|) the sigmoid reuses
         e = np.abs(z)
         np.negative(e, out=e)
         np.exp(e, out=e)
         terms = np.maximum(z, 0.0) - z * y + np.log1p(e)
-        grad = np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
+        grad = _sigmoid(z, e, out)
         grad -= y
         grad /= n
     elif config.loss == MSE:
@@ -310,10 +308,11 @@ def train_arms(
     the one step loop; see the module docstring.
 
     The arms share one architecture and row count. Each keeps its own
-    standardisation constants. The first NaN or infinite loss of any arm,
-    in step order, aborts every arm with that arm's NonFiniteLoss; a later
-    arm's error can thus come first where ``train`` runs would raise an
-    earlier arm's.
+    standardisation constants. A NaN or infinite loss raises what ``train``
+    calls in arm order would: arm 0's NonFiniteLoss at once, any other
+    arm's once training ends, the lowest-numbered failed arm's first. A
+    diverged arm's callback is not called again; the other arms share no
+    arithmetic with it, so they train on bit for bit.
     """
     given = zip(models, inputs, targets, epoch_callbacks, strict=True)
     arrays = [_checked_arrays(m, x, y) for m, x, y, _ in given]
@@ -375,14 +374,15 @@ def train_arms(
 
     rng = np.random.default_rng(config.seed)
     traces: list[list[float]] = [[] for _ in outs]
+    errors: dict[int, NonFiniteLoss] = {}  # by arm, from its first non-finite loss
     for epoch in range(config.epochs):
         order = rng.permutation(rows)
         # a permutation has no out-of-range index to clip; "clip" only spares
         # the buffered copy that the default "raise" makes of ``out``
         np.take(x_n, order, axis=1, out=x_epoch, mode="clip")
         np.take(y, order, axis=1, out=y_epoch, mode="clip")
-        # divergence surfaces as NonFiniteLoss, not as numpy warnings; steps
-        # after a non-finite loss only run on to the epoch's end, where it aborts
+        # divergence surfaces as NonFiniteLoss, not as numpy warnings; an arm
+        # whose loss is not finite runs on in NaN until training ends
         with np.errstate(over="ignore", invalid="ignore"):
             for step, start in enumerate(starts):
                 stop = start + batch
@@ -396,12 +396,16 @@ def train_arms(
                 velocity -= grads
                 params += velocity
             losses /= n_terms
-        bad = np.argwhere(~np.isfinite(losses))
-        if len(bad):
-            step, arm = bad[0]
-            raise NonFiniteLoss(f"loss became {float(losses[step, arm])} at epoch {epoch}")
+        for step, k in np.argwhere(~np.isfinite(losses)).tolist():  # in step order
+            if k not in errors:
+                errors[k] = NonFiniteLoss(f"loss became {float(losses[step, k])} at epoch {epoch}")
+        if 0 in errors:
+            raise errors[0]
         for k, (out, trace, callback) in enumerate(zip(outs, traces, epoch_callbacks)):
-            trace.append(float(np.mean(losses[:, k])))
-            if callback is not None:
-                callback(out, epoch)
+            if k not in errors:
+                trace.append(float(np.mean(losses[:, k])))
+                if callback is not None:
+                    callback(out, epoch)
+    if errors:
+        raise errors[min(errors)]
     return [TrainResult(model=out, loss_trace=trace) for out, trace in zip(outs, traces)]

@@ -21,11 +21,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import kernels, nnet
-from .errors import DegenerateInput, InsufficientSamples, InvalidConfig
+from .errors import DegenerateInput, InsufficientSamples, check_value
 from .poisoning import OutlierRegistry
 from .profiles import ProfileSet, require_same_horizon
 
 DEFAULT_DISCRIMINATOR_HIDDEN = (64, 32)
+KS_MIN_SAMPLE = 5  # fewest sampled synthetic rows the KS reconstruction test accepts
 
 
 def default_threshold_ratios() -> tuple[float, ...]:
@@ -41,12 +42,11 @@ class ReconstructionConfig:
 
     def __post_init__(self):
         ratios = tuple(sorted(set(float(r) for r in self.threshold_ratios)))
-        if not ratios:
-            raise InvalidConfig("at least one threshold ratio is required")
-        if ratios[0] <= 0.0 or ratios[-1] > 1.0:
-            raise InvalidConfig("threshold ratios must lie in (0, 1]")
-        if self.sample_size is not None and self.sample_size < 1:
-            raise InvalidConfig(f"synthetic sample size must be at least 1, got {self.sample_size}")
+        check_value("threshold_ratios", self.threshold_ratios, len(ratios) > 0, "non-empty")
+        for r in ratios:
+            check_value("threshold_ratios", r, 0.0 < r <= 1.0, "in (0, 1]")
+        size = self.sample_size
+        check_value("sample_size", size, size is None or size >= 1, "at least 1")
         object.__setattr__(self, "threshold_ratios", ratios)
 
 
@@ -103,8 +103,8 @@ def reconstruction_ks(
     """
     require_same_horizon(train, holdout, synthetic)
     sample_size = _sample_size(sample_size, synthetic)
-    if sample_size < 5:
-        raise InsufficientSamples("need at least 5 sampled synthetic rows")
+    if sample_size < KS_MIN_SAMPLE:
+        raise InsufficientSamples(f"need at least {KS_MIN_SAMPLE} sampled synthetic rows")
     sample = _downsample(synthetic.values, sample_size, np.random.default_rng(seed))
     d_train = kernels.nearest_neighbor_distances(sample, train).nn_distance
     d_holdout = kernels.nearest_neighbor_distances(sample, holdout).nn_distance

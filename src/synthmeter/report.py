@@ -14,13 +14,13 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, fidelity, kernels, nnet, privacy, utility
-from .errors import InvalidConfig, RatioNotComputed, SynthmeterError, check_known
+from .errors import InvalidConfig, RatioNotComputed, SynthmeterError, check_known, check_value
 from .generators import GeneratorMetadata
 from .poisoning import read_registry
 from .profiles import Horizon, read_wide
@@ -249,7 +249,7 @@ def privacy_section(attacks, config: privacy.ReconstructionConfig, policy, train
 
 
 def utility_section(tasks, config: nnet.TrainConfig, allow_overlap: bool, real_fit, synthetic_fit, real_eval):
-    """Run the TSTR ``tasks`` in order, each with ``config`` and its own loss.
+    """Run the TSTR ``tasks`` in order, each with ``config`` (the task sets the loss).
 
     Returns the list of task results and their epoch traces as side tables.
     """
@@ -262,11 +262,9 @@ def utility_section(tasks, config: nnet.TrainConfig, allow_overlap: bool, real_f
 
     results, tables = [], {}
     for name in tasks:
-        task = utility.TASKS[name]
-        task_config = replace(config, loss=task.loss)
         # the public entry, looked up on the module so a tracer wrapping it sees the call
-        result = getattr(utility, f"tstr_{name}")(real_fit, synthetic_fit, real_eval, task_config)
-        tables[f"tstr_{name}_trace.csv"] = (list(task.trace_header), result.epochs_trace)
+        result = getattr(utility, f"tstr_{name}")(real_fit, synthetic_fit, real_eval, config)
+        tables[f"tstr_{name}_trace.csv"] = (list(utility.TASKS[name].trace_header), result.epochs_trace)
         results.append(result.as_dict())
     return results, tables
 
@@ -281,7 +279,8 @@ def plan(manifest: dict, seed: int) -> dict[str, tuple]:
     """Check the object sections of a manifest whose top level passed check_options, and
     build each requested suite's configs before any file is read: the arguments its
     section takes ahead of the profile sets. A bad key, type or range, a missing file
-    key or a policy ratio off the threshold grid raises InvalidConfig."""
+    key, an ACF lag not below the horizon length, a KS sample below its minimum, or a
+    policy without ``recon_poisoned`` or off the threshold grid raises InvalidConfig."""
     for name, value in manifest.items():
         if isinstance(value, dict):  # after the top-level check, a suite or the generator
             check_options(name, value)
@@ -290,7 +289,10 @@ def plan(manifest: dict, seed: int) -> dict[str, tuple]:
         _require("manifest key", manifest, ("train", "holdout", "synthetic"), "by fidelity and privacy")
     suites: dict[str, tuple] = {}
     if "fidelity" in requested:
-        suites["fidelity"] = (fidelity.FidelityConfig(**requested["fidelity"], seed=seed),)
+        config = fidelity.FidelityConfig(**requested["fidelity"], seed=seed)
+        lag, length = config.acf_max_lag, Horizon.from_name(manifest.get("horizon", "daily")).length
+        check_value("acf_max_lag", lag, lag < length, f"below the horizon length {length}")
+        suites["fidelity"] = (config,)
     if "privacy" in requested:
         # ``"privacy": true`` runs every attack (an empty object never runs)
         options = requested["privacy"] or dict.fromkeys(PRIVACY_ATTACKS, True)
@@ -299,8 +301,13 @@ def plan(manifest: dict, seed: int) -> dict[str, tuple]:
             _require("manifest key", manifest, ("registry",), "by the poisoned attacks")
         overrides = {key: options[key] for key in ("threshold_ratios", "sample_size") if key in options}
         config = privacy.ReconstructionConfig(**overrides, seed=seed)
+        size, minimum = config.sample_size, privacy.KS_MIN_SAMPLE
+        check_value("sample_size", size, "recon" not in attacks or size is None or size >= minimum,
+                    f"at least {minimum} for the recon attack")
         policy = options.get("policy")
         if policy:  # the verdict's (ratio, max_fraction), its ratio on the threshold grid
+            if "recon_poisoned" not in attacks:
+                raise InvalidConfig("privacy option 'policy' requires 'recon_poisoned' to be on")
             policy = (float(policy["ratio"]), float(policy["max_fraction"]))
             _grid_ratio(config.threshold_ratios, policy[0])
         suites["privacy"] = (attacks, config, policy)

@@ -8,21 +8,20 @@ one is still a mismatch.
 
 When the two fit sets have the same row count (as every demo-built
 workspace has), the arms train in lockstep as one stacked model
-(``nnet.train_arms``), bit-identical to training them one after the
-other; otherwise, or when the stacked run diverges, they train one after
-the other, so a divergence raises the real arm's error first as it
-always did.
+(``nnet.train_arms``), which gives the results and raises the errors of
+training them one after the other, real first; otherwise they train one
+after the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from . import nnet
-from .errors import HorizonMismatch, InvalidConfig, MissingLabels, NonFiniteLoss, NonFiniteValue
+from .errors import HorizonMismatch, MissingLabels, NonFiniteValue
 from .profiles import Horizon, ProfileSet, SUMMER_AUTUMN, WINTER_SPRING, require_same_horizon
 
 @dataclass
@@ -123,13 +122,11 @@ def _tstr(
     config: nnet.TrainConfig | None,
 ) -> TstrResult:
     """Train the two arms with identical seeds and config (only the fit data
-    differs) and score both on the real evaluation set."""
+    differs) and score both on the real evaluation set. The task sets the
+    config's loss."""
     task = TASKS[name]
     require_same_horizon(real_fit, synthetic_fit, real_eval)
-    if config is None:
-        config = nnet.TrainConfig(loss=task.loss)
-    if config.loss != task.loss:
-        raise InvalidConfig(f"the {name} task trains with the {task.loss!r} loss, got {config.loss!r}")
+    config = replace(config or nnet.TrainConfig(), loss=task.loss)
     arms = [task.arrays(real_fit), task.arrays(synthetic_fit)]
     x_eval, y_eval = task.arrays(real_eval)
 
@@ -138,24 +135,15 @@ def _tstr(
 
     model = nnet.init_model([x_eval.shape[1], *task.hidden, 1], head=task.head, seed=config.seed)
 
-    def fit(stacked: bool) -> tuple[list[nnet.TrainResult], list[list[float]]]:
-        traces: list[list[float]] = [[] for _ in arms]
-        callbacks = [lambda m, _, trace=trace: trace.append(score(m)) for trace in traces]
-        if stacked:
-            xs, ys = zip(*arms)
-            return nnet.train_arms([model] * len(arms), xs, ys, config, epoch_callbacks=callbacks), traces
-        return [
-            nnet.train(model, x, y, config, epoch_callback=callback) for (x, y), callback in zip(arms, callbacks)
-        ], traces
-
-    results = None
+    traces: list[list[float]] = [[] for _ in arms]
+    callbacks = [lambda m, _, trace=trace: trace.append(score(m)) for trace in traces]
     if len(arms[0][0]) == len(arms[1][0]):
-        try:
-            results, traces = fit(stacked=True)
-        except NonFiniteLoss:
-            pass  # retrained one by one below, which raises the real arm's error first
-    if results is None:
-        results, traces = fit(stacked=False)
+        xs, ys = zip(*arms)
+        results = nnet.train_arms([model] * len(arms), xs, ys, config, epoch_callbacks=callbacks)
+    else:
+        results = [
+            nnet.train(model, x, y, config, epoch_callback=callback) for (x, y), callback in zip(arms, callbacks)
+        ]
     metric_name = task.metric_name.format(q=config.pinball_q)
     scores = [score(result.model) for result in results]
     # a loss that stays finite can still give an infinite score

@@ -16,6 +16,7 @@ def tiny_model(layers, head, seed=0):
 
 
 def _reference_sigmoid(z):
+    """The masked sigmoid nnet used before its one stable form, kept as an oracle."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -378,6 +379,64 @@ class TestStackedArms:
             nnet.train_arms([model, model], [x], [y], config, [None, None])
         with pytest.raises(ValueError, match="shorter"):
             nnet.train_arms([model, model], [x, x], [y, y], config, [None])
+
+
+class TestArmOrderContract:
+    """``train_arms`` returns, and raises, what ``nnet.train`` calls in arm order would."""
+
+    # target scale per arm: at this rate an arm on 10 y diverges at epoch 3
+    # and one on 200 y at epoch 1 or 2, depending on its initial weights
+    SCALES = {
+        "none_diverges": (1.0, 0.5, 1.5),
+        "arm_2_diverges": (1.0, 0.5, 10.0),
+        "arm_2_before_arm_1": (1.0, 10.0, 200.0),
+        "arm_0_diverges": (200.0, 1.0, 10.0),
+    }
+
+    @pytest.mark.parametrize("case", list(SCALES))
+    def test_three_arms_match_train_in_arm_order(self, case):
+        x, y, head = _task(nnet.MSE, 5)
+        config = nnet.TrainConfig(loss=nnet.MSE, batch_size=32, epochs=30, seed=0, learning_rate=0.05)
+        models = [tiny_model([5, 8, 1], head, seed=seed) for seed in range(3)]
+        targets = [y * scale for scale in self.SCALES[case]]
+
+        # the oracle: each arm alone, the first error in arm order the one raised
+        want, want_epochs, error = [], [], None
+        for model, target in zip(models, targets):
+            epochs = []
+            try:
+                want.append(nnet.train(model, x, target, config, lambda m, e, epochs=epochs: epochs.append(e)))
+            except NonFiniteLoss as exc:
+                error = error or str(exc)
+            want_epochs.append(epochs)
+        if case == "arm_2_before_arm_1":
+            assert len(want_epochs[2]) < len(want_epochs[1]) < config.epochs
+
+        seen = [[] for _ in models]
+        callbacks = [lambda m, e, epochs=epochs: epochs.append(e) for epochs in seen]
+        if error is None:
+            got = nnet.train_arms(models, [x] * 3, targets, config, callbacks)
+            for result, expected in zip(got, want, strict=True):
+                _assert_models_identical(result.model, expected.model)
+                assert result.loss_trace == expected.loss_trace
+        else:
+            with pytest.raises(NonFiniteLoss) as got:
+                nnet.train_arms(models, [x] * 3, targets, config, callbacks)
+            assert str(got.value) == error
+        # a diverged arm's callback stops at its divergence; arm 0's stops every arm
+        stop = len(want_epochs[0])
+        assert seen == [epochs[:stop] for epochs in want_epochs]
+        assert case == "none_diverges" or any(len(epochs) < config.epochs for epochs in seen)
+
+
+def test_sigmoid_matches_masked_form():
+    """The one stable sigmoid has the bits of the masked form it replaced."""
+    rng = np.random.default_rng(0)
+    edges = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf]
+    z = np.concatenate([rng.standard_normal(200_000) * 10.0, edges]).reshape(-1, 2)
+    got = nnet._sigmoid(z)
+    assert got.shape == z.shape
+    assert np.array_equal(got.view(np.uint64), _reference_sigmoid(z).view(np.uint64))
 
 
 def gradient_check(model: nnet.MlpModel, config: nnet.TrainConfig, inputs, targets) -> float:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 import json
+import math
 import re
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -325,7 +329,7 @@ class TestCli:
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "sample size" in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'sample_size'" in err
         assert not (tmp_path / "recon.json").exists()
 
     def test_generate_gmm_and_fidelity(self, tmp_path):
@@ -523,11 +527,14 @@ class TestCli:
         "generator_name_number": "generator key 'name' must be a string, got 5",
         "demo_households_0": "households must be at least 1, got 0",
         "demo_days_0": "days must be at least 1, got 0",
-        "clusters_k_0": "acf_max_lag, peaks_n and clusters_k must be positive",
-        "quantile_1": "quantiles must be in (0, 1), got 1.0",
-        "epochs_0": "learning_rate, batch_size and epochs must be positive",
-        "ratio_0": "threshold ratios must lie in (0, 1]",
-        "sample_size_0": "synthetic sample size must be at least 1, got 0",
+        "clusters_k_0": "'clusters_k' must be at least 1, got 0",
+        "quantile_1": "'quantiles' must be in (0, 1), got 1.0",
+        "epochs_0": "'epochs' must be at least 1, got 0",
+        "ratio_0": "'threshold_ratios' must be in (0, 1], got 0.0",
+        "sample_size_0": "'sample_size' must be at least 1, got 0",
+        "ks_sample_size_3": "'sample_size' must be at least 5 for the recon attack, got 3",
+        "acf_lag_48": "'acf_max_lag' must be below the horizon length 48, got 48",
+        "policy_without_recon_poisoned": "privacy option 'policy' requires 'recon_poisoned' to be on",
         "registry_missing": "manifest key 'registry' is required by the poisoned attacks",
         "registry_missing_privacy_true": "manifest key 'registry' is required by the poisoned attacks",
         "utility_eval_missing": "utility option 'eval' is required to run the utility suite",
@@ -596,6 +603,9 @@ class TestCli:
             "epochs_0": {"utility": {**fit, "epochs": 0}},
             "ratio_0": {"privacy": {"recon_poisoned": True, "threshold_ratios": [0]}},
             "sample_size_0": {"privacy": {"recon": True, "sample_size": 0}},
+            "ks_sample_size_3": {"privacy": {"recon": True, "sample_size": 3}},
+            "acf_lag_48": {"fidelity": {"acf_max_lag": 48}},
+            "policy_without_recon_poisoned": {"privacy": {"recon": True, "policy": {"ratio": 0.3, "max_fraction": 0.0}}},
             "registry_missing": {"registry": None, "privacy": {"recon": True, "mia_poisoned": True}},
             "registry_missing_privacy_true": {"registry": None, "privacy": True},
             "utility_eval_missing": {"utility": {key: fit[key] for key in ("real_fit", "synthetic_fit")}},
@@ -775,9 +785,11 @@ def test_option_table_matches_config_fields():
     minimal = {"privacy": {"recon": False}, "utility": dict.fromkeys(report.UTILITY_FILES, "fit.csv")}
     ignored = []
     for section, options in minimal.items():
-        before = report.plan({**files, section: options}, 0)
         for key in report.OPTIONS[section][1].keys() - report.UTILITY_FILES:
-            if report.plan({**files, section: {**options, key: NON_DEFAULT[key]}}, 0) == before:
+            # the policy is the poisoned reconstruction's verdict, so that attack must be on
+            base = {**options, "recon_poisoned": True} if key == "policy" else options
+            before = report.plan({**files, section: base}, 0)
+            if report.plan({**files, section: {**base, key: NON_DEFAULT[key]}}, 0) == before:
                 ignored.append(key)
     assert ignored == []
 
@@ -862,6 +874,76 @@ def test_subcommand_writes_its_evaluate_entry(demo_evaluation, tmp_path, command
     assert rc == 0
     section, key = entry
     assert json.loads(out.read_text()) == evaluated[section][key]
+
+
+# a fault written into one input file, and the cause its error must name
+MATRIX_FAULTS = {
+    "nan": "non-finite kWh",
+    "inf": "non-finite kWh",
+    "-inf": "non-finite kWh",
+    "no_rows": "contains no profiles",
+    "one_row": r"at least \d+ \w+|is empty",
+}
+MATRIX_FILES = ("train", "holdout", "synthetic", "registry", "synthetic_fit", "eval")
+
+
+def _finite(value) -> bool:
+    """Whether every number in a JSON value is finite."""
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(MATRIX_FILES), fault=st.sampled_from(list(MATRIX_FAULTS)), data=st.data())
+def test_bad_matrix_fails_loudly_or_fails_its_sections(demo_evaluation, name, fault, data):
+    """One input file with a NaN or infinite cell, no rows or one row: either
+    ``evaluate`` exits 2 with one error line naming the cause, or every section
+    of the report is all-finite or failed with an error naming the cause."""
+    workspace, _ = demo_evaluation
+    header, *rows = (workspace / f"{name}.csv").read_text().splitlines()
+    row = data.draw(st.integers(0, len(rows) - 1), label="row")
+    if fault == "no_rows":
+        rows = []
+    elif fault == "one_row":
+        rows = [rows[row]]
+    else:
+        cells = rows[row].split(",")
+        cells[3 + data.draw(st.integers(0, len(cells) - 4), label="slot")] = fault
+        rows[row] = ",".join(cells)
+    run = Path(tempfile.mkdtemp(dir=workspace.parent))
+    (run / f"{name}.csv").write_text("\n".join([header, *rows]) + "\n")
+
+    def located(filename: str) -> str:
+        return str((run if filename == f"{name}.csv" else workspace) / filename)
+
+    manifest = json.loads((workspace / "manifest.json").read_text())
+    for key in ("train", "holdout", "synthetic", "registry"):
+        manifest[key] = located(manifest[key])
+    utility = manifest["utility"]
+    utility.update({key: located(utility[key]) for key in report.UTILITY_FILES}, epochs=2)
+    path = write_manifest(run, manifest)
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["evaluate", "--manifest", str(path), "--output-dir", str(run / "out")])
+    cause = re.compile(MATRIX_FAULTS[fault])
+    if rc == 2:
+        [line] = err.getvalue().splitlines()
+        assert line.startswith("error: ") and cause.search(line), line
+        return
+    evaluated = json.loads((run / "out" / "report.json").read_text())
+    failed = False
+    for suite in report.SUITES:
+        section = evaluated[suite]
+        if isinstance(section, dict) and section.get("status") == "failed":
+            assert cause.search(section["error"]), f"{suite}: {section['error']}"
+            failed = True
+        else:
+            assert _finite(section), f"{suite} holds a NaN or infinite number"
+    assert rc == (1 if failed else 0)
 
 
 @pytest.fixture(scope="module")

@@ -258,7 +258,7 @@ class TestLockstepArms:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_both_arms_diverge_raises_the_real_arms_error(self, stacked_calls):
         # the synthetic arm diverges at an earlier step than the real one, so
-        # the stacked run stops on its error, and the real arm's must win
+        # the stacked run records its error first, and the real arm's must win
         real, synthetic, evaluation = _forecast_sets(synthetic_scale=3.0)
         config = nnet.TrainConfig(loss=nnet.MSE, epochs=40, seed=0, learning_rate=10.0)
         want = _arm_error("forecast_mean", real, config)
