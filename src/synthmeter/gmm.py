@@ -18,6 +18,8 @@ from .errors import DimensionMismatch, InvalidConfig, TooFewRows
 from .profiles import Horizon, ProfileSet
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_EXP_CLIP = -700.0  # np.exp is fast at and above this input
+_EXP_ZERO = -746.0  # np.exp is exactly 0 below this input
 
 
 @dataclass(frozen=True)
@@ -52,33 +54,62 @@ class GmmModel:
         return self.means.shape[1]
 
 
-def _log_density(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Per-row, per-component diagonal Gaussian log density, shape (n, k)."""
+def _exp(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.exp(a)`` bit for bit, written into ``out`` (which may be ``a``).
+
+    On AVX-512 builds of NumPy, ``exp`` takes a slow path, over ten times
+    slower, for inputs below about -708, and E-step inputs often lie far
+    below. So inputs are clipped at _EXP_CLIP, where ``exp`` is fast, and
+    the clipped lanes are zeroed; the few in [_EXP_ZERO, _EXP_CLIP) are
+    computed by ``np.exp`` itself. Below _EXP_ZERO, ``exp`` is exactly 0.
+    """
+    low = a < _EXP_CLIP
+    if not low.any():
+        return np.exp(a, out=out)
+    band = low & (a >= _EXP_ZERO)
+    tail = np.exp(a[band])
+    out = np.maximum(a, _EXP_CLIP, out=out)
+    np.exp(out, out=out)
+    out *= ~low
+    out[band] = tail
+    return out
+
+
+def _log_responsibilities(x, xx, weights, means, variances, out=None, scratch=None):
+    """Log responsibilities (n, k) and per-row log-likelihoods (n,).
+
+    ``xx`` is ``x * x``. The responsibilities are written into ``out``;
+    ``scratch`` is overwritten. Both are n × k, or None to allocate.
+    """
     inv_var = 1.0 / variances  # (k, L)
     log_det = np.log(variances).sum(axis=1)  # (k,)
-    quad = (
-        (x * x) @ inv_var.T
-        - 2.0 * (x @ (means * inv_var).T)
-        + (means * means * inv_var).sum(axis=1)[None, :]
-    )
-    return -0.5 * (x.shape[1] * _LOG_2PI + log_det[None, :] + quad)
-
-
-def _log_responsibilities(x, weights, means, variances):
+    # the diagonal Gaussian log density: -0.5 * (L log 2pi + log_det + quad)
+    joint = np.matmul(xx, inv_var.T, out=out)
+    cross = np.matmul(x, (means * inv_var).T, out=scratch)
+    cross *= 2.0
+    joint -= cross
+    joint += (means * means * inv_var).sum(axis=1)
+    joint += x.shape[1] * _LOG_2PI + log_det
+    joint *= -0.5
     with np.errstate(divide="ignore"):  # starved components carry weight 0
-        joint = _log_density(x, means, variances) + np.log(weights)[None, :]
-    norm = _logsumexp_rows(joint)
-    return joint - norm[:, None], norm
+        joint += np.log(weights)
+    norm = _logsumexp_rows(joint, scratch)
+    joint -= norm[:, None]
+    return joint, norm
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+def _logsumexp_rows(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise log-sum-exp; ``scratch``, of a's shape, is overwritten."""
     m = a.max(axis=1)
     finite = np.isfinite(m)
+    if finite.all():  # no boolean gather and scatter
+        shifted = np.subtract(a, m[:, None], out=scratch)
+        return m + np.log(_exp(shifted, out=shifted).sum(axis=1))
     out = np.full(len(a), -np.inf)
     if finite.any():
         af = a[finite]
         mf = m[finite]
-        out[finite] = mf + np.log(np.exp(af - mf[:, None]).sum(axis=1))
+        out[finite] = mf + np.log(_exp(af - mf[:, None]).sum(axis=1))
     return out
 
 
@@ -101,9 +132,14 @@ def _seed_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return means
 
 
-def _run_em(x: np.ndarray, config: FitConfig, rng: np.random.Generator) -> GmmModel:
+def _run_em(
+    x: np.ndarray, xx: np.ndarray, config: FitConfig, rng: np.random.Generator, work: tuple
+) -> GmmModel:
+    """One EM run from a k-means++ seed. ``xx`` is ``x * x``; ``work`` holds
+    two n × k buffers, for the log-responsibilities and the responsibilities."""
     n = len(x)
     k = config.k
+    log_resp_buf, resp_buf = work
     means = _seed_means(x, k, rng)
     global_var = np.maximum(x.var(axis=0), config.variance_floor)
     variances = np.tile(global_var, (k, 1))
@@ -112,10 +148,12 @@ def _run_em(x: np.ndarray, config: FitConfig, rng: np.random.Generator) -> GmmMo
     trace: list[float] = []
     prev_mean_ll = -np.inf
     for _ in range(config.max_iter):
-        log_resp, log_norm = _log_responsibilities(x, weights, means, variances)
+        log_resp, log_norm = _log_responsibilities(
+            x, xx, weights, means, variances, log_resp_buf, resp_buf
+        )
         mean_ll = float(log_norm.mean())
         trace.append(mean_ll)
-        resp = np.exp(log_resp)
+        resp = _exp(log_resp, out=resp_buf)
         counts = resp.sum(axis=0)  # (k,)
         weights = counts / n
         # starved components keep their parameters; their weight alone is
@@ -124,13 +162,13 @@ def _run_em(x: np.ndarray, config: FitConfig, rng: np.random.Generator) -> GmmMo
         if alive.any():
             new_means = (resp.T @ x)[alive] / counts[alive, None]
             means[alive] = new_means
-            sq = (resp.T @ (x * x))[alive] / counts[alive, None]
+            sq = (resp.T @ xx)[alive] / counts[alive, None]
             variances[alive] = np.maximum(sq - new_means * new_means, config.variance_floor)
         if prev_mean_ll > -np.inf and mean_ll - prev_mean_ll < config.tol * abs(prev_mean_ll):
             break
         prev_mean_ll = mean_ll
     # trace the post-update likelihood so the trace ends at the final model
-    _, log_norm = _log_responsibilities(x, weights, means, variances)
+    _, log_norm = _log_responsibilities(x, xx, weights, means, variances, log_resp_buf, resp_buf)
     trace.append(float(log_norm.mean()))
     return GmmModel(
         weights=weights,
@@ -141,14 +179,19 @@ def _run_em(x: np.ndarray, config: FitConfig, rng: np.random.Generator) -> GmmMo
 
 
 def fit(data, config: FitConfig) -> GmmModel:
-    """Fit by EM with k-means++ seeding; best of n_init restarts wins."""
+    """Fit by EM with k-means++ seeding; best of n_init restarts wins.
+
+    The restarts share one workspace: ``x * x`` and two n × k buffers.
+    """
     x = data.values if isinstance(data, ProfileSet) else np.asarray(data, dtype=np.float64)
     if len(x) < config.k:
         raise TooFewRows(f"{len(x)} rows for k={config.k}")
+    xx = x * x
+    work = (np.empty((len(x), config.k)), np.empty((len(x), config.k)))
     streams = np.random.SeedSequence(config.seed).spawn(config.n_init)
     best: GmmModel | None = None
     for stream in streams:
-        model = _run_em(x, config, np.random.default_rng(stream))
+        model = _run_em(x, xx, config, np.random.default_rng(stream), work)
         if best is None or model.log_likelihood_trace[-1] > best.log_likelihood_trace[-1]:
             best = model
     assert best is not None
@@ -165,8 +208,8 @@ def predict(model: GmmModel, data) -> Prediction:
     x = data.values if isinstance(data, ProfileSet) else np.asarray(data, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_dims:
         raise DimensionMismatch(f"expected width {model.n_dims}, got {x.shape}")
-    log_resp, _ = _log_responsibilities(x, model.weights, model.means, model.variances)
-    resp = np.exp(log_resp)
+    log_resp, _ = _log_responsibilities(x, x * x, model.weights, model.means, model.variances)
+    resp = _exp(log_resp, out=log_resp)
     return Prediction(labels=resp.argmax(axis=1), responsibilities=resp)
 
 
