@@ -268,6 +268,8 @@ def _cmd_privacy(args) -> int:
     entry, summary = _ATTACKS[args.attack]
     ratios = {"threshold_ratios": _ratio_range(args.ratios)} if getattr(args, "ratios", None) else {}
     config = privacy.ReconstructionConfig(**ratios, sample_size=getattr(args, "sample_size", None), seed=args.seed)
+    attacks = (args.attack.replace("-", "_"),)
+    privacy.check_sample_size(config, attacks)
     registry = train = holdout = None
     if hasattr(args, "registry"):
         registry = poisoning.read_registry(args.registry)
@@ -276,7 +278,6 @@ def _cmd_privacy(args) -> int:
     synthetic = read_wide(args.synthetic, horizon=None if train is None else train.horizon)
     if hasattr(args, "holdout"):
         holdout = read_wide(args.holdout, horizon=synthetic.horizon)
-    attacks = (args.attack.replace("-", "_"),)
     section, tables = report.privacy_section(attacks, config, None, train, holdout, synthetic, registry)
     _write_json(args.report, section[entry])
     if summary is not None:

@@ -33,10 +33,12 @@ def check_value(key: str, value, ok: bool, expected: str) -> None:
 
 
 class MalformedRow(SynthmeterError):
-    """A source row could not be parsed; carries the 1-based line number."""
+    """A source row could not be parsed; carries the 1-based line number and
+    names the file when its path is given."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int, message: str, path=None):
+        where = f"line {line}" if path is None else f"{path}: line {line}"
+        super().__init__(f"{where}: {message}")
         self.line = line
 
 

@@ -78,12 +78,14 @@ def _exp(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _log_responsibilities(x, xx, weights, means, variances, out=None, scratch=None):
     """Log responsibilities (n, k) and per-row log-likelihoods (n,).
 
-    ``xx`` is ``x * x``. The responsibilities are written into ``out``;
+    ``xx`` is ``x * x``. The log responsibilities are written into ``out``;
     ``scratch`` is overwritten. Both are n × k, or None to allocate.
     """
     inv_var = 1.0 / variances  # (k, L)
     log_det = np.log(variances).sum(axis=1)  # (k,)
-    # the diagonal Gaussian log density: -0.5 * (L log 2pi + log_det + quad)
+    # the diagonal Gaussian log density -0.5 * ((L log 2pi + log_det) + quad),
+    # quad = (xx @ inv_var.T - 2 (x @ (means inv_var).T)) + sum(means^2 inv_var),
+    # evaluated in this order so that every bit matches the plain expression
     joint = np.matmul(xx, inv_var.T, out=out)
     cross = np.matmul(x, (means * inv_var).T, out=scratch)
     cross *= 2.0
@@ -99,17 +101,15 @@ def _log_responsibilities(x, xx, weights, means, variances, out=None, scratch=No
 
 
 def _logsumexp_rows(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise log-sum-exp; ``scratch``, of a's shape, is overwritten."""
+    """Row-wise log-sum-exp, -inf where a row's maximum is not finite;
+    ``scratch``, of a's shape, is overwritten."""
     m = a.max(axis=1)
     finite = np.isfinite(m)
-    if finite.all():  # no boolean gather and scatter
-        shifted = np.subtract(a, m[:, None], out=scratch)
-        return m + np.log(_exp(shifted, out=shifted).sum(axis=1))
-    out = np.full(len(a), -np.inf)
-    if finite.any():
-        af = a[finite]
-        mf = m[finite]
-        out[finite] = mf + np.log(_exp(af - mf[:, None]).sum(axis=1))
+    shift = np.where(finite, m, 0.0)
+    shifted = np.subtract(a, shift[:, None], out=scratch)
+    with np.errstate(divide="ignore"):  # log(0) on rows that are all -inf
+        out = shift + np.log(_exp(shifted, out=shifted).sum(axis=1))
+    out[~finite] = -np.inf
     return out
 
 

@@ -135,11 +135,11 @@ def read_registry(path, horizon: Horizon | None = None) -> OutlierRegistry:
     groups = {SEEN: [], UNSEEN_SAME: [], UNSEEN_DIFF: []}
     for i, label in enumerate(combined.labels):
         if label not in groups:
-            raise MalformedRow(i + 2, f"unknown registry group {label!r}")
+            raise MalformedRow(i + 2, f"unknown registry group {label!r}", path)
         groups[label].append(i)
     for name, rows in groups.items():
         if not rows:
-            raise MalformedRow(1, f"registry group {name!r} is empty")
+            raise MalformedRow(1, f"registry group {name!r} is empty", path)
     return OutlierRegistry(
         seen_outliers=combined.subset(groups[SEEN]),
         unseen_same_dist=combined.subset(groups[UNSEEN_SAME]),

@@ -286,7 +286,7 @@ def read_wide(path, horizon: Horizon | None = None) -> ProfileSet:
 
     When ``horizon`` is given, files of the wrong width raise
     HorizonMismatch; otherwise the width must match one of the known
-    horizons.
+    horizons. Every error names ``path``.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -295,7 +295,7 @@ def read_wide(path, horizon: Horizon | None = None) -> ProfileSet:
             raise EmptyResult(f"{path} is empty")
         n_slots = len(header) - 3
         if header[:3] != ["household_id", "start_date", "label"]:
-            raise MalformedRow(1, "expected header household_id,start_date,label,hh_00,...")
+            raise MalformedRow(1, "expected header household_id,start_date,label,hh_00,...", path)
         if horizon is not None and n_slots != horizon.length:
             raise HorizonMismatch(
                 f"{path} has {n_slots} value columns, expected {horizon.length}"
@@ -306,7 +306,7 @@ def read_wide(path, horizon: Horizon | None = None) -> ProfileSet:
             except ValueError:
                 raise HorizonMismatch(f"{path} has {n_slots} value columns; no known horizon matches") from None
         if header[3:] != _slot_columns(horizon.length):
-            raise MalformedRow(1, "slot columns must be hh_00..hh_{L-1}")
+            raise MalformedRow(1, "slot columns must be hh_00..hh_{L-1}", path)
 
         ids: list[str] = []
         dates: list[dt.date] = []
@@ -316,17 +316,17 @@ def read_wide(path, horizon: Horizon | None = None) -> ProfileSet:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3 + horizon.length:
-                raise MalformedRow(line, f"expected {3 + horizon.length} fields, got {len(row)}")
+                raise MalformedRow(line, f"expected {3 + horizon.length} fields, got {len(row)}", path)
             try:
                 date = dt.date.fromisoformat(row[1])
             except ValueError:
-                raise MalformedRow(line, f"bad start_date {row[1]!r}") from None
+                raise MalformedRow(line, f"bad start_date {row[1]!r}", path) from None
             try:
                 values = np.array([float(v) for v in row[3:]])
             except ValueError:
-                raise MalformedRow(line, "bad kWh value") from None
+                raise MalformedRow(line, "bad kWh value", path) from None
             if not np.all(np.isfinite(values)):
-                raise MalformedRow(line, "non-finite kWh value")
+                raise MalformedRow(line, "non-finite kWh value", path)
             ids.append(row[0])
             dates.append(date)
             labels.append(row[2])

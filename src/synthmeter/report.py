@@ -301,9 +301,7 @@ def plan(manifest: dict, seed: int) -> dict[str, tuple]:
             _require("manifest key", manifest, ("registry",), "by the poisoned attacks")
         overrides = {key: options[key] for key in ("threshold_ratios", "sample_size") if key in options}
         config = privacy.ReconstructionConfig(**overrides, seed=seed)
-        size, minimum = config.sample_size, privacy.KS_MIN_SAMPLE
-        check_value("sample_size", size, "recon" not in attacks or size is None or size >= minimum,
-                    f"at least {minimum} for the recon attack")
+        privacy.check_sample_size(config, attacks)
         policy = options.get("policy")
         if policy:  # the verdict's (ratio, max_fraction), its ratio on the threshold grid
             if "recon_poisoned" not in attacks:

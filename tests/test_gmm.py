@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from synthmeter import demo, gmm
+from synthmeter import demo, gmm, poisoning
 from synthmeter.errors import DimensionMismatch, TooFewRows
+from synthmeter.profiles import Horizon, SplitSpec, split_households
 from conftest import profile_set
 
 
@@ -178,3 +179,206 @@ def _sample_raw(model: gmm.GmmModel, n: int, seed: int) -> np.ndarray:
     noise = rng.standard_normal((n, model.n_dims))
     return model.means[comps] + np.sqrt(model.variances[comps]) * noise
 
+
+
+# --- the plain EM loop, kept as the oracle for gmm.fit and gmm.predict -------
+
+
+def _reference_log_density(x, means, variances):
+    """Per-row, per-component diagonal Gaussian log density, shape (n, k),
+    computed from fresh arrays in one expression."""
+    inv_var = 1.0 / variances
+    log_det = np.log(variances).sum(axis=1)
+    quad = (
+        (x * x) @ inv_var.T
+        - 2.0 * (x @ (means * inv_var).T)
+        + (means * means * inv_var).sum(axis=1)[None, :]
+    )
+    return -0.5 * (x.shape[1] * gmm._LOG_2PI + log_det[None, :] + quad)
+
+
+def _reference_logsumexp_rows(a):
+    """Row-wise log-sum-exp with plain np.exp; rows whose maximum is not
+    finite read -inf."""
+    m = a.max(axis=1)
+    finite = np.isfinite(m)
+    out = np.full(len(a), -np.inf)
+    if finite.any():
+        af = a[finite]
+        mf = m[finite]
+        out[finite] = mf + np.log(np.exp(af - mf[:, None]).sum(axis=1))
+    return out
+
+
+def _reference_log_responsibilities(x, weights, means, variances):
+    """Log responsibilities and per-row log-likelihoods, from fresh arrays."""
+    with np.errstate(divide="ignore"):
+        joint = _reference_log_density(x, means, variances) + np.log(weights)[None, :]
+    norm = _reference_logsumexp_rows(joint)
+    return joint - norm[:, None], norm
+
+
+def _reference_run_em(x, config, rng):
+    """One EM run as a plain loop: every E-step allocates its arrays, takes
+    np.exp of every input and recomputes x * x."""
+    n, k = len(x), config.k
+    means = gmm._seed_means(x, k, rng)
+    variances = np.tile(np.maximum(x.var(axis=0), config.variance_floor), (k, 1))
+    weights = np.full(k, 1.0 / k)
+    trace = []
+    prev_mean_ll = -np.inf
+    for _ in range(config.max_iter):
+        log_resp, log_norm = _reference_log_responsibilities(x, weights, means, variances)
+        mean_ll = float(log_norm.mean())
+        trace.append(mean_ll)
+        resp = np.exp(log_resp)
+        counts = resp.sum(axis=0)
+        weights = counts / n
+        alive = counts > 1e-12
+        if alive.any():
+            new_means = (resp.T @ x)[alive] / counts[alive, None]
+            means[alive] = new_means
+            sq = (resp.T @ (x * x))[alive] / counts[alive, None]
+            variances[alive] = np.maximum(sq - new_means * new_means, config.variance_floor)
+        if prev_mean_ll > -np.inf and mean_ll - prev_mean_ll < config.tol * abs(prev_mean_ll):
+            break
+        prev_mean_ll = mean_ll
+    _, log_norm = _reference_log_responsibilities(x, weights, means, variances)
+    trace.append(float(log_norm.mean()))
+    return gmm.GmmModel(weights=weights, means=means, variances=variances, log_likelihood_trace=trace)
+
+
+def _reference_fit(x, config):
+    """Best of the n_init reference runs, on the streams gmm.fit spawns."""
+    streams = np.random.SeedSequence(config.seed).spawn(config.n_init)
+    runs = [_reference_run_em(x, config, np.random.default_rng(stream)) for stream in streams]
+    best = runs[0]
+    for model in runs[1:]:
+        if model.log_likelihood_trace[-1] > best.log_likelihood_trace[-1]:
+            best = model
+    return best
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _poisoned_demo_set(households):
+    """The demo's poisoned training set, built in memory as
+    demo.build_demo_workspace builds it at seed 0."""
+    population = demo.make_population(households, 20, seed=0, day_step=364 // 20)
+    train, _ = split_households(population, SplitSpec(holdout_fraction=0.5, seed=0))
+    registry = poisoning.make_attack_registry(poisoning.OutlierSpec(count=100, seed=0), Horizon.DAILY)
+    return poisoning.inject(train, registry.seen_outliers, seed=0).values
+
+
+def _starved_set():
+    """Two tight 2-d clusters and five scattered rows; at k=6 and seed 152 one
+    component starves (the test asserts it)."""
+    rng = np.random.default_rng(152)
+    return np.vstack([rng.normal(0, 0.01, (20, 2)), rng.normal(5, 0.01, (20, 2)), rng.normal(0, 3, (5, 2))])
+
+
+def _blobs_48():
+    """Four 48-d blobs close enough that some E-step inputs fall in
+    [_EXP_ZERO, _EXP_CLIP) (the test asserts it)."""
+    rng = np.random.default_rng(4)
+    centers = rng.uniform(0.0, 1.0, size=(4, 48))
+    return np.vstack([c + rng.normal(0.0, 0.1, size=(60, 48)) for c in centers])
+
+
+ORACLE_CASES = {
+    "k1": (lambda: np.random.default_rng(0).normal(0.5, 0.2, size=(100, 48)).clip(min=0), dict(k=1, n_init=1)),
+    "n_init_1": (lambda: np.random.default_rng(1).normal(size=(300, 5)), dict(k=4, n_init=1, seed=2)),
+    "n_init_3": (lambda: np.random.default_rng(1).normal(size=(300, 5)), dict(k=4, n_init=3, seed=2)),
+    "starved": (_starved_set, dict(k=6, n_init=1, seed=152)),
+    "exp_band": (_blobs_48, dict(k=6, seed=0)),
+    "max_iter": (lambda: np.random.default_rng(3).normal(size=(120, 3)), dict(k=5, n_init=2, max_iter=4, tol=1e-12)),
+    "poisoned_250": (lambda: _poisoned_demo_set(250), dict(k=25, seed=0)),
+}
+
+
+class TestOracle:
+    """gmm.fit and gmm.predict give the reference loop's bits."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_fit_and_predict_match_reference_bit_for_bit(self, case, monkeypatch):
+        make, options = ORACLE_CASES[case]
+        x = make()
+        config = gmm.FitConfig(**options)
+        band = []  # E-step inputs in [_EXP_ZERO, _EXP_CLIP), per _exp call
+
+        def counting_exp(a, out=None):
+            band.append(int(((a >= gmm._EXP_ZERO) & (a < gmm._EXP_CLIP)).sum()))
+            return real_exp(a, out)
+
+        real_exp = gmm._exp
+        monkeypatch.setattr(gmm, "_exp", counting_exp)
+        got = gmm.fit(x, config)
+        want = _reference_fit(x, config)
+        assert_same_bits(got.weights, want.weights)
+        assert_same_bits(got.means, want.means)
+        assert_same_bits(got.variances, want.variances)
+        assert_same_bits(got.log_likelihood_trace, want.log_likelihood_trace)
+        log_resp, _ = _reference_log_responsibilities(x, want.weights, want.means, want.variances)
+        prediction = gmm.predict(got, x)
+        assert_same_bits(prediction.responsibilities, np.exp(log_resp))
+        np.testing.assert_array_equal(prediction.labels, np.exp(log_resp).argmax(axis=1))
+        if case == "starved":
+            assert (got.weights * len(x) <= 1e-12).sum() == 1
+        if case in ("exp_band", "poisoned_250"):
+            assert sum(band) > 0
+        if case == "max_iter":
+            assert len(got.log_likelihood_trace) == config.max_iter + 1
+
+    def test_logsumexp_rows_matches_reference_with_infinite_rows(self):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-2000.0, 10.0, size=(40, 7))
+        a[3, 2] = -np.inf  # a starved component
+        a[5] = -np.inf  # a row no component explains
+        a[6, 1] = np.nan
+        a[7, 0] = np.inf
+        want = _reference_logsumexp_rows(a)
+        assert_same_bits(gmm._logsumexp_rows(a), want)
+        assert_same_bits(gmm._logsumexp_rows(a, np.empty_like(a)), want)
+
+
+class TestExp:
+    """gmm._exp returns np.exp's bits for every input."""
+
+    EDGES = [
+        -np.inf, np.nan, 0.0, -0.0, -700.0, np.nextafter(-700.0, -np.inf), -708.4, -745.13, -745.2,
+        -746.0, -1e308, 709.7, 710.0,
+    ]
+
+    @staticmethod
+    def _check(a):
+        with np.errstate(over="ignore"):
+            want = np.exp(a)
+            assert_same_bits(gmm._exp(a), want)
+            assert_same_bits(gmm._exp(a, out=np.empty_like(a)), want)
+            inplace = a.copy()
+            assert gmm._exp(inplace, out=inplace) is inplace
+            assert_same_bits(inplace, want)
+
+    def test_edge_values(self):
+        a = np.array(self.EDGES)
+        self._check(a)
+        for value in self.EDGES:  # alone, then among in-range neighbours
+            self._check(np.array([value]))
+            self._check(np.array([-1.0, value, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0, value]))
+        with np.errstate(over="ignore"):
+            assert gmm._exp(np.array([710.0]))[0] == np.inf
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.45, 1.0])
+    def test_arrays_with_underflowing_share(self, fraction):
+        # a lane's bits must not depend on its neighbours: some lanes are
+        # clipped and zeroed, others computed in a gathered tail
+        rng = np.random.default_rng(int(fraction * 100))
+        a = rng.uniform(-700.0, 5.0, size=(5100, 25))
+        low = rng.random(a.shape) < fraction
+        a[low] = rng.uniform(-780.0, -708.0, size=low.sum())
+        assert (a < -708).mean() == pytest.approx(fraction, abs=0.01)
+        self._check(a)

@@ -332,6 +332,24 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1 and "'sample_size'" in err
         assert not (tmp_path / "recon.json").exists()
 
+    def test_recon_sample_size_below_ks_minimum_exits_2(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "read_wide", unread)  # the KS minimum is checked before any file is read
+        rc = cli.main(
+            [
+                "privacy", "recon",
+                "--train", str(workspace / "train.csv"),
+                "--holdout", str(workspace / "holdout.csv"),
+                "--synthetic", str(workspace / "synthetic.csv"),
+                "--sample-size", "3",
+                "--report", str(tmp_path / "recon.json"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'sample_size' must be at least 5 for the recon attack, got 3" in err
+        assert not (tmp_path / "recon.json").exists()
+
     def test_generate_gmm_and_fidelity(self, tmp_path):
         population = demo.make_population(40, 6, seed=8)
         write_wide(population, tmp_path / "real.csv")
@@ -540,9 +558,10 @@ class TestCli:
         "utility_eval_missing": "utility option 'eval' is required to run the utility suite",
         "utility_true": "utility option 'real_fit' is required to run the utility suite",
         "policy_off_grid": "policy ratio 0.33 is not among the threshold ratios",
+        "nan_evaluate": "holdout_nan.csv: line 4: non-finite kWh value",
     }
     # the cases above that must read a profile file to find their fault
-    READ_FIRST = ("negative_evaluate", "missing_input")
+    READ_FIRST = ("negative_evaluate", "missing_input", "nan_evaluate")
 
     @pytest.mark.parametrize("case", list(BAD_INPUT))
     def test_bad_input_exits_2_naming_its_cause(self, workspace, tmp_path, capsys, monkeypatch, case):
@@ -570,6 +589,7 @@ class TestCli:
         overrides = {
             "horizon": {"horizon": "hourly"},
             "negative_evaluate": {"train": str(negative)},
+            "nan_evaluate": {"holdout": edited("holdout", [7], "nan")},
             "missing_input": {"synthetic": f"{missing}.csv"},
             "recon_switch": {"privacy": {"recon": "no", "mia": True}},
             "allow_overlap_switch": {"utility": {"allow_overlap": "no"}},
@@ -885,6 +905,7 @@ MATRIX_FAULTS = {
     "one_row": r"at least \d+ \w+|is empty",
 }
 MATRIX_FILES = ("train", "holdout", "synthetic", "registry", "synthetic_fit", "eval")
+FILE_FAULTS = ("nan", "inf", "-inf", "no_rows")
 
 
 def _finite(value) -> bool:
@@ -901,7 +922,8 @@ def _finite(value) -> bool:
 def test_bad_matrix_fails_loudly_or_fails_its_sections(demo_evaluation, name, fault, data):
     """One input file with a NaN or infinite cell, no rows or one row: either
     ``evaluate`` exits 2 with one error line naming the cause, or every section
-    of the report is all-finite or failed with an error naming the cause."""
+    of the report is all-finite or failed with an error naming the cause, and
+    the file too where the reader rejected it."""
     workspace, _ = demo_evaluation
     header, *rows = (workspace / f"{name}.csv").read_text().splitlines()
     row = data.draw(st.integers(0, len(rows) - 1), label="row")
@@ -930,16 +952,19 @@ def test_bad_matrix_fails_loudly_or_fails_its_sections(demo_evaluation, name, fa
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(["evaluate", "--manifest", str(path), "--output-dir", str(run / "out")])
     cause = re.compile(MATRIX_FAULTS[fault])
+    # the reader rejects these faults, and its errors name the file
+    bad_file = str(run / f"{name}.csv") if fault in FILE_FAULTS else ""
     if rc == 2:
         [line] = err.getvalue().splitlines()
-        assert line.startswith("error: ") and cause.search(line), line
+        assert line.startswith("error: ") and cause.search(line) and bad_file in line, line
         return
     evaluated = json.loads((run / "out" / "report.json").read_text())
     failed = False
     for suite in report.SUITES:
         section = evaluated[suite]
         if isinstance(section, dict) and section.get("status") == "failed":
-            assert cause.search(section["error"]), f"{suite}: {section['error']}"
+            error = section["error"]
+            assert cause.search(error) and bad_file in error, f"{suite}: {error}"
             failed = True
         else:
             assert _finite(section), f"{suite} holds a NaN or infinite number"
