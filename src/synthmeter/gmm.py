@@ -64,8 +64,6 @@ def _exp(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     computed by ``np.exp`` itself. Below _EXP_ZERO, ``exp`` is exactly 0.
     """
     low = a < _EXP_CLIP
-    if not low.any():
-        return np.exp(a, out=out)
     band = low & (a >= _EXP_ZERO)
     tail = np.exp(a[band])
     out = np.maximum(a, _EXP_CLIP, out=out)
