@@ -180,7 +180,6 @@ def _sample_raw(model: gmm.GmmModel, n: int, seed: int) -> np.ndarray:
     return model.means[comps] + np.sqrt(model.variances[comps]) * noise
 
 
-
 # --- the plain EM loop, kept as the oracle for gmm.fit and gmm.predict -------
 
 
@@ -265,10 +264,10 @@ def assert_same_bits(got, want):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _poisoned_demo_set(households):
-    """The demo's poisoned training set, built in memory as
-    demo.build_demo_workspace builds it at seed 0."""
-    population = demo.make_population(households, 20, seed=0, day_step=364 // 20)
+def _poisoned_demo_set():
+    """The 250-household demo's poisoned training set (2,600 × 48), built in
+    memory as demo.build_demo_workspace builds it at seed 0."""
+    population = demo.make_population(250, 20, seed=0, day_step=364 // 20)
     train, _ = split_households(population, SplitSpec(holdout_fraction=0.5, seed=0))
     registry = poisoning.make_attack_registry(poisoning.OutlierSpec(count=100, seed=0), Horizon.DAILY)
     return poisoning.inject(train, registry.seen_outliers, seed=0).values
@@ -296,7 +295,7 @@ ORACLE_CASES = {
     "starved": (_starved_set, dict(k=6, n_init=1, seed=152)),
     "exp_band": (_blobs_48, dict(k=6, seed=0)),
     "max_iter": (lambda: np.random.default_rng(3).normal(size=(120, 3)), dict(k=5, n_init=2, max_iter=4, tol=1e-12)),
-    "poisoned_250": (lambda: _poisoned_demo_set(250), dict(k=25, seed=0)),
+    "poisoned_250": (_poisoned_demo_set, dict(k=25, seed=0)),
 }
 
 
@@ -309,12 +308,12 @@ class TestOracle:
         x = make()
         config = gmm.FitConfig(**options)
         band = []  # E-step inputs in [_EXP_ZERO, _EXP_CLIP), per _exp call
+        real_exp = gmm._exp
 
         def counting_exp(a, out=None):
             band.append(int(((a >= gmm._EXP_ZERO) & (a < gmm._EXP_CLIP)).sum()))
             return real_exp(a, out)
 
-        real_exp = gmm._exp
         monkeypatch.setattr(gmm, "_exp", counting_exp)
         got = gmm.fit(x, config)
         want = _reference_fit(x, config)
