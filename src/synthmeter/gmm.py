@@ -73,11 +73,11 @@ def _exp(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _log_responsibilities(x, xx, weights, means, variances, out=None, scratch=None):
+def _log_responsibilities(x, xx, weights, means, variances, out=None, spare=None):
     """Log responsibilities (n, k) and per-row log-likelihoods (n,).
 
     ``xx`` is ``x * x``. The log responsibilities are written into ``out``;
-    ``scratch`` is overwritten. Both are n × k, or None to allocate.
+    ``spare`` is overwritten. Both are n × k, or None to allocate.
     """
     inv_var = 1.0 / variances  # (k, L)
     log_det = np.log(variances).sum(axis=1)  # (k,)
@@ -85,7 +85,7 @@ def _log_responsibilities(x, xx, weights, means, variances, out=None, scratch=No
     # quad = (xx @ inv_var.T - 2 (x @ (means inv_var).T)) + sum(means^2 inv_var),
     # evaluated in this order so that every bit matches the plain expression
     joint = np.matmul(xx, inv_var.T, out=out)
-    cross = np.matmul(x, (means * inv_var).T, out=scratch)
+    cross = np.matmul(x, (means * inv_var).T, out=spare)
     cross *= 2.0
     joint -= cross
     joint += (means * means * inv_var).sum(axis=1)
@@ -93,18 +93,18 @@ def _log_responsibilities(x, xx, weights, means, variances, out=None, scratch=No
     joint *= -0.5
     with np.errstate(divide="ignore"):  # starved components carry weight 0
         joint += np.log(weights)
-    norm = _logsumexp_rows(joint, scratch)
+    norm = _logsumexp_rows(joint, spare)
     joint -= norm[:, None]
     return joint, norm
 
 
-def _logsumexp_rows(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _logsumexp_rows(a: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
     """Row-wise log-sum-exp, -inf where a row's maximum is not finite;
-    ``scratch``, of a's shape, is overwritten."""
+    ``spare``, of a's shape, is overwritten."""
     m = a.max(axis=1)
     finite = np.isfinite(m)
     shift = np.where(finite, m, 0.0)
-    shifted = np.subtract(a, shift[:, None], out=scratch)
+    shifted = np.subtract(a, shift[:, None], out=spare)
     with np.errstate(divide="ignore"):  # log(0) on rows that are all -inf
         out = shift + np.log(_exp(shifted, out=shifted).sum(axis=1))
     out[~finite] = -np.inf
