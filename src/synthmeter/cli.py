@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, fidelity, generators, gmm, nnet, poisoning, privacy, report
+from . import __version__, fidelity, generators, gmm, kernels, nnet, poisoning, privacy, report
 from .demo import build_demo_workspace, labelled_gmm_synthetic  # noqa: F401 - public via cli
 from .errors import InvalidConfig, SynthmeterError
 from .profiles import (
@@ -341,6 +341,7 @@ _COMMANDS = {
 }
 
 
+@kernels.one_blas_thread
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _apply_global_defaults(args)

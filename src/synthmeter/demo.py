@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import generators, gmm, poisoning
+from . import generators, gmm, kernels, poisoning
 from .errors import InvalidConfig, SynthmeterError
 from .profiles import Horizon, ProfileSet, SplitSpec, SUMMER_AUTUMN, WINTER_SPRING
 from .profiles import ingest, season_label, split_households, write_wide
@@ -133,6 +133,7 @@ def labelled_gmm_synthetic(train, seed: int = 0):
     )
 
 
+@kernels.one_blas_thread
 def build_demo_workspace(
     target: Path, households: int = 250, days: int = 20, seed: int = 0
 ) -> Path:
@@ -167,8 +168,8 @@ def build_demo_workspace(
     )
 
     written = (
-        ("poisoned_train", poisoned), ("train", train), ("holdout", holdout),
-        ("synthetic", synthetic), ("synthetic_fit", synthetic_fit), ("eval", eval_population),
+        ("train", train), ("holdout", holdout), ("synthetic", synthetic),
+        ("synthetic_fit", synthetic_fit), ("eval", eval_population),
     )
     for name, profiles in written:
         write_wide(profiles, target / f"{name}.csv")

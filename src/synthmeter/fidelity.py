@@ -9,17 +9,21 @@
 
 ``evaluate_fidelity`` is the one entry: it computes all five, in this
 order, and fits one mixture model on the real set for metrics 4 and 5.
+The fit runs on a helper thread while metrics 1-3 run on the calling
+thread (whose MMD sweeps use ``kernels``' workers); it gives the bits of
+``gmm.fit`` on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import gmm, kernels
-from .errors import DegenerateInput, check_value
+from .errors import DegenerateInput, TooFewRows, check_value
 from .profiles import ProfileSet, require_same_horizon
 
 
@@ -147,31 +151,72 @@ def _aggregate(
     )
 
 
+class _MixtureFit:
+    """``gmm.fit(real, config)``, run on a helper thread inside a ``with`` block.
+
+    The workspace is made on the calling thread, so that no array of the
+    data's size is made on the helper; the helper runs the restarts and
+    calls only ``gmm``'s private functions. Leaving the block joins the
+    helper, however the block ends. ``model`` then returns the fit, or
+    raises what the row check or the restarts raised.
+    """
+
+    def __init__(self, real: ProfileSet, config: gmm.FitConfig):
+        self._model = self._error = self._thread = None
+        try:
+            work = gmm._prepare(real, config)
+        except TooFewRows as exc:  # raised by model(), after metrics 1-3 as before
+            self._error = exc
+            return
+        self._thread = threading.Thread(target=self._run, args=(work, config), daemon=True)
+
+    def _run(self, work, config: gmm.FitConfig) -> None:
+        try:
+            self._model = gmm._restarts(work, config)
+        except BaseException as exc:  # raised again by model(), on the calling thread
+            self._error = exc
+
+    def __enter__(self) -> "_MixtureFit":
+        if self._thread is not None:
+            self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._thread is not None:
+            self._thread.join()
+
+    def model(self) -> gmm.GmmModel:
+        if self._error is not None:
+            raise self._error
+        return self._model
+
+
 def evaluate_fidelity(
     real: ProfileSet, synthetic: ProfileSet, config: FidelityConfig
 ) -> FidelityReport:
     """Run all five metrics with one shared mixture fit on the real set."""
     require_same_horizon(real, synthetic)
     bandwidth = config.mmd_bandwidth
-    # 1. ACF: MMD between the per-profile autocorrelation rows
-    acf_real = kernels.acf(real, config.acf_max_lag)
-    acf_syn = kernels.acf(synthetic, config.acf_max_lag)
-    if len(acf_real.coefficients) < 2 or len(acf_syn.coefficients) < 2:
-        raise DegenerateInput("need at least 2 nonzero-variance profiles per set")
-    acf_mmd = kernels.mmd2_rbf(acf_real.coefficients, acf_syn.coefficients, bandwidth).mmd2
-    # 2. per slot: sum over slots of |real stat - synthetic stat| for the
-    # mean and each quantile (kWh), plus the raw-profile MMD
-    quantiles = list(config.quantiles)
-    stats_real = kernels.per_slot_statistics(real, quantiles)
-    stats_syn = kernels.per_slot_statistics(synthetic, quantiles)
-    diffs = np.abs(stats_real - stats_syn).sum(axis=1)
-    profile_mmd = kernels.mmd2_rbf(real.values, synthetic.values, bandwidth).mmd2
-    # 3. peaks: MMD between profiles with only their top peaks_n slots kept in place
-    peaks_mmd = kernels.mmd2_rbf(
-        kernels.peak_mask(real, config.peaks_n), kernels.peak_mask(synthetic, config.peaks_n), bandwidth
-    ).mmd2
+    with _MixtureFit(real, gmm.FitConfig(k=config.clusters_k, seed=config.seed)) as mixture:
+        # 1. ACF: MMD between the per-profile autocorrelation rows
+        acf_real = kernels.acf(real, config.acf_max_lag)
+        acf_syn = kernels.acf(synthetic, config.acf_max_lag)
+        if len(acf_real.coefficients) < 2 or len(acf_syn.coefficients) < 2:
+            raise DegenerateInput("need at least 2 nonzero-variance profiles per set")
+        acf_mmd = kernels.mmd2_rbf(acf_real.coefficients, acf_syn.coefficients, bandwidth).mmd2
+        # 2. per slot: sum over slots of |real stat - synthetic stat| for the
+        # mean and each quantile (kWh), plus the raw-profile MMD
+        quantiles = list(config.quantiles)
+        stats_real = kernels.per_slot_statistics(real, quantiles)
+        stats_syn = kernels.per_slot_statistics(synthetic, quantiles)
+        diffs = np.abs(stats_real - stats_syn).sum(axis=1)
+        profile_mmd = kernels.mmd2_rbf(real.values, synthetic.values, bandwidth).mmd2
+        # 3. peaks: MMD between profiles with only their top peaks_n slots kept in place
+        peaks_mmd = kernels.mmd2_rbf(
+            kernels.peak_mask(real, config.peaks_n), kernels.peak_mask(synthetic, config.peaks_n), bandwidth
+        ).mmd2
     # 4. clusters: KL(real label distribution || synthetic label distribution)
-    model = gmm.fit(real, gmm.FitConfig(k=config.clusters_k, seed=config.seed))
+    model = mixture.model()
     labels = gmm.predict(model, real).labels, gmm.predict(model, synthetic).labels
     cluster_kl = kernels.kl_divergence(
         gmm.label_distribution(labels[0], model.k),

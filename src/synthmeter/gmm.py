@@ -20,6 +20,8 @@ from .profiles import Horizon, ProfileSet
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _EXP_CLIP = -700.0  # np.exp is fast at and above this input
 _EXP_ZERO = -746.0  # np.exp is exactly 0 below this input
+# rows per chunk of the seeding's squared distances (96 kB at 48 columns)
+_SEED_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -111,14 +113,32 @@ def _logsumexp_rows(a: np.ndarray, spare: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def _seed_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _sq_distances(x: np.ndarray, m: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``((x - m) ** 2).sum(axis=1)`` bit for bit, written into ``out``.
+
+    The differences are squared a chunk of ``len(rows)`` rows at a time in
+    the buffer ``rows``; each row's sum is the same reduction over its own
+    values, so chunking leaves every bit. Nothing of x's size is allocated.
+    """
+    step = len(rows)
+    for lo in range(0, len(x), step):
+        hi = min(len(x), lo + step)
+        diff = np.subtract(x[lo:hi], m, out=rows[: hi - lo])
+        np.square(diff, out=diff)
+        diff.sum(axis=1, out=out[lo:hi])
+    return out
+
+
+def _seed_means(x: np.ndarray, k: int, rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
     """k-means++-style seeding: rows chosen with probability proportional to
-    squared distance from the nearest already-chosen seed."""
+    squared distance from the nearest already-chosen seed. ``rows`` is the
+    chunk buffer of ``_sq_distances``."""
     n = len(x)
     means = np.empty((k, x.shape[1]))
     first = int(rng.integers(n))
     means[0] = x[first]
-    d2 = ((x - means[0]) ** 2).sum(axis=1)
+    d2 = _sq_distances(x, means[0], rows, np.empty(n))
+    new = np.empty(n)
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -126,32 +146,43 @@ def _seed_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         else:
             idx = int(rng.choice(n, p=d2 / total))
         means[i] = x[idx]
-        d2 = np.minimum(d2, ((x - means[i]) ** 2).sum(axis=1))
+        np.minimum(d2, _sq_distances(x, means[i], rows, new), out=d2)
     return means
 
 
-def _run_em(
-    x: np.ndarray, xx: np.ndarray, config: FitConfig, rng: np.random.Generator, work: tuple
-) -> GmmModel:
-    """One EM run from a k-means++ seed. ``xx`` is ``x * x``; ``work`` holds
-    two n × k buffers, for the log-responsibilities and the responsibilities."""
+@dataclass
+class _Workspace:
+    """What the restarts of one fit share: the rows ``x``, ``x * x``, the
+    floored per-dimension variance, two n × k buffers (log-responsibilities
+    and responsibilities) and the seeding's chunk buffer."""
+
+    x: np.ndarray
+    xx: np.ndarray
+    global_var: np.ndarray
+    log_resp: np.ndarray
+    resp: np.ndarray
+    rows: np.ndarray
+
+
+def _run_em(work: _Workspace, config: FitConfig, rng: np.random.Generator) -> GmmModel:
+    """One EM run from a k-means++ seed. It reads ``work`` and overwrites its
+    buffers; it allocates nothing of the size of ``x``."""
+    x, xx = work.x, work.xx
     n = len(x)
     k = config.k
-    log_resp_buf, resp_buf = work
-    means = _seed_means(x, k, rng)
-    global_var = np.maximum(x.var(axis=0), config.variance_floor)
-    variances = np.tile(global_var, (k, 1))
+    means = _seed_means(x, k, rng, work.rows)
+    variances = np.tile(work.global_var, (k, 1))
     weights = np.full(k, 1.0 / k)
 
     trace: list[float] = []
     prev_mean_ll = -np.inf
     for _ in range(config.max_iter):
         log_resp, log_norm = _log_responsibilities(
-            x, xx, weights, means, variances, log_resp_buf, resp_buf
+            x, xx, weights, means, variances, work.log_resp, work.resp
         )
         mean_ll = float(log_norm.mean())
         trace.append(mean_ll)
-        resp = _exp(log_resp, out=resp_buf)
+        resp = _exp(log_resp, out=work.resp)
         counts = resp.sum(axis=0)  # (k,)
         weights = counts / n
         # starved components keep their parameters; their weight alone is
@@ -166,7 +197,7 @@ def _run_em(
             break
         prev_mean_ll = mean_ll
     # trace the post-update likelihood so the trace ends at the final model
-    _, log_norm = _log_responsibilities(x, xx, weights, means, variances, log_resp_buf, resp_buf)
+    _, log_norm = _log_responsibilities(x, xx, weights, means, variances, work.log_resp, work.resp)
     trace.append(float(log_norm.mean()))
     return GmmModel(
         weights=weights,
@@ -176,24 +207,45 @@ def _run_em(
     )
 
 
-def fit(data, config: FitConfig) -> GmmModel:
-    """Fit by EM with k-means++ seeding; best of n_init restarts wins.
+def _prepare(data, config: FitConfig) -> _Workspace:
+    """Check the rows (TooFewRows) and make the workspace of one fit.
 
-    The restarts share one workspace: ``x * x`` and two n × k buffers.
+    Everything of the size of the data is made here, so a caller that runs
+    ``_restarts`` on another thread makes it on its own thread.
     """
     x = data.values if isinstance(data, ProfileSet) else np.asarray(data, dtype=np.float64)
     if len(x) < config.k:
         raise TooFewRows(f"{len(x)} rows for k={config.k}")
-    xx = x * x
-    work = (np.empty((len(x), config.k)), np.empty((len(x), config.k)))
+    return _Workspace(
+        x=x,
+        xx=x * x,
+        global_var=np.maximum(x.var(axis=0), config.variance_floor),
+        log_resp=np.empty((len(x), config.k)),
+        resp=np.empty((len(x), config.k)),
+        rows=np.empty((min(len(x), _SEED_ROWS), x.shape[1])),
+    )
+
+
+def _restarts(work: _Workspace, config: FitConfig) -> GmmModel:
+    """The n_init EM runs, in order, from one workspace; the first run with
+    the highest final log-likelihood wins."""
     streams = np.random.SeedSequence(config.seed).spawn(config.n_init)
     best: GmmModel | None = None
     for stream in streams:
-        model = _run_em(x, xx, config, np.random.default_rng(stream), work)
+        model = _run_em(work, config, np.random.default_rng(stream))
         if best is None or model.log_likelihood_trace[-1] > best.log_likelihood_trace[-1]:
             best = model
     assert best is not None
     return best
+
+
+def fit(data, config: FitConfig) -> GmmModel:
+    """Fit by EM with k-means++ seeding; best of n_init restarts wins.
+
+    The restarts share one workspace (``_prepare``) and run on the calling
+    thread.
+    """
+    return _restarts(_prepare(data, config), config)
 
 
 @dataclass

@@ -29,14 +29,22 @@ sums combine their per-block sums with the exactly rounded
 one block buffer, so two workers hold about the memory that one worker's
 two buffers held. The nearest-neighbour scan stays on the calling
 thread.
+
+The last bits of a matrix product also depend on the BLAS thread count.
+``one_blas_thread`` holds NumPy's bundled OpenBLAS to one thread for the
+span of a call; synthmeter's entry points (``report.run_full_evaluation``,
+``demo.build_demo_workspace`` and ``cli.main``) run under it.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import threading
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -75,6 +83,53 @@ _SUM_ROWS = 5
 # two workers when the process may run on two CPUs (platforms without an
 # affinity mask get one)
 _WORKERS = 2 if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2 else 1
+
+
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS bundled with
+    NumPy's wheel (``numpy.libs/libscipy_openblas*``), or None for any
+    other BLAS build."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy NumPy loaded, not a second one
+        except OSError:
+            continue
+        for suffix in ("64_", ""):  # the 64-bit-integer and the 32-bit builds
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+_BLAS_THREADS = _openblas_threads()
+
+
+def one_blas_thread(fn):
+    """Run ``fn`` with BLAS held to one thread, and give the caller back its
+    own thread count when ``fn`` returns or raises (nested calls included).
+
+    The last bits of a matrix product depend on the BLAS thread count, and
+    the kernel sums and the fidelity fit already use both cores. With no
+    known OpenBLAS, ``fn`` is returned unchanged.
+    """
+    if _BLAS_THREADS is None:
+        return fn
+    get, set_ = _BLAS_THREADS
+
+    @functools.wraps(fn)
+    def pinned(*args, **kwargs):
+        before = get()
+        set_(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            set_(before)
+
+    return pinned
+
 
 # a clamped squared distance is a float64 >= +0, so its bit pattern read as
 # int64 sorts like the value; dropping the low 44 bits keeps the exponent and
@@ -116,9 +171,8 @@ class _Distances:
     as runs [start, stop) of rows, in order: each at most ``max_rows`` rows
     and at most ``max_entries`` values (one row at least), where for pairs
     only the columns from a run's first row onward are computed. The row
-    norms and the scaled right operand are made once, so blocks made on
-    different threads share them; each block is written into buffers its
-    caller owns.
+    norms are made once, so blocks made on different threads share them;
+    each block is written into buffers its caller owns.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray | None, max_rows: int, max_entries: int):
@@ -129,12 +183,12 @@ class _Distances:
             b, self.b_sq = a, self.a_sq
         else:
             self.b_sq = np.einsum("ij,ij->i", b, b)
-        # scaling b by -2 once saves a pass over every block and gives -2(a.b)
-        # bit for bit, as doubling commutes with rounding in the normal range;
-        # when the smallest nonzero entries can form a subnormal product, each
-        # block is scaled instead
+        # scaling a block's rows of a by -2 before the product saves a pass
+        # over the block and gives -2(a.b) bit for bit, as doubling commutes
+        # with rounding in the normal range; when the smallest nonzero
+        # entries can form a subnormal product, the block is scaled instead
         self.fold = _smallest_magnitude(a) * _smallest_magnitude(b) >= np.finfo(np.float64).tiny
-        self.b_scaled = -2.0 * b if self.fold else b
+        self.b = b
         self.schedule, start = [], 0
         while start < len(a):
             cols = len(b) - (start if self.pairs else 0)
@@ -142,22 +196,28 @@ class _Distances:
             self.schedule.append((start, stop))
             start = stop
         self.size = min(len(a) * len(b), max(min(max_rows * len(b), max_entries), len(b)))
+        self.block_rows = min(max_rows, len(a))
 
-    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """A buffer that any block of the schedule fits, and one for up to
-        ``_SUM_ROWS`` rows of norm sums."""
-        return np.empty(self.size), np.empty(min(self.size, _SUM_ROWS * len(self.b_scaled)))
+    def buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """A buffer that any block of the schedule fits, one for up to
+        ``_SUM_ROWS`` rows of norm sums and, when the rows of ``a`` are
+        scaled, one for a block's scaled rows (None otherwise)."""
+        scaled = np.empty((self.block_rows, self.a.shape[1])) if self.fold else None
+        return np.empty(self.size), np.empty(min(self.size, _SUM_ROWS * len(self.b))), scaled
 
-    def block(self, start: int, stop: int, buffers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    def block(self, start: int, stop: int, buffers: tuple) -> np.ndarray:
         """The distances of rows [start, stop) of ``a``, written into
         ``buffers``: the 2-d block against every row of ``b``, or for pairs
         the 1-d array of (i, j > i) for those rows i. The block is valid
         until the buffers are reused, and its consumer may overwrite it."""
-        d2_buffer, sum_buffer = buffers
+        d2_buffer, sum_buffer, scaled = buffers
         first_col = start if self.pairs else 0
-        rows, cols = stop - start, len(self.b_scaled) - first_col
+        rows, cols = stop - start, len(self.b) - first_col
         d2 = d2_buffer[: rows * cols].reshape(rows, cols)
-        np.matmul(self.a[start:stop], self.b_scaled[first_col:].T, out=d2)
+        left = self.a[start:stop]
+        if self.fold:
+            left = np.multiply(left, -2.0, out=scaled[:rows])
+        np.matmul(left, self.b[first_col:].T, out=d2)
         if not self.fold:
             d2 *= -2.0
         # the norm sums are rounded first, as in the dense expression; adding
@@ -204,12 +264,12 @@ def _sweep(consume, a: np.ndarray, b: np.ndarray | None = None) -> None:
     The blocks are those of ``_sq_distance_blocks``, whatever the worker
     count. Worker w (the calling thread is worker 0, the others are helper
     threads) takes blocks w, w + _WORKERS, ... into its own buffers; a
-    schedule of fewer blocks starts fewer workers. The norms, the scaled
-    operand and every buffer are made here, on the calling thread, before
-    any helper starts. ``consume`` may overwrite the block, runs on every
-    worker at once, and must give the same result in any block order. The
-    first exception raised in any worker stops every worker at its next
-    block and is raised here once all have stopped.
+    schedule of fewer blocks starts fewer workers. The norms and every
+    buffer are made here, on the calling thread, before any helper starts.
+    ``consume`` may overwrite the block, runs on every worker at once, and
+    must give the same result in any block order. The first exception
+    raised in any worker stops every worker at its next block and is
+    raised here once all have stopped.
     """
     distances = _Distances(a, b, _BLOCK_ROWS, _BLOCK_ENTRIES)
     # no worker without a block

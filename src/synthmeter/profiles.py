@@ -140,16 +140,16 @@ class IngestResult:
     dropped_periods: int
 
 
-def _parse_timestamp(raw: str, line: int) -> dt.datetime:
+def _parse_timestamp(raw: str, line: int, path) -> dt.datetime:
     text = raw.strip()
     if text.endswith("Z"):
         text = text[:-1]
     try:
         ts = dt.datetime.fromisoformat(text)
     except ValueError:
-        raise MalformedRow(line, f"bad timestamp {raw!r}") from None
+        raise MalformedRow(line, f"bad timestamp {raw!r}", path) from None
     if ts.minute not in (0, 30) or ts.second or ts.microsecond:
-        raise MalformedRow(line, f"timestamp {raw!r} not on a half-hour boundary")
+        raise MalformedRow(line, f"timestamp {raw!r} not on a half-hour boundary", path)
     return ts
 
 
@@ -185,21 +185,21 @@ def ingest(readings_path, horizon: Horizon) -> IngestResult:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise EmptyResult("input file is empty")
+            raise EmptyResult(f"{readings_path}: input file is empty")
         expected = ["household_id", "timestamp", "kwh"]
         if [c.strip() for c in header] != expected:
-            raise MalformedRow(1, f"expected header {','.join(expected)}")
+            raise MalformedRow(1, f"expected header {','.join(expected)}", readings_path)
         for line, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3:
-                raise MalformedRow(line, f"expected 3 fields, got {len(row)}")
+                raise MalformedRow(line, f"expected 3 fields, got {len(row)}", readings_path)
             household = row[0].strip()
             if not household:
-                raise MalformedRow(line, "empty household_id")
+                raise MalformedRow(line, "empty household_id", readings_path)
             placed = slot_of.get(row[1])
             if placed is None:
-                ts = _parse_timestamp(row[1], line)
+                ts = _parse_timestamp(row[1], line, readings_path)
                 day = ts.date()
                 start = _week_start(day) if weekly else day
                 slot = (day - start).days * 48 + ts.hour * 2 + (ts.minute == 30)
@@ -208,9 +208,9 @@ def ingest(readings_path, horizon: Horizon) -> IngestResult:
             try:
                 kwh = float(row[2])
             except ValueError:
-                raise MalformedRow(line, f"bad kwh value {row[2]!r}") from None
+                raise MalformedRow(line, f"bad kwh value {row[2]!r}", readings_path) from None
             if not math.isfinite(kwh) or kwh < 0:
-                raise MalformedRow(line, f"kwh must be finite and non-negative, got {row[2]}")
+                raise MalformedRow(line, f"kwh must be finite and non-negative, got {row[2]}", readings_path)
             rows_read += 1
             key = (household, start)
             period = periods.get(key)

@@ -318,6 +318,7 @@ def plan(manifest: dict, seed: int) -> dict[str, tuple]:
     return suites
 
 
+@kernels.one_blas_thread
 def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None) -> EvaluationOutcome:
     """Execute the suites a manifest requests and write report plus side files.
 

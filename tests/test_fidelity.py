@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from synthmeter import demo, fidelity, gmm, kernels, report
-from synthmeter.errors import InvalidConfig
+from synthmeter.errors import DegenerateInput, InvalidConfig, TooFewRows
 from synthmeter.generators import MemorizerConfig, gmm_generate, memorizer_generate
 from synthmeter.profiles import ProfileSet
 
@@ -209,3 +212,94 @@ class TestProperties:
             assert profile_mmd > previous_profile
             assert peaks_mmd > previous_peaks
             previous_profile, previous_peaks = profile_mmd, peaks_mmd
+
+
+@pytest.fixture
+def no_thread_left():
+    """Asserts that the test leaves as many threads as it found."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
+
+
+@pytest.fixture
+def restarts(monkeypatch):
+    """Records the thread each ``gmm._restarts`` call ran on and whether it
+    finished, and delays the fit by ``delay`` seconds."""
+    record = {"threads": [], "finished": 0, "delay": 0.0}
+    original = gmm._restarts
+
+    def recording(work, config):
+        record["threads"].append(threading.current_thread())
+        time.sleep(record["delay"])
+        model = original(work, config)
+        record["finished"] += 1
+        return model
+
+    monkeypatch.setattr(gmm, "_restarts", recording)
+    return record
+
+
+@pytest.mark.usefixtures("no_thread_left")
+class TestMixtureOverlap:
+    """The mixture is fit on a helper thread while metrics 1-3 run."""
+
+    def test_mixture_matches_serial_fit_bit_for_bit(self, real_set, config, restarts, monkeypatch):
+        synthetic = memorizer_generate(real_set, 300, MemorizerConfig(jitter_sigma=0.05, seed=1))
+        models = []
+        predict = gmm.predict
+        monkeypatch.setattr(gmm, "predict", lambda model, data: models.append(model) or predict(model, data))
+        got = fidelity.evaluate_fidelity(real_set, synthetic, config)
+        assert restarts["threads"] and restarts["threads"][0] is not threading.main_thread()
+        monkeypatch.undo()
+        want = fit_mixture(real_set, config)
+        assert len(models) == 2 and models[0] is models[1]
+        for key in ("weights", "means", "variances"):
+            np.testing.assert_array_equal(getattr(models[0], key), getattr(want, key))
+        assert models[0].log_likelihood_trace == want.log_likelihood_trace
+        labels = gmm.predict(want, real_set).labels, gmm.predict(want, synthetic).labels
+        kl = kernels.kl_divergence(
+            gmm.label_distribution(labels[0], want.k),
+            gmm.label_distribution(labels[1], want.k),
+            smoothing=config.kl_smoothing,
+        )
+        assert got.cluster_kl == kl
+        assert got.aggregated == fidelity._aggregate(real_set, synthetic, want.k, labels, config)
+
+    def test_repeated_calls_give_equal_reports(self, real_set, config):
+        synthetic = gmm_generate(real_set, 300, gmm.FitConfig(k=8, seed=1))
+        reports = [fidelity.evaluate_fidelity(real_set, synthetic, config) for _ in range(3)]
+        for other in reports[1:]:
+            assert other.as_dict() == reports[0].as_dict()
+            for got, want in zip(other.slot_statistics, reports[0].slot_statistics):
+                np.testing.assert_array_equal(got, want)
+
+    def test_too_many_clusters_raises_gmm_fit_error(self, real_set, restarts):
+        config = fidelity.FidelityConfig(clusters_k=len(real_set) + 1, seed=0)
+        with pytest.raises(TooFewRows) as want:
+            fit_mixture(real_set, config)
+        with pytest.raises(TooFewRows) as got:
+            fidelity.evaluate_fidelity(real_set, real_set, config)
+        assert str(got.value) == str(want.value) == f"{len(real_set)} rows for k={len(real_set) + 1}"
+        assert restarts["threads"] == []  # no helper started
+
+    def test_metric_1_error_comes_before_too_few_rows(self, real_set):
+        flat = profile_set(np.ones((20, 48)))  # no profile has ACF variance
+        config = fidelity.FidelityConfig(clusters_k=len(real_set) + 1, seed=0)
+        with pytest.raises(DegenerateInput, match="nonzero-variance"):
+            fidelity.evaluate_fidelity(real_set, flat, config)
+
+    def test_metric_1_error_propagates_after_the_fit_is_joined(self, real_set, config, restarts):
+        restarts["delay"] = 0.2  # the fit is still running when metric 1 raises
+        flat = profile_set(np.ones((20, 48)))
+        with pytest.raises(DegenerateInput, match="nonzero-variance"):
+            fidelity.evaluate_fidelity(real_set, flat, config)
+        assert restarts["finished"] == 1
+
+    def test_fit_error_is_raised_on_the_calling_thread(self, real_set, config, monkeypatch):
+        def failing(work, config):
+            raise FloatingPointError("from the helper")
+
+        monkeypatch.setattr(gmm, "_restarts", failing)
+        with pytest.raises(FloatingPointError, match="from the helper"):
+            fidelity.evaluate_fidelity(real_set, real_set, config)

@@ -217,11 +217,26 @@ def _reference_log_responsibilities(x, weights, means, variances):
     return joint - norm[:, None], norm
 
 
+def _reference_seed_means(x, k, rng):
+    """k-means++ seeding with each squared distance of all rows computed at once."""
+    n = len(x)
+    means = np.empty((k, x.shape[1]))
+    means[0] = x[int(rng.integers(n))]
+    d2 = ((x - means[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        idx = int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=d2 / total))
+        means[i] = x[idx]
+        d2 = np.minimum(d2, ((x - means[i]) ** 2).sum(axis=1))
+    return means
+
+
 def _reference_run_em(x, config, rng):
-    """One EM run as a plain loop: every E-step allocates its arrays, takes
-    np.exp of every input and recomputes x * x."""
+    """One EM run as a plain loop: the seeding and every E-step allocate
+    their arrays, each E-step takes np.exp of every input and recomputes
+    x * x."""
     n, k = len(x), config.k
-    means = gmm._seed_means(x, k, rng)
+    means = _reference_seed_means(x, k, rng)
     variances = np.tile(np.maximum(x.var(axis=0), config.variance_floor), (k, 1))
     weights = np.full(k, 1.0 / k)
     trace = []
@@ -288,6 +303,11 @@ def _blobs_48():
     return np.vstack([c + rng.normal(0.0, 0.1, size=(60, 48)) for c in centers])
 
 
+def _gamma_rows(n):
+    """n daily-width rows of gamma draws, like half-hourly kWh."""
+    return np.random.default_rng(n).gamma(2.0, 0.2, size=(n, 48))
+
+
 ORACLE_CASES = {
     "k1": (lambda: np.random.default_rng(0).normal(0.5, 0.2, size=(100, 48)).clip(min=0), dict(k=1, n_init=1)),
     "n_init_1": (lambda: np.random.default_rng(1).normal(size=(300, 5)), dict(k=4, n_init=1, seed=2)),
@@ -296,6 +316,10 @@ ORACLE_CASES = {
     "exp_band": (_blobs_48, dict(k=6, seed=0)),
     "max_iter": (lambda: np.random.default_rng(3).normal(size=(120, 3)), dict(k=5, n_init=2, max_iter=4, tol=1e-12)),
     "poisoned_250": (_poisoned_demo_set, dict(k=25, seed=0)),
+    # the seeding squares its distances gmm._SEED_ROWS rows at a time
+    "seed_chunk_below": (lambda: _gamma_rows(gmm._SEED_ROWS - 1), dict(k=5, n_init=2, seed=7)),
+    "seed_chunk_equal": (lambda: _gamma_rows(gmm._SEED_ROWS), dict(k=5, n_init=2, seed=7)),
+    "seed_chunk_ragged": (lambda: _gamma_rows(2 * gmm._SEED_ROWS + 1), dict(k=5, n_init=2, seed=7)),
 }
 
 

@@ -79,25 +79,25 @@ def reference_ingest(readings_path, horizon):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise EmptyResult("input file is empty")
+            raise EmptyResult(f"{readings_path}: input file is empty")
         expected = ["household_id", "timestamp", "kwh"]
         if [c.strip() for c in header] != expected:
-            raise MalformedRow(1, f"expected header {','.join(expected)}")
+            raise MalformedRow(1, f"expected header {','.join(expected)}", readings_path)
         for line, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3:
-                raise MalformedRow(line, f"expected 3 fields, got {len(row)}")
+                raise MalformedRow(line, f"expected 3 fields, got {len(row)}", readings_path)
             household = row[0].strip()
             if not household:
-                raise MalformedRow(line, "empty household_id")
-            ts = _parse_timestamp(row[1], line)
+                raise MalformedRow(line, "empty household_id", readings_path)
+            ts = _parse_timestamp(row[1], line, readings_path)
             try:
                 kwh = float(row[2])
             except ValueError:
-                raise MalformedRow(line, f"bad kwh value {row[2]!r}") from None
+                raise MalformedRow(line, f"bad kwh value {row[2]!r}", readings_path) from None
             if not np.isfinite(kwh) or kwh < 0:
-                raise MalformedRow(line, f"kwh must be finite and non-negative, got {row[2]}")
+                raise MalformedRow(line, f"kwh must be finite and non-negative, got {row[2]}", readings_path)
             rows_read += 1
             day = ts.date()
             slot_of_day = ts.hour * 2 + (1 if ts.minute == 30 else 0)
@@ -327,6 +327,21 @@ class TestIngest:
             ingest(path, Horizon.DAILY)
         assert got.value.line == want.value.line == 9
         assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{path}: line 9: ")
+
+    def test_empty_file_error_names_the_file(self, tmp_path):
+        path = tmp_path / "readings.csv"
+        path.write_text("")
+        with pytest.raises(EmptyResult) as err:
+            ingest(path, Horizon.DAILY)
+        assert str(err.value) == f"{path}: input file is empty"
+
+    def test_header_error_names_the_file(self, tmp_path):
+        path = tmp_path / "readings.csv"
+        path.write_text("household,timestamp,kwh\n")
+        with pytest.raises(MalformedRow) as err:
+            ingest(path, Horizon.DAILY)
+        assert str(err.value).startswith(f"{path}: line 1: expected header")
 
     def test_memory_per_period_is_compact(self, tmp_path):
         path = tmp_path / "readings.csv"
