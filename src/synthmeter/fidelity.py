@@ -165,7 +165,7 @@ class _MixtureFit:
         self._model = self._error = self._thread = None
         try:
             work = gmm._prepare(real, config)
-        except TooFewRows as exc:  # raised by model(), after metrics 1-3 as before
+        except TooFewRows as exc:  # raised by model(), so that an error of metrics 1-3 comes first
             self._error = exc
             return
         self._thread = threading.Thread(target=self._run, args=(work, config), daemon=True)
