@@ -10,12 +10,13 @@ the median-heuristic bandwidth and the RBF MMD kernel sums) read squared
 distances in blocks of rows. A block is at most ``_BLOCK_ROWS`` rows of
 the wider operand and at most ``_BLOCK_ENTRIES`` values, so their memory
 does not grow with the product of the row counts. The median bandwidth
-stays exact. A random sample of ``_SAMPLE_ROWS`` rows only proposes a
-window of values around the median (Floyd and Rivest, CACM 1975); one
-sweep over all pairs counts the values below the window and keeps up to
-``_WINDOW_CAPACITY`` values inside it, and the exact count decides
-whether the middle rank(s) lie inside. If they do not, two-pass bucket
-selection finds them.
+stays exact. A seeded sample of M uniform random pairs i != j proposes
+a window of values around the median (Floyd and Rivest, CACM 1975); its
+quantiles 0.5 +- 3 / sqrt(M) are six of its rank errors (0.5 / sqrt(M),
+whatever the rows' structure) from the median. One sweep over all pairs
+counts the values below the window and keeps those inside it, and the
+exact count decides whether the middle rank(s) lie inside. If they do
+not, two-pass bucket selection finds them.
 
 The median's sweeps and the three kernel sums run on ``_WORKERS``
 threads, two when the process may run on two CPUs: the calling thread
@@ -137,11 +138,12 @@ def one_blas_thread(fn):
 _BUCKET_SHIFT = 44
 _N_BUCKETS = 1 << (63 - _BUCKET_SHIFT)
 
-# the median's one-sweep window spans the rank quantiles 0.5 +- h of the
-# ~1M pairs of a 1,414-row sample, h <= 3 %, and its buffer holds 1.2 times
-# the values such a window should catch; h shrinks so that the buffer stays
-# within 3M values (24 MB)
-_SAMPLE_ROWS = 1_414
+# the median's window spans the rank quantiles 0.5 +- h of a sample of at
+# least 2^18 pairs (4,096 at a time), h <= 3 %, and its buffer holds 1.2
+# times the values it should catch; more pairs make h small enough that the
+# buffer stays within 3M values (24 MB)
+_SAMPLE_PAIRS = 1 << 18
+_SAMPLE_CHUNK = 4096
 _MAX_WINDOW_RANK = 0.03
 _WINDOW_SLACK = 1.2
 _WINDOW_CAPACITY = 3_000_000
@@ -157,8 +159,8 @@ def _as_matrix(data) -> np.ndarray:
 
 
 def _smallest_magnitude(m: np.ndarray) -> float:
-    nonzero = np.abs(m[m != 0.0])
-    return float(nonzero.min()) if nonzero.size else math.inf
+    # no compacted copy of m: the least positive entry against the largest negative one
+    return float(min(np.min(m, where=m > 0.0, initial=math.inf), -np.max(m, where=m < 0.0, initial=-math.inf)))
 
 
 class _Distances:
@@ -187,7 +189,8 @@ class _Distances:
         # over the block and gives -2(a.b) bit for bit, as doubling commutes
         # with rounding in the normal range; when the smallest nonzero
         # entries can form a subnormal product, the block is scaled instead
-        self.fold = _smallest_magnitude(a) * _smallest_magnitude(b) >= np.finfo(np.float64).tiny
+        smallest = _smallest_magnitude(a)
+        self.fold = smallest * (smallest if self.pairs else _smallest_magnitude(b)) >= np.finfo(np.float64).tiny
         self.b = b
         self.schedule, start = [], 0
         while start < len(a):
@@ -390,16 +393,15 @@ def median_heuristic_bandwidth(x, y) -> float:
     """Exact median pairwise Euclidean distance over the pooled rows (1.0 if zero).
 
     Selects the value ``np.median`` returns over the distances of all pairs
-    i < j, without holding them. The squared distances among a seeded
-    random sample of rows propose a window of values around the median.
-    One sweep over the blocked squared distances of all pairs counts those
-    below the window and keeps those inside it; when the exact count puts
-    the middle rank(s) inside, the kept values are sorted and the median
-    read off. Otherwise (a window the sample misplaced, or more values than
-    its buffer holds) pass 1 counts every value per order-preserving bucket
-    and pass 2 keeps the bucket(s) holding the middle rank(s). The result
-    never depends on the sample. Memory is bounded by the block size plus
-    the window buffer or the middle bucket(s), not by the number of pairs.
+    i < j, without holding them. A seeded random sample of pairs proposes a
+    window around the median; one sweep over the blocked squared distances
+    of all pairs counts those below it and keeps those inside. When the
+    exact count puts the middle rank(s) inside, the kept values are sorted
+    and the median read off. Otherwise (a misplaced or overfull window)
+    pass 1 counts every value per order-preserving bucket and pass 2 keeps
+    the bucket(s) holding the middle rank(s). The result never depends on
+    the sample. Memory is bounded by the block size plus the window buffer
+    or the middle bucket(s), not by the number of pairs.
     """
     pooled = np.vstack([_as_matrix(x), _as_matrix(y)])
     n_pairs = len(pooled) * (len(pooled) - 1) // 2
@@ -416,23 +418,41 @@ def median_heuristic_bandwidth(x, y) -> float:
     return median if median > 0.0 else 1.0
 
 
+def _window_plan(n_pairs: int) -> tuple[int, float, int]:
+    """The pairs M to sample, the window's half-width h in rank quantiles and the
+    values it may keep; (n_pairs, 0.5, n_pairs), every value, where M reaches n_pairs."""
+    h_cap = min(_MAX_WINDOW_RANK, _WINDOW_CAPACITY / (2.0 * _WINDOW_SLACK * n_pairs))
+    m = max(_SAMPLE_PAIRS, math.ceil((3.0 / h_cap) ** 2))
+    if m >= n_pairs:
+        return n_pairs, 0.5, n_pairs
+    h = 3.0 / math.sqrt(m)
+    return m, h, math.ceil(2.0 * _WINDOW_SLACK * h * n_pairs)
+
+
+def _sample_distances(pooled: np.ndarray, m: int) -> np.ndarray:
+    """Squared distances of ``m`` seeded uniform random pairs of rows i, j = (i + U[1, n - 1]) mod n."""
+    n, rng = len(pooled), np.random.default_rng(0)
+    values = np.empty(m)
+    for start in range(0, m, _SAMPLE_CHUNK):
+        size = min(_SAMPLE_CHUNK, m - start)
+        i = rng.integers(0, n, size=size, dtype=np.int32)
+        j = (i + rng.integers(1, n, size=size, dtype=np.int32)) % n
+        diff = pooled[i]
+        diff -= pooled[j]
+        np.einsum("ij,ij->i", diff, diff, out=values[start : start + size])
+    return values
+
+
 def _sample_window(pooled: np.ndarray, n_pairs: int) -> tuple[int, int, int]:
     """Squared-distance bits [lo, hi) likely to hold the middle rank(s), and
-    the number of values the window may keep.
-
-    The sample's rows are drawn at random, not strided: a stride can alias
-    with the household-by-day order of the rows.
-    """
-    h = min(_MAX_WINDOW_RANK, _WINDOW_CAPACITY / (2.0 * _WINDOW_SLACK * n_pairs))
-    size = min(len(pooled), _SAMPLE_ROWS)
-    rows = np.sort(np.random.default_rng(0).choice(len(pooled), size=size, replace=False))
-    # every clamped squared distance has bits in [0, 2^63), so this window
-    # keeps all of the sample's pairs, in no fixed order
-    _, values = _keep_window(pooled[rows], 0, 1 << 63, size * (size - 1) // 2)
-    bits = values.view(np.int64)
-    lo, hi = int((0.5 - h) * (len(bits) - 1)), math.ceil((0.5 + h) * (len(bits) - 1))
+    the number of values the window may keep."""
+    m, h, capacity = _window_plan(n_pairs)
+    if m == n_pairs:
+        return 0, 1 << 63, capacity  # every clamped squared distance has bits in [0, 2^63)
+    bits = _sample_distances(pooled, m).view(np.int64)
+    lo, hi = int((0.5 - h) * (m - 1)), math.ceil((0.5 + h) * (m - 1))
     bits.partition([lo, hi])
-    return int(bits[lo]), int(bits[hi]), math.ceil(2.0 * _WINDOW_SLACK * h * n_pairs)
+    return int(bits[lo]), int(bits[hi]), capacity
 
 
 def _bucket_window(pooled: np.ndarray, lo_rank: int, hi_rank: int) -> tuple[int, int, int]:

@@ -139,16 +139,16 @@ def _tstr(
     callbacks = [lambda m, _, trace=trace: trace.append(score(m)) for trace in traces]
     if len(arms[0][0]) == len(arms[1][0]):
         xs, ys = zip(*arms)
-        results = nnet.train_arms([model] * len(arms), xs, ys, config, epoch_callbacks=callbacks)
+        nnet.train_arms([model] * len(arms), xs, ys, config, epoch_callbacks=callbacks)
     else:
-        results = [
-            nnet.train(model, x, y, config, epoch_callback=callback) for (x, y), callback in zip(arms, callbacks)
-        ]
+        for (x, y), callback in zip(arms, callbacks):
+            nnet.train(model, x, y, config, epoch_callback=callback)
     metric_name = task.metric_name.format(q=config.pinball_q)
-    scores = [score(result.model) for result in results]
+    # the last epoch's callback scored the trained model itself (epochs >= 1)
+    scores = [trace[-1] for trace in traces]
     # a loss that stays finite can still give an infinite score
-    for arm, arm_score, trace in zip(("real", "synthetic"), scores, traces):
-        if not np.isfinite([*trace, arm_score]).all():
+    for arm, trace in zip(("real", "synthetic"), traces):
+        if not np.isfinite(trace).all():
             raise NonFiniteValue(f"{name}: the {arm}-trained arm's {metric_name} is not finite")
     return TstrResult(
         metric_name=metric_name,

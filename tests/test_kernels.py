@@ -214,15 +214,19 @@ class TestBlockedPairwise:
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         # blocks of at most 3 rows and 37 values, so either cap can bind; the
-        # median's sample and window shrink with them, to 6 rows and 55 values
+        # median's sample shrinks with them, to 200 pairs, and its window to
+        # the rank quantiles 0.5 +- 21 %, so that pools of more than 200
+        # pairs sample a strict subset and keep one
         monkeypatch.setattr(kernels, "_BLOCK_ROWS", 3)
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 37)
-        monkeypatch.setattr(kernels, "_SAMPLE_ROWS", 6)
-        monkeypatch.setattr(kernels, "_WINDOW_CAPACITY", 55)
+        monkeypatch.setattr(kernels, "_SAMPLE_PAIRS", 200)
+        monkeypatch.setattr(kernels, "_MAX_WINDOW_RANK", 0.5)
 
     @pytest.mark.parametrize("n_x, n_y", [(18, 19), (19, 19), (40, 27), (1, 1)])
     def test_bandwidth_matches_dense_median_bit_for_bit(self, n_x, n_y):
         # pooled 37 and 38 rows give 666 (even) and 703 (odd) pairs; 1 + 1 is a 2-row pool
+        n_pairs = (n_x + n_y) * (n_x + n_y - 1) // 2
+        assert kernels._window_plan(n_pairs)[0] == min(n_pairs, 200)
         rng = np.random.default_rng(n_x * 100 + n_y)
         x, y = dyadic_rows(rng, n_x), dyadic_rows(rng, n_y)
         assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y)
@@ -287,10 +291,11 @@ class TestMedianSelection:
     @pytest.mark.parametrize("n_x, n_y", [(1500, 1500), (1500, 1502)])
     def test_one_sweep_matches_dense_median_bit_for_bit(self, n_x, n_y, fallbacks):
         # 3000 and 3002 pooled rows give 4,498,500 (even) and 4,504,501 (odd)
-        # pairs; the sample holds _SAMPLE_ROWS rows, a strict subset
+        # pairs; the sample draws _SAMPLE_PAIRS of them, a strict subset
         rng = np.random.default_rng(n_x + n_y)
         x, y = dyadic_rows(rng, n_x), dyadic_rows(rng, n_y)
-        assert kernels._SAMPLE_ROWS < n_x + n_y
+        n_pairs = (n_x + n_y) * (n_x + n_y - 1) // 2
+        assert kernels._window_plan(n_pairs)[0] == kernels._SAMPLE_PAIRS < n_pairs
         assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y)
         assert not fallbacks
 
@@ -311,9 +316,58 @@ class TestMedianSelection:
         rng = np.random.default_rng(12)
         x, y = dyadic_rows(rng, 900), dyadic_rows(rng, 901)
         assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y)
-        # sample, window sweep, then the two bucket passes: one sweep per
-        # pass, however many workers share it
-        assert len(sweeps) == 4 and len(fallbacks) == 1
+        # the window sweep, then the two bucket passes: one sweep per pass,
+        # however many workers share it (the sample computes its own pairs)
+        assert len(sweeps) == 3 and len(fallbacks) == 1
+
+    def test_sample_never_pairs_a_row_with_itself(self):
+        # rows whose pairwise distances are distinct and nonzero: a row drawn
+        # with itself would give 0, and every pair is drawn about equally often
+        rows = np.array([[0.0], [1.0], [3.0], [7.0], [15.0]])
+        assert (kernels._sample_distances(rows[:2], 1000) == 1.0).all()
+        values, counts = np.unique(kernels._sample_distances(rows, 10_000), return_counts=True)
+        expected = sorted((a - b) ** 2 for a, b in itertools.combinations(rows[:, 0], 2))
+        assert values.tolist() == expected
+        # 1,000 draws per pair expected, with a standard deviation of 30
+        assert abs(counts - 1000).max() < 150
+
+    def test_window_capacity_never_exceeds_its_buffer(self):
+        # arithmetic only: every pool of up to 44,721 rows (10^9 pairs)
+        for rows in range(2, 44_722):
+            n_pairs = rows * (rows - 1) // 2
+            m, h, capacity = kernels._window_plan(n_pairs)
+            assert capacity <= min(n_pairs, kernels._WINDOW_CAPACITY) and m <= n_pairs
+
+    def test_pool_of_at_most_the_sample_keeps_every_pair(self, fallbacks, monkeypatch):
+        # 500 rows give 124,750 pairs, fewer than the sample would draw: one
+        # sweep keeps them all
+        sweeps = []
+        sweep = kernels._sweep
+        monkeypatch.setattr(kernels, "_sweep", lambda *args: sweeps.append(1) or sweep(*args))
+        rng = np.random.default_rng(13)
+        x, y = dyadic_rows(rng, 250), dyadic_rows(rng, 250)
+        n_pairs = 500 * 499 // 2
+        assert kernels._window_plan(n_pairs) == (n_pairs, 0.5, n_pairs)
+        assert kernels._sample_window(np.vstack([x, y]), n_pairs) == (0, 1 << 63, n_pairs)
+        assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y)
+        assert len(sweeps) == 1 and not fallbacks
+
+    def test_window_bound_by_its_buffer_hits(self, fallbacks, monkeypatch):
+        # 2,000 rows give 1,999,000 pairs; a buffer of 20,000 values narrows
+        # the window below _MAX_WINDOW_RANK, and the sample grows past
+        # _SAMPLE_PAIRS to keep it six rank errors wide
+        monkeypatch.setattr(kernels, "_WINDOW_CAPACITY", 20_000)
+        rng = np.random.default_rng(14)
+        x, y = gamma_rows(rng, 1000), gamma_rows(rng, 1000, 0.55)
+        n_pairs = 2000 * 1999 // 2
+        m, h, capacity = kernels._window_plan(n_pairs)
+        assert kernels._SAMPLE_PAIRS < m < n_pairs and h < kernels._MAX_WINDOW_RANK
+        assert capacity <= 20_000
+        bandwidth = kernels.median_heuristic_bandwidth(x, y)
+        assert not fallbacks
+        # the same blocked distances, every one kept
+        monkeypatch.setattr(kernels, "_sample_window", lambda pooled, n: (0, 1 << 63, n))
+        assert bandwidth == kernels.median_heuristic_bandwidth(x, y)
 
     def test_tied_median_falls_back_exactly(self, fallbacks):
         # three distinct rows in equal shares: a third of the pairs at
@@ -530,16 +584,17 @@ def test_mmd_memory_bounded_by_block_not_n(monkeypatch):
     # Blocked, on two workers, the live arrays are each worker's block
     # buffer of _BLOCK_ROWS rows of the 6,000 pooled columns (2.4 MB) and
     # its norm-sum buffer (a tenth of that), plus per-block masks, and the
-    # median's window buffer (here 7.2 % of the pairs, at most
-    # _WINDOW_CAPACITY values) or its sample's ~1M pairs. The bound, the
-    # window's capacity plus four such blocks (33.6 MB), grows with the row
-    # count, not with the number of pairs. Measured: 21 MB (18 MB on one
-    # worker).
+    # median's window buffer (here 1.4 % of the pairs: 253,083 values) or
+    # its sample's 262,144 distances and one chunk of differences. The
+    # bound, the window's capacity plus four such blocks (11.6 MB), grows
+    # with the row count, not with the number of pairs. Measured: 10.3 MB.
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     rng = np.random.default_rng(0)
     x = rng.gamma(0.5, 0.4, size=(3000, 48))
     y = rng.gamma(0.55, 0.4, size=(3000, 48))
-    bound = 8 * (kernels._WINDOW_CAPACITY + 4 * kernels._BLOCK_ROWS * (len(x) + len(y)))
+    n_pairs = (len(x) + len(y)) * (len(x) + len(y) - 1) // 2
+    capacity = kernels._window_plan(n_pairs)[2]
+    bound = 8 * (capacity + 4 * kernels._BLOCK_ROWS * (len(x) + len(y)))
     tracemalloc.start()
     try:
         kernels.mmd2_rbf(x, y)
