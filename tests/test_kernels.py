@@ -215,8 +215,8 @@ class TestBlockedPairwise:
     def small_blocks(self, monkeypatch):
         # blocks of at most 3 rows and 37 values, so either cap can bind; the
         # median's sample shrinks with them, to 200 pairs, and its window to
-        # the rank quantiles 0.5 +- 21 %, so that pools of more than 200
-        # pairs sample a strict subset and keep one
+        # the rank quantiles 0.5 +- 21 %, so that a pool of more than 200
+        # pairs samples some of them and its window keeps some of them
         monkeypatch.setattr(kernels, "_BLOCK_ROWS", 3)
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 37)
         monkeypatch.setattr(kernels, "_SAMPLE_PAIRS", 200)
