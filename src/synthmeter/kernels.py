@@ -13,7 +13,8 @@ does not grow with the product of the row counts. The median bandwidth
 stays exact. A seeded sample of M uniform random pairs i != j proposes
 a window of values around the median (Floyd and Rivest, CACM 1975); its
 quantiles 0.5 +- 3 / sqrt(M) are six of its rank errors (0.5 / sqrt(M),
-whatever the rows' structure) from the median. One sweep over all pairs
+whatever the rows' structure) from the median, fewer once the sample
+reaches 3M pairs and the window's buffer binds. One sweep over all pairs
 counts the values below the window and keeps those inside it, and the
 exact count decides whether the middle rank(s) lie inside. If they do
 not, two-pass bucket selection finds them.
@@ -138,11 +139,11 @@ def one_blas_thread(fn):
 _BUCKET_SHIFT = 44
 _N_BUCKETS = 1 << (63 - _BUCKET_SHIFT)
 
-# the median's window spans the rank quantiles 0.5 +- h of a sample of at
-# least 2^18 pairs (4,096 at a time), h <= 3 %, and its buffer holds 1.2
-# times the values it should catch; more pairs make h small enough that the
-# buffer stays within 3M values (24 MB)
+# the median's window spans the quantiles 0.5 +- h of a sample of 2^18 to 3M
+# pairs (4,096 at a time), h <= 3 % and six rank errors unless its buffer (1.2
+# times the values it should catch, at most 3M values or 24 MB) binds first
 _SAMPLE_PAIRS = 1 << 18
+_MAX_SAMPLE_PAIRS = 3_000_000
 _SAMPLE_CHUNK = 4096
 _MAX_WINDOW_RANK = 0.03
 _WINDOW_SLACK = 1.2
@@ -159,7 +160,6 @@ def _as_matrix(data) -> np.ndarray:
 
 
 def _smallest_magnitude(m: np.ndarray) -> float:
-    # no compacted copy of m: the least positive entry against the largest negative one
     return float(min(np.min(m, where=m > 0.0, initial=math.inf), -np.max(m, where=m < 0.0, initial=-math.inf)))
 
 
@@ -400,8 +400,8 @@ def median_heuristic_bandwidth(x, y) -> float:
     and the median read off. Otherwise (a misplaced or overfull window)
     pass 1 counts every value per order-preserving bucket and pass 2 keeps
     the bucket(s) holding the middle rank(s). The result never depends on
-    the sample. Memory is bounded by the block size plus the window buffer
-    or the middle bucket(s), not by the number of pairs.
+    the sample. Memory is bounded by the block size plus the sample, the
+    window buffer or the middle bucket(s), not by the number of pairs.
     """
     pooled = np.vstack([_as_matrix(x), _as_matrix(y)])
     n_pairs = len(pooled) * (len(pooled) - 1) // 2
@@ -422,11 +422,11 @@ def _window_plan(n_pairs: int) -> tuple[int, float, int]:
     """The pairs M to sample, the window's half-width h in rank quantiles and the
     values it may keep; (n_pairs, 0.5, n_pairs), every value, where M reaches n_pairs."""
     h_cap = min(_MAX_WINDOW_RANK, _WINDOW_CAPACITY / (2.0 * _WINDOW_SLACK * n_pairs))
-    m = max(_SAMPLE_PAIRS, math.ceil((3.0 / h_cap) ** 2))
+    m = min(_MAX_SAMPLE_PAIRS, max(_SAMPLE_PAIRS, math.ceil((3.0 / h_cap) ** 2)))
     if m >= n_pairs:
         return n_pairs, 0.5, n_pairs
-    h = 3.0 / math.sqrt(m)
-    return m, h, math.ceil(2.0 * _WINDOW_SLACK * h * n_pairs)
+    h = min(h_cap, 3.0 / math.sqrt(m))
+    return m, h, min(_WINDOW_CAPACITY, math.ceil(2.0 * _WINDOW_SLACK * h * n_pairs))
 
 
 def _sample_distances(pooled: np.ndarray, m: int) -> np.ndarray:

@@ -238,10 +238,24 @@ class TestBlockedPairwise:
         y = distinct[rng.integers(0, 4, size=30)]
         assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y)
 
-    def test_bandwidth_even_count_averages_two_buckets(self):
-        # distances 1, 9, 10, 20, 29, 30: the middle pair sits in different binades
+    def test_bandwidth_even_count_averages_two_buckets(self, fallbacks, monkeypatch):
+        # distances 1, 9, 10, 20, 29, 30: the middle pair sits in different
+        # binades. Six pairs are fewer than the sample would draw, so the
+        # window is forced to miss them and the bucket passes must find both
+        monkeypatch.setattr(kernels, "_sample_window", lambda pooled, n_pairs: (0, 1, 0))
         x, y = np.array([[0.0], [1.0]]), np.array([[10.0], [30.0]])
         assert kernels.median_heuristic_bandwidth(x, y) == 15.0
+        assert len(fallbacks) == 1
+
+    @pytest.mark.parametrize("n_x, n_y", [(18, 19), (19, 19), (40, 27)])
+    def test_bandwidth_fallback_across_blocks(self, n_x, n_y, fallbacks, monkeypatch):
+        # a window holding only zero distances, with no room for them: the
+        # bucket passes run over the pools' hundreds of tiny blocks
+        monkeypatch.setattr(kernels, "_sample_window", lambda pooled, n_pairs: (0, 1, 0))
+        rng = np.random.default_rng(n_x * 100 + n_y)
+        x, y = dyadic_rows(rng, n_x), dyadic_rows(rng, n_y)
+        assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y)
+        assert len(fallbacks) == 1
 
     def test_bandwidth_identical_rows_fallback(self):
         x = np.full((20, 48), 0.25)
@@ -332,11 +346,16 @@ class TestMedianSelection:
         assert abs(counts - 1000).max() < 150
 
     def test_window_capacity_never_exceeds_its_buffer(self):
-        # arithmetic only: every pool of up to 44,721 rows (10^9 pairs)
-        for rows in range(2, 44_722):
-            n_pairs = rows * (rows - 1) // 2
+        # arithmetic only: every pool of up to 44,721 rows (10^9 pairs), and
+        # far larger ones, where the sample stops growing and still samples
+        sizes = [rows * (rows - 1) // 2 for rows in range(2, 44_722)]
+        for n_pairs in sizes + [10**10, 10**12, 10**15, 10**18]:
             m, h, capacity = kernels._window_plan(n_pairs)
             assert capacity <= min(n_pairs, kernels._WINDOW_CAPACITY) and m <= n_pairs
+            assert m <= kernels._MAX_SAMPLE_PAIRS
+            # a sampled window's expected catch, with its slack, fits its buffer
+            assert m == n_pairs or 2 * kernels._WINDOW_SLACK * h * n_pairs <= capacity * (1 + 1e-12)
+        assert kernels._window_plan(10**18)[0] == kernels._MAX_SAMPLE_PAIRS
 
     def test_pool_of_at_most_the_sample_keeps_every_pair(self, fallbacks, monkeypatch):
         # 500 rows give 124,750 pairs, fewer than the sample would draw: one
