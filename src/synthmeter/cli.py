@@ -9,17 +9,17 @@ seed-deterministic.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-from . import __version__, fidelity, generators, gmm, kernels, nnet, poisoning, privacy, report
+from . import __version__, generators, gmm, kernels, nnet, poisoning, report
 from .demo import build_demo_workspace, labelled_gmm_synthetic  # noqa: F401 - public via cli
 from .errors import InvalidConfig, SynthmeterError
 from .profiles import (
     Horizon,
     SplitSpec,
     ingest,
+    read_horizon,
     read_wide,
     split_households,
     write_wide,
@@ -33,14 +33,10 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _horizon_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--horizon", choices=["daily", "weekly"], default="daily")
-
-
 def _add_ingest(sub) -> None:
     p = sub.add_parser("ingest", help="build wide profiles from long half-hourly readings")
     p.add_argument("--input", required=True)
-    _horizon_arg(p)
+    p.add_argument("--horizon", choices=["daily", "weekly"], default="daily")
     p.add_argument("--output", required=True)
 
 
@@ -78,7 +74,7 @@ def _add_generate(sub) -> None:
 
 def _add_fidelity(sub) -> None:
     p = sub.add_parser("fidelity", help="run the five fidelity metrics")
-    p.add_argument("--real", required=True)
+    p.add_argument("--real", dest="train", metavar="REAL", required=True)
     p.add_argument("--synthetic", required=True)
     p.add_argument("--config", default=None, help="JSON file of FidelityConfig overrides")
     p.add_argument("--seed", type=_seed, default=None)
@@ -88,23 +84,22 @@ def _add_fidelity(sub) -> None:
 def _add_privacy(sub) -> None:
     p = sub.add_parser("privacy", help="run a privacy attack")
     attack = p.add_subparsers(dest="attack", required=True)
-    for name, help_text, files in (
-        ("recon", "distance-based KS reconstruction test", ("--train", "--holdout", "--synthetic")),
-        ("recon-poisoned", "outlier-poisoned reconstruction attack", ("--registry", "--synthetic")),
-        ("mia", "plain membership inference", ("--train", "--holdout", "--synthetic")),
-        ("mia-poisoned", "outlier-poisoned membership inference", ("--registry", "--synthetic", "--holdout")),
+    for name, help_text in (
+        ("recon", "distance-based KS reconstruction test"),
+        ("recon-poisoned", "outlier-poisoned reconstruction attack"),
+        ("mia", "plain membership inference"),
+        ("mia-poisoned", "outlier-poisoned membership inference"),
     ):
         parser = attack.add_parser(name, help=help_text)
-        for flag in files:
-            parser.add_argument(flag, required=True)
+        for key in report.FILES[name.replace("-", "_")]:
+            parser.add_argument(f"--{key}", required=True)
         if name == "recon-poisoned":
             parser.add_argument("--ratios", default=None, help="start:stop:step, e.g. 0.05:1.0:0.05")
+            parser.add_argument("--curve-out", default=None, help="ratio,fraction table path")
         if name.startswith("recon"):
             parser.add_argument("--sample-size", type=int, default=None)
         parser.add_argument("--seed", type=_seed, default=None)
         parser.add_argument("--report", required=True)
-        if name == "recon-poisoned":
-            parser.add_argument("--curve-out", default=None, help="ratio,fraction table path")
 
 
 def _add_utility(sub) -> None:
@@ -115,8 +110,8 @@ def _add_utility(sub) -> None:
     fc = task.add_parser("tstr-forecast", help="intraday forecasting gap")
     fc.add_argument("--kind", choices=["mean", "q95"], required=True)
     for parser in (cls, fc):
-        for name in ("--real-fit", "--synthetic-fit", "--eval"):
-            parser.add_argument(name, required=True)
+        for key in report.UTILITY_FILES:
+            parser.add_argument(f"--{key.replace('_', '-')}", required=True)
         parser.add_argument("--seed", type=_seed, default=None)
         parser.add_argument("--epochs", type=int, default=nnet.TrainConfig.epochs)
         parser.add_argument("--allow-overlap", action="store_true")
@@ -159,11 +154,6 @@ def _apply_global_defaults(args) -> None:
         args.seed = 0  # evaluate keeps None so the manifest seed wins
     if getattr(args, "output_dir", None) is None and getattr(args, "global_output_dir", None) is not None:
         args.output_dir = args.global_output_dir
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        fh.write(report.render_report(payload))
 
 
 def _cmd_ingest(args) -> int:
@@ -221,20 +211,8 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_fidelity(args) -> int:
-    options = report.read_json(args.config) if args.config else {}
-    report.check_options("fidelity", options)
-    config = fidelity.FidelityConfig(**options, seed=args.seed)
-    real = read_wide(args.real)
-    synthetic = read_wide(args.synthetic, horizon=real.horizon)
-    section, _ = report.fidelity_section(config, real, synthetic)
-    _write_json(args.report, section)
-    print(f"fidelity report written to {args.report}")
-    return 0
-
-
-def _ratio_range(text: str) -> tuple[float, ...]:
-    """Threshold ratios from ``start:stop:step``, both ends included."""
+def _ratio_range(text: str) -> list[float]:
+    """Threshold ratios from ``start:stop:step``, both ends included, checked before the grid is built."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidConfig(f"--ratios must be start:stop:step, got {text!r}")
@@ -242,67 +220,68 @@ def _ratio_range(text: str) -> tuple[float, ...]:
         start, stop, step = (float(v) for v in parts)
     except ValueError:
         raise InvalidConfig(f"--ratios must be three numbers, got {text!r}") from None
-    if not (step > 0 and stop >= start and math.isfinite(stop - start)):
-        raise InvalidConfig(f"--ratios needs a positive step and start <= stop, got {text!r}")
-    count = int(round((stop - start) / step)) + 1
-    return tuple(round(start + i * step, 10) for i in range(count))
+    if not (step > 0 and 0 < start <= stop <= 1):
+        raise InvalidConfig(f"--ratios needs 0 < start <= stop <= 1 and a positive step, got {text!r}")
+    steps = (stop - start) / step
+    if not steps < _MAX_RATIOS - 0.5:  # so round(steps) + 1 points are at most _MAX_RATIOS
+        raise InvalidConfig(f"--ratios gives more than {_MAX_RATIOS} points, got {text!r}")
+    return [round(start + i * step, 10) for i in range(round(steps) + 1)]
 
 
-# privacy subcommand -> (its report entry, its summary line); the
-# subcommand's name with "_" for "-" is the manifest option it switches on
-_ATTACKS = {
-    "recon": ("ks", lambda r: (
+# suite part -> (its entry in its report section, None for the whole section; its summary line)
+_ENTRIES = {
+    "fidelity": (None, lambda r, args: f"fidelity report written to {args.report}"),
+    "recon": ("ks", lambda r, args: (
         f"KS statistic {r['statistic']:.4f}, p {r['p_value']:.4f} "
         f"({'no ' if r['p_value'] >= 0.05 else ''}memorisation evidence)"
     )),
-    "recon-poisoned": ("reconstruction", None),  # prints the curve path instead
-    "mia": ("mia_plain", lambda r: f"plain MIA precision {r['precision']:.3f} (0.5 = random guess)"),
-    "mia-poisoned": ("mia_poisoned", lambda r: f"poisoned MIA precision {r['precision']:.3f} (1/3 = random guess)"),
+    "recon_poisoned": ("reconstruction", None),  # writes its curve and names it instead
+    "mia": ("mia_plain", lambda r, args: f"plain MIA precision {r['precision']:.3f} (0.5 = random guess)"),
+    "mia_poisoned": ("mia_poisoned",
+                     lambda r, args: f"poisoned MIA precision {r['precision']:.3f} (1/3 = random guess)"),
+    "utility": (0, lambda r, args: (
+        f"{r['metric_name']}: real-trained {r['score_real_trained']:.4f}, "
+        f"synthetic-trained {r['score_synthetic_trained']:.4f}, gap {r['absolute_gap']:.4f}"
+    )),
 }
 
 # utility subcommand (and --kind) -> TSTR task
 _TASKS = {"tstr-classify": "classify", "mean": "forecast_mean", "q95": "forecast_quantile"}
+_MAX_RATIOS = 10_000  # points in a --ratios grid: 500 times the default grid's 20
 
 
-def _cmd_privacy(args) -> int:
-    entry, summary = _ATTACKS[args.attack]
-    ratios = {"threshold_ratios": _ratio_range(args.ratios)} if getattr(args, "ratios", None) else {}
-    config = privacy.ReconstructionConfig(**ratios, sample_size=getattr(args, "sample_size", None), seed=args.seed)
-    attacks = (args.attack.replace("-", "_"),)
-    privacy.check_sample_size(config, attacks)
-    registry = train = holdout = None
-    if hasattr(args, "registry"):
-        registry = poisoning.read_registry(args.registry)
-    if hasattr(args, "train"):
-        train = read_wide(args.train)
-    synthetic = read_wide(args.synthetic, horizon=None if train is None else train.horizon)
-    if hasattr(args, "holdout"):
-        holdout = read_wide(args.holdout, horizon=synthetic.horizon)
-    section, tables = report.privacy_section(attacks, config, None, train, holdout, synthetic, registry)
-    _write_json(args.report, section[entry])
+def _cmd_suite(args) -> int:
+    """fidelity, privacy and utility: the flags become a manifest of one suite part, run like evaluate's."""
+    suite = args.command
+    part = args.attack.replace("-", "_") if suite == "privacy" else suite
+    files = {key: getattr(args, key) for key in report.FILES[part]}
+    manifest = {"horizon": read_horizon(files[report.FILES[part][0]]).name.lower()}
+    if suite == "fidelity":
+        options = report.read_json(args.config) if args.config else {}
+        report.check_options("fidelity", options)
+        manifest.update(files, fidelity=options or True)  # an empty section would not run
+    elif suite == "privacy":
+        options = {part: True, "sample_size": getattr(args, "sample_size", None)}
+        if getattr(args, "ratios", None):
+            options["threshold_ratios"] = _ratio_range(args.ratios)
+        manifest.update(files, privacy=options)
+    else:
+        task = _TASKS[args.task if args.task == "tstr-classify" else args.kind]
+        manifest["utility"] = {**files, "tasks": [task], "epochs": args.epochs, "allow_overlap": args.allow_overlap}
+    planned = report.plan(manifest, args.seed)[suite]
+    section, tables = report.SECTIONS[suite](*planned, report.reader(manifest, Path())[0])
+    key, summary = _ENTRIES[part]
+    entry = section if key is None else section[key]
+    with open(args.report, "w") as fh:
+        fh.write(report.render_report(entry))
     if summary is not None:
-        print(summary(section[entry]))
+        print(summary(entry, args))
         return 0
     curve_out = args.curve_out or str(Path(args.report).with_suffix(".curve.csv"))
     report.write_table(curve_out, *tables["reconstruction_cdf.csv"])
-    fraction_03 = section[entry]["fraction_reconstructed"].get("0.3")
+    fraction_03 = entry["fraction_reconstructed"].get("0.3")
     extra = "" if fraction_03 is None else f"; {fraction_03:.0%} reconstructed at ratio 0.3"
     print(f"reconstruction curve written to {curve_out}{extra}")
-    return 0
-
-
-def _cmd_utility(args) -> int:
-    task = _TASKS[args.task if args.task == "tstr-classify" else args.kind]
-    config = nnet.TrainConfig(epochs=args.epochs, seed=args.seed)
-    real_fit = read_wide(args.real_fit)
-    synthetic_fit = read_wide(args.synthetic_fit, horizon=real_fit.horizon)
-    real_eval = read_wide(args.eval, horizon=real_fit.horizon)
-    (result,), _ = report.utility_section((task,), config, args.allow_overlap, real_fit, synthetic_fit, real_eval)
-    _write_json(args.report, result)
-    print(
-        f"{result['metric_name']}: real-trained {result['score_real_trained']:.4f}, "
-        f"synthetic-trained {result['score_synthetic_trained']:.4f}, gap {result['absolute_gap']:.4f}"
-    )
     return 0
 
 
@@ -333,9 +312,9 @@ _COMMANDS = {
     "split": _cmd_split,
     "inject-outliers": _cmd_inject,
     "generate": _cmd_generate,
-    "fidelity": _cmd_fidelity,
-    "privacy": _cmd_privacy,
-    "utility": _cmd_utility,
+    "fidelity": _cmd_suite,
+    "privacy": _cmd_suite,
+    "utility": _cmd_suite,
     "evaluate": _cmd_evaluate,
     "demo": _cmd_demo,
 }

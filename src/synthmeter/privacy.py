@@ -50,14 +50,6 @@ class ReconstructionConfig:
         object.__setattr__(self, "threshold_ratios", ratios)
 
 
-def check_sample_size(config: ReconstructionConfig, attacks) -> None:
-    """Reject a ``sample_size`` below KS_MIN_SAMPLE when the recon attack is
-    among ``attacks``; callers run this before any profile file is read."""
-    size = config.sample_size
-    check_value("sample_size", size, "recon" not in attacks or size is None or size >= KS_MIN_SAMPLE,
-                f"at least {KS_MIN_SAMPLE} for the recon attack")
-
-
 @dataclass
 class ReconstructionResult:
     fraction_reconstructed: dict[float, float]

@@ -281,6 +281,33 @@ def write_wide(profiles: ProfileSet, path) -> None:
         )
 
 
+def _header_horizon(header, path, horizon: Horizon | None) -> Horizon:
+    """The horizon of a wide file's header row (None if empty), checked against ``horizon``."""
+    if header is None:
+        raise EmptyResult(f"{path} is empty")
+    n_slots = len(header) - 3
+    if header[:3] != ["household_id", "start_date", "label"]:
+        raise MalformedRow(1, "expected header household_id,start_date,label,hh_00,...", path)
+    if horizon is not None and n_slots != horizon.length:
+        raise HorizonMismatch(
+            f"{path} has {n_slots} value columns, expected {horizon.length}"
+        )
+    if horizon is None:
+        try:
+            horizon = Horizon(n_slots)
+        except ValueError:
+            raise HorizonMismatch(f"{path} has {n_slots} value columns; no known horizon matches") from None
+    if header[3:] != _slot_columns(horizon.length):
+        raise MalformedRow(1, "slot columns must be hh_00..hh_{L-1}", path)
+    return horizon
+
+
+def read_horizon(path) -> Horizon:
+    """The horizon of a wide profile file, from its header alone: no profile row is read."""
+    with open(path, newline="") as fh:
+        return _header_horizon(next(csv.reader(fh), None), path, None)
+
+
 def read_wide(path, horizon: Horizon | None = None) -> ProfileSet:
     """Read a canonical wide profile file.
 
@@ -290,23 +317,7 @@ def read_wide(path, horizon: Horizon | None = None) -> ProfileSet:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyResult(f"{path} is empty")
-        n_slots = len(header) - 3
-        if header[:3] != ["household_id", "start_date", "label"]:
-            raise MalformedRow(1, "expected header household_id,start_date,label,hh_00,...", path)
-        if horizon is not None and n_slots != horizon.length:
-            raise HorizonMismatch(
-                f"{path} has {n_slots} value columns, expected {horizon.length}"
-            )
-        if horizon is None:
-            try:
-                horizon = Horizon(n_slots)
-            except ValueError:
-                raise HorizonMismatch(f"{path} has {n_slots} value columns; no known horizon matches") from None
-        if header[3:] != _slot_columns(horizon.length):
-            raise MalformedRow(1, "slot columns must be hh_00..hh_{L-1}", path)
+        horizon = _header_horizon(next(reader, None), path, horizon)
 
         ids: list[str] = []
         dates: list[dt.date] = []

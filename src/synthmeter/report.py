@@ -96,10 +96,13 @@ def render_report(report: dict) -> str:
 
 
 def read_json(path):
-    """Parse a manifest or config file; malformed JSON raises InvalidConfig."""
+    """Parse a manifest or config file; malformed JSON, NaN and the infinities raise InvalidConfig."""
+    def reject(constant):
+        raise InvalidConfig(f"{path} is not valid JSON: {constant} is no JSON number")
+
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=reject)
         except json.JSONDecodeError as exc:
             raise InvalidConfig(f"{path} is not valid JSON: {exc}") from None
 
@@ -116,14 +119,10 @@ class EvaluationOutcome:
         return not self.failures
 
 
-def _resolve(base: Path, value: str) -> Path:
-    path = Path(value)
-    return path if path.is_absolute() else base / path
-
-
-def fidelity_section(config: fidelity.FidelityConfig, train, synthetic):
-    """Run the fidelity metrics; returns the section and its side tables
-    (per-slot statistics and PCA coordinates)."""
+def fidelity_section(config: fidelity.FidelityConfig, read):
+    """Run the fidelity metrics on the files ``read`` gives (see ``reader``); returns
+    the section and its side tables (per-slot statistics and PCA coordinates)."""
+    train, synthetic = map(read, FILES["fidelity"])
     result = fidelity.evaluate_fidelity(train, synthetic, config)
 
     header = ["slot", "real_mean", "synthetic_mean"]
@@ -147,6 +146,16 @@ def fidelity_section(config: fidelity.FidelityConfig, train, synthetic):
 PRIVACY_ATTACKS = ("recon", "recon_poisoned", "mia", "mia_poisoned")
 UTILITY_FILES = ("real_fit", "synthetic_fit", "eval")
 SUITES = ("fidelity", "privacy", "utility")
+
+# the file keys each part of a suite reads, in its function's order (utility's are section keys)
+FILES = {
+    "fidelity": ("train", "synthetic"),
+    "recon": ("train", "holdout", "synthetic"),
+    "recon_poisoned": ("registry", "synthetic"),
+    "mia": ("train", "holdout", "synthetic"),
+    "mia_poisoned": ("registry", "synthetic", "holdout"),
+    "utility": UTILITY_FILES,
+}
 
 
 def _is(value, *types) -> bool:
@@ -215,23 +224,24 @@ def check_options(section: str, options) -> None:
         check_known("utility task", options.get("tasks", ()), utility.TASKS)
 
 
-def privacy_section(attacks, config: privacy.ReconstructionConfig, policy, train, holdout, synthetic, registry):
-    """Run ``attacks`` (of PRIVACY_ATTACKS) with ``config``'s seed and sample
-    size; the others read ``not_run``. ``policy`` is None or the (ratio,
-    max_fraction) pair the poisoned reconstruction's verdict checks.
+def privacy_section(attacks, config: privacy.ReconstructionConfig, policy, read):
+    """Run ``attacks`` (of PRIVACY_ATTACKS) on their FILES, read before the first runs,
+    with ``config``'s seed and sample size; the others read ``not_run``. ``policy`` is
+    None or the (ratio, max_fraction) pair the poisoned reconstruction's verdict checks.
 
     Returns the section and its side tables (the reconstruction curve).
-    ``registry`` may be None when no poisoned attack is on.
     """
+    files = {key: read(key) for key in dict.fromkeys(key for attack in attacks for key in FILES[attack])}
+    inputs = {attack: [files[key] for key in FILES[attack]] for attack in attacks}
     out = {key: dict(NOT_RUN) for key in ("ks", "reconstruction", "mia_plain", "mia_poisoned")}
     tables = {}
 
     if "recon" in attacks:
-        ks = privacy.reconstruction_ks(train, holdout, synthetic, sample_size=config.sample_size, seed=config.seed)
+        ks = privacy.reconstruction_ks(*inputs["recon"], sample_size=config.sample_size, seed=config.seed)
         out["ks"] = ks.as_dict()
 
     if "recon_poisoned" in attacks:
-        recon = privacy.reconstruction_poisoned(registry, synthetic, config)
+        recon = privacy.reconstruction_poisoned(*inputs["recon_poisoned"], config)
         out["reconstruction"] = recon.as_dict()
         fractions = recon.fraction_reconstructed
         tables["reconstruction_cdf.csv"] = (
@@ -241,18 +251,20 @@ def privacy_section(attacks, config: privacy.ReconstructionConfig, policy, train
             out["policy_verdict"] = threshold_policy_check(recon, *policy).as_dict()
 
     if "mia" in attacks:
-        out["mia_plain"] = privacy.mia_plain(train, holdout, synthetic, seed=config.seed).as_dict()
+        out["mia_plain"] = privacy.mia_plain(*inputs["mia"], seed=config.seed).as_dict()
 
     if "mia_poisoned" in attacks:
-        out["mia_poisoned"] = privacy.mia_poisoned(registry, synthetic, holdout, seed=config.seed).as_dict()
+        out["mia_poisoned"] = privacy.mia_poisoned(*inputs["mia_poisoned"], seed=config.seed).as_dict()
     return out, tables
 
 
-def utility_section(tasks, config: nnet.TrainConfig, allow_overlap: bool, real_fit, synthetic_fit, real_eval):
-    """Run the TSTR ``tasks`` in order, each with ``config`` (the task sets the loss).
+def utility_section(tasks, config: nnet.TrainConfig, allow_overlap: bool, read):
+    """Run the TSTR ``tasks`` in order on the files ``read`` gives, each with
+    ``config`` (the task sets the loss).
 
     Returns the list of task results and their epoch traces as side tables.
     """
+    real_fit, synthetic_fit, real_eval = map(read, UTILITY_FILES)
     overlap = {d.year for d in real_fit.start_dates} & {d.year for d in real_eval.start_dates}
     if overlap and not allow_overlap:
         raise SynthmeterError(
@@ -269,6 +281,9 @@ def utility_section(tasks, config: nnet.TrainConfig, allow_overlap: bool, real_f
     return results, tables
 
 
+SECTIONS = {"fidelity": fidelity_section, "privacy": privacy_section, "utility": utility_section}
+
+
 def _require(noun: str, options: dict, keys, reason: str) -> None:
     for key in keys:
         if key not in options:
@@ -278,17 +293,16 @@ def _require(noun: str, options: dict, keys, reason: str) -> None:
 def plan(manifest: dict, seed: int) -> dict[str, tuple]:
     """Check the object sections of a manifest whose top level passed check_options, and
     build each requested suite's configs before any file is read: the arguments its
-    section takes ahead of the profile sets. A bad key, type or range, a missing file
-    key, an ACF lag not below the horizon length, a KS sample below its minimum, or a
-    policy without ``recon_poisoned`` or off the threshold grid raises InvalidConfig."""
+    section takes ahead of its reader. A bad key, type or range, a missing file key that a
+    requested part reads (FILES), an ACF lag not below the horizon length, a KS sample below
+    its minimum, or a policy without ``recon_poisoned`` or off the threshold grid raises InvalidConfig."""
     for name, value in manifest.items():
         if isinstance(value, dict):  # after the top-level check, a suite or the generator
             check_options(name, value)
     requested = {name: {} if manifest[name] is True else manifest[name] for name in SUITES if manifest.get(name)}
-    if requested.keys() & {"fidelity", "privacy"}:
-        _require("manifest key", manifest, ("train", "holdout", "synthetic"), "by fidelity and privacy")
     suites: dict[str, tuple] = {}
     if "fidelity" in requested:
+        _require("manifest key", manifest, FILES["fidelity"], "by fidelity")
         config = fidelity.FidelityConfig(**requested["fidelity"], seed=seed)
         lag, length = config.acf_max_lag, Horizon.from_name(manifest.get("horizon", "daily")).length
         check_value("acf_max_lag", lag, lag < length, f"below the horizon length {length}")
@@ -297,11 +311,14 @@ def plan(manifest: dict, seed: int) -> dict[str, tuple]:
         # ``"privacy": true`` runs every attack (an empty object never runs)
         options = requested["privacy"] or dict.fromkeys(PRIVACY_ATTACKS, True)
         attacks = tuple(name for name in PRIVACY_ATTACKS if options.get(name))
-        if {"recon_poisoned", "mia_poisoned"} & set(attacks):
-            _require("manifest key", manifest, ("registry",), "by the poisoned attacks")
+        for attack in attacks:
+            reason = "by the poisoned attacks" if "registry" in FILES[attack] else f"by {attack}"
+            _require("manifest key", manifest, FILES[attack], reason)
         overrides = {key: options[key] for key in ("threshold_ratios", "sample_size") if key in options}
         config = privacy.ReconstructionConfig(**overrides, seed=seed)
-        privacy.check_sample_size(config, attacks)
+        size, least = config.sample_size, privacy.KS_MIN_SAMPLE
+        check_value("sample_size", size, "recon" not in attacks or size is None or size >= least,
+                    f"at least {least} for the recon attack")
         policy = options.get("policy")
         if policy:  # the verdict's (ratio, max_fraction), its ratio on the threshold grid
             if "recon_poisoned" not in attacks:
@@ -318,6 +335,25 @@ def plan(manifest: dict, seed: int) -> dict[str, tuple]:
     return suites
 
 
+def reader(manifest: dict, base: Path):
+    """``(read, digests)``: ``read(key)`` gives what a manifest file key names, at its horizon;
+    each profile file is read and hashed into ``digests`` once, the registry per call, unhashed."""
+    horizon = Horizon.from_name(manifest.get("horizon", "daily"))
+    loaded, digests = {}, {}
+
+    def read(key: str):
+        if key == "registry":
+            return read_registry(base / manifest[key], horizon=horizon)
+        utility_file = key in UTILITY_FILES
+        path = base / (manifest["utility"][key] if utility_file else manifest[key])
+        if path not in loaded:
+            loaded[path] = (read_wide(path, horizon=horizon), file_digest(path))
+        profiles, digests[f"utility_{key}" if utility_file else key] = loaded[path]
+        return profiles
+
+    return read, digests
+
+
 @kernels.one_blas_thread
 def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None) -> EvaluationOutcome:
     """Execute the suites a manifest requests and write report plus side files.
@@ -328,34 +364,25 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)
     check_options("manifest", manifest)
-    horizon = Horizon.from_name(manifest.get("horizon", "daily"))
     if seed is None:
         seed = manifest.get("seed", 0)
     suites = plan(manifest, seed)
     base = manifest_path.parent
+    read, digests = reader(manifest, base)
     output_dir = Path(output_dir) if output_dir else base / "evaluation"
     generator = manifest.get("generator")
     output_dir.mkdir(parents=True, exist_ok=True)
 
-    digests: dict[str, str] = {}
     side_files: list[Path] = []
     failures: list[str] = []
-    loaded: dict = {}
 
-    def load(digest_key: str, name: str):
-        """Read and hash a manifest file once per path, however many
-        manifest keys name it; each key still gets its digest."""
-        path = _resolve(base, name)
-        if path not in loaded:
-            loaded[path] = (read_wide(path, horizon=horizon), file_digest(path))
-        profiles, digests[digest_key] = loaded[path]
-        return profiles
-
-    train = holdout = synthetic = None
+    # shared files are read first, so a bad one stops the run; a suite's own files fail only it
     if suites.keys() & {"fidelity", "privacy"}:
-        train, holdout, synthetic = (load(key, manifest[key]) for key in ("train", "holdout", "synthetic"))
+        for key in ("train", "holdout", "synthetic"):
+            if key in manifest:
+                read(key)
     if manifest.get("registry"):
-        digests["registry"] = file_digest(_resolve(base, manifest["registry"]))
+        digests["registry"] = file_digest(base / manifest["registry"])
 
     report: dict = {
         "toolkit_version": __version__,
@@ -366,23 +393,12 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
         "seeds": {"global": seed},
     }
 
-    def profiles_of(name: str) -> tuple:
-        """The profile sets a section takes after its configs; a suite's own files fail only it."""
-        if name == "fidelity":
-            return train, synthetic
-        if name == "utility":
-            return tuple(load(f"utility_{key}", manifest["utility"][key]) for key in UTILITY_FILES)
-        poisoned = {"recon_poisoned", "mia_poisoned"} & set(suites["privacy"][0])
-        registry = read_registry(_resolve(base, manifest["registry"]), horizon=horizon) if poisoned else None
-        return train, holdout, synthetic, registry
-
-    sections = {"fidelity": fidelity_section, "privacy": privacy_section, "utility": utility_section}
     for name in SUITES:
         if name not in suites:
             report[name] = dict(NOT_RUN)
             continue
         try:
-            report[name], tables = sections[name](*suites[name], *profiles_of(name))
+            report[name], tables = SECTIONS[name](*suites[name], read)
             for filename, (header, rows) in tables.items():
                 write_table(output_dir / filename, header, rows)
                 side_files.append(output_dir / filename)
