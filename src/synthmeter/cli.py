@@ -44,7 +44,7 @@ def _add_split(sub) -> None:
     p = sub.add_parser("split", help="split profiles into train/holdout households")
     p.add_argument("--input", required=True)
     p.add_argument("--holdout-fraction", type=float, required=True)
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--train-out", required=True)
     p.add_argument("--holdout-out", required=True)
 
@@ -52,11 +52,11 @@ def _add_split(sub) -> None:
 def _add_inject(sub) -> None:
     p = sub.add_parser("inject-outliers", help="poison training data with artificial outliers")
     p.add_argument("--train", required=True)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--mu", type=float, default=6.0)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--count", type=int, default=poisoning.OutlierSpec.count)
+    p.add_argument("--mu", type=float, default=poisoning.OutlierSpec.mu)
+    p.add_argument("--sigma", type=float, default=poisoning.OutlierSpec.sigma)
     p.add_argument("--diff-mu", type=float, default=None, help="different-distribution mean (default 2*mu)")
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--poisoned-out", required=True)
     p.add_argument("--registry-out", required=True)
 
@@ -66,9 +66,10 @@ def _add_generate(sub) -> None:
     p.add_argument("--kind", choices=["memorizer", "gmm"], required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--jitter", type=float, default=0.0, help="memorizer jitter sigma (kWh)")
-    p.add_argument("--k", type=int, default=25, help="gmm component count")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--jitter", type=float, default=generators.MemorizerConfig.jitter_sigma,
+                   help="memorizer jitter sigma (kWh)")
+    p.add_argument("--k", type=int, default=gmm.FitConfig.k, help="gmm component count")
     p.add_argument("--output", required=True)
 
 
@@ -77,7 +78,7 @@ def _add_fidelity(sub) -> None:
     p.add_argument("--real", dest="train", metavar="REAL", required=True)
     p.add_argument("--synthetic", required=True)
     p.add_argument("--config", default=None, help="JSON file of FidelityConfig overrides")
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", required=True)
 
 
@@ -98,7 +99,7 @@ def _add_privacy(sub) -> None:
             parser.add_argument("--curve-out", default=None, help="ratio,fraction table path")
         if name.startswith("recon"):
             parser.add_argument("--sample-size", type=int, default=None)
-        parser.add_argument("--seed", type=_seed, default=None)
+        parser.add_argument("--seed", type=_seed, default=0)
         parser.add_argument("--report", required=True)
 
 
@@ -112,7 +113,7 @@ def _add_utility(sub) -> None:
     for parser in (cls, fc):
         for key in report.UTILITY_FILES:
             parser.add_argument(f"--{key.replace('_', '-')}", required=True)
-        parser.add_argument("--seed", type=_seed, default=None)
+        parser.add_argument("--seed", type=_seed, default=0)
         parser.add_argument("--epochs", type=int, default=nnet.TrainConfig.epochs)
         parser.add_argument("--allow-overlap", action="store_true")
         parser.add_argument("--report", required=True)
@@ -120,9 +121,9 @@ def _add_utility(sub) -> None:
 
 def _add_evaluate(sub) -> None:
     p = sub.add_parser("evaluate", help="run every suite a manifest requests")
-    p.add_argument("--manifest", required=True, help="manifest JSON, or 'demo' for the bundled fixture")
+    p.add_argument("--manifest", required=True, help="manifest JSON file")
     p.add_argument("--output-dir", default=None)
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_seed, default=None, help="overrides the manifest's seed")
 
 
 def _add_demo(sub) -> None:
@@ -130,30 +131,17 @@ def _add_demo(sub) -> None:
     p.add_argument("--output-dir", required=True)
     p.add_argument("--households", type=int, default=250)
     p.add_argument("--days", type=int, default=20)
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="synthmeter", description=__doc__)
     parser.add_argument("--version", action="version", version=f"synthmeter {__version__}")
-    parser.add_argument("--seed", type=_seed, default=None, dest="global_seed",
-                        help="default seed for any subcommand that does not set its own")
-    parser.add_argument("--output-dir", default=None, dest="global_output_dir",
-                        help="default output directory for evaluate/demo")
     sub = parser.add_subparsers(dest="command", required=True)
     for add in (_add_ingest, _add_split, _add_inject, _add_generate, _add_fidelity,
                 _add_privacy, _add_utility, _add_evaluate, _add_demo):
         add(sub)
     return parser
-
-
-def _apply_global_defaults(args) -> None:
-    if getattr(args, "seed", None) is None and getattr(args, "global_seed", None) is not None:
-        args.seed = args.global_seed
-    if getattr(args, "seed", None) is None and hasattr(args, "seed") and args.command != "evaluate":
-        args.seed = 0  # evaluate keeps None so the manifest seed wins
-    if getattr(args, "output_dir", None) is None and getattr(args, "global_output_dir", None) is not None:
-        args.output_dir = args.global_output_dir
 
 
 def _cmd_ingest(args) -> int:
@@ -167,8 +155,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    spec = SplitSpec(holdout_fraction=args.holdout_fraction, seed=args.seed)
     data = read_wide(args.input)
-    train, holdout = split_households(data, SplitSpec(holdout_fraction=args.holdout_fraction, seed=args.seed))
+    train, holdout = split_households(data, spec)
     write_wide(train, args.train_out)
     write_wide(holdout, args.holdout_out)
     print(
@@ -179,12 +168,9 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    train = read_wide(args.train)
     spec = poisoning.OutlierSpec(count=args.count, mu=args.mu, sigma=args.sigma, seed=args.seed)
-    diff_spec = None
-    if args.diff_mu is not None:
-        diff_spec = poisoning.OutlierSpec(count=args.count, mu=args.diff_mu, sigma=args.sigma, seed=args.seed)
-    registry = poisoning.make_attack_registry(spec, train.horizon, diff_dist_spec=diff_spec)
+    train = read_wide(args.train)
+    registry = poisoning.make_attack_registry(spec, train.horizon, diff_mu=args.diff_mu)
     poisoned = poisoning.inject(train, registry.seen_outliers, seed=args.seed)
     write_wide(poisoned, args.poisoned_out)
     poisoning.write_registry(registry, args.registry_out)
@@ -193,20 +179,20 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.n < 1:  # before the mixture fit, which would otherwise run first
+    if args.n < 1:  # here, or the read and the mixture fit would run first
         raise InvalidConfig(f"--n must be at least 1, got {args.n}")
-    train = read_wide(args.train)
     if args.kind == "memorizer":
         config = generators.MemorizerConfig(jitter_sigma=args.jitter, seed=args.seed)
-        synthetic = generators.memorizer_generate(train, args.n, config)
-        clamp = None
     else:
-        model = gmm.fit(train, gmm.FitConfig(k=args.k, seed=args.seed))
-        sample = gmm.sample(model, args.n, seed=args.seed, horizon=train.horizon)
-        synthetic = sample.profiles
-        clamp = sample.clamp_count
+        config = gmm.FitConfig(k=args.k, seed=args.seed)
+    train = read_wide(args.train)
+    note = ""
+    if args.kind == "memorizer":
+        synthetic = generators.memorizer_generate(train, args.n, config)
+    else:
+        sample = gmm.sample(gmm.fit(train, config), args.n, seed=args.seed, horizon=train.horizon)
+        synthetic, note = sample.profiles, f" ({sample.clamp_count} negative draws clamped to 0)"
     write_wide(synthetic, args.output)
-    note = "" if clamp is None else f" ({clamp} negative draws clamped to 0)"
     print(f"generated {args.n} {args.kind} profiles{note}")
     return 0
 
@@ -286,11 +272,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    manifest = args.manifest
-    if manifest == "demo":
-        target = Path(args.output_dir) if args.output_dir else Path("synthmeter-demo")
-        manifest = str(build_demo_workspace(target, seed=args.seed or 0))
-    outcome = report.run_full_evaluation(manifest, output_dir=args.output_dir, seed=args.seed)
+    outcome = report.run_full_evaluation(args.manifest, output_dir=args.output_dir, seed=args.seed)
     print(f"report written to {outcome.report_path}")
     for side in outcome.side_files:
         print(f"  side file: {side}")
@@ -323,7 +305,6 @@ _COMMANDS = {
 @kernels.one_blas_thread
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_global_defaults(args)
     try:
         return _COMMANDS[args.command](args)
     except (SynthmeterError, OSError) as exc:

@@ -50,10 +50,10 @@ def _household_archetype(rng: np.random.Generator, spread: float = 1.0) -> dict:
     }
 
 
-def _day_profile(arch: dict, month: int, rng: np.random.Generator) -> np.ndarray:
+def _day_profile(arch: dict, day: dt.date, rng: np.random.Generator) -> np.ndarray:
     morning = arch["morning_peak"] * np.exp(-0.5 * ((_SLOTS - arch["morning_slot"]) / arch["width"]) ** 2)
     evening = arch["evening_peak"] * np.exp(-0.5 * ((_SLOTS - arch["evening_slot"]) / arch["width"]) ** 2)
-    seasonal = arch["winter_factor"] if month in (12, 1, 2, 3, 4, 5) else 1.0
+    seasonal = arch["winter_factor"] if season_label(day) == WINTER_SPRING else 1.0
     shape = (arch["base"] + morning + evening) * seasonal
     noise = rng.lognormal(mean=0.0, sigma=0.18, size=48)
     return np.maximum(shape * noise, 0.0)
@@ -81,7 +81,7 @@ def make_population(
         hid = f"H{h:05d}"
         for d in range(days_per_household):
             day = start + dt.timedelta(days=d * day_step)
-            values.append(_day_profile(arch, day.month, rng))
+            values.append(_day_profile(arch, day, rng))
             ids.append(hid)
             dates.append(day)
     profile_set = ProfileSet(

@@ -33,12 +33,11 @@ def check_value(key: str, value, ok: bool, expected: str) -> None:
 
 
 class MalformedRow(SynthmeterError):
-    """A source row could not be parsed; carries the 1-based line number and
-    names the file when its path is given."""
+    """A source row could not be parsed; names the file and carries the
+    1-based line number."""
 
-    def __init__(self, line: int, message: str, path=None):
-        where = f"line {line}" if path is None else f"{path}: line {line}"
-        super().__init__(f"{where}: {message}")
+    def __init__(self, line: int, message: str, path):
+        super().__init__(f"{path}: line {line}: {message}")
         self.line = line
 
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import gmm
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_value
 from .profiles import ProfileSet
 
 EXTERNAL = "external"
@@ -45,8 +45,7 @@ class MemorizerConfig:
     sequential: bool = False  # cycle rows in order instead of sampling
 
     def __post_init__(self):
-        if self.jitter_sigma < 0:
-            raise InvalidConfig("jitter_sigma must be non-negative")
+        check_value("jitter_sigma", self.jitter_sigma, self.jitter_sigma >= 0, "non-negative")
 
 
 def memorizer_generate(train: ProfileSet, n: int, config: MemorizerConfig) -> ProfileSet:

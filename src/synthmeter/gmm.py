@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, TooFewRows
+from .errors import DimensionMismatch, InvalidConfig, TooFewRows, check_value
 from .profiles import Horizon, ProfileSet
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -34,10 +34,10 @@ class FitConfig:
     n_init: int = 3
 
     def __post_init__(self):
-        if self.k < 1 or self.max_iter < 1 or self.n_init < 1:
-            raise InvalidConfig("k, max_iter and n_init must be positive")
-        if self.tol <= 0 or self.variance_floor <= 0:
-            raise InvalidConfig("tol and variance_floor must be positive")
+        for key in ("k", "max_iter", "n_init"):
+            check_value(key, getattr(self, key), getattr(self, key) >= 1, "at least 1")
+        for key in ("tol", "variance_floor"):
+            check_value(key, getattr(self, key), getattr(self, key) > 0, "positive")
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidConfig, MalformedRow
+from .errors import MalformedRow, SynthmeterError, check_value
 from .profiles import Horizon, ProfileSet, read_wide, require_same_horizon, write_wide
 
 SEEN = "seen"
@@ -32,10 +32,8 @@ class OutlierSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise InvalidConfig("count must be positive")
-        if self.sigma < 0:
-            raise InvalidConfig("sigma must be non-negative")
+        check_value("count", self.count, self.count >= 1, "at least 1")
+        check_value("sigma", self.sigma, self.sigma >= 0, "non-negative")
 
 
 def make_outliers(
@@ -96,19 +94,14 @@ class OutlierRegistry:
         return combined, np.array([label == SEEN for label in combined.labels])
 
 
-def make_attack_registry(
-    spec: OutlierSpec,
-    horizon: Horizon,
-    diff_dist_spec: OutlierSpec | None = None,
-) -> OutlierRegistry:
+def make_attack_registry(spec: OutlierSpec, horizon: Horizon, diff_mu: float | None = None) -> OutlierRegistry:
     """Three disjoint outlier groups: seen, unseen same-distribution, unseen
-    different-distribution (default: double the mean).
+    different-distribution (``spec`` with mean ``diff_mu``, default double
+    ``spec.mu``).
 
-    Seen and unseen-same share the generating spec but use separate seed
-    streams, so no rows coincide.
+    The three groups draw from separate seed streams, so no rows coincide.
     """
-    if diff_dist_spec is None:
-        diff_dist_spec = replace(spec, mu=2.0 * spec.mu)
+    diff_dist_spec = replace(spec, mu=2.0 * spec.mu if diff_mu is None else diff_mu)
     streams = np.random.SeedSequence(spec.seed).spawn(3)
     seen = make_outliers(spec, horizon, group=SEEN, rng=np.random.default_rng(streams[0]))
     unseen_same = make_outliers(
@@ -133,9 +126,9 @@ def write_registry(registry: OutlierRegistry, path) -> None:
 def read_registry(path, horizon: Horizon | None = None) -> OutlierRegistry:
     combined = read_wide(path, horizon=horizon)
     groups = {SEEN: [], UNSEEN_SAME: [], UNSEEN_DIFF: []}
-    for i, label in enumerate(combined.labels):
-        if label not in groups:
-            raise MalformedRow(i + 2, f"unknown registry group {label!r}", path)
+    for i, (label, household) in enumerate(zip(combined.labels, combined.household_ids)):
+        if label not in groups:  # named by household: read_wide skips blank lines, so i gives no line
+            raise SynthmeterError(f"{path}: unknown registry group {label!r} (household {household})")
         groups[label].append(i)
     for name, rows in groups.items():
         if not rows:

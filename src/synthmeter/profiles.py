@@ -25,6 +25,7 @@ from .errors import (
     NegativeValue,
     NonFiniteValue,
     TooFewHouseholds,
+    check_value,
 )
 
 WINTER_SPRING = "WS"
@@ -129,8 +130,8 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.holdout_fraction < 1.0):
-            raise InvalidConfig("holdout_fraction must be in (0, 1)")
+        fraction = self.holdout_fraction
+        check_value("holdout_fraction", fraction, 0.0 < fraction < 1.0, "in (0, 1)")
 
 
 @dataclass

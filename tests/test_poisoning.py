@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from synthmeter.errors import HorizonMismatch
+from synthmeter.errors import HorizonMismatch, SynthmeterError
 from synthmeter.poisoning import (
     OutlierSpec,
     inject,
@@ -84,6 +84,19 @@ class TestAttackRegistry:
         registry = make_attack_registry(OutlierSpec(count=50, mu=6.0, sigma=1.0, seed=8), Horizon.DAILY)
         assert registry.unseen_diff_dist.values.mean() == pytest.approx(12.0, abs=0.1)
 
+    def test_diff_mu_sets_only_the_third_group(self):
+        spec = OutlierSpec(count=50, mu=6.0, sigma=1.0, seed=8)
+        default = make_attack_registry(spec, Horizon.DAILY)
+        np.testing.assert_array_equal(
+            make_attack_registry(spec, Horizon.DAILY, diff_mu=12.0).unseen_diff_dist.values,
+            default.unseen_diff_dist.values,
+        )
+        moved = make_attack_registry(spec, Horizon.DAILY, diff_mu=9.0)
+        np.testing.assert_array_equal(moved.seen_outliers.values, default.seen_outliers.values)
+        np.testing.assert_array_equal(moved.unseen_same_dist.values, default.unseen_same_dist.values)
+        # the same draws, shifted by the change of mean (no row reaches the clamp at zero)
+        np.testing.assert_allclose(moved.unseen_diff_dist.values, default.unseen_diff_dist.values - 3.0)
+
     def test_seen_and_unseen_share_no_rows(self):
         registry = make_attack_registry(OutlierSpec(count=100, seed=9), Horizon.DAILY)
         seen = {tuple(r) for r in registry.seen_outliers.values}
@@ -112,3 +125,15 @@ class TestAttackRegistry:
         )
         _, truth = loaded.attack_set()
         assert truth.sum() == 20
+
+    def test_unknown_group_named_by_household_after_a_blank_line(self, tmp_path):
+        path = tmp_path / "registry.csv"
+        write_registry(make_attack_registry(OutlierSpec(count=5, seed=12), Horizon.DAILY), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(3, "\n")  # read_wide skips a blank line
+        household = lines[5].split(",")[0]
+        lines[5] = lines[5].replace(",seen,", ",bogus,", 1)  # file line 6, the fourth data row
+        path.write_text("".join(lines))
+        with pytest.raises(SynthmeterError) as excinfo:
+            read_registry(path, horizon=Horizon.DAILY)
+        assert str(excinfo.value) == f"{path}: unknown registry group 'bogus' (household {household})"

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import re
+import shlex
 import sys
 import tempfile
 from dataclasses import fields
@@ -67,6 +68,22 @@ def forbid_reads(patch) -> None:
 def no_reads(monkeypatch):
     """No profile or registry row may be read in the test."""
     forbid_reads(monkeypatch)
+
+
+# every subcommand that takes --seed, with its required flags
+SEEDED_COMMANDS = {
+    "split": ["split", "--input", "p.csv", "--holdout-fraction", "0.5", "--train-out", "a.csv",
+              "--holdout-out", "b.csv"],
+    "inject": ["inject-outliers", "--train", "p.csv", "--poisoned-out", "a.csv", "--registry-out", "b.csv"],
+    "generate": ["generate", "--kind", "gmm", "--train", "p.csv", "--n", "5", "--output", "a.csv"],
+    "fidelity": ["fidelity", "--real", "p.csv", "--synthetic", "p.csv", "--report", "r.json"],
+    "privacy": ["privacy", "recon", "--train", "p.csv", "--holdout", "p.csv", "--synthetic", "p.csv",
+                "--report", "r.json"],
+    "utility": ["utility", "tstr-classify", "--real-fit", "p.csv", "--synthetic-fit", "p.csv", "--eval", "p.csv",
+                "--report", "r.json"],
+    "evaluate": ["evaluate", "--manifest", "m.json"],
+    "demo": ["demo", "--output-dir", "ws"],
+}
 
 
 class TestThresholdPolicy:
@@ -483,11 +500,16 @@ class TestCli:
         assert not (tmp_path / "fidelity.json").exists()
 
     @pytest.mark.parametrize(
-        "kind, extra",
-        [("gmm", ["--k", "0"]), ("gmm", ["--n", "0"]), ("memorizer", ["--n", "0"])],
-        ids=["gmm_k_0", "gmm_n_0", "memorizer_n_0"],
+        "kind, extra, message",
+        [
+            ("gmm", ["--k", "0"], "'k' must be at least 1, got 0"),
+            ("gmm", ["--n", "0"], "--n must be at least 1, got 0"),
+            ("memorizer", ["--n", "0"], "--n must be at least 1, got 0"),
+            ("memorizer", ["--jitter", "-1"], "'jitter_sigma' must be non-negative, got -1.0"),
+        ],
+        ids=["gmm_k_0", "gmm_n_0", "memorizer_n_0", "memorizer_jitter_negative"],
     )
-    def test_generate_config_error_exits_2(self, tmp_path, capsys, monkeypatch, kind, extra):
+    def test_generate_config_error_exits_2(self, tmp_path, capsys, monkeypatch, no_reads, kind, extra, message):
         write_wide(demo.make_population(20, 6, seed=8), tmp_path / "real.csv")
         fits = []
         fit = gmm.fit
@@ -502,28 +524,30 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err  # the key and the value
         assert not fits  # rejected before any mixture fit
         assert not (tmp_path / "synthetic.csv").exists()
 
     @pytest.mark.parametrize(
-        "command",
+        "command, message",
         [
-            ["split", "--input", "{real}", "--holdout-fraction", "1.5",
-             "--train-out", "{out}", "--holdout-out", "{out2}"],
-            ["inject-outliers", "--train", "{real}", "--count", "0",
-             "--poisoned-out", "{out}", "--registry-out", "{out2}"],
-            ["inject-outliers", "--train", "{real}", "--sigma", "-1",
-             "--poisoned-out", "{out}", "--registry-out", "{out2}"],
+            (["split", "--input", "{real}", "--holdout-fraction", "1.5",
+              "--train-out", "{out}", "--holdout-out", "{out2}"], "'holdout_fraction' must be in (0, 1), got 1.5"),
+            (["inject-outliers", "--train", "{real}", "--count", "0",
+              "--poisoned-out", "{out}", "--registry-out", "{out2}"], "'count' must be at least 1, got 0"),
+            (["inject-outliers", "--train", "{real}", "--sigma", "-1",
+              "--poisoned-out", "{out}", "--registry-out", "{out2}"], "'sigma' must be non-negative, got -1.0"),
         ],
         ids=["split_fraction_1.5", "inject_count_0", "inject_sigma_negative"],
     )
-    def test_spec_error_exits_2(self, tmp_path, capsys, command):
+    def test_spec_error_exits_2(self, tmp_path, capsys, no_reads, command, message):
         write_wide(demo.make_population(20, 6, seed=8), tmp_path / "real.csv")
         paths = {"real": tmp_path / "real.csv", "out": tmp_path / "a.csv", "out2": tmp_path / "b.csv"}
-        rc = cli.main([arg.format(**paths) for arg in command])
+        rc = cli.main([arg.format(**paths) for arg in command])  # the spec is built before the file is read
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err  # the key and the value
         assert not (tmp_path / "a.csv").exists() and not (tmp_path / "b.csv").exists()
 
     def test_unknown_manifest_key_exits_2(self, workspace, tmp_path, capsys):
@@ -714,32 +738,35 @@ class TestCli:
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "command",
-        [
-            ["split", "--input", "p.csv", "--holdout-fraction", "0.5", "--train-out", "a.csv",
-             "--holdout-out", "b.csv"],
-            ["inject-outliers", "--train", "p.csv", "--poisoned-out", "a.csv", "--registry-out", "b.csv"],
-            ["generate", "--kind", "gmm", "--train", "p.csv", "--n", "5", "--output", "a.csv"],
-            ["fidelity", "--real", "p.csv", "--synthetic", "p.csv", "--report", "r.json"],
-            ["privacy", "recon", "--train", "p.csv", "--holdout", "p.csv", "--synthetic", "p.csv",
-             "--report", "r.json"],
-            ["utility", "tstr-classify", "--real-fit", "p.csv", "--synthetic-fit", "p.csv", "--eval", "p.csv",
-             "--report", "r.json"],
-            ["evaluate", "--manifest", "m.json"],
-            ["demo", "--output-dir", "ws"],
-        ],
-        ids=["split", "inject", "generate", "fidelity", "privacy", "utility", "evaluate", "demo"],
+        "command", SEEDED_COMMANDS.values(), ids=[f"subcommand-{name}" for name in SEEDED_COMMANDS]
     )
-    @pytest.mark.parametrize("where", ["subcommand", "global"])
-    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys, command, where):
+    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.chdir(tmp_path)
-        argv = [*command, "--seed", "-1"] if where == "subcommand" else ["--seed", "-1", *command]
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(argv)
+            cli.main([*command, "--seed", "-1"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "error: argument --seed: must be a non-negative integer, got '-1'" in err
         assert err.count("error:") == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", SEEDED_COMMANDS)
+    def test_seed_defaults_to_0_but_evaluate_leaves_it_to_the_manifest(self, name):
+        args = cli.build_parser().parse_args(SEEDED_COMMANDS[name])
+        assert args.seed == (None if name == "evaluate" else 0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--seed", "1", "evaluate", "--manifest", "m.json"], ["--output-dir", "x", "demo"]],
+        ids=["seed", "output_dir"],
+    )
+    def test_top_level_seed_and_output_dir_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: synthmeter ") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_utility_zero_epochs_exits_2(self, tmp_path, capsys, no_reads):
@@ -816,18 +843,6 @@ class TestCli:
         assert payload["privacy"]["mia_plain"]["precision"] is not None
         assert payload["input_digests"]["train"]
 
-    def test_evaluate_literal_demo_manifest(self, tmp_path, monkeypatch):
-        original = cli.build_demo_workspace
-
-        def small_demo(target, households=250, days=20, seed=0):
-            return original(target, households=40, days=8, seed=seed)
-
-        monkeypatch.setattr(cli, "build_demo_workspace", small_demo)
-        monkeypatch.chdir(tmp_path)
-        rc = cli.main(["--output-dir", str(tmp_path / "bundle"), "evaluate", "--manifest", "demo"])
-        assert rc == 0
-        assert list((tmp_path / "bundle").rglob("report.json"))
-
 
 # a valid value other than the default for every privacy and utility option but the file paths
 NON_DEFAULT = {
@@ -868,6 +883,26 @@ def test_readme_manifest_table_names_the_option_table():
     assert {name: sorted(keys) for name, keys in named.items()} == {
         name: sorted(entries) for name, (_, entries) in report.OPTIONS.items()
     }
+
+
+def test_readme_commands_parse():
+    """Every ``synthmeter`` command in README's code blocks (``\\`` continuations joined, comments
+    dropped) parses, so a removed or renamed flag cannot linger in README's examples."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```\w*\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("synthmeter "):
+                commands.append(line)
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for command in commands:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                parser.parse_args(shlex.split(command)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {command}\n{err.getvalue()}")
 
 
 JSON_VALUES = st.recursive(
