@@ -26,6 +26,13 @@ from .profiles import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and by ``add_subparsers`` each of its subparsers, that takes a flag by its full name only."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def _seed(text: str) -> int:
     """argparse type of every --seed: numpy takes only non-negative seeds."""
     if not text.isdecimal():
@@ -67,9 +74,9 @@ def _add_generate(sub) -> None:
     p.add_argument("--train", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--jitter", type=float, default=generators.MemorizerConfig.jitter_sigma,
-                   help="memorizer jitter sigma (kWh)")
-    p.add_argument("--k", type=int, default=gmm.FitConfig.k, help="gmm component count")
+    # each kind's flag: left out, its config's default applies; given, the other kind rejects it
+    p.add_argument("--jitter", type=float, default=None, help="memorizer only: jitter sigma (kWh)")
+    p.add_argument("--k", type=int, default=None, help="gmm only: component count")
     p.add_argument("--output", required=True)
 
 
@@ -135,7 +142,7 @@ def _add_demo(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="synthmeter", description=__doc__)
+    parser = _Parser(prog="synthmeter", description=__doc__)
     parser.add_argument("--version", action="version", version=f"synthmeter {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for add in (_add_ingest, _add_split, _add_inject, _add_generate, _add_fidelity,
@@ -181,10 +188,15 @@ def _cmd_inject(args) -> int:
 def _cmd_generate(args) -> int:
     if args.n < 1:  # here, or the read and the mixture fit would run first
         raise InvalidConfig(f"--n must be at least 1, got {args.n}")
+    flag, value = ("--k", args.k) if args.kind == "memorizer" else ("--jitter", args.jitter)
+    if value is not None:
+        raise InvalidConfig(f"{flag} does not apply to --kind {args.kind}")
     if args.kind == "memorizer":
-        config = generators.MemorizerConfig(jitter_sigma=args.jitter, seed=args.seed)
+        given = {} if args.jitter is None else {"jitter_sigma": args.jitter}
+        config = generators.MemorizerConfig(**given, seed=args.seed)
     else:
-        config = gmm.FitConfig(k=args.k, seed=args.seed)
+        given = {} if args.k is None else {"k": args.k}
+        config = gmm.FitConfig(**given, seed=args.seed)
     train = read_wide(args.train)
     note = ""
     if args.kind == "memorizer":

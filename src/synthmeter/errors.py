@@ -42,8 +42,8 @@ class MalformedRow(SynthmeterError):
 
 
 class NonFiniteValue(SynthmeterError):
-    """A profile holds NaN or an infinite kWh value, or a score computed
-    from profiles is NaN or infinite."""
+    """A profile holds NaN, an infinite kWh value or one above
+    ``profiles.MAX_KWH``, or a score computed from profiles is NaN or infinite."""
 
 
 class NegativeValue(SynthmeterError, ValueError):

@@ -170,14 +170,14 @@ class _Distances:
 
     Every value is max(|a_i|^2 + |b_j|^2 - 2 a_i.b_j, 0), evaluated in the
     same order as the dense matrix expression. ``schedule`` lists the blocks
-    as runs [start, stop) of rows, in order: each at most ``max_rows`` rows
-    and at most ``max_entries`` values (one row at least), where for pairs
+    as runs [start, stop) of rows, in order: each at most ``_BLOCK_ROWS`` rows
+    and at most ``_BLOCK_ENTRIES`` values (one row at least), where for pairs
     only the columns from a run's first row onward are computed. The row
     norms are made once, so blocks made on different threads share them;
     each block is written into buffers its caller owns.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray | None, max_rows: int, max_entries: int):
+    def __init__(self, a: np.ndarray, b: np.ndarray | None):
         self.a = a
         self.a_sq = np.einsum("ij,ij->i", a, a)
         self.pairs = b is None
@@ -195,11 +195,11 @@ class _Distances:
         self.schedule, start = [], 0
         while start < len(a):
             cols = len(b) - (start if self.pairs else 0)
-            stop = start + min(len(a) - start, max(1, min(max_rows, max_entries // cols)))
+            stop = start + min(len(a) - start, max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // cols)))
             self.schedule.append((start, stop))
             start = stop
-        self.size = min(len(a) * len(b), max(min(max_rows * len(b), max_entries), len(b)))
-        self.block_rows = min(max_rows, len(a))
+        self.size = min(len(a) * len(b), max(min(_BLOCK_ROWS * len(b), _BLOCK_ENTRIES), len(b)))
+        self.block_rows = min(_BLOCK_ROWS, len(a))
 
     def buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """A buffer that any block of the schedule fits, one for up to
@@ -255,7 +255,7 @@ def _sq_distance_blocks(a: np.ndarray, b: np.ndarray | None = None):
     block is valid only until the next one is requested; consumers may
     overwrite it.
     """
-    distances = _Distances(a, b, _BLOCK_ROWS, _BLOCK_ENTRIES)
+    distances = _Distances(a, b)
     buffers = distances.buffers()
     for start, stop in distances.schedule:
         yield distances.block(start, stop, buffers)
@@ -274,7 +274,7 @@ def _sweep(consume, a: np.ndarray, b: np.ndarray | None = None) -> None:
     raised in any worker stops every worker at its next block and is
     raised here once all have stopped.
     """
-    distances = _Distances(a, b, _BLOCK_ROWS, _BLOCK_ENTRIES)
+    distances = _Distances(a, b)
     # no worker without a block
     workers = max(1, min(_WORKERS, len(distances.schedule)))
     buffers = [distances.buffers() for _ in range(workers)]

@@ -34,6 +34,11 @@ SUMMER_AUTUMN = "SA"
 # December through May count as winter/spring, the rest as summer/autumn.
 _WS_MONTHS = frozenset({12, 1, 2, 3, 4, 5})
 
+# The largest kWh a profile value may hold: far above any meter reading and far below
+# overflow, as its square summed over 336 slots and 1e8 rows is about 1e210. A larger
+# finite value would reach the metrics only as overflowed (infinite) distances.
+MAX_KWH = 1e100
+
 
 class Horizon(enum.Enum):
     DAILY = 48
@@ -63,7 +68,7 @@ class ProfileSet:
     ``values`` has shape (n, horizon.length); rows are kWh per half-hour.
     ``labels`` holds free-form row tags ("" when absent): season labels
     WS/SA for real data, registry group tags for attack sets. Every value
-    must be finite and non-negative.
+    must be finite, non-negative and at most ``MAX_KWH``.
     """
 
     values: np.ndarray
@@ -83,14 +88,15 @@ class ProfileSet:
         labels = self.labels if self.labels else ("",) * n
         if not (len(self.household_ids) == len(self.start_dates) == len(labels) == n):
             raise ValueError("metadata lengths do not match the number of profile rows")
-        for error, kind, bad in (
-            (NonFiniteValue, "non-finite", ~np.isfinite(values).all(axis=1)),
-            (NegativeValue, "negative", (values < 0).any(axis=1)),
+        for error, fault, bad in (
+            (NonFiniteValue, "non-finite kWh", ~np.isfinite(values).all(axis=1)),
+            (NegativeValue, "negative kWh", (values < 0).any(axis=1)),
+            (NonFiniteValue, f"kWh above {MAX_KWH:g}", (values > MAX_KWH).any(axis=1)),
         ):
             if bad.any():
                 row = int(np.argmax(bad))
                 raise error(
-                    f"{kind} kWh in profile row {row} "
+                    f"{fault} in profile row {row} "
                     f"(household {self.household_ids[row]}, {self.start_dates[row]})"
                 )
         values.flags.writeable = False
@@ -337,8 +343,10 @@ def read_wide(path, horizon: Horizon | None = None) -> ProfileSet:
                 values = np.array([float(v) for v in row[3:]])
             except ValueError:
                 raise MalformedRow(line, "bad kWh value", path) from None
-            if not np.all(np.isfinite(values)):
-                raise MalformedRow(line, "non-finite kWh value", path)
+            if not abs(values).max() <= MAX_KWH:  # NaN fails it too
+                finite = np.isfinite(values).all()
+                fault = f"kWh magnitude above {MAX_KWH:g}" if finite else "non-finite kWh value"
+                raise MalformedRow(line, fault, path)
             ids.append(row[0])
             dates.append(date)
             labels.append(row[2])

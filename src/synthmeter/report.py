@@ -14,7 +14,8 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -168,13 +169,32 @@ def _list_of(*types, empty: bool = True):
 
 
 _NUMBER, _NULL = (int, float), type(None)
-_SWITCH = (lambda v: _is(v, bool), "true or false")
-_INTEGER = (lambda v: _is(v, int), "an integer")
-_TEXT = (lambda v: _is(v, str), "a string")
-_CLAIM = (lambda v: _is(v, *_NUMBER, _NULL), "a number or null")
+# annotation type -> (the JSON value types it accepts, what its errors call one)
+_JSON = {int: ((int,), "an integer"), float: (_NUMBER, "a number"), str: ((str,), "a string"),
+         bool: ((bool,), "true or false"), _NULL: ((_NULL,), "null")}
+
+
+def _accepts(hint) -> tuple:
+    """The (accepts its JSON value, expected) pair of a _JSON type, a union of them or a
+    ``tuple[T, ...]``, which a JSON list fills."""
+    if typing.get_origin(hint) is tuple:
+        types, noun = _JSON[typing.get_args(hint)[0]]
+        return _list_of(*types), f"a list of {noun.split()[-1]}s"
+    union = typing.get_args(hint) or (hint,)
+    return (lambda v: any(_is(v, *_JSON[arg][0]) for arg in union)), " or ".join(_JSON[arg][1] for arg in union)
+
+
+def _typed(config, *keys) -> dict:
+    """``_accepts`` of the annotations of the dataclass ``config``'s fields ``keys`` (all but ``seed``)."""
+    hints = typing.get_type_hints(config)
+    return {key: _accepts(hints[key]) for key in keys or [key for key in hints if key != "seed"]}
+
+
+_SWITCH, _TEXT = _accepts(bool), _accepts(str)
 
 # section -> (the noun its errors use, {key: (accepts its JSON value, expected)});
-# JSON types are checked, not coerced: true is an int and the string "no" is truthy
+# JSON types are checked, not coerced: true is an int and the string "no" is truthy;
+# a key that a config class holds is typed by its field's annotation, the others here
 OPTIONS = {
     "manifest": ("manifest key", {
         "horizon": _TEXT,
@@ -183,27 +203,18 @@ OPTIONS = {
         "generator": (lambda v: _is(v, dict), "an object"),
         **dict.fromkeys(SUITES, (lambda v: _is(v, dict, bool, _NULL), "an object, true, false or null")),
     }),
-    "generator": ("generator key", {
-        "name": _TEXT, "kind": _TEXT, "claimed_epsilon": _CLAIM, "claimed_delta": _CLAIM, "notes": _TEXT,
-    }),
-    "fidelity": ("fidelity option", {
-        **dict.fromkeys(("acf_max_lag", "peaks_n", "clusters_k"), _INTEGER),
-        "quantiles": (_list_of(*_NUMBER), "a list of numbers"),
-        "mmd_bandwidth": (lambda v: v == kernels.MEDIAN_HEURISTIC or _is(v, *_NUMBER),
-                          f"a number or {kernels.MEDIAN_HEURISTIC!r}"),
-        "kl_smoothing": (lambda v: _is(v, *_NUMBER), "a number"),
-    }),
+    "generator": ("generator key", _typed(GeneratorMetadata)),
+    "fidelity": ("fidelity option", _typed(fidelity.FidelityConfig)),
     "privacy": ("privacy option", {
         **dict.fromkeys(PRIVACY_ATTACKS, _SWITCH),
         "policy": (lambda v: _is(v, dict) and all(_is(v.get(k), *_NUMBER) for k in ("ratio", "max_fraction")),
                    "an object with numeric ratio and max_fraction"),
-        "sample_size": (lambda v: _is(v, int, _NULL), "an integer or null"),
-        "threshold_ratios": (_list_of(*_NUMBER, empty=False), "a non-empty list of numbers"),
+        **_typed(privacy.ReconstructionConfig),
     }),
     "utility": ("utility option", {
         **dict.fromkeys(UTILITY_FILES, _TEXT),
         "tasks": (_list_of(str, empty=False), "a non-empty list of strings"),
-        "epochs": _INTEGER,
+        **_typed(nnet.TrainConfig, "epochs"),
         "allow_overlap": _SWITCH,
     }),
 }
@@ -290,6 +301,11 @@ def _require(noun: str, options: dict, keys, reason: str) -> None:
             raise InvalidConfig(f"{noun} {key!r} is required {reason}")
 
 
+def _build(config, options: dict, seed: int):
+    """The dataclass ``config`` from ``seed`` and the options that name its fields."""
+    return config(**{key: options[key] for key in options.keys() & {f.name for f in fields(config)}}, seed=seed)
+
+
 def plan(manifest: dict, seed: int) -> dict[str, tuple]:
     """Check the object sections of a manifest whose top level passed check_options, and
     build each requested suite's configs before any file is read: the arguments its
@@ -314,8 +330,7 @@ def plan(manifest: dict, seed: int) -> dict[str, tuple]:
         for attack in attacks:
             reason = "by the poisoned attacks" if "registry" in FILES[attack] else f"by {attack}"
             _require("manifest key", manifest, FILES[attack], reason)
-        overrides = {key: options[key] for key in ("threshold_ratios", "sample_size") if key in options}
-        config = privacy.ReconstructionConfig(**overrides, seed=seed)
+        config = _build(privacy.ReconstructionConfig, options, seed)
         size, least = config.sample_size, privacy.KS_MIN_SAMPLE
         check_value("sample_size", size, "recon" not in attacks or size is None or size >= least,
                     f"at least {least} for the recon attack")
@@ -329,7 +344,7 @@ def plan(manifest: dict, seed: int) -> dict[str, tuple]:
     if "utility" in requested:
         options = requested["utility"]
         _require("utility option", options, UTILITY_FILES, "to run the utility suite")
-        config = nnet.TrainConfig(**{key: options[key] for key in ("epochs",) if key in options}, seed=seed)
+        config = _build(nnet.TrainConfig, options, seed)
         tasks = tuple(options.get("tasks", utility.TASKS))
         suites["utility"] = (tasks, config, options.get("allow_overlap", False))
     return suites

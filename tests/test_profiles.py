@@ -15,10 +15,12 @@ from synthmeter.errors import (
     HorizonMismatch,
     MalformedRow,
     NegativeValue,
+    NonFiniteValue,
     SynthmeterError,
     TooFewHouseholds,
 )
 from synthmeter.profiles import (
+    MAX_KWH,
     Horizon,
     IngestResult,
     ProfileSet,
@@ -454,6 +456,14 @@ class TestProfileSet:
         values[3, 17] = bad
         values[4, 0] = bad
         with pytest.raises(SynthmeterError, match=r"row 3 \(household h00003, 2012-01-04\)"):
+            profile_set(values)
+
+    def test_values_above_max_kwh_rejected(self):
+        values = np.full((5, 48), 0.4)
+        values[4, 0] = MAX_KWH  # the bound itself is a valid value
+        profile_set(values.copy())
+        values[3, 17] = 1e300
+        with pytest.raises(NonFiniteValue, match=r"kWh above 1e\+100 in profile row 3 \(household h00003, "):
             profile_set(values)
 
     def test_values_immutable(self, small_population):

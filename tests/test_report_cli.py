@@ -506,8 +506,11 @@ class TestCli:
             ("gmm", ["--n", "0"], "--n must be at least 1, got 0"),
             ("memorizer", ["--n", "0"], "--n must be at least 1, got 0"),
             ("memorizer", ["--jitter", "-1"], "'jitter_sigma' must be non-negative, got -1.0"),
+            # a flag of the other kind would be ignored, so it is rejected
+            ("memorizer", ["--k", "0"], "--k does not apply to --kind memorizer"),
+            ("gmm", ["--jitter", "0.5"], "--jitter does not apply to --kind gmm"),
         ],
-        ids=["gmm_k_0", "gmm_n_0", "memorizer_n_0", "memorizer_jitter_negative"],
+        ids=["gmm_k_0", "gmm_n_0", "memorizer_n_0", "memorizer_jitter_negative", "memorizer_k", "gmm_jitter"],
     )
     def test_generate_config_error_exits_2(self, tmp_path, capsys, monkeypatch, no_reads, kind, extra, message):
         write_wide(demo.make_population(20, 6, seed=8), tmp_path / "real.csv")
@@ -585,8 +588,8 @@ class TestCli:
         "zero_norm_registry": "registry outlier row 2 (household outlier_seen_0002) is all zero",
         "sample_size_string": "privacy option 'sample_size' must be an integer or null, got '5'",
         "sample_size_float": "privacy option 'sample_size' must be an integer or null, got 5.5",
-        "ratios_string": "privacy option 'threshold_ratios' must be a non-empty list of numbers, got '0.3'",
-        "ratios_empty": "privacy option 'threshold_ratios' must be a non-empty list of numbers, got []",
+        "ratios_string": "privacy option 'threshold_ratios' must be a list of numbers, got '0.3'",
+        "ratios_empty": "'threshold_ratios' must be non-empty, got []",
         "policy_no_max_fraction": "privacy option 'policy' must be an object with numeric ratio and max_fraction",
         "policy_list": "privacy option 'policy' must be an object with numeric ratio and max_fraction, got [0.3",
         "epochs_string": "utility option 'epochs' must be an integer, got 'ten'",
@@ -620,6 +623,8 @@ class TestCli:
         "utility_true": "utility option 'real_fit' is required to run the utility suite",
         "policy_off_grid": "policy ratio 0.33 is not among the threshold ratios",
         "nan_evaluate": "holdout_nan.csv: line 4: non-finite kWh value",
+        "huge_recon": "holdout_1e300.csv: line 4: kWh magnitude above 1e+100",
+        "huge_mia": "holdout_1e300.csv: line 4: kWh magnitude above 1e+100",
         "policy_nan": "manifest.json is not valid JSON: NaN is no JSON number",
         "delta_minus_infinity": "manifest.json is not valid JSON: -Infinity is no JSON number",
     }
@@ -644,6 +649,7 @@ class TestCli:
             return str(path)
 
         negative = edited("train", [7], "-0.5")
+        huge = edited("holdout", range(48), "1e300")  # finite, but its squares overflow
         bad = tmp_path / "bad.json"
         bad.write_text('{"fidelity": true,')
         number = tmp_path / "number.json"
@@ -724,6 +730,10 @@ class TestCli:
                               "--config", str(number), *out],
             "demo_households_0": ["demo", "--output-dir", str(tmp_path / "a.demo"), "--households", "0"],
             "demo_days_0": ["demo", "--output-dir", str(tmp_path / "a.demo"), "--days", "0"],
+            "huge_recon": ["privacy", "recon", "--train", files["train"], "--holdout", files["holdout"],
+                           "--synthetic", huge, *out],
+            "huge_mia": ["privacy", "mia", "--train", files["train"], "--holdout", files["holdout"],
+                         "--synthetic", huge, *out],
         }
         up_front = case not in commands and case not in self.READ_FIRST
         if up_front:  # a manifest fault must stop the run before any profile file is read
@@ -761,6 +771,25 @@ class TestCli:
         ids=["seed", "output_dir"],
     )
     def test_top_level_seed_and_output_dir_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: synthmeter ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["split", "--input", "p", "--holdout-f", "0.5", "--train-o", "a", "--holdout-o", "b", "--se", "3"],
+            ["privacy", "recon", "--train", "p", "--holdout", "p", "--synthetic", "p", "--sample", "5",
+             "--report", "r"],
+            ["--vers"],
+        ],
+        ids=["split", "privacy_recon", "version"],
+    )
+    def test_abbreviated_flags_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
