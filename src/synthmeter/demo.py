@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from . import generators, gmm, kernels, poisoning
 from .errors import InvalidConfig, SynthmeterError
 from .profiles import Horizon, ProfileSet, SplitSpec, SUMMER_AUTUMN, WINTER_SPRING
+from .profiles import _csv_prefix, _row_texts
 from .profiles import ingest, season_label, split_households, write_wide
 
 _SLOTS = np.arange(48)
@@ -95,18 +95,22 @@ def make_population(
 
 
 def write_long_csv(profiles: ProfileSet, path) -> int:
-    """Write a daily ProfileSet as the long reading format; returns row count."""
-    length = profiles.horizon.length
+    """Write a daily ProfileSet as the long reading format, as csv.writer would;
+    returns row count."""
+    days = profiles.horizon.length // 48
+    # {d} is the household and date of day d, {days + 48 d + s} the kWh text of its slot s;
+    # date + clock equals naive datetime.isoformat() at whole minutes
+    template = "".join(
+        f"{{{d}}}{clock},{{{days + 48 * d + slot}}}\r\n"
+        for d in range(days) for slot, clock in enumerate(_CLOCKS)
+    ).format
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["household_id", "timestamp", "kwh"])
-        for household, day, row in zip(profiles.household_ids, profiles.start_dates, profiles.values):
-            # date + clock equals naive datetime.isoformat() at whole minutes;
-            # csv writes a float with repr
-            dates = [(day + dt.timedelta(days=d)).isoformat() for d in range(length // 48)]
-            stamps = [date + clock for date in dates for clock in _CLOCKS]
-            writer.writerows(zip(repeat(household), stamps, row.tolist()))
-    return len(profiles) * length
+        csv.writer(fh).writerow(["household_id", "timestamp", "kwh"])
+        for household, day, text in zip(profiles.household_ids, profiles.start_dates, _row_texts(profiles.values)):
+            prefix = _csv_prefix(household)
+            heads = [prefix + (day + dt.timedelta(days=d)).isoformat() for d in range(days)]
+            fh.write(template(*heads, *text.split(",")))
+    return len(profiles) * profiles.horizon.length
 
 
 def labelled_gmm_synthetic(train, seed: int = 0):

@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import enum
+import io
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -216,8 +218,10 @@ def ingest(readings_path, horizon: Horizon) -> IngestResult:
                 kwh = float(row[2])
             except ValueError:
                 raise MalformedRow(line, f"bad kwh value {row[2]!r}", readings_path) from None
-            if not math.isfinite(kwh) or kwh < 0:
-                raise MalformedRow(line, f"kwh must be finite and non-negative, got {row[2]}", readings_path)
+            if not 0 <= kwh <= MAX_KWH:  # NaN fails it too
+                above = math.isfinite(kwh) and kwh > 0
+                fault = f"above {MAX_KWH:g}" if above else "must be finite and non-negative"
+                raise MalformedRow(line, f"kwh {fault}, got {row[2]}", readings_path)
             rows_read += 1
             key = (household, start)
             period = periods.get(key)
@@ -274,18 +278,36 @@ def _slot_columns(length: int) -> list[str]:
     return [f"hh_{i:02d}" for i in range(length)]
 
 
+_BLOCK_ROWS = 512  # rows formatted per repr() call by the writers
+_CHUNK_LINES = 256  # lines parsed per np.loadtxt call by read_wide
+_QUOTED = frozenset(',"\r\n')  # the characters that make csv.writer quote a field
+
+
+def _csv_prefix(*fields: str) -> str:
+    """``fields`` as csv.writer writes them at the start of a row, with the comma that follows."""
+    if _QUOTED.isdisjoint("".join(fields)):
+        return ",".join(fields) + ","
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(fields)
+    return buffer.getvalue()[:-2] + ","  # drop the writer's \r\n
+
+
+def _row_texts(values: np.ndarray):
+    """Each row of ``values`` as csv.writer writes it: float reprs, comma-separated.
+    One repr() of a block's nested list formats every value of the block."""
+    for start in range(0, len(values), _BLOCK_ROWS):
+        text = repr(values[start:start + _BLOCK_ROWS].tolist())
+        yield from text[2:-2].replace(", ", ",").split("],[")
+
+
 def write_wide(profiles: ProfileSet, path) -> None:
-    """Write the canonical wide profile file all tools share."""
+    """Write the canonical wide profile file all tools share, as csv.writer would."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["household_id", "start_date", "label", *_slot_columns(profiles.horizon.length)])
-        # csv writes a float with repr; tolist() per row keeps one row boxed at a time
-        writer.writerows(
-            [household, day.isoformat(), label, *row.tolist()]
-            for household, day, label, row in zip(
-                profiles.household_ids, profiles.start_dates, profiles.labels, profiles.values
-            )
-        )
+        csv.writer(fh).writerow(["household_id", "start_date", "label", *_slot_columns(profiles.horizon.length)])
+        for household, day, label, text in zip(
+            profiles.household_ids, profiles.start_dates, profiles.labels, _row_texts(profiles.values)
+        ):
+            fh.write(f"{_csv_prefix(household, day.isoformat(), label)}{text}\r\n")
 
 
 def _header_horizon(header, path, horizon: Horizon | None) -> Horizon:
@@ -315,13 +337,77 @@ def read_horizon(path) -> Horizon:
         return _header_horizon(next(csv.reader(fh), None), path, None)
 
 
+def _parse_chunk(lines: list[str], length: int):
+    """(ids, dates, labels, values) of a chunk of wide-file lines, or None if a line
+    is blank, has not ``3 + length`` fields, or holds a bad date or value, or a value
+    whose magnitude is NaN or above ``MAX_KWH``.
+
+    A line with a quote is split by csv.reader, any other at its first three commas.
+    np.loadtxt parses with CPython's correctly rounded string-to-double, so its bits are
+    float()'s; it refuses a few texts float() takes (``1_0``, non-ASCII digits).
+    """
+    ids, days, labels, tails = [], [], [], []
+    for line in lines:
+        if '"' in line:
+            try:
+                fields = next(csv.reader([line]))
+            except (csv.Error, StopIteration):
+                return None
+            if len(fields) != 3 + length:
+                return None
+            fields[3:] = [",".join(fields[3:])]  # a value holding , " \r or \n cannot parse
+        else:
+            fields = line.split(",", 3)
+            if len(fields) != 4:
+                return None
+        ids.append(fields[0])
+        days.append(fields[1])
+        labels.append(fields[2])
+        tails.append(fields[3])
+    try:
+        dates = list(map(dt.date.fromisoformat, days))
+        values = np.loadtxt(tails, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # min and max are NaN if any value is, and NaN fails both tests
+    if values.shape != (len(lines), length) or not (-MAX_KWH <= values.min() and values.max() <= MAX_KWH):
+        return None
+    return ids, dates, labels, values
+
+
 def read_wide(path, horizon: Horizon | None = None) -> ProfileSet:
     """Read a canonical wide profile file.
 
     When ``horizon`` is given, files of the wrong width raise
     HorizonMismatch; otherwise the width must match one of the known
     horizons. Every error names ``path``.
+
+    Lines are parsed and checked in chunks. If a chunk fails, the file is read
+    again one csv record at a time, which takes what float() takes and raises
+    the error of the first bad line.
     """
+    with open(path, newline="") as fh:
+        horizon = _header_horizon(next(csv.reader(fh), None), path, horizon)
+        chunks = []
+        while lines := list(islice(fh, _CHUNK_LINES)):
+            chunks.append(_parse_chunk(lines, horizon.length))
+            if chunks[-1] is None:
+                chunks = _read_records(path, horizon)
+                break
+    if not chunks:
+        raise EmptyResult(f"{path} contains no profiles")
+    ids, dates, labels, values = zip(*chunks)
+    return ProfileSet(
+        values=np.concatenate(values),
+        household_ids=tuple(chain.from_iterable(ids)),
+        start_dates=tuple(chain.from_iterable(dates)),
+        horizon=horizon,
+        labels=tuple(chain.from_iterable(labels)),
+    )
+
+
+def _read_records(path, horizon: Horizon) -> list:
+    """The file as one chunk for ``read_wide``, read one csv record at a time."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         horizon = _header_horizon(next(reader, None), path, horizon)
@@ -351,12 +437,4 @@ def read_wide(path, horizon: Horizon | None = None) -> ProfileSet:
             dates.append(date)
             labels.append(row[2])
             rows.append(values)
-    if not rows:
-        raise EmptyResult(f"{path} contains no profiles")
-    return ProfileSet(
-        values=np.stack(rows),
-        household_ids=tuple(ids),
-        start_dates=tuple(dates),
-        horizon=horizon,
-        labels=tuple(labels),
-    )
+    return [(ids, dates, labels, np.stack(rows))] if rows else []

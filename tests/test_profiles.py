@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as dt
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthmeter import demo
+from synthmeter import demo, profiles
 from synthmeter.errors import (
     EmptyResult,
     HorizonMismatch,
@@ -25,6 +26,7 @@ from synthmeter.profiles import (
     IngestResult,
     ProfileSet,
     SplitSpec,
+    _header_horizon,
     _parse_timestamp,
     _slot_columns,
     _week_start,
@@ -69,6 +71,47 @@ def reference_write_long_csv(profiles, path):
                 )
                 rows += 1
     return rows
+
+
+WRITERS = ((write_wide, reference_write_wide), (demo.write_long_csv, reference_write_long_csv))
+
+
+def reference_read_wide(path, horizon=None):
+    """The per-record reader that read_wide must agree with, errors included."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        horizon = _header_horizon(next(reader, None), path, horizon)
+        ids, dates, labels, rows = [], [], [], []
+        for line, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3 + horizon.length:
+                raise MalformedRow(line, f"expected {3 + horizon.length} fields, got {len(row)}", path)
+            try:
+                date = dt.date.fromisoformat(row[1])
+            except ValueError:
+                raise MalformedRow(line, f"bad start_date {row[1]!r}", path) from None
+            try:
+                values = np.array([float(v) for v in row[3:]])
+            except ValueError:
+                raise MalformedRow(line, "bad kWh value", path) from None
+            if not abs(values).max() <= MAX_KWH:
+                finite = np.isfinite(values).all()
+                fault = f"kWh magnitude above {MAX_KWH:g}" if finite else "non-finite kWh value"
+                raise MalformedRow(line, fault, path)
+            ids.append(row[0])
+            dates.append(date)
+            labels.append(row[2])
+            rows.append(values)
+    if not rows:
+        raise EmptyResult(f"{path} contains no profiles")
+    return ProfileSet(
+        values=np.stack(rows),
+        household_ids=tuple(ids),
+        start_dates=tuple(dates),
+        horizon=horizon,
+        labels=tuple(labels),
+    )
 
 
 def reference_ingest(readings_path, horizon):
@@ -391,10 +434,27 @@ class TestWideFormat:
             labels=["WS", "SA", "", "seen", "a,b", 'q"t', "WS", "SA", ""],
             start_dates=[dt.date(2012, 12, 31) + dt.timedelta(days=5 * i) for i in range(n)],
         )
-        for writer, reference in ((write_wide, reference_write_wide), (demo.write_long_csv, reference_write_long_csv)):
+        # ids csv.writer must quote (and one it must not)
+        ids = ("h,1", 'h"2', " h3", "h\n4", "", *source.household_ids[5:])
+        for case in (source, dataclasses.replace(source, household_ids=ids)):
+            for writer, reference in WRITERS:
+                got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+                count = writer(case, got)
+                assert count == reference(case, want)
+                assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("horizon", [Horizon.DAILY, Horizon.WEEKLY])
+    def test_writers_byte_identical_across_block_edges(self, tmp_path, monkeypatch, horizon):
+        monkeypatch.setattr(profiles, "_BLOCK_ROWS", 3)  # blocks of 3, 3, 3 and a short last 1
+        rng = np.random.default_rng(11)
+        n = 10
+        source = dataclasses.replace(
+            profile_set(rng.gamma(0.5, 0.4, (n, horizon.length)), horizon=horizon, labels=["WS", "a,b"] * 5),
+            household_ids=tuple(f"h{i}" if i % 4 else f'h"{i}' for i in range(n)),
+        )
+        for writer, reference in WRITERS:
             got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-            count = writer(source, got)
-            assert count == reference(source, want)
+            assert writer(source, got) == reference(source, want)
             assert got.read_bytes() == want.read_bytes()
 
     def test_demo_workspace_writers_byte_identical(self, small_population, tmp_path):
@@ -421,6 +481,19 @@ class TestWideFormat:
         assert loaded.horizon is Horizon.DAILY
         assert len(loaded) == len(small_population)
 
+    def test_read_memory_is_bounded_by_the_values(self, tmp_path):
+        population = demo.make_population(250, 20, seed=2, day_step=18)
+        path = tmp_path / "wide.csv"
+        write_wide(population, path)
+        tracemalloc.start()
+        try:
+            got = read_wide(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 5000
+        assert peak < 3.5 * got.values.nbytes, f"peak {peak / got.values.nbytes:.2f}x the values"
+
     def test_header_width_checked(self, tmp_path):
         path = tmp_path / "wide.csv"
         cols = ",".join(f"hh_{i:02d}" for i in range(47))
@@ -441,6 +514,128 @@ class TestWideFormat:
             read_wide(path)
         assert err.value.line == 3
 
+
+def wide_text(rows, length=48, newline="\n"):
+    """A wide file: the header, then ``rows`` (each a list of field texts or a raw line)."""
+    header = ["household_id", "start_date", "label", *_slot_columns(length)]
+    lines = [",".join(row) if isinstance(row, list) else row for row in [header, *rows]]
+    return newline.join(lines) + newline
+
+
+def wide_row(i, length=48, day="2013-02-04", label="WS"):
+    return [f"h{i}", day, label, *(repr(0.01 * (i + 1) * (slot + 1)) for slot in range(length))]
+
+
+def with_value(row, slot, text):
+    row = list(row)
+    row[3 + slot] = text
+    return row
+
+
+# the profile row that holds the fault: the first of the third chunk of 2 lines
+FAULT_AT = 4
+
+
+def faulty(*fault_rows):
+    rows = [wide_row(i) for i in range(8)]
+    rows[FAULT_AT:FAULT_AT + len(fault_rows)] = fault_rows
+    return wide_text(rows)
+
+
+READ_CASES = {
+    # text, and whether it is read without the line loop
+    "lf": (wide_text([wide_row(i) for i in range(7)]), True),
+    "crlf": (wide_text([wide_row(i) for i in range(7)], newline="\r\n"), True),
+    "cr": (wide_text([wide_row(i) for i in range(7)], newline="\r"), True),
+    "no_final_newline": (wide_text([wide_row(i) for i in range(5)])[:-1], True),
+    "quoted": (wide_text([
+        *(wide_row(i) for i in range(3)),
+        '"a,b",2013-02-04,"q""t",' + ",".join(wide_row(3)[3:]),
+        'a"b,2013-02-04,"WS",' + ",".join(f'"{v}"' for v in wide_row(4)[3:]),
+        *(wide_row(i) for i in range(5, 7)),
+    ]), True),
+    "float_texts": (wide_text([
+        *(wide_row(i) for i in range(3)),
+        with_value(with_value(with_value(wide_row(3), 0, "-0.0"), 1, "5e-324"), 2, repr(0.1 + 0.2)),
+        with_value(with_value(with_value(wide_row(4), 0, " 1.5 "), 1, "1E2"), 2, "+.5"),
+        with_value(wide_row(5), 47, repr(MAX_KWH)),
+    ]), True),
+    "weekly": (wide_text([wide_row(i, length=336, day="2013-02-04") for i in range(5)], length=336), True),
+    "blank_lines": (wide_text([*(wide_row(i) for i in range(4)), "", "   ", wide_row(4), ""]), False),
+    "underscore_digits": (wide_text([*(wide_row(i) for i in range(4)), with_value(wide_row(4), 3, "1_0")]), False),
+    "non_ascii_digits": (wide_text([*(wide_row(i) for i in range(4)), with_value(wide_row(4), 3, "\u0661.5")]),
+                         False),
+}
+
+READ_FAULTS = {
+    "field_count": faulty(wide_row(9)[:-1]),
+    "field_count_whole_chunk": faulty(wide_row(9)[:-1], wide_row(10)[:-1]),
+    "field_count_quoted_comma": faulty(wide_row(9)[:-2] + ['"0.5,0.5"']),
+    "metadata_only": faulty(wide_row(9)[:3]),
+    "bad_date": faulty(wide_row(9, day="2013-02-30")),
+    "bad_value": faulty(with_value(wide_row(9), 7, "x")),
+    "empty_value": faulty(with_value(wide_row(9), 7, "")),
+    "nan": faulty(with_value(wide_row(9), 7, "nan")),
+    "inf": faulty(with_value(wide_row(9), 7, "-inf")),
+    "overflow_to_inf": faulty(with_value(wide_row(9), 7, "1e400")),
+    "above_max_kwh": faulty(with_value(wide_row(9), 7, "1e300")),
+    "negative": faulty(with_value(wide_row(9), 7, "-0.5")),
+    "empty_file": "",
+    "header_only": wide_text([]),
+    "blank_only": wide_text(["", " "]),
+    "bad_header": wide_text([wide_row(0)]).replace("household_id", "household", 1),
+}
+
+
+class TestReadWideOracle:
+    """read_wide against the per-record reader, in chunks of two lines."""
+
+    @pytest.fixture(autouse=True)
+    def few_lines(self, monkeypatch):
+        monkeypatch.setattr(profiles, "_CHUNK_LINES", 2)
+
+    @pytest.mark.parametrize("case", list(READ_CASES))
+    def test_reads_what_the_reference_reads(self, tmp_path, monkeypatch, case):
+        text, bulk = READ_CASES[case]
+        path = tmp_path / "wide.csv"
+        path.write_bytes(text.encode())
+        want = reference_read_wide(path)
+        if bulk:  # a clean file never reaches the line loop
+            monkeypatch.setattr(profiles, "_read_records", None)
+        got = read_wide(path)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.household_ids == want.household_ids
+        assert got.start_dates == want.start_dates
+        assert got.labels == want.labels
+        assert got.horizon is want.horizon
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 1e6, allow_subnormal=True), st.integers(1, 25), st.sampled_from("efg")),
+            min_size=5, max_size=5,
+        )
+    )
+    def test_value_texts_read_to_float_bits(self, tmp_path_factory, texts):
+        # long and short decimal texts of each value, every one a rounding case for the parser
+        rows = [with_value(wide_row(i), 5 + i, f"{x:.{digits}{kind}}") for i, (x, digits, kind) in enumerate(texts)]
+        path = tmp_path_factory.mktemp("bits") / "wide.csv"
+        path.write_text(wide_text(rows))
+        assert read_wide(path).values.tobytes() == reference_read_wide(path).values.tobytes()
+
+    @pytest.mark.parametrize("case", list(READ_FAULTS))
+    def test_errors_match_reference(self, tmp_path, case):
+        path = tmp_path / "wide.csv"
+        path.write_bytes(READ_FAULTS[case].encode())
+        with pytest.raises(SynthmeterError) as want:
+            reference_read_wide(path)
+        with pytest.raises(SynthmeterError) as got:
+            read_wide(path)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert getattr(got.value, "line", None) == getattr(want.value, "line", None)
+        if isinstance(want.value, MalformedRow) and want.value.line > 1:
+            assert want.value.line == FAULT_AT + 2
 
 class TestProfileSet:
     def test_negative_values_rejected(self):

@@ -293,6 +293,18 @@ class TestCli:
         holdout = read_wide(tmp_path / "holdout.csv")
         assert set(train.household_ids).isdisjoint(holdout.household_ids)
 
+    def test_ingest_names_the_line_of_a_kwh_above_the_bound(self, tmp_path, capsys):
+        readings = tmp_path / "readings.csv"
+        stamps = [f"2013-02-04T{slot // 2:02d}:{slot % 2 * 30:02d}:00" for slot in range(48)]
+        kwh = ["0.5"] * 48
+        kwh[5] = "1e300"  # finite, but above MAX_KWH: line 7
+        readings.write_text("household_id,timestamp,kwh\n" + "".join(f"h1,{t},{v}\n" for t, v in zip(stamps, kwh)))
+        output = tmp_path / "wide.csv"
+        rc = cli.main(["ingest", "--input", str(readings), "--horizon", "daily", "--output", str(output)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {readings}: line 7: kwh above 1e+100, got 1e300\n"
+        assert not output.exists()
+
     def test_inject_generate_attack_pipeline(self, tmp_path):
         population = demo.make_population(30, 6, seed=4)
         write_wide(population, tmp_path / "train.csv")
