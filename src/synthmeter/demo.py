@@ -50,12 +50,13 @@ def _household_archetype(rng: np.random.Generator, spread: float = 1.0) -> dict:
     }
 
 
-def _day_profile(arch: dict, day: dt.date, rng: np.random.Generator) -> np.ndarray:
+def _household_days(arch: dict, days: list[dt.date], rng: np.random.Generator) -> np.ndarray:
+    """One household's profiles, a row per day; the noise is drawn day after day."""
     morning = arch["morning_peak"] * np.exp(-0.5 * ((_SLOTS - arch["morning_slot"]) / arch["width"]) ** 2)
     evening = arch["evening_peak"] * np.exp(-0.5 * ((_SLOTS - arch["evening_slot"]) / arch["width"]) ** 2)
-    seasonal = arch["winter_factor"] if season_label(day) == WINTER_SPRING else 1.0
-    shape = (arch["base"] + morning + evening) * seasonal
-    noise = rng.lognormal(mean=0.0, sigma=0.18, size=48)
+    seasonal = np.array([arch["winter_factor"] if season_label(day) == WINTER_SPRING else 1.0 for day in days])
+    shape = (arch["base"] + morning + evening) * seasonal[:, None]
+    noise = rng.lognormal(mean=0.0, sigma=0.18, size=(len(days), 48))
     return np.maximum(shape * noise, 0.0)
 
 
@@ -75,23 +76,18 @@ def make_population(
     interchangeable population.
     """
     rng = np.random.default_rng(seed)
-    values, ids, dates = [], [], []
+    days = [start + dt.timedelta(days=d * day_step) for d in range(days_per_household)]
+    values = np.empty((n_households * len(days), 48))
     for h in range(n_households):
         arch = _household_archetype(rng, spread=spread)
-        hid = f"H{h:05d}"
-        for d in range(days_per_household):
-            day = start + dt.timedelta(days=d * day_step)
-            values.append(_day_profile(arch, day, rng))
-            ids.append(hid)
-            dates.append(day)
-    profile_set = ProfileSet(
-        values=np.stack(values),
-        household_ids=tuple(ids),
-        start_dates=tuple(dates),
+        values[h * len(days):(h + 1) * len(days)] = _household_days(arch, days, rng)
+    return ProfileSet(
+        values=values,
+        household_ids=tuple(f"H{h:05d}" for h in range(n_households) for _ in days),
+        start_dates=tuple(days) * n_households,
         horizon=Horizon.DAILY,
-        labels=tuple(season_label(d) for d in dates),
+        labels=tuple(season_label(day) for day in days) * n_households,
     )
-    return profile_set
 
 
 def write_long_csv(profiles: ProfileSet, path) -> int:

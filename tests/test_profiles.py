@@ -76,6 +76,28 @@ def reference_write_long_csv(profiles, path):
 WRITERS = ((write_wide, reference_write_wide), (demo.write_long_csv, reference_write_long_csv))
 
 
+def reference_make_population(n_households, days_per_household, seed, start, day_step, spread):
+    """The per-day generator that demo.make_population must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    rows, ids, dates = [], [], []
+    slots = np.arange(48)
+    for h in range(n_households):
+        arch = demo._household_archetype(rng, spread=spread)
+        for d in range(days_per_household):
+            day = start + dt.timedelta(days=d * day_step)
+            morning = arch["morning_peak"] * np.exp(-0.5 * ((slots - arch["morning_slot"]) / arch["width"]) ** 2)
+            evening = arch["evening_peak"] * np.exp(-0.5 * ((slots - arch["evening_slot"]) / arch["width"]) ** 2)
+            seasonal = arch["winter_factor"] if season_label(day) == "WS" else 1.0
+            shape = (arch["base"] + morning + evening) * seasonal
+            rows.append(np.maximum(shape * rng.lognormal(mean=0.0, sigma=0.18, size=48), 0.0))
+            ids.append(f"H{h:05d}")
+            dates.append(day)
+    return ProfileSet(
+        values=np.stack(rows), household_ids=tuple(ids), start_dates=tuple(dates), horizon=Horizon.DAILY,
+        labels=tuple(season_label(d) for d in dates),
+    )
+
+
 def reference_read_wide(path, horizon=None):
     """The per-record reader that read_wide must agree with, errors included."""
     with open(path, newline="") as fh:
@@ -636,6 +658,23 @@ class TestReadWideOracle:
         assert getattr(got.value, "line", None) == getattr(want.value, "line", None)
         if isinstance(want.value, MalformedRow) and want.value.line > 1:
             assert want.value.line == FAULT_AT + 2
+
+class TestDemoPopulation:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (40, 20, 0, dt.date(2012, 1, 1), 18, 1.0),
+            (30, 6, 17, dt.date(2014, 1, 2), 61, 0.2),
+            (1, 1, 3, dt.date(2012, 6, 1), 7, 0.0),
+        ],
+    )
+    def test_matches_per_day_reference(self, args):
+        got, want = demo.make_population(*args), reference_make_population(*args)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.household_ids == want.household_ids
+        assert got.start_dates == want.start_dates
+        assert got.labels == want.labels
+
 
 class TestProfileSet:
     def test_negative_values_rejected(self):
