@@ -278,7 +278,8 @@ def _slot_columns(length: int) -> list[str]:
     return [f"hh_{i:02d}" for i in range(length)]
 
 
-_BLOCK_ROWS = 512  # rows formatted per repr() call by the writers
+# Rows formatted per repr() call by the writers; 512 was no faster and held four times the transient strings
+_BLOCK_ROWS = 128
 _CHUNK_LINES = 256  # lines parsed per np.loadtxt call by read_wide
 _QUOTED = frozenset(',"\r\n')  # the characters that make csv.writer quote a field
 
@@ -390,10 +391,11 @@ def read_wide(path, horizon: Horizon | None = None) -> ProfileSet:
         horizon = _header_horizon(next(csv.reader(fh), None), path, horizon)
         chunks = []
         while lines := list(islice(fh, _CHUNK_LINES)):
-            chunks.append(_parse_chunk(lines, horizon.length))
-            if chunks[-1] is None:
+            chunk = _parse_chunk(lines, horizon.length)
+            if chunk is None:
                 chunks = _read_records(path, horizon)
                 break
+            chunks.append(chunk)
     if not chunks:
         raise EmptyResult(f"{path} contains no profiles")
     ids, dates, labels, values = zip(*chunks)
