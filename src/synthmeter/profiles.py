@@ -282,6 +282,7 @@ def _slot_columns(length: int) -> list[str]:
 _BLOCK_ROWS = 128
 _CHUNK_LINES = 256  # lines parsed per np.loadtxt call by read_wide
 _QUOTED = frozenset(',"\r\n')  # the characters that make csv.writer quote a field
+_LOADTXT_SPACE = "\x1c\x1d\x1e\x1f"  # taken as space around a number by np.loadtxt, not by float()
 
 
 def _csv_prefix(*fields: str) -> str:
@@ -347,6 +348,9 @@ def _parse_chunk(lines: list[str], length: int):
     np.loadtxt parses with CPython's correctly rounded string-to-double, so its bits are
     float()'s; it refuses a few texts float() takes (``1_0``, non-ASCII digits).
     """
+    text = "".join(lines)
+    if any(char in text for char in _LOADTXT_SPACE):
+        return None
     ids, days, labels, tails = [], [], [], []
     for line in lines:
         if '"' in line:
@@ -359,7 +363,7 @@ def _parse_chunk(lines: list[str], length: int):
             fields[3:] = [",".join(fields[3:])]  # a value holding , " \r or \n cannot parse
         else:
             fields = line.split(",", 3)
-            if len(fields) != 4:
+            if len(fields) != 4 or not fields[3] or fields[3].isspace():  # loadtxt warns on chunks of blank lines
                 return None
         ids.append(fields[0])
         days.append(fields[1])

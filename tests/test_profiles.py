@@ -580,10 +580,13 @@ READ_CASES = {
         *(wide_row(i) for i in range(3)),
         with_value(with_value(with_value(wide_row(3), 0, "-0.0"), 1, "5e-324"), 2, repr(0.1 + 0.2)),
         with_value(with_value(with_value(wide_row(4), 0, " 1.5 "), 1, "1E2"), 2, "+.5"),
-        with_value(wide_row(5), 47, repr(MAX_KWH)),
+        with_value(with_value(wide_row(5), 47, repr(MAX_KWH)), 0, "\u20031.5\xa0"),
     ]), True),
     "weekly": (wide_text([wide_row(i, length=336, day="2013-02-04") for i in range(5)], length=336), True),
     "blank_lines": (wide_text([*(wide_row(i) for i in range(4)), "", "   ", wide_row(4), ""]), False),
+    "quoted_newline": (
+        wide_text([*(wide_row(i) for i in range(3)), '"h\n3",2013-02-04,"W\r\nS",' + ",".join(wide_row(3)[3:])]), False
+    ),
     "underscore_digits": (wide_text([*(wide_row(i) for i in range(4)), with_value(wide_row(4), 3, "1_0")]), False),
     "non_ascii_digits": (wide_text([*(wide_row(i) for i in range(4)), with_value(wide_row(4), 3, "\u0661.5")]),
                          False),
@@ -594,9 +597,11 @@ READ_FAULTS = {
     "field_count_whole_chunk": faulty(wide_row(9)[:-1], wide_row(10)[:-1]),
     "field_count_quoted_comma": faulty(wide_row(9)[:-2] + ['"0.5,0.5"']),
     "metadata_only": faulty(wide_row(9)[:3]),
+    "no_values_whole_chunk": faulty([*wide_row(9)[:3], ""], [*wide_row(10)[:3], ""]),
     "bad_date": faulty(wide_row(9, day="2013-02-30")),
     "bad_value": faulty(with_value(wide_row(9), 7, "x")),
     "empty_value": faulty(with_value(wide_row(9), 7, "")),
+    "file_separator_after_value": faulty(with_value(wide_row(9), 7, "0.5\x1c")),
     "nan": faulty(with_value(wide_row(9), 7, "nan")),
     "inf": faulty(with_value(wide_row(9), 7, "-inf")),
     "overflow_to_inf": faulty(with_value(wide_row(9), 7, "1e400")),
@@ -616,6 +621,7 @@ class TestReadWideOracle:
     def few_lines(self, monkeypatch):
         monkeypatch.setattr(profiles, "_CHUNK_LINES", 2)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", list(READ_CASES))
     def test_reads_what_the_reference_reads(self, tmp_path, monkeypatch, case):
         text, bulk = READ_CASES[case]
@@ -645,6 +651,7 @@ class TestReadWideOracle:
         path.write_text(wide_text(rows))
         assert read_wide(path).values.tobytes() == reference_read_wide(path).values.tobytes()
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", list(READ_FAULTS))
     def test_errors_match_reference(self, tmp_path, case):
         path = tmp_path / "wide.csv"
