@@ -32,6 +32,13 @@ one block buffer, so two workers hold about the memory that one worker's
 two buffers held. The nearest-neighbour scan stays on the calling
 thread.
 
+``run_together`` is the one place synthmeter starts a thread: the sweeps'
+helpers and the fidelity suite's mixture fit run through it. Each helper
+runs in a copy of the caller's ``contextvars`` context, so on NumPy 2,
+where ``np.errstate`` is a context variable, the caller's floating-point
+error settings hold on the helpers too, and one and two workers raise
+alike.
+
 The last bits of a matrix product also depend on the BLAS thread count.
 ``one_blas_thread`` holds NumPy's bundled OpenBLAS to one thread for the
 span of a call; synthmeter's entry points (``report.run_full_evaluation``,
@@ -40,6 +47,7 @@ span of a call; synthmeter's entry points (``report.run_full_evaluation``,
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import math
@@ -245,41 +253,57 @@ class _Distances:
         return d2_buffer[:end]
 
 
-def _sq_distance_blocks(a: np.ndarray, b: np.ndarray | None = None):
-    """The blocks of at most ``_BLOCK_ROWS`` rows and ``_BLOCK_ENTRIES``
-    values, in row order, on the calling thread.
+def run_together(calls: list) -> list:
+    """Call each of ``calls`` (functions of no argument) at once; return
+    their results in call order.
 
-    The nearest-neighbour scan reads this serial schedule (its per-row loop
-    holds the interpreter lock); ``_sweep`` runs the same blocks on
-    ``_WORKERS`` threads. One block buffer serves every block, so a yielded
-    block is valid only until the next one is requested; consumers may
-    overwrite it.
+    ``calls[0]`` runs on the calling thread, each other call on a daemon
+    helper thread started before it, in a copy of the caller's context (so
+    the caller's ``np.errstate`` holds there too). Every helper is joined,
+    however the calls end; then the first exception in call order is
+    raised, on the calling thread.
     """
-    distances = _Distances(a, b)
-    buffers = distances.buffers()
-    for start, stop in distances.schedule:
-        yield distances.block(start, stop, buffers)
+    results, errors = [None] * len(calls), [None] * len(calls)
+
+    def run(i: int) -> None:
+        try:
+            results[i] = calls[i]()
+        except BaseException as exc:  # raised again below, on the calling thread
+            errors[i] = exc
+
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, i), daemon=True)
+        for i in range(1, len(calls))
+    ]
+    for helper in helpers:
+        helper.start()
+    run(0)
+    for helper in helpers:
+        helper.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
 
 
 def _sweep(consume, a: np.ndarray, b: np.ndarray | None = None) -> None:
     """Call ``consume`` on every block of squared distances, on ``_WORKERS`` threads.
 
-    The blocks are those of ``_sq_distance_blocks``, whatever the worker
-    count. Worker w (the calling thread is worker 0, the others are helper
-    threads) takes blocks w, w + _WORKERS, ... into its own buffers; a
-    schedule of fewer blocks starts fewer workers. The norms and every
-    buffer are made here, on the calling thread, before any helper starts.
-    ``consume`` may overwrite the block, runs on every worker at once, and
-    must give the same result in any block order. The first exception
-    raised in any worker stops every worker at its next block and is
-    raised here once all have stopped.
+    The blocks are those of ``_Distances(a, b).schedule``, whatever the
+    worker count. Worker w (the calling thread is worker 0, the others are
+    ``run_together``'s helpers) takes blocks w, w + _WORKERS, ... into its
+    own buffers; a schedule of fewer blocks starts fewer workers. The norms
+    and every buffer are made here, on the calling thread, before any helper
+    starts. ``consume`` may overwrite the block, runs on every worker at
+    once, and must give the same result in any block order. The first
+    exception raised in any worker stops every worker at its next block;
+    once all have stopped, the first in worker order is raised here.
     """
     distances = _Distances(a, b)
     # no worker without a block
     workers = max(1, min(_WORKERS, len(distances.schedule)))
     buffers = [distances.buffers() for _ in range(workers)]
     stop = threading.Event()
-    errors = []
 
     def work(worker: int) -> None:
         try:
@@ -287,20 +311,11 @@ def _sweep(consume, a: np.ndarray, b: np.ndarray | None = None) -> None:
                 if stop.is_set():
                     return
                 consume(distances.block(start, end, buffers[worker]))
-        except BaseException as exc:  # raised again below, on the calling thread
-            errors.append(exc)
+        except BaseException:
             stop.set()
+            raise
 
-    helpers = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(1, workers)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
+    run_together([functools.partial(work, w) for w in range(workers)])
 
 
 @dataclass
@@ -329,23 +344,24 @@ def nearest_neighbor_distances(query, reference) -> NearestNeighborResult:
     if q.shape[1] != r.shape[1]:
         raise HorizonMismatch(f"dimension mismatch: {q.shape[1]} vs {r.shape[1]}")
 
-    q_sq = np.einsum("ij,ij->i", q, q)
-    r_sq = np.einsum("ij,ij->i", r, r)
+    # the per-row loop holds the interpreter lock, so the scan walks the
+    # blocks on the calling thread, every block in one set of buffers
+    distances = _Distances(q, r)
+    buffers = distances.buffers()
     out_d = np.empty(len(q))
     out_i = np.empty(len(q), dtype=np.int64)
     # margin bounds the rounding gap between the inner-product expansion and
     # the exact difference formula, so no true minimum escapes the shortlist
-    margin = 1e-8 * (q_sq + r_sq.max() + 1.0)
-    start = 0
-    for d2 in _sq_distance_blocks(q, r):
-        limit = d2.min(axis=1) + margin[start : start + len(d2)]
+    margin = 1e-8 * (distances.a_sq + distances.b_sq.max() + 1.0)
+    for start, stop in distances.schedule:
+        d2 = distances.block(start, stop, buffers)
+        limit = d2.min(axis=1) + margin[start:stop]
         for k in range(len(d2)):
             cand = np.flatnonzero(d2[k] <= limit[k])
             exact = ((q[start + k] - r[cand]) ** 2).sum(axis=1)
             j = int(exact.argmin())
             out_i[start + k] = cand[j]
             out_d[start + k] = np.sqrt(exact[j])
-        start += len(d2)
     return NearestNeighborResult(nn_distance=out_d, nn_index=out_i)
 
 

@@ -198,7 +198,8 @@ def ingest(readings_path, horizon: Horizon) -> IngestResult:
         expected = ["household_id", "timestamp", "kwh"]
         if [c.strip() for c in header] != expected:
             raise MalformedRow(1, f"expected header {','.join(expected)}", readings_path)
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
+            line = reader.line_num  # the physical line the record ends on
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3:
@@ -422,7 +423,8 @@ def _read_records(path, horizon: Horizon) -> list:
         dates: list[dt.date] = []
         labels: list[str] = []
         rows: list[np.ndarray] = []
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
+            line = reader.line_num  # the physical line the record ends on
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3 + horizon.length:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 import sys
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -448,10 +451,10 @@ class TestWorkers:
         x, y = gamma_rows(rng, 330), gamma_rows(rng, 260, 0.55)
         scale = -2.0 * kernels.median_heuristic_bandwidth(x, y) ** 2
         for sets in ((x,), (y,), (x, y)):
-            # the serial sum, as mmd2_rbf computed it before the sweeps were split
-            serial = math.fsum(
-                float(np.exp(d2 / scale).sum()) for d2 in kernels._sq_distance_blocks(*sets)
-            )
+            # the serial sum, as mmd2_rbf computed it before the sweeps were
+            # split, over the blocks of a one-worker sweep
+            (blocks,) = on_workers(monkeypatch, (1,), lambda: swept_blocks(monkeypatch, *sets))
+            serial = math.fsum(float(np.exp(d2 / scale).sum()) for d2 in blocks)
             one, two = on_workers(monkeypatch, (1, 2), lambda: kernels._kernel_sum(scale, *sets))
             assert one.hex() == two.hex() == serial.hex()
 
@@ -533,6 +536,100 @@ class TestWorkers:
             sys.setswitchinterval(interval)
         assert one == four
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_errstate_reaches_every_worker(self, workers, monkeypatch):
+        # rows 50-99 of a, 1000 away from every row of b, make the second
+        # block, which the helper takes when there are two workers; their
+        # kernel values underflow to 0
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        a, b = np.zeros((100, 1)), np.zeros((3, 1))
+        a[50:] = 1000.0
+        assert kernels._kernel_sum(-2.0, a, b) == 150.0
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            kernels._kernel_sum(-2.0, a, b)
+
+
+class TestRunTogether:
+    """Call 0 on the calling thread, the others on helpers; every helper is
+    joined before a result or an error comes back."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_left(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    def test_results_in_call_order(self):
+        threads = {}
+
+        def call(i):
+            def run():
+                # helper 2 ends before call 0 and helpers 1 and 3 after it
+                time.sleep((0.02, 0.06, 0.0, 0.04)[i])
+                threads[i] = threading.current_thread()
+                return i
+
+            return run
+
+        assert kernels.run_together([call(i) for i in range(4)]) == [0, 1, 2, 3]
+        assert threads[0] is threading.current_thread()
+        assert len({threads[i] for i in range(4)}) == 4
+
+    def test_call_0_error_wins_over_a_helper_error(self):
+        helper_raised = threading.Event()
+
+        def first():
+            assert helper_raised.wait(10)
+            time.sleep(0.02)
+            raise ValueError("call 0")
+
+        def helper():
+            helper_raised.set()
+            raise RuntimeError("helper")
+
+        with pytest.raises(ValueError, match="call 0"):
+            kernels.run_together([first, helper])
+
+    def test_helper_error_raised_after_call_0_returns(self):
+        finished = []
+
+        def first():
+            finished.append(threading.current_thread())
+
+        def helper():
+            time.sleep(0.05)  # call 0 has returned by now
+            raise RuntimeError("helper")
+
+        with pytest.raises(RuntimeError, match="helper"):
+            kernels.run_together([first, helper])
+        assert finished == [threading.current_thread()]
+
+    def test_helper_sees_the_callers_errstate(self):
+        def underflow():
+            return np.exp(np.array([-1000.0]))
+
+        with np.errstate(under="raise", over="warn"):
+            assert kernels.run_together([np.geterr, np.geterr, np.geterr]) == [np.geterr()] * 3
+            with pytest.raises(FloatingPointError, match="underflow"):
+                kernels.run_together([lambda: None, underflow])
+        assert kernels.run_together([lambda: None, underflow])[1][0] == 0.0
+
+
+def test_threads_start_only_in_run_together():
+    # synthmeter starts every thread through kernels.run_together
+    sites, fidelity_imports = [], set()
+    for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in ("threading.Thread", "Thread"):
+                    sites.append((path.stem, getattr(top, "name", None)))
+                if path.stem == "fidelity" and isinstance(node, ast.Import):
+                    fidelity_imports.update(alias.name for alias in node.names)
+                if path.stem == "fidelity" and isinstance(node, ast.ImportFrom):
+                    fidelity_imports.add(node.module)
+    assert sites == [("kernels", "run_together")]
+    assert "threading" not in fidelity_imports
+
 
 def test_block_shape_keeps_window_and_bandwidth(monkeypatch):
     # one-row blocks, the 50-row cap, and 2M-entry blocks with no row cap
@@ -593,8 +690,8 @@ def test_sq_distance_fold_keeps_subnormal_products_exact(monkeypatch):
         np.testing.assert_array_equal(np.vstack(blocks), dense)
         pair_blocks = swept_blocks(monkeypatch, a, None)
         np.testing.assert_array_equal(np.concatenate(pair_blocks), upper)
-        serial = np.vstack([d2.copy() for d2 in kernels._sq_distance_blocks(a, b)])
-        np.testing.assert_array_equal(serial, dense)
+        (serial,) = on_workers(monkeypatch, (1,), lambda: swept_blocks(monkeypatch, a, b))
+        np.testing.assert_array_equal(np.vstack(serial), dense)
 
 
 def test_mmd_memory_bounded_by_block_not_n(monkeypatch):

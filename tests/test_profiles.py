@@ -104,7 +104,8 @@ def reference_read_wide(path, horizon=None):
         reader = csv.reader(fh)
         horizon = _header_horizon(next(reader, None), path, horizon)
         ids, dates, labels, rows = [], [], [], []
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
+            line = reader.line_num  # the physical line the record ends on
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3 + horizon.length:
@@ -150,7 +151,8 @@ def reference_ingest(readings_path, horizon):
         expected = ["household_id", "timestamp", "kwh"]
         if [c.strip() for c in header] != expected:
             raise MalformedRow(1, f"expected header {','.join(expected)}", readings_path)
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
+            line = reader.line_num  # the physical line the record ends on
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3:
@@ -320,6 +322,13 @@ class TestIngest:
         with pytest.raises(MalformedRow) as err:
             ingest(path, Horizon.DAILY)
         assert err.value.line == 12
+
+    def test_error_names_physical_line_after_quoted_newline(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text('household_id,timestamp,kwh\n"h\n1",2013-02-03T00:00:00,0.5\nh1,2013-02-03T00:30:00,x\n')
+        with pytest.raises(MalformedRow) as err:
+            ingest(path, Horizon.DAILY)
+        assert str(err.value) == f"{path}: line 4: bad kwh value 'x'"
 
     def test_empty_input(self, tmp_path):
         path = tmp_path / "readings.csv"
@@ -535,6 +544,13 @@ class TestWideFormat:
         with pytest.raises(MalformedRow) as err:
             read_wide(path)
         assert err.value.line == 3
+
+    def test_error_names_physical_line_after_quoted_newline(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text(wide_text(['"h\n1",' + ",".join(wide_row(1)[1:]), with_value(wide_row(2), 7, "x")]))
+        with pytest.raises(MalformedRow) as err:
+            read_wide(path)
+        assert str(err.value) == f"{path}: line 4: bad kWh value"
 
 
 def wide_text(rows, length=48, newline="\n"):

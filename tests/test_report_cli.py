@@ -264,6 +264,14 @@ class TestRunFullEvaluation:
         assert outcome.report["utility"]["status"] == "failed"
         assert "statistic" in outcome.report["privacy"]["ks"]
 
+    def test_demo_runs_clean_with_floating_point_errors_raised(self, tmp_path):
+        # the caller's np.errstate holds on the kernel and mixture-fit helpers
+        # too; underflow is left out, as kernel values underflow to 0 by design
+        manifest = demo.build_demo_workspace(tmp_path / "demo", households=40, seed=0)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            outcome = report.run_full_evaluation(manifest, output_dir=tmp_path / "out")
+        assert outcome.failures == []
+
 
 class TestCli:
     def test_ingest_split_pipeline(self, tmp_path, capsys):
