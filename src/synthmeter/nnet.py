@@ -17,12 +17,15 @@ arithmetic; stacking K arms shares that overhead among them. Parameters,
 gradients and momentum velocities each live in one flat (K, P) buffer;
 each arm's model holds weight and bias views into its row of the
 parameter buffer, so the momentum step is four whole-buffer operations.
-Each layer's outputs and back-propagated deltas are written into
-(K, batch_size, width) buffers, cut once for a short last batch, and each
-epoch's shuffled rows are gathered into one (K, rows, width) buffer. A
-step allocates nothing the size of the model or of a layer's output;
-only the loss's per-row temporaries and the ReLU masks remain. Batch
-losses are summed into a per-epoch buffer and checked once per epoch.
+The rows are held once, standardised into one (K, rows, width) buffer,
+and each step gathers its shuffled batch from it into a (K, batch_size,
+width) buffer. Each layer's outputs and back-propagated deltas are
+written into (K, batch_size, width) buffers, cut once for a short last
+batch. A step allocates nothing the size of the model or of a layer's
+output; only the loss's per-row temporaries and the ReLU masks remain.
+Batch losses are summed into a per-epoch buffer and checked once per
+epoch. Scoring standardises into one new array and keeps only the layer
+it is computing and the one before it.
 
 Contract: the workspace and the stacking change where results are
 stored, never what is computed. Every float operation is the one a plain
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteLoss, check_value
+from .errors import DimensionMismatch, InsufficientSamples, NonFiniteLoss, check_value
 
 SIGMOID = "sigmoid"
 LINEAR = "linear"
@@ -103,10 +106,14 @@ def init_model(layer_sizes: list[int], head: str = SIGMOID, seed: int = 0) -> Ml
     return MlpModel(layer_sizes=list(layer_sizes), weights=weights, biases=biases, head=head)
 
 
-def _normalise(model: MlpModel, x: np.ndarray) -> np.ndarray:
+def _normalise(model: MlpModel, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(x - norm_mean) / norm_std, into ``out`` if given, by one subtraction
+    and one in-place division; ``x`` itself for a model without constants."""
     if model.norm_mean is None:
         return x
-    return (x - model.norm_mean) / model.norm_std
+    out = np.subtract(x, model.norm_mean, out=out)
+    out /= model.norm_std
+    return out
 
 
 def _forward_pass(
@@ -117,15 +124,21 @@ def _forward_pass(
     Serves one model (``x`` of shape (rows, width)) or K stacked arms
     (``x`` (K, rows, width), weights (K, fan_in, fan_out), biases
     (K, 1, fan_out)). ``out``, if given, holds one array per layer shaped
-    like that layer's output, to write it into.
+    like that layer's output, to write it into, and every layer's input is
+    kept for ``_backward``. Without it (scoring) each layer's input is
+    dropped once its output exists, so an ``x`` the caller does not keep
+    is freed after the first layer.
     """
     activations = [x]
+    del x  # held by ``activations`` alone, so scoring can let it go
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         z = np.matmul(activations[-1], w, out=None if out is None else out[i])
         z += b
         if i == last:
             return activations, z
+        if out is None:
+            activations.pop()
         activations.append(np.maximum(z, 0.0, out=z))
     raise AssertionError("unreachable")
 
@@ -148,6 +161,7 @@ def _checked_logits(model: MlpModel, inputs) -> tuple[np.ndarray, bool]:
         x = x[None, :]
     if x.shape[1] != model.layer_sizes[0]:
         raise DimensionMismatch(f"expected input width {model.layer_sizes[0]}, got {x.shape[1]}")
+    # passed, not kept, so the standardised rows are freed after the first layer
     _, z = _forward_pass(model.weights, model.biases, _normalise(model, x))
     return z, squeeze
 
@@ -287,6 +301,8 @@ def _checked_arrays(model: MlpModel, inputs, targets) -> tuple[np.ndarray, np.nd
     y = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layer_sizes[0]:
         raise DimensionMismatch(f"expected input width {model.layer_sizes[0]}")
+    if len(x) == 0:
+        raise InsufficientSamples(f"training needs at least one input row, got {len(x)}")
     if y.ndim == 0 or len(y) != len(x):
         raise DimensionMismatch(f"expected {len(x)} targets, one per input row, got shape {y.shape}")
     y = y.reshape(len(x), -1)
@@ -327,14 +343,15 @@ def train_arms(
 
     arms = len(models)
     outs = [model.copy() for model in models]
-    # C order whatever the input's layout, so batches are the contiguous
-    # row blocks that fancy indexing would give
-    x_n = np.empty((arms, rows, sizes[0]))
-    for out, (x, _), x_arm in zip(outs, arrays, x_n):
-        out.norm_mean = x.mean(axis=0)
+    # every arm's constants first, so that x.std's row-sized temporary is
+    # freed before the one standardised copy of the rows is made
+    for trained, (x, _) in zip(outs, arrays):
+        trained.norm_mean = x.mean(axis=0)
         std = x.std(axis=0)
-        out.norm_std = np.where(std > 0, std, 1.0)
-        x_arm[...] = _normalise(out, x)
+        trained.norm_std = np.where(std > 0, std, 1.0)
+    x_n = np.empty((arms, rows, sizes[0]))
+    for trained, (x, _), x_arm in zip(outs, arrays, x_n):
+        _normalise(trained, x, out=x_arm)
     y = np.stack([y for _, y in arrays])
 
     # the workspace: see the module docstring
@@ -358,8 +375,10 @@ def train_arms(
     starts = range(0, rows, batch)
 
     def cut(n: int):
-        """(layer outputs, backward buffers, logit gradient) for a batch of n rows."""
+        """(batch inputs, layer outputs, backward buffers, logit gradient) for
+        a batch of n rows; np.take needs a contiguous ``out`` to skip a copy."""
         return (
+            np.empty((arms, n, sizes[0])),
             [o[:, :n] for o in outputs],
             (grad_views[0::2], grad_views[1::2], [d[:, :n] for d in deltas]),
             grad_logits[:, :n],
@@ -369,7 +388,6 @@ def train_arms(
     # each step's loss sums, and the term counts that make them means
     losses = np.empty((len(starts), arms))
     n_terms = np.array([[min(batch, rows - start) * sizes[-1]] for start in starts], dtype=np.float64)
-    x_epoch = np.empty(x_n.shape)
     y_epoch = np.empty(y.shape)
 
     rng = np.random.default_rng(config.seed)
@@ -379,15 +397,20 @@ def train_arms(
         order = rng.permutation(rows)
         # a permutation has no out-of-range index to clip; "clip" only spares
         # the buffered copy that the default "raise" makes of ``out``
-        np.take(x_n, order, axis=1, out=x_epoch, mode="clip")
         np.take(y, order, axis=1, out=y_epoch, mode="clip")
-        # divergence surfaces as NonFiniteLoss, not as numpy warnings; an arm
-        # whose loss is not finite runs on in NaN until training ends
+        # Divergence surfaces as NonFiniteLoss, not as numpy warnings or the
+        # caller's FloatingPointError; an arm whose loss is not finite runs
+        # on in NaN until training ends. Overriding the caller's settings
+        # here is safe: the rows were standardised above, under those
+        # settings, so only the steps' own arithmetic runs here, and an
+        # overflow in it is the arm diverging, which the loss check after
+        # each epoch raises once it reaches the loss.
         with np.errstate(over="ignore", invalid="ignore"):
             for step, start in enumerate(starts):
                 stop = start + batch
-                layer_out, backward_out, grad_out = full if stop <= rows else last
-                activations, z = _forward_pass(weights, biases, x_epoch[:, start:stop], layer_out)
+                x_batch, layer_out, backward_out, grad_out = full if stop <= rows else last
+                np.take(x_n, order[start:stop], axis=1, out=x_batch, mode="clip")
+                activations, z = _forward_pass(weights, biases, x_batch, layer_out)
                 _, grad_z = _loss_and_grad(config, z, y_epoch[:, start:stop], grad_out, losses[step])
                 _backward(weights, activations, grad_z, backward_out)
                 # velocity = MOMENTUM * velocity - learning_rate * gradient

@@ -154,10 +154,9 @@ def _train_discriminator(
     down-sampling of the larger one so 0.5 stays the uninformative prior."""
     rng = np.random.default_rng(seed)
     size = min(len(positives), len(negatives))
-    positives = _downsample(positives, size, rng)
-    negatives = _downsample(negatives, size, rng)
-    x = np.vstack([positives, negatives])
-    y = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
+    # stacked straight from the draws, so no down-sampled copy outlives the stack
+    x = np.vstack([_downsample(positives, size, rng), _downsample(negatives, size, rng)])
+    y = np.concatenate([np.ones(size), np.zeros(size)])
     width = x.shape[1]
     model = nnet.init_model([width, *DEFAULT_DISCRIMINATOR_HIDDEN, 1], head=nnet.SIGMOID, seed=seed)
     return nnet.train(model, x, y, nnet.TrainConfig(loss=nnet.BCE, seed=seed))
@@ -192,10 +191,8 @@ def mia_plain(
     trained = _train_discriminator(synthetic.values, disc_half, seed=seed)
 
     size = min(len(train), len(attack_half))
-    train_rows = _downsample(train.values, size, rng)
-    neg_rows = _downsample(attack_half, size, rng)
-    attack_x = np.vstack([train_rows, neg_rows])
-    truth = np.concatenate([np.ones(len(train_rows), dtype=bool), np.zeros(len(neg_rows), dtype=bool)])
+    attack_x = np.vstack([_downsample(train.values, size, rng), _downsample(attack_half, size, rng)])
+    truth = np.concatenate([np.ones(size, dtype=bool), np.zeros(size, dtype=bool)])
 
     probs = nnet.forward(trained.model, attack_x)
     precision = threshold_precision(probs, truth)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from synthmeter import nnet
-from synthmeter.errors import DimensionMismatch, InvalidConfig, NonFiniteLoss
+from synthmeter.errors import DimensionMismatch, InsufficientSamples, InvalidConfig, NonFiniteLoss
 
 
 def tiny_model(layers, head, seed=0):
@@ -251,6 +253,10 @@ class TestTrain:
                 nnet.TrainConfig(loss=nnet.MSE, batch_size=5),
             )
 
+    def test_no_rows_is_insufficient_samples(self):
+        with pytest.raises(InsufficientSamples, match="got 0"):
+            nnet.train(tiny_model([3, 4, 1], nnet.SIGMOID), np.empty((0, 3)), np.empty(0), nnet.TrainConfig(epochs=1))
+
     def test_invalid_config_is_a_value_error(self):
         with pytest.raises(InvalidConfig):
             nnet.TrainConfig(epochs=0)
@@ -429,6 +435,130 @@ class TestArmOrderContract:
         assert case == "none_diverges" or any(len(epochs) < config.epochs for epochs in seen)
 
 
+# the caller's floating-point settings at their strictest that trained
+# networks are expected to meet (underflow in exp is by design)
+STRICT = {"over": "raise", "invalid": "raise", "divide": "raise"}
+
+
+class TestCallersErrstate:
+    """Training overrides the caller's ``np.errstate`` for its step loop only:
+    divergence still surfaces as NonFiniteLoss, and a fault in the rows
+    themselves as the caller's FloatingPointError."""
+
+    def test_divergence_raises_non_finite_loss(self):
+        x, y, head = _task(nnet.MSE, 5)
+        config = nnet.TrainConfig(loss=nnet.MSE, batch_size=32, epochs=50, seed=0, learning_rate=0.3)
+        model = tiny_model([5, 8, 1], head, seed=0)
+        with pytest.raises(NonFiniteLoss) as want:
+            reference_train(model, x, y, config)
+        with np.errstate(**STRICT), pytest.raises(NonFiniteLoss) as got:
+            nnet.train(model, x, y, config)
+        assert str(got.value) == str(want.value)
+
+    def test_diverging_second_arm_raises_once_training_ends(self):
+        x, y, head = _task(nnet.MSE, 5)
+        config = nnet.TrainConfig(loss=nnet.MSE, batch_size=32, epochs=50, seed=0, learning_rate=0.05)
+        model = tiny_model([5, 8, 1], head, seed=0)
+        with pytest.raises(NonFiniteLoss) as want:
+            reference_train(model, x, y * 1e3, config)
+        epochs = []
+        with np.errstate(**STRICT), pytest.raises(NonFiniteLoss) as got:
+            nnet.train_arms([model, model], [x, x], [y, y * 1e3], config, [lambda m, e: epochs.append(e), None])
+        assert str(got.value) == str(want.value)
+        assert epochs == list(range(config.epochs))
+
+    def test_standardisation_keeps_the_callers_settings(self):
+        # the squares inside x.std overflow
+        x = np.random.default_rng(0).normal(size=(16, 3)) * 1e200
+        config = nnet.TrainConfig(loss=nnet.MSE, epochs=1)
+        with np.errstate(**STRICT), pytest.raises(FloatingPointError, match="overflow"):
+            nnet.train(tiny_model([3, 4, 1], nnet.LINEAR), x, np.zeros(16), config)
+
+
+def _trained(head, width, seed=0):
+    """A model of the tasks' architecture with standardisation constants."""
+    loss = nnet.BCE if head == nnet.SIGMOID else nnet.MSE
+    x, y, _ = _task(loss, width, rows=300, seed=seed)
+    model = tiny_model([width, 64, 32, 1], head, seed=seed)
+    return nnet.train(model, x, y, nnet.TrainConfig(loss=loss, epochs=2, seed=seed)).model
+
+
+class TestScoringMatchesReference:
+    """``forward`` and ``logits`` against ``_reference_forward`` on rows
+    standardised by the plain expression, bit for bit."""
+
+    @staticmethod
+    def _assert_scores_match(model, x):
+        rows = np.atleast_2d(x)  # a single row is scored as one 2-d row
+        _, z = _reference_forward(model, (rows - model.norm_mean) / model.norm_std)
+        probs = _reference_sigmoid(z) if model.head == nnet.SIGMOID else z
+        for got, want in ((nnet.logits(model, x), z[:, 0]), (nnet.forward(model, x), probs[:, 0])):
+            got = np.atleast_1d(got)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("head", [nnet.SIGMOID, nnet.LINEAR])
+    @pytest.mark.parametrize("rows, width", [(2500, 47), (5000, 48)])
+    def test_full_sets(self, head, rows, width):
+        x, _, _ = _task(nnet.MSE, width, rows=rows, seed=5)
+        self._assert_scores_match(_trained(head, width), x)
+
+    def test_single_row(self):
+        x, _, _ = _task(nnet.MSE, 48, rows=10, seed=6)
+        model = _trained(nnet.SIGMOID, 48)
+        assert np.ndim(nnet.forward(model, x[3])) == 0
+        self._assert_scores_match(model, x[3])
+
+    def test_fortran_order_input(self):
+        x, _, _ = _task(nnet.MSE, 48, rows=2500, seed=7)
+        self._assert_scores_match(_trained(nnet.LINEAR, 48), np.asfortranarray(x))
+
+    def test_forecast_slice(self):
+        # the forecast tasks score values[:, :47], a view with a 48-wide row stride
+        values, _, _ = _task(nnet.MSE, 48, rows=2500, seed=8)
+        self._assert_scores_match(_trained(nnet.LINEAR, 47), values[:, :47])
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that ``tracemalloc`` sees allocated during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestMemory:
+    """Training holds one standardised copy of its rows, and scoring at most
+    that copy and two layers' outputs (1.15x, 1.2x and 2.35x measured)."""
+
+    ROWS = 10_000
+
+    def test_train_holds_one_copy_of_the_rows(self):
+        x, y, head = _task(nnet.BCE, 48, rows=self.ROWS)
+        model = tiny_model([48, 64, 32, 1], head)
+        peak = _traced_peak(lambda: nnet.train(model, x, y, nnet.TrainConfig(epochs=1)))
+        assert peak < 1.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the rows"
+
+    def test_stacked_arms_hold_one_copy_of_their_rows(self):
+        # column slices, as the forecast tasks pass them
+        values, y, head = _task(nnet.MSE, 48, rows=self.ROWS)
+        arms = [values[:, :47], values[:, 1:]]
+        model = tiny_model([47, 64, 32, 1], head)
+        config = nnet.TrainConfig(loss=nnet.MSE, epochs=1)
+        peak = _traced_peak(lambda: nnet.train_arms([model, model], arms, [y, y], config, [None, None]))
+        size = sum(x.nbytes for x in arms)
+        assert peak < 1.5 * size, f"peak {peak / size:.2f}x the rows"
+
+    def test_scoring_drops_each_layers_input(self):
+        x, _, _ = _task(nnet.BCE, 48, rows=self.ROWS)
+        model = _trained(nnet.SIGMOID, 48)
+        peak = _traced_peak(lambda: nnet.logits(model, x))
+        assert peak < 2.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the rows"
+
+
 def test_sigmoid_matches_masked_form():
     """The one stable sigmoid has the bits of the masked form it replaced."""
     rng = np.random.default_rng(0)
@@ -454,7 +584,9 @@ def gradient_check(model: nnet.MlpModel, config: nnet.TrainConfig, inputs, targe
     work = model.copy()
     x_n = nnet._normalise(work, x)
 
-    activations, z = nnet._forward_pass(work.weights, work.biases, x_n)
+    # layer buffers make _forward_pass keep every layer's input for _backward
+    layer_out = [np.empty((len(x), width)) for width in work.layer_sizes[1:]]
+    activations, z = nnet._forward_pass(work.weights, work.biases, x_n, layer_out)
     _, grad_z = nnet._loss_and_grad(config, z, y)
     grads_w, grads_b = nnet._backward(work.weights, activations, grad_z)
 

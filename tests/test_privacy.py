@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from synthmeter import demo, gmm, privacy
+from synthmeter import demo, gmm, nnet, privacy
 from synthmeter.errors import DegenerateInput, InsufficientSamples, InvalidConfig
 from synthmeter.generators import MemorizerConfig, gmm_generate, memorizer_generate
 from synthmeter.poisoning import OutlierSpec, make_attack_registry
@@ -275,6 +275,84 @@ class TestMiaPlain:
         synthetic = memorizer_generate(train, 50, MemorizerConfig(0.0, seed=0))
         with pytest.raises(InsufficientSamples):
             privacy.mia_plain(train, tiny, synthetic, seed=0)
+
+
+def _three_step_discriminator(positives, negatives, seed):
+    """``_train_discriminator`` as it was: each side down-sampled into its
+    own array, then stacked. The oracle for the both-sides tests."""
+    rng = np.random.default_rng(seed)
+    size = min(len(positives), len(negatives))
+    positives = privacy._downsample(positives, size, rng)
+    negatives = privacy._downsample(negatives, size, rng)
+    x = np.vstack([positives, negatives])
+    y = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
+    model = nnet.init_model([x.shape[1], *privacy.DEFAULT_DISCRIMINATOR_HIDDEN, 1], head=nnet.SIGMOID, seed=seed)
+    return nnet.train(model, x, y, nnet.TrainConfig(loss=nnet.BCE, seed=seed))
+
+
+def _three_step_mia_plain(train, holdout, synthetic, seed):
+    """``mia_plain`` as it was, with its attack set built the same three-step way."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(holdout))
+    half = len(holdout) // 2
+    disc_half = holdout.values[np.sort(order[:half])]
+    attack_half = holdout.values[np.sort(order[half:])]
+    trained = _three_step_discriminator(synthetic.values, disc_half, seed=seed)
+    size = min(len(train), len(attack_half))
+    train_rows = privacy._downsample(train.values, size, rng)
+    neg_rows = privacy._downsample(attack_half, size, rng)
+    attack_x = np.vstack([train_rows, neg_rows])
+    truth = np.concatenate([np.ones(len(train_rows), dtype=bool), np.zeros(len(neg_rows), dtype=bool)])
+    probs = nnet.forward(trained.model, attack_x)
+    return privacy.MiaResult(
+        precision=privacy.threshold_precision(probs, truth),
+        attack_set_size=len(attack_x),
+        positive_fraction=0.5,
+        discriminator_train_loss_trace=trained.loss_trace,
+    )
+
+
+class TestBalancingBothSides:
+    """The balanced sets keep the three-step construction's bits whichever
+    side is down-sampled; the demo workspace only exercises the synthetic one."""
+
+    @pytest.mark.parametrize("positives, negatives", [(300, 90), (90, 300)], ids=["positives_larger", "negatives_larger"])
+    def test_discriminator(self, positives, negatives):
+        rng = np.random.default_rng(4)
+        pos = rng.gamma(2.0, 0.4, size=(positives, 48))
+        neg = rng.gamma(2.0, 0.5, size=(negatives, 48))
+        got = privacy._train_discriminator(pos, neg, seed=3)
+        want = _three_step_discriminator(pos, neg, seed=3)
+        for name in ("weights", "biases"):
+            for left, right in zip(getattr(got.model, name), getattr(want.model, name), strict=True):
+                assert np.array_equal(left, right)
+        assert got.loss_trace == want.loss_trace
+
+    @pytest.mark.parametrize("side", ["synthetic_and_train_larger", "holdout_larger"])
+    def test_mia_plain(self, split_population, monkeypatch, side):
+        train, holdout = split_population
+        if side == "holdout_larger":
+            # fewer synthetic rows than the discriminator's holdout half and
+            # fewer train rows than the attack half
+            train = train.subset(range(40))
+            synthetic = memorizer_generate(train, 60, MemorizerConfig(0.05, seed=8))
+        else:
+            synthetic = memorizer_generate(train, 2 * len(holdout), MemorizerConfig(0.05, seed=8))
+        assert (len(synthetic) < len(holdout) // 2) == (side == "holdout_larger")
+        assert (len(train) < len(holdout) - len(holdout) // 2) == (side == "holdout_larger")
+
+        # record what each run scores, and against which truth
+        seen = []
+        forward, precision = nnet.forward, privacy.threshold_precision
+        monkeypatch.setattr(nnet, "forward", lambda model, x: seen.append(x) or forward(model, x))
+        monkeypatch.setattr(privacy, "threshold_precision", lambda p, t: seen.append(t) or precision(p, t))
+        got = privacy.mia_plain(train, holdout, synthetic, seed=2)
+        got_seen, seen[:] = list(seen), []
+        want = _three_step_mia_plain(train, holdout, synthetic, seed=2)
+        assert got == want
+        assert len(got_seen) == len(seen) == 2
+        for left, right in zip(got_seen, seen):
+            assert left.dtype == right.dtype and np.array_equal(left, right)
 
 
 class TestMiaPoisoned:
