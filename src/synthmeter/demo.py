@@ -150,10 +150,10 @@ def build_demo_workspace(
     population = make_population(households, days, seed=seed, day_step=day_step)
     long_path = target / "readings.csv"
     write_long_csv(population, long_path)
-    ingested = ingest(long_path, Horizon.DAILY)
-
+    # each profile matrix is dropped after its last reader, so the setup holds few at once
+    del population
     train, holdout = split_households(
-        ingested.profiles, SplitSpec(holdout_fraction=0.5, seed=seed)
+        ingest(long_path, Horizon.DAILY).profiles, SplitSpec(holdout_fraction=0.5, seed=seed)
     )
     spec = poisoning.OutlierSpec(count=100, mu=6.0, sigma=1.0, seed=seed)
     registry = poisoning.make_attack_registry(spec, Horizon.DAILY)
@@ -161,6 +161,7 @@ def build_demo_workspace(
 
     k = min(25, max(2, len(poisoned) // 40))
     synthetic = generators.gmm_generate(poisoned, len(poisoned), gmm.FitConfig(k=k, seed=seed))
+    del poisoned
     synthetic_fit = labelled_gmm_synthetic(train, seed=seed)
     eval_population = make_population(
         max(40, households // 4), days, seed=seed + 1,

@@ -285,9 +285,17 @@ def sample(model: GmmModel, n: int, seed: int, horizon: Horizon | None = None) -
     rng = np.random.default_rng(seed)
     components = rng.choice(model.k, size=n, p=model.weights / model.weights.sum())
     noise = rng.standard_normal((n, model.n_dims))
-    values = model.means[components] + np.sqrt(model.variances[components]) * noise
+    # means[c] + sqrt(variances[c]) * noise with two n x L arrays live at a time;
+    # IEEE products and sums commute, so each step gives the expression's bits
+    scaled = model.variances[components]
+    np.sqrt(scaled, out=scaled)
+    scaled *= noise
+    del noise
+    values = model.means[components]
+    values += scaled
+    del scaled
     clamp_count = int((values < 0).sum())
-    values = np.maximum(values, 0.0)
+    np.maximum(values, 0.0, out=values)
     if horizon is None:
         try:
             horizon = Horizon(model.n_dims)

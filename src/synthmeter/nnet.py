@@ -176,8 +176,9 @@ def forward(model: MlpModel, inputs) -> np.ndarray:
 
 def logits(model: MlpModel, inputs) -> np.ndarray:
     """Raw pre-head outputs; useful for ranking beyond sigmoid saturation."""
-    z, _ = _checked_logits(model, inputs)
-    return z[:, 0] if z.shape[1] == 1 else z
+    z, squeeze = _checked_logits(model, inputs)
+    z = z[:, 0] if z.shape[1] == 1 else z
+    return z[0] if squeeze else z
 
 
 def pinball_loss(y, y_hat, q: float) -> np.ndarray:

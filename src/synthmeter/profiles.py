@@ -176,18 +176,22 @@ def ingest(readings_path, horizon: Horizon) -> IngestResult:
 
     Each distinct timestamp text is parsed and validated once and
     memoised as (period start, slot); only successful parses are stored,
-    so a bad timestamp raises at its first line. Each period is an
-    ``array("d")`` of the horizon's length filled with NaN: kWh is
-    validated finite, so a NaN slot is one not read yet, a slot read
-    twice marks the period duplicated, and a NaN left at the end marks
-    it incomplete.
+    so a bad timestamp raises at its first line. All periods share one
+    flat ``array("d")``: a new period appends the horizon's length of
+    NaN and records its offset. kWh is validated finite, so a NaN slot is
+    one not read yet, a slot read twice marks the period duplicated, and a
+    NaN left at the end marks it incomplete. The complete periods are
+    gathered, in sorted order, into one new matrix, and the flat buffer is
+    freed before the set is built.
     """
     length = horizon.length
     weekly = horizon is Horizon.WEEKLY
     unread = array("d", [math.nan]) * length
     # timestamp text -> (period_start, slot)
     slot_of: dict[str, tuple[dt.date, int]] = {}
-    periods: dict[tuple[str, dt.date], array] = {}
+    flat = array("d")
+    # (household, period start) -> offset of the period's first slot in flat
+    periods: dict[tuple[str, dt.date], int] = {}
     duplicated: set[tuple[str, dt.date]] = set()
     rows_read = 0
     with open(readings_path, newline="") as fh:
@@ -225,28 +229,28 @@ def ingest(readings_path, horizon: Horizon) -> IngestResult:
                 raise MalformedRow(line, f"kwh {fault}, got {row[2]}", readings_path)
             rows_read += 1
             key = (household, start)
-            period = periods.get(key)
-            if period is None:
-                period = periods[key] = unread[:]
-            elif not math.isnan(period[slot]):
+            offset = periods.get(key)
+            if offset is None:
+                offset = periods[key] = len(flat)
+                flat.extend(unread)
+            elif not math.isnan(flat[offset + slot]):
                 duplicated.add(key)
-            period[slot] = kwh
+            flat[offset + slot] = kwh
 
-    dropped = 0
-    kept: list[tuple[str, dt.date]] = []
-    rows: list[np.ndarray] = []
-    for key in sorted(periods):
-        values = np.frombuffer(periods[key])
-        if key in duplicated or np.isnan(values).any():
-            dropped += 1
-            continue
-        kept.append(key)
-        rows.append(values)
+    matrix = np.frombuffer(flat).reshape(-1, length)
+    incomplete = np.isnan(matrix).any(axis=1)
+    kept = [
+        key for key in sorted(periods)
+        if key not in duplicated and not incomplete[periods[key] // length]
+    ]
+    dropped = len(periods) - len(kept)
     if not kept:
         raise EmptyResult("no complete period survived ingestion")
+    values = matrix[np.array([periods[key] for key in kept]) // length]
+    del matrix, flat  # the view holds flat's buffer: drop both so it is freed here
 
     profile_set = ProfileSet(
-        values=np.stack(rows),
+        values=values,
         household_ids=tuple(h for h, _ in kept),
         start_dates=tuple(d for _, d in kept),
         horizon=horizon,

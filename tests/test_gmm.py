@@ -180,6 +180,30 @@ def _sample_raw(model: gmm.GmmModel, n: int, seed: int) -> np.ndarray:
     return model.means[comps] + np.sqrt(model.variances[comps]) * noise
 
 
+def _random_daily_model(k, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 1.0, size=k)
+    return gmm.GmmModel(
+        weights=weights / weights.sum(),
+        means=rng.uniform(0.0, 0.8, size=(k, 48)),
+        variances=rng.uniform(1e-6, 0.3, size=(k, 48)),
+    )
+
+
+class TestSampleOracle:
+    """gmm.sample gives the bits of the plain one-line draw, clamped at zero."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("k", [1, 4, 25])
+    def test_matches_plain_expression(self, k, seed):
+        model = _random_daily_model(k, seed)
+        raw = _sample_raw(model, 500, seed)
+        got = gmm.sample(model, 500, seed)
+        assert_same_bits(got.profiles.values, np.maximum(raw, 0.0))
+        assert got.clamp_count == int((raw < 0).sum())
+        assert got.clamp_count > 0  # means near 0 with wide variances draw below it
+
+
 # --- the plain EM loop, kept as the oracle for gmm.fit and gmm.predict -------
 
 
@@ -366,6 +390,39 @@ class TestOracle:
         want = _reference_logsumexp_rows(a)
         assert_same_bits(gmm._logsumexp_rows(a), want)
         assert_same_bits(gmm._logsumexp_rows(a, np.empty_like(a)), want)
+
+
+class TestErrstate:
+    """gmm's two local np.errstate(divide="ignore") overrides hold under a
+    caller who raises on every floating-point error but underflow."""
+
+    RAISE = dict(divide="raise", over="raise", invalid="raise")
+
+    def test_fit_with_starved_component(self):
+        x = _starved_set()
+        config = gmm.FitConfig(k=6, n_init=1, seed=152)
+        want = gmm.fit(x, config)
+        with np.errstate(**self.RAISE):
+            got = gmm.fit(x, config)
+        for name in ("weights", "means", "variances", "log_likelihood_trace"):
+            assert_same_bits(getattr(got, name), getattr(want, name))
+        # EM leaves the starved weight tiny but not 0; zero it, so np.log(weights)
+        # divides by zero in the E-step that predict shares with fit
+        starved = want.weights * len(x) <= 1e-12
+        assert starved.sum() == 1
+        want.weights = np.where(starved, 0.0, want.weights)
+        expected = gmm.predict(want, x).responsibilities
+        with np.errstate(**self.RAISE):
+            prediction = gmm.predict(want, x)
+        assert_same_bits(prediction.responsibilities, expected)
+        assert (prediction.responsibilities[:, starved] == 0).all()
+
+    def test_logsumexp_rows_all_minus_inf(self):
+        a = np.array([[0.0, -1.0, -np.inf], [-np.inf, -np.inf, -np.inf]])
+        with np.errstate(**self.RAISE):
+            got = gmm._logsumexp_rows(a)
+        assert got[1] == -np.inf
+        assert_same_bits(got, _reference_logsumexp_rows(a))
 
 
 class TestExp:

@@ -509,6 +509,15 @@ class TestScoringMatchesReference:
         assert np.ndim(nnet.forward(model, x[3])) == 0
         self._assert_scores_match(model, x[3])
 
+    @pytest.mark.parametrize("outputs", [1, 2])
+    def test_single_row_logits_match_forward_shape(self, outputs):
+        model = tiny_model([4, 3, outputs], nnet.LINEAR)
+        row = np.ones(4)
+        got = nnet.logits(model, row)
+        want = nnet.logits(model, row[None, :])[0]
+        assert np.shape(got) == np.shape(nnet.forward(model, row)) == ((2,) if outputs == 2 else ())
+        assert np.array_equal(got, want)
+
     def test_fortran_order_input(self):
         x, _, _ = _task(nnet.MSE, 48, rows=2500, seed=7)
         self._assert_scores_match(_trained(nnet.LINEAR, 48), np.asfortranarray(x))

@@ -429,7 +429,20 @@ class TestIngest:
         finally:
             tracemalloc.stop()
         assert len(result.profiles) == 2000
-        assert peak / 2000 < 3000, f"{peak / 2000:.0f} bytes per period"
+        # 384 bytes of values per period; the flat buffer and the gathered matrix hold them twice
+        assert peak / 2000 < 1300, f"{peak / 2000:.0f} bytes per period"
+
+    def test_demo_setup_holds_each_matrix_once(self, tmp_path):
+        # build_demo_workspace drops each profile matrix after its last reader
+        households, days = 100, 20
+        value_bytes = households * days * 48 * 8
+        tracemalloc.start()
+        try:
+            demo.build_demo_workspace(tmp_path / "ws", households=households, days=days, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / value_bytes < 6.5, f"peak {peak / value_bytes:.2f}x the population's values"
 
 
 class TestSeasonLabel:
