@@ -235,8 +235,9 @@ _ENTRIES = {
     )),
     "recon_poisoned": ("reconstruction", None),  # writes its curve and names it instead
     "mia": ("mia_plain", lambda r, args: f"plain MIA precision {r['precision']:.3f} (0.5 = random guess)"),
-    "mia_poisoned": ("mia_poisoned",
-                     lambda r, args: f"poisoned MIA precision {r['precision']:.3f} (1/3 = random guess)"),
+    "mia_poisoned": ("mia_poisoned", lambda r, args: (
+        f"poisoned MIA precision {r['precision']:.3f} ({r['positive_fraction']:.3f} = random guess)"
+    )),
     "utility": (0, lambda r, args: (
         f"{r['metric_name']}: real-trained {r['score_real_trained']:.4f}, "
         f"synthetic-trained {r['score_synthetic_trained']:.4f}, gap {r['absolute_gap']:.4f}"

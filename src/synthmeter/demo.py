@@ -6,8 +6,8 @@ seasonal multiplier and multiplicative noise. Nothing here is calibrated
 to any real dataset; the point is realistic structure (non-negative,
 spiky, autocorrelated, seasonal) at a chosen scale.
 
-``build_demo_workspace`` turns such a population into the bundled
-end-to-end workspace (ingest, split, poison, generate) and its manifest.
+``build_demo_workspace`` turns such a population into the bundled end-to-end workspace
+and its manifest; it writes ``readings.csv`` as a sample ``ingest`` input, not read back.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,7 @@ import numpy as np
 from . import generators, gmm, kernels, poisoning
 from .errors import InvalidConfig, SynthmeterError
 from .profiles import Horizon, ProfileSet, SplitSpec, SUMMER_AUTUMN, WINTER_SPRING
-from .profiles import _csv_prefix, _row_texts
-from .profiles import ingest, season_label, split_households, write_wide
+from .profiles import _csv_prefix, _row_texts, season_label, split_households, write_wide
 
 _SLOTS = np.arange(48)
 _CLOCKS = tuple(f"T{slot // 2:02d}:{slot % 2 * 30:02d}:00" for slot in range(48))
@@ -137,8 +137,8 @@ def labelled_gmm_synthetic(train, seed: int = 0):
 def build_demo_workspace(
     target: Path, households: int = 250, days: int = 20, seed: int = 0
 ) -> Path:
-    """Materialise the bundled end-to-end demo: ingest -> split -> inject ->
-    generate -> manifest. Returns the manifest path."""
+    """Materialise the bundled end-to-end demo: split -> inject -> generate -> manifest,
+    plus ``readings.csv``, a sample ``ingest`` input that is not read back. Returns the manifest path."""
     for name, value in (("households", households), ("days", days)):
         if value < 1:
             raise InvalidConfig(f"{name} must be at least 1, got {value}")
@@ -148,13 +148,12 @@ def build_demo_workspace(
     # spread each household's days across the year so both season labels appear
     day_step = max(1, 364 // days)
     population = make_population(households, days, seed=seed, day_step=day_step)
-    long_path = target / "readings.csv"
-    write_long_csv(population, long_path)
+    write_long_csv(population, target / "readings.csv")
+    if any(a > b for a, b in pairwise(zip(population.household_ids, population.start_dates))):  # ingest's order
+        population = population.subset(np.lexsort((population.start_dates, population.household_ids)))
+    train, holdout = split_households(population, SplitSpec(holdout_fraction=0.5, seed=seed))
     # each profile matrix is dropped after its last reader, so the setup holds few at once
     del population
-    train, holdout = split_households(
-        ingest(long_path, Horizon.DAILY).profiles, SplitSpec(holdout_fraction=0.5, seed=seed)
-    )
     spec = poisoning.OutlierSpec(count=100, mu=6.0, sigma=1.0, seed=seed)
     registry = poisoning.make_attack_registry(spec, Horizon.DAILY)
     poisoned = poisoning.inject(train, registry.seen_outliers, seed=seed)

@@ -220,18 +220,21 @@ def threshold_precision(probs: np.ndarray, truth: np.ndarray) -> float:
 
 
 def top_fraction_precision(scores: np.ndarray, truth: np.ndarray) -> float:
-    """Precision when the top third, ceil(n / 3), of scores is predicted positive.
+    """Precision when the top scores, as many as ``truth`` has positives, are
+    predicted positive, so precision equals recall; random scores read the
+    positive fraction.
 
     Ordering is by descending score with exact ties resolved by input
-    order. When the predicted-positive count equals the number of true
-    positives, precision equals recall by construction.
+    order.
     """
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth, dtype=bool)
     n = len(scores)
     if n == 0 or len(truth) != n:
         raise ValueError("scores and truth must be equal-length and non-empty")
-    n_pos = int(np.ceil(1.0 / 3.0 * n))
+    n_pos = int(truth.sum())
+    if n_pos == 0:
+        raise ValueError("truth has no positives")
     order = np.lexsort((np.arange(n), -scores))
     picked = order[:n_pos]
     return float(truth[picked].sum() / n_pos)
@@ -247,7 +250,8 @@ def mia_poisoned(
 
     The discriminator learns synthetic (True) vs holdout (False) and
     scores the registry's rows (seen, unseen-same, unseen-different, in
-    that fixed order). The top third by score is predicted positive.
+    that fixed order). The top ``seen`` count by score is predicted
+    positive, so chance precision is the seen fraction of the registry.
     Scores are ranked on the discriminator's logits: sigmoid is strictly
     monotone, so this is the probability ordering without the float
     saturation that collapses confident predictions into ties.
@@ -262,6 +266,6 @@ def mia_poisoned(
     return MiaResult(
         precision=precision,
         attack_set_size=len(attack),
-        positive_fraction=1.0 / 3.0,
+        positive_fraction=len(registry.seen_outliers) / len(attack),
         discriminator_train_loss_trace=trained.loss_trace,
     )

@@ -246,6 +246,17 @@ class TestTopFractionPrecision:
         scores = truth.astype(float)
         assert privacy.top_fraction_precision(scores, truth) == 1.0
 
+    def test_predicts_as_many_as_truth_has_positives(self):
+        truth = np.zeros(210, dtype=bool)
+        truth[:10] = True
+        scores = -np.arange(210.0)
+        scores[9] = -1000.0  # one seen row ranked last: 9 of the top 10 are seen
+        assert privacy.top_fraction_precision(scores, truth) == 0.9
+
+    def test_no_positives_raises(self):
+        with pytest.raises(ValueError, match="no positives"):
+            privacy.top_fraction_precision(np.ones(6), np.zeros(6, dtype=bool))
+
 
 class TestMiaPlain:
     def test_memorizer_beats_chance(self, split_population):
@@ -363,6 +374,18 @@ class TestMiaPoisoned:
         assert result.attack_set_size == 150
         assert result.positive_fraction == pytest.approx(1.0 / 3.0)
         assert 0.0 <= result.precision <= 1.0
+
+    def test_unequal_registry_chance_level(self, split_population, monkeypatch):
+        train, holdout = split_population
+        full = make_attack_registry(OutlierSpec(count=100, mu=6.0, sigma=1.0, seed=13), Horizon.DAILY)
+        unequal = replace(full, seen_outliers=full.seen_outliers.subset(range(10)))
+        # scores that rank the registry's rows in order, so every seen row first
+        monkeypatch.setattr(nnet, "logits", lambda model, x: -np.arange(len(x), dtype=np.float64))
+        synthetic = gmm_generate(train, 300, gmm.FitConfig(k=5, seed=7))
+        result = privacy.mia_poisoned(unequal, synthetic, holdout, seed=0)
+        assert result.attack_set_size == 210
+        assert result.precision == 1.0
+        assert result.positive_fraction == 10 / 210
 
     def test_deterministic(self, split_population, registry):
         train, holdout = split_population

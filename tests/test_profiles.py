@@ -433,7 +433,8 @@ class TestIngest:
         assert peak / 2000 < 1300, f"{peak / 2000:.0f} bytes per period"
 
     def test_demo_setup_holds_each_matrix_once(self, tmp_path):
-        # build_demo_workspace drops each profile matrix after its last reader
+        # build_demo_workspace splits the population it drew (readings.csv is not read back)
+        # and drops each profile matrix after its last reader
         households, days = 100, 20
         value_bytes = households * days * 48 * 8
         tracemalloc.start()
@@ -710,6 +711,48 @@ class TestDemoPopulation:
         assert got.household_ids == want.household_ids
         assert got.start_dates == want.start_dates
         assert got.labels == want.labels
+
+
+class TestDemoReadings:
+    """build_demo_workspace splits the population it drew and does not read
+    readings.csv back; ingesting that file must give the same rows."""
+
+    @pytest.mark.parametrize("households,days", [(12, 6), (40, 20)])
+    def test_readings_ingest_to_train_and_holdout(self, tmp_path, households, days):
+        ws = tmp_path / "ws"
+        demo.build_demo_workspace(ws, households=households, days=days, seed=1)
+        got = ingest(ws / "readings.csv", Horizon.DAILY)
+        assert got.dropped_periods == 0
+        assert len(got.profiles) == households * days
+        assert got.rows_read == 48 * len(got.profiles)
+        train, holdout = (read_wide(ws / f"{name}.csv", Horizon.DAILY) for name in ("train", "holdout"))
+        ids = train.household_ids + holdout.household_ids
+        dates = train.start_dates + holdout.start_dates
+        order = sorted(range(len(ids)), key=lambda i: (ids[i], dates[i]))
+        want = np.vstack([train.values, holdout.values])[order]
+        assert np.array_equal(got.profiles.values.view(np.int64), want.view(np.int64))
+        assert got.profiles.household_ids == tuple(ids[i] for i in order)
+        assert got.profiles.start_dates == tuple(dates[i] for i in order)
+        assert got.profiles.labels == tuple((train.labels + holdout.labels)[i] for i in order)
+
+    def test_population_out_of_order_is_split_in_ingest_order(self, tmp_path, monkeypatch):
+        # past 100,000 households the H{h:05d} ids no longer sort as numbers, so the drawn
+        # population leaves ingest's (household id, start date) order and must be put back in it
+        demo.build_demo_workspace(tmp_path / "want", households=12, days=6, seed=1)
+        make = demo.make_population
+        drawn = []
+
+        def reversed_first(*args, **kwargs):
+            # the split population comes back in reverse; the eval population as drawn
+            population = make(*args, **kwargs)
+            drawn.append(population)
+            return population.subset(range(len(population) - 1, -1, -1)) if len(drawn) == 1 else population
+
+        monkeypatch.setattr(demo, "make_population", reversed_first)
+        demo.build_demo_workspace(tmp_path / "got", households=12, days=6, seed=1)
+        assert len(drawn) == 2
+        for name in ("train", "holdout", "synthetic", "synthetic_fit", "eval", "registry"):
+            assert (tmp_path / "got" / f"{name}.csv").read_bytes() == (tmp_path / "want" / f"{name}.csv").read_bytes()
 
 
 class TestProfileSet:

@@ -11,7 +11,7 @@ import re
 import shlex
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -1034,6 +1034,20 @@ def test_subcommand_writes_its_evaluate_entry(demo_evaluation, tmp_path, command
     assert rc == 0
     section, key = entry
     assert json.loads(out.read_text()) == evaluated[section][key]
+
+
+def test_mia_poisoned_prints_the_registry_chance_level(demo_evaluation, tmp_path, capsys):
+    workspace, _ = demo_evaluation
+    full = poisoning.read_registry(workspace / "registry.csv")
+    registry = tmp_path / "registry.csv"
+    write_registry(replace(full, seen_outliers=full.seen_outliers.subset(range(10))), registry)
+    out = tmp_path / "entry.json"
+    rc = cli.main(["privacy", "mia-poisoned", "--registry", str(registry),
+                   "--synthetic", str(workspace / "synthetic.csv"), "--holdout", str(workspace / "holdout.csv"),
+                   "--seed", "1", "--report", str(out)])
+    assert rc == 0
+    assert "(0.048 = random guess)" in capsys.readouterr().out  # 10 seen of 210 registry rows
+    assert json.loads(out.read_text())["positive_fraction"] == 10 / 210
 
 
 # a fault written into one input file, and the cause its error must name
