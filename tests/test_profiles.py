@@ -738,7 +738,8 @@ class TestDemoReadings:
     def test_population_out_of_order_is_split_in_ingest_order(self, tmp_path, monkeypatch):
         # past 100,000 households the H{h:05d} ids no longer sort as numbers, so the drawn
         # population leaves ingest's (household id, start date) order and must be put back in it
-        demo.build_demo_workspace(tmp_path / "want", households=12, days=6, seed=1)
+        got, want = tmp_path / "got", tmp_path / "want"
+        demo.build_demo_workspace(want, households=12, days=6, seed=1)
         make = demo.make_population
         drawn = []
 
@@ -749,10 +750,10 @@ class TestDemoReadings:
             return population.subset(range(len(population) - 1, -1, -1)) if len(drawn) == 1 else population
 
         monkeypatch.setattr(demo, "make_population", reversed_first)
-        demo.build_demo_workspace(tmp_path / "got", households=12, days=6, seed=1)
+        demo.build_demo_workspace(got, households=12, days=6, seed=1)
         assert len(drawn) == 2
         for name in ("train", "holdout", "synthetic", "synthetic_fit", "eval", "registry"):
-            assert (tmp_path / "got" / f"{name}.csv").read_bytes() == (tmp_path / "want" / f"{name}.csv").read_bytes()
+            assert (got / f"{name}.csv").read_bytes() == (want / f"{name}.csv").read_bytes()
 
 
 class TestProfileSet:
