@@ -202,7 +202,7 @@ def _cmd_generate(args) -> int:
     if args.kind == "memorizer":
         synthetic = generators.memorizer_generate(train, args.n, config)
     else:
-        sample = gmm.sample(gmm.fit(train, config), args.n, seed=args.seed, horizon=train.horizon)
+        sample = gmm.sample(gmm.fit(train, config), args.n, seed=args.seed)
         synthetic, note = sample.profiles, f" ({sample.clamp_count} negative draws clamped to 0)"
     write_wide(synthetic, args.output)
     print(f"generated {args.n} {args.kind} profiles{note}")

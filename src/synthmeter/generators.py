@@ -64,8 +64,6 @@ def memorizer_generate(train: ProfileSet, n: int, config: MemorizerConfig) -> Pr
     if config.jitter_sigma > 0:
         values = values + rng.normal(0.0, config.jitter_sigma, size=values.shape)
         values = np.maximum(values, 0.0)
-    else:
-        values = values.copy()
     epoch = dt.date(2000, 1, 1)
     return ProfileSet(
         values=values,
@@ -78,4 +76,4 @@ def memorizer_generate(train: ProfileSet, n: int, config: MemorizerConfig) -> Pr
 def gmm_generate(train: ProfileSet, n: int, config: gmm.FitConfig) -> ProfileSet:
     """Fit a diagonal mixture on the training set, then sample n rows."""
     model = gmm.fit(train, config)
-    return gmm.sample(model, n, seed=config.seed, horizon=train.horizon).profiles
+    return gmm.sample(model, n, seed=config.seed).profiles

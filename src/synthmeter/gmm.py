@@ -274,14 +274,19 @@ class SampleResult:
     clamp_count: int
 
 
-def sample(model: GmmModel, n: int, seed: int, horizon: Horizon | None = None) -> SampleResult:
+def sample(model: GmmModel, n: int, seed: int) -> SampleResult:
     """Draw n rows: component by weight, then a diagonal Gaussian draw.
 
+    The rows' horizon is the one whose length is the model's width.
     Negative kWh values are clamped to zero and counted. The same seed
     always reproduces the same output.
     """
     if n < 1:
         raise InvalidConfig(f"n must be at least 1, got {n}")
+    try:
+        horizon = Horizon(model.n_dims)
+    except ValueError:
+        raise DimensionMismatch(f"model width {model.n_dims} matches no known horizon") from None
     rng = np.random.default_rng(seed)
     components = rng.choice(model.k, size=n, p=model.weights / model.weights.sum())
     noise = rng.standard_normal((n, model.n_dims))
@@ -296,13 +301,6 @@ def sample(model: GmmModel, n: int, seed: int, horizon: Horizon | None = None) -
     del scaled
     clamp_count = int((values < 0).sum())
     np.maximum(values, 0.0, out=values)
-    if horizon is None:
-        try:
-            horizon = Horizon(model.n_dims)
-        except ValueError:
-            raise DimensionMismatch(
-                f"model width {model.n_dims} matches no known horizon; pass one explicitly"
-            ) from None
     epoch = dt.date(2000, 1, 1)
     profiles = ProfileSet(
         values=values,

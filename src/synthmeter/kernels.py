@@ -167,10 +167,6 @@ def _as_matrix(data) -> np.ndarray:
     return arr
 
 
-def _smallest_magnitude(m: np.ndarray) -> float:
-    return float(min(np.min(m, where=m > 0.0, initial=math.inf), -np.max(m, where=m < 0.0, initial=-math.inf)))
-
-
 class _Distances:
     """Clamped squared Euclidean distances of the rows of ``a`` against the
     rows of ``b``, or of the pairs (i, j > i) of ``a`` when ``b`` is None,
@@ -193,12 +189,6 @@ class _Distances:
             b, self.b_sq = a, self.a_sq
         else:
             self.b_sq = np.einsum("ij,ij->i", b, b)
-        # scaling a block's rows of a by -2 before the product saves a pass
-        # over the block and gives -2(a.b) bit for bit, as doubling commutes
-        # with rounding in the normal range; when the smallest nonzero
-        # entries can form a subnormal product, the block is scaled instead
-        smallest = _smallest_magnitude(a)
-        self.fold = smallest * (smallest if self.pairs else _smallest_magnitude(b)) >= np.finfo(np.float64).tiny
         self.b = b
         self.schedule, start = [], 0
         while start < len(a):
@@ -207,30 +197,23 @@ class _Distances:
             self.schedule.append((start, stop))
             start = stop
         self.size = min(len(a) * len(b), max(min(_BLOCK_ROWS * len(b), _BLOCK_ENTRIES), len(b)))
-        self.block_rows = min(_BLOCK_ROWS, len(a))
 
-    def buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """A buffer that any block of the schedule fits, one for up to
-        ``_SUM_ROWS`` rows of norm sums and, when the rows of ``a`` are
-        scaled, one for a block's scaled rows (None otherwise)."""
-        scaled = np.empty((self.block_rows, self.a.shape[1])) if self.fold else None
-        return np.empty(self.size), np.empty(min(self.size, _SUM_ROWS * len(self.b))), scaled
+    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """A buffer that any block of the schedule fits, and one for up to
+        ``_SUM_ROWS`` rows of norm sums."""
+        return np.empty(self.size), np.empty(min(self.size, _SUM_ROWS * len(self.b)))
 
     def block(self, start: int, stop: int, buffers: tuple) -> np.ndarray:
         """The distances of rows [start, stop) of ``a``, written into
         ``buffers``: the 2-d block against every row of ``b``, or for pairs
         the 1-d array of (i, j > i) for those rows i. The block is valid
         until the buffers are reused, and its consumer may overwrite it."""
-        d2_buffer, sum_buffer, scaled = buffers
+        d2_buffer, sum_buffer = buffers
         first_col = start if self.pairs else 0
         rows, cols = stop - start, len(self.b) - first_col
         d2 = d2_buffer[: rows * cols].reshape(rows, cols)
-        left = self.a[start:stop]
-        if self.fold:
-            left = np.multiply(left, -2.0, out=scaled[:rows])
-        np.matmul(left, self.b[first_col:].T, out=d2)
-        if not self.fold:
-            d2 *= -2.0
+        np.matmul(self.a[start:stop], self.b[first_col:].T, out=d2)
+        d2 *= -2.0
         # the norm sums are rounded first, as in the dense expression; adding
         # the product to them or them to the product rounds alike
         step = len(sum_buffer) // cols
@@ -334,9 +317,6 @@ def nearest_neighbor_distances(query, reference) -> NearestNeighborResult:
     the plain difference formula and the first index attaining the minimum
     wins, exactly as in the naive scan.
     """
-    if isinstance(query, ProfileSet) and isinstance(reference, ProfileSet):
-        if query.horizon is not reference.horizon:
-            raise HorizonMismatch("query and reference horizons differ")
     q = _as_matrix(query)
     r = _as_matrix(reference)
     if q.size == 0 or r.size == 0:
@@ -595,10 +575,12 @@ def kl_divergence(p, q, smoothing: float = 0.0) -> float:
         raise ValueError("probabilities must be non-negative")
     p_s = p_arr + smoothing
     q_s = q_arr + smoothing
-    p_s = p_s / p_s.sum()
-    q_s = q_s / q_s.sum()
-    if abs(p_s.sum() - 1.0) > 1e-9 or abs(q_s.sum() - 1.0) > 1e-9:
+    p_total, q_total = p_s.sum(), q_s.sum()
+    # NaN fails both comparisons, so a NaN entry is caught here too
+    if not (0.0 < p_total < math.inf and 0.0 < q_total < math.inf):
         raise ValueError("inputs do not normalise to probability vectors")
+    p_s = p_s / p_total
+    q_s = q_s / q_total
     support = p_s > 0
     if np.any(support & (q_s == 0)):
         raise ZeroMass("q has zero mass on the support of p and smoothing is 0")

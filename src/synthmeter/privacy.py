@@ -37,7 +37,9 @@ def default_threshold_ratios() -> tuple[float, ...]:
 @dataclass(frozen=True)
 class ReconstructionConfig:
     threshold_ratios: tuple[float, ...] = field(default_factory=default_threshold_ratios)
-    sample_size: int | None = None  # synthetic rows sampled; None: see _sample_size
+    # synthetic rows sampled; None: all, up to 2,000 (_sample_size), so the
+    # poisoned reconstruction under-reports on larger synthetic sets
+    sample_size: int | None = None
     seed: int = 0
 
     def __post_init__(self):

@@ -319,7 +319,7 @@ def plan(manifest: dict, seed: int) -> dict[str, tuple]:
     suites: dict[str, tuple] = {}
     if "fidelity" in requested:
         _require("manifest key", manifest, FILES["fidelity"], "by fidelity")
-        config = fidelity.FidelityConfig(**requested["fidelity"], seed=seed)
+        config = _build(fidelity.FidelityConfig, requested["fidelity"], seed)
         lag, length = config.acf_max_lag, Horizon.from_name(manifest.get("horizon", "daily")).length
         check_value("acf_max_lag", lag, lag < length, f"below the horizon length {length}")
         suites["fidelity"] = (config,)

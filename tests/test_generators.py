@@ -32,6 +32,11 @@ class TestMemorizer:
         assert d_train.mean() < 0.01 * np.sqrt(48) * 1.2
         assert d_train.mean() < 0.2 * d_holdout.mean()
 
+    def test_output_shares_no_memory_with_train(self, small_population):
+        for jitter in (0.0, 0.05):
+            out = memorizer_generate(small_population, 50, MemorizerConfig(jitter_sigma=jitter, seed=3))
+            assert not np.shares_memory(out.values, small_population.values)
+
     def test_deterministic(self, small_population):
         a = memorizer_generate(small_population, 50, MemorizerConfig(0.05, seed=9))
         b = memorizer_generate(small_population, 50, MemorizerConfig(0.05, seed=9))

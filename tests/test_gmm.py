@@ -163,6 +163,15 @@ class TestSample:
         np.testing.assert_array_equal(a.profiles.values, b.profiles.values)
         assert a.clamp_count == b.clamp_count
 
+    def test_horizon_from_model_width(self):
+        # the width of the rows a mixture was fit on names the sample's horizon
+        rng = np.random.default_rng(4)
+        weekly = gmm.fit(rng.uniform(0.1, 1.0, size=(60, 336)), gmm.FitConfig(k=2, seed=0))
+        assert gmm.sample(weekly, 5, seed=1).profiles.horizon is Horizon.WEEKLY
+        narrow = gmm.fit(rng.uniform(0.1, 1.0, size=(60, 10)), gmm.FitConfig(k=2, seed=0))
+        with pytest.raises(DimensionMismatch, match="width 10 matches no known horizon"):
+            gmm.sample(narrow, 5, seed=1)
+
     def test_sample_fit_round_trip(self, blob_fixture):
         x, _, centers = blob_fixture
         model = gmm.fit(x, gmm.FitConfig(k=2, seed=3))

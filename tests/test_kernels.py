@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from synthmeter import kernels
 from synthmeter.errors import (
     DegenerateInput,
+    HorizonMismatch,
     InsufficientSamples,
     LagTooLarge,
     RankDeficient,
@@ -92,7 +93,7 @@ class TestNearestNeighbor:
     def test_horizon_mismatch(self):
         daily = profile_set(np.full((3, 48), 0.1))
         weekly = profile_set(np.full((3, 336), 0.1))
-        with pytest.raises(Exception):
+        with pytest.raises(HorizonMismatch):
             kernels.nearest_neighbor_distances(daily, weekly)
 
 
@@ -732,6 +733,22 @@ class TestKlDivergence:
     def test_zero_mass_error(self):
         with pytest.raises(ZeroMass):
             kernels.kl_divergence([1.0, 0.0], [0.0, 1.0], smoothing=0.0)
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            ([0.0, 0.0], [1.0, 1.0]),
+            ([math.nan, 1.0], [1.0, 1.0]),
+            ([math.inf, 1.0], [1.0, 1.0]),
+            ([1.0, 1.0], [0.0, 0.0]),
+            ([1.0, 1.0], [math.nan, 1.0]),
+            ([1e308, 1e308], [1.0, 1.0]),  # the total overflows
+        ],
+        ids=["zero_p", "nan_p", "inf_p", "zero_q", "nan_q", "overflowing_p"],
+    )
+    def test_rejects_totals_not_finite_and_positive(self, p, q):
+        with pytest.raises(ValueError, match="do not normalise"):
+            kernels.kl_divergence(p, q)
 
     def test_smoothing_avoids_zero_mass(self):
         value = kernels.kl_divergence([1.0, 0.0], [0.0, 1.0], smoothing=1e-6)
