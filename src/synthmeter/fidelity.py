@@ -12,7 +12,8 @@ order, and fits one mixture model on the real set for metrics 4 and 5.
 Through ``kernels.run_together``, the fit runs on a helper thread while
 metrics 1-3 run on the calling thread (whose MMD sweeps use ``kernels``'
 workers); the caller's ``np.errstate`` holds on the helper too, and the
-fit gives the bits of ``gmm.fit`` on the calling thread.
+fit gives the bits of ``gmm.fit`` on the calling thread. An error of
+metrics 1-3 is raised before the fit's (``TooFewRows`` among them).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import gmm, kernels
-from .errors import DegenerateInput, TooFewRows, check_value
+from .errors import DegenerateInput, check_value
 from .profiles import ProfileSet, require_same_horizon
 
 
@@ -177,20 +178,8 @@ def evaluate_fidelity(
         ).mmd2
         return acf_real, acf_syn, acf_mmd, stats_real, stats_syn, profile_mmd, peaks_mmd
 
-    # the fit's workspace is made here, on the calling thread, so that no
-    # array of the data's size is made on the helper; the helper calls only
-    # gmm's private functions
     fit_config = gmm.FitConfig(k=config.clusters_k, seed=config.seed)
-    try:
-        workspace = [gmm._prepare(real, fit_config)]
-    except TooFewRows:  # raised after metrics 1-3, with no helper, so that their errors come first
-        metrics_1_to_3()
-        raise
-    # the fit pops the workspace, so that it is freed when the fit ends and
-    # not held through the rest of metrics 1-3
-    metrics, model = kernels.run_together(
-        [metrics_1_to_3, lambda: gmm._restarts(workspace.pop(), fit_config)]
-    )
+    metrics, model = kernels.run_together([metrics_1_to_3, lambda: gmm._fit(real, fit_config)])
     acf_real, acf_syn, acf_mmd, stats_real, stats_syn, profile_mmd, peaks_mmd = metrics
     diffs = np.abs(stats_real - stats_syn).sum(axis=1)
     # 4. clusters: KL(real label distribution || synthetic label distribution)

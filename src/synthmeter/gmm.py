@@ -207,16 +207,15 @@ def _run_em(work: _Workspace, config: FitConfig, rng: np.random.Generator) -> Gm
     )
 
 
-def _prepare(data, config: FitConfig) -> _Workspace:
-    """Check the rows (TooFewRows) and make the workspace of one fit.
-
-    Everything of the size of the data is made here, so a caller that runs
-    ``_restarts`` on another thread makes it on its own thread.
-    """
+def _fit(data, config: FitConfig) -> GmmModel:
+    """Check the rows (TooFewRows), make the workspace of one fit and run
+    the n_init EM runs from it, in order; the first run with the highest
+    final log-likelihood wins. Everything of the size of the data is made
+    here, on the thread that runs the fit."""
     x = data.values if isinstance(data, ProfileSet) else np.asarray(data, dtype=np.float64)
     if len(x) < config.k:
         raise TooFewRows(f"{len(x)} rows for k={config.k}")
-    return _Workspace(
+    work = _Workspace(
         x=x,
         xx=x * x,
         global_var=np.maximum(x.var(axis=0), config.variance_floor),
@@ -224,11 +223,6 @@ def _prepare(data, config: FitConfig) -> _Workspace:
         resp=np.empty((len(x), config.k)),
         rows=np.empty((min(len(x), _SEED_ROWS), x.shape[1])),
     )
-
-
-def _restarts(work: _Workspace, config: FitConfig) -> GmmModel:
-    """The n_init EM runs, in order, from one workspace; the first run with
-    the highest final log-likelihood wins."""
     streams = np.random.SeedSequence(config.seed).spawn(config.n_init)
     best: GmmModel | None = None
     for stream in streams:
@@ -242,10 +236,9 @@ def _restarts(work: _Workspace, config: FitConfig) -> GmmModel:
 def fit(data, config: FitConfig) -> GmmModel:
     """Fit by EM with k-means++ seeding; best of n_init restarts wins.
 
-    The restarts share one workspace (``_prepare``) and run on the calling
-    thread.
+    The restarts share one workspace and run on the calling thread.
     """
-    return _restarts(_prepare(data, config), config)
+    return _fit(data, config)
 
 
 @dataclass

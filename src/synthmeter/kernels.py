@@ -549,9 +549,11 @@ def mmd2_rbf(x, y, bandwidth: float | str = MEDIAN_HEURISTIC) -> MmdResult:
     if a.shape[1] != b.shape[1]:
         raise HorizonMismatch(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     sigma = median_heuristic_bandwidth(a, b) if bandwidth == MEDIAN_HEURISTIC else float(bandwidth)
-    if sigma <= 0:
-        raise DegenerateInput("bandwidth must be positive")
     scale = -2.0 * sigma * sigma
+    # NaN fails both comparisons; a 2 sigma^2 that overflows or underflows
+    # would make every kernel value 1, or NaN where two rows coincide
+    if not (sigma > 0 and -math.inf < scale < 0):
+        raise DegenerateInput(f"bandwidth must be positive with a finite nonzero 2 sigma^2, got {sigma!r}")
     k_xx = (2.0 * _kernel_sum(scale, a) + len(a)) / (len(a) * len(a))
     k_yy = (2.0 * _kernel_sum(scale, b) + len(b)) / (len(b) * len(b))
     k_xy = _kernel_sum(scale, a, b) / (len(a) * len(b))

@@ -113,7 +113,7 @@ class ProfileSet:
     def subset(self, indices) -> "ProfileSet":
         idx = np.asarray(indices)
         if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
+            idx = np.arange(len(self))[idx]  # numpy raises IndexError on a mask of another length
         else:
             idx = idx.astype(np.int64, copy=False)
         return ProfileSet(

@@ -84,16 +84,8 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialise {type(obj)!r}")
-
-
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=1, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(report, indent=1, sort_keys=True) + "\n"
 
 
 def read_json(path):

@@ -224,19 +224,19 @@ def no_thread_left():
 
 @pytest.fixture
 def restarts(monkeypatch):
-    """Records the thread each ``gmm._restarts`` call ran on and whether it
+    """Records the thread each ``gmm._fit`` call ran on and whether it
     finished, and delays the fit by ``delay`` seconds."""
     record = {"threads": [], "finished": 0, "delay": 0.0}
-    original = gmm._restarts
+    original = gmm._fit
 
-    def recording(work, config):
+    def recording(data, config):
         record["threads"].append(threading.current_thread())
         time.sleep(record["delay"])
-        model = original(work, config)
+        model = original(data, config)
         record["finished"] += 1
         return model
 
-    monkeypatch.setattr(gmm, "_restarts", recording)
+    monkeypatch.setattr(gmm, "_fit", recording)
     return record
 
 
@@ -281,7 +281,8 @@ class TestMixtureOverlap:
         with pytest.raises(TooFewRows) as got:
             fidelity.evaluate_fidelity(real_set, real_set, config)
         assert str(got.value) == str(want.value) == f"{len(real_set)} rows for k={len(real_set) + 1}"
-        assert restarts["threads"] == []  # no helper started
+        # the fit raised on the helper (fit_mixture's call above ran on this thread)
+        assert restarts["threads"][-1] is not threading.main_thread()
 
     def test_metric_1_error_comes_before_too_few_rows(self, real_set):
         flat = profile_set(np.ones((20, 48)))  # no profile has ACF variance
@@ -297,9 +298,9 @@ class TestMixtureOverlap:
         assert restarts["finished"] == 1
 
     def test_fit_error_is_raised_on_the_calling_thread(self, real_set, config, monkeypatch):
-        def failing(work, config):
+        def failing(data, config):
             raise FloatingPointError("from the helper")
 
-        monkeypatch.setattr(gmm, "_restarts", failing)
+        monkeypatch.setattr(gmm, "_fit", failing)
         with pytest.raises(FloatingPointError, match="from the helper"):
             fidelity.evaluate_fidelity(real_set, real_set, config)

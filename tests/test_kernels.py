@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import itertools
 import math
+import re
 import sys
 import threading
 import time
@@ -194,6 +195,14 @@ class TestMmd:
     def test_degenerate_input(self):
         with pytest.raises(DegenerateInput):
             kernels.mmd2_rbf(np.ones((1, 3)), np.ones((5, 3)), 1.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 1e200, 1e-300])
+    def test_bandwidth_without_finite_nonzero_scale(self, sigma):
+        # 2 sigma^2 is NaN, overflows (every kernel value 1) or underflows
+        # (NaN where two rows coincide, as the repeated rows here do)
+        x = np.array([[0.0, 1.0], [0.0, 1.0], [2.0, 0.5]])
+        with pytest.raises(DegenerateInput, match=f"bandwidth .*got {re.escape(repr(sigma))}$"):
+            kernels.mmd2_rbf(x, x[::-1] + 0.25, sigma)
 
 
 def dense_median_bandwidth(x, y):
@@ -630,6 +639,39 @@ def test_threads_start_only_in_run_together():
                     fidelity_imports.add(node.module)
     assert sites == [("kernels", "run_together")]
     assert "threading" not in fidelity_imports
+
+
+# every private name that one synthmeter module takes from another, as
+# (taking module, "defining_module.name"); a new hand-off is declared here
+PRIVATE_HAND_OFFS = {
+    ("demo", "profiles._csv_prefix"),
+    ("demo", "profiles._row_texts"),
+    ("fidelity", "gmm._fit"),
+}
+
+
+def test_private_names_cross_modules_only_where_declared():
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    package = Path(kernels.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    taken = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}  # local name -> module, from `from . import module`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in modules:
+                        bound[alias.asname or alias.name] = alias.name
+                    elif node.module is not None and private(alias.name):
+                        taken.add((path.stem, f"{node.module}.{alias.name}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and private(node.attr):
+                if node.value.id in bound:
+                    taken.add((path.stem, f"{bound[node.value.id]}.{node.attr}"))
+    assert taken == PRIVATE_HAND_OFFS
 
 
 def test_block_shape_keeps_window_and_bandwidth(monkeypatch):

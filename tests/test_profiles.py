@@ -784,6 +784,14 @@ class TestProfileSet:
         with pytest.raises(ValueError):
             small_population.values[0, 0] = 99.0
 
+    @pytest.mark.parametrize("mask", [[False, True, True], [True] * 7])
+    def test_subset_rejects_mask_of_another_length(self, mask):
+        # numpy's own error: a short mask must not pick rows, a long one must
+        # not be reported as an out-of-bounds row index
+        data = profile_set(np.full((5, 48), 0.4))
+        with pytest.raises(IndexError, match=f"size of axis is 5 but .* boolean axis is {len(mask)}"):
+            data.subset(np.array(mask))
+
     def test_horizon_length_enforced(self):
         with pytest.raises(HorizonMismatch):
             ProfileSet(

@@ -1050,6 +1050,23 @@ def test_mia_poisoned_prints_the_registry_chance_level(demo_evaluation, tmp_path
     assert json.loads(out.read_text())["positive_fraction"] == 10 / 210
 
 
+def test_bandwidth_whose_square_underflows_fails_fidelity(demo_evaluation, tmp_path, capsys):
+    # 1e-300 passes the config's positive-and-finite check, but 2 sigma^2
+    # underflows to 0; every MMD must fail the section, not read NaN
+    workspace, _ = demo_evaluation
+    synthetic = tmp_path / "memorized.csv"
+    assert cli.main(["generate", "--kind", "memorizer", "--train", str(workspace / "train.csv"),
+                     "--n", "400", "--output", str(synthetic)]) == 0
+    manifest = write_manifest(tmp_path, {"train": str(workspace / "train.csv"), "synthetic": str(synthetic),
+                                         "fidelity": {"mmd_bandwidth": 1e-300, "clusters_k": 5}})
+    rc = cli.main(["evaluate", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "FAILED fidelity" in capsys.readouterr().err
+    section = json.loads((tmp_path / "out" / "report.json").read_text())["fidelity"]
+    assert section == {"status": "failed",
+                       "error": "bandwidth must be positive with a finite nonzero 2 sigma^2, got 1e-300"}
+
+
 # a fault written into one input file, and the cause its error must name
 MATRIX_FAULTS = {
     "nan": "non-finite kWh",
