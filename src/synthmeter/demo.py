@@ -7,11 +7,13 @@ to any real dataset; the point is realistic structure (non-negative,
 spiky, autocorrelated, seasonal) at a chosen scale.
 
 ``build_demo_workspace`` turns such a population into the bundled end-to-end workspace
-and its manifest; it writes ``readings.csv`` as a sample ``ingest`` input, not read back.
+and its manifest; it writes ``readings.csv`` as a sample ``ingest`` input, not read back,
+in the same pass that writes the split's two wide files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import json
@@ -23,7 +25,7 @@ import numpy as np
 from . import generators, gmm, kernels, poisoning
 from .errors import InvalidConfig, SynthmeterError
 from .profiles import Horizon, ProfileSet, SplitSpec, SUMMER_AUTUMN, WINTER_SPRING
-from .profiles import _csv_prefix, _row_texts, season_label, split_households, write_wide
+from .profiles import _csv_prefix, _row_texts, _wide_file, _wide_line, season_label, split_households, write_wide
 
 _SLOTS = np.arange(48)
 _CLOCKS = tuple(f"T{slot // 2:02d}:{slot % 2 * 30:02d}:00" for slot in range(48))
@@ -90,23 +92,58 @@ def make_population(
     )
 
 
-def write_long_csv(profiles: ProfileSet, path) -> int:
-    """Write a daily ProfileSet as the long reading format, as csv.writer would;
-    returns row count."""
-    days = profiles.horizon.length // 48
+@contextlib.contextmanager
+def _long_file(path):
+    """``path`` open for writing as a long reading file, its header written."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["household_id", "timestamp", "kwh"])
+        yield fh
+
+
+def _long_lines(days: int):
+    """The long-format lines of one profile of ``days`` days, as a function of its
+    household, first day and row from ``_row_texts``."""
     # {d} is the household and date of day d, {days + 48 d + s} the kWh text of its slot s;
     # date + clock equals naive datetime.isoformat() at whole minutes
     template = "".join(
         f"{{{d}}}{clock},{{{days + 48 * d + slot}}}\r\n"
         for d in range(days) for slot, clock in enumerate(_CLOCKS)
     ).format
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["household_id", "timestamp", "kwh"])
+
+    def lines(household: str, day: dt.date, text: str) -> str:
+        prefix = _csv_prefix(household)
+        heads = [prefix + (day + dt.timedelta(days=d)).isoformat() for d in range(days)]
+        return template(*heads, *text.split(","))
+
+    return lines
+
+
+def write_long_csv(profiles: ProfileSet, path) -> int:
+    """Write a daily ProfileSet as the long reading format, as csv.writer would;
+    returns row count."""
+    lines = _long_lines(profiles.horizon.length // 48)
+    with _long_file(path) as fh:
         for household, day, text in zip(profiles.household_ids, profiles.start_dates, _row_texts(profiles.values)):
-            prefix = _csv_prefix(household)
-            heads = [prefix + (day + dt.timedelta(days=d)).isoformat() for d in range(days)]
-            fh.write(template(*heads, *text.split(",")))
+            fh.write(lines(household, day, text))
     return len(profiles) * profiles.horizon.length
+
+
+def _write_split(population: ProfileSet, holdout_ids: set[str], target: Path) -> None:
+    """Write ``readings.csv``, ``train.csv`` and ``holdout.csv`` in one pass over the population,
+    formatting each value once: a row's long lines go to ``readings.csv``, its wide line to the
+    file of its household's side. ``split_households`` keeps the population's row order on each
+    side, so the wide files equal ``write_wide`` of the split's two sets."""
+    lines = _long_lines(population.horizon.length // 48)
+    with (
+        _long_file(target / "readings.csv") as readings,
+        _wide_file(target / "train.csv", population.horizon) as train,
+        _wide_file(target / "holdout.csv", population.horizon) as holdout,
+    ):
+        for household, day, label, text in zip(
+            population.household_ids, population.start_dates, population.labels, _row_texts(population.values)
+        ):
+            readings.write(lines(household, day, text))
+            (holdout if household in holdout_ids else train).write(_wide_line(household, day, label, text))
 
 
 def labelled_gmm_synthetic(train, seed: int = 0):
@@ -138,7 +175,8 @@ def build_demo_workspace(
     target: Path, households: int = 250, days: int = 20, seed: int = 0
 ) -> Path:
     """Materialise the bundled end-to-end demo: split -> inject -> generate -> manifest,
-    plus ``readings.csv``, a sample ``ingest`` input that is not read back. Returns the manifest path."""
+    plus ``readings.csv``, a sample ``ingest`` input in ingest order that is not read back.
+    Returns the manifest path."""
     for name, value in (("households", households), ("days", days)):
         if value < 1:
             raise InvalidConfig(f"{name} must be at least 1, got {value}")
@@ -148,32 +186,32 @@ def build_demo_workspace(
     # spread each household's days across the year so both season labels appear
     day_step = max(1, 364 // days)
     population = make_population(households, days, seed=seed, day_step=day_step)
-    write_long_csv(population, target / "readings.csv")
     if any(a > b for a, b in pairwise(zip(population.household_ids, population.start_dates))):  # ingest's order
         population = population.subset(np.lexsort((population.start_dates, population.household_ids)))
     train, holdout = split_households(population, SplitSpec(holdout_fraction=0.5, seed=seed))
-    # each profile matrix is dropped after its last reader, so the setup holds few at once
-    del population
+    _write_split(population, set(holdout.household_ids), target)
+    # each profile matrix is written as soon as it exists and dropped after its
+    # last reader, so the setup holds few at once
+    del population, holdout
     spec = poisoning.OutlierSpec(count=100, mu=6.0, sigma=1.0, seed=seed)
     registry = poisoning.make_attack_registry(spec, Horizon.DAILY)
+    poisoning.write_registry(registry, target / "registry.csv")
     poisoned = poisoning.inject(train, registry.seen_outliers, seed=seed)
 
     k = min(25, max(2, len(poisoned) // 40))
     synthetic = generators.gmm_generate(poisoned, len(poisoned), gmm.FitConfig(k=k, seed=seed))
     del poisoned
-    synthetic_fit = labelled_gmm_synthetic(train, seed=seed)
-    eval_population = make_population(
-        max(40, households // 4), days, seed=seed + 1,
-        start=dt.date(2014, 1, 2), day_step=day_step,
+    write_wide(synthetic, target / "synthetic.csv")
+    del synthetic
+    write_wide(labelled_gmm_synthetic(train, seed=seed), target / "synthetic_fit.csv")
+    del train
+    write_wide(
+        make_population(
+            max(40, households // 4), days, seed=seed + 1,
+            start=dt.date(2014, 1, 2), day_step=day_step,
+        ),
+        target / "eval.csv",
     )
-
-    written = (
-        ("train", train), ("holdout", holdout), ("synthetic", synthetic),
-        ("synthetic_fit", synthetic_fit), ("eval", eval_population),
-    )
-    for name, profiles in written:
-        write_wide(profiles, target / f"{name}.csv")
-    poisoning.write_registry(registry, target / "registry.csv")
 
     manifest = {
         "horizon": "daily",

@@ -18,7 +18,6 @@ metrics 1-3 is raised before the fit's (``TooFewRows`` among them).
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -47,8 +46,11 @@ class FidelityConfig:
         check_value("kl_smoothing", self.kl_smoothing, self.kl_smoothing >= 0, "non-negative")
         bandwidth = self.mmd_bandwidth
         number = isinstance(bandwidth, (int, float)) and not isinstance(bandwidth, bool)
-        ok = bandwidth == kernels.MEDIAN_HEURISTIC or (number and math.isfinite(bandwidth) and bandwidth > 0)
-        check_value("mmd_bandwidth", bandwidth, ok, f"{kernels.MEDIAN_HEURISTIC!r} or a positive finite number")
+        ok = bandwidth == kernels.MEDIAN_HEURISTIC or (number and kernels.usable_bandwidth(bandwidth))
+        check_value(
+            "mmd_bandwidth", bandwidth, ok,
+            f"{kernels.MEDIAN_HEURISTIC!r} or a positive number with a finite nonzero 2 sigma^2",
+        )
 
 
 @dataclass

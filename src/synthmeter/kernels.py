@@ -531,6 +531,17 @@ def _kernel_sum(scale: float, a: np.ndarray, b: np.ndarray | None = None) -> flo
     return math.fsum(totals)
 
 
+def usable_bandwidth(sigma: float) -> bool:
+    """Whether ``sigma`` is an RBF bandwidth ``mmd2_rbf`` can use: positive, with a finite
+    nonzero 2 sigma^2 (about 1.2e-162 to 9.4e153). A 2 sigma^2 that overflows or underflows
+    would make every kernel value 1, or NaN where two rows coincide."""
+    try:
+        scale = 2.0 * sigma * sigma
+    except OverflowError:  # an integer beyond the float range
+        return False
+    return sigma > 0 and 0 < scale < math.inf  # NaN fails every comparison
+
+
 def mmd2_rbf(x, y, bandwidth: float | str = MEDIAN_HEURISTIC) -> MmdResult:
     """Squared MMD between two row sets under an RBF kernel.
 
@@ -549,11 +560,9 @@ def mmd2_rbf(x, y, bandwidth: float | str = MEDIAN_HEURISTIC) -> MmdResult:
     if a.shape[1] != b.shape[1]:
         raise HorizonMismatch(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     sigma = median_heuristic_bandwidth(a, b) if bandwidth == MEDIAN_HEURISTIC else float(bandwidth)
-    scale = -2.0 * sigma * sigma
-    # NaN fails both comparisons; a 2 sigma^2 that overflows or underflows
-    # would make every kernel value 1, or NaN where two rows coincide
-    if not (sigma > 0 and -math.inf < scale < 0):
+    if not usable_bandwidth(sigma):
         raise DegenerateInput(f"bandwidth must be positive with a finite nonzero 2 sigma^2, got {sigma!r}")
+    scale = -2.0 * sigma * sigma
     k_xx = (2.0 * _kernel_sum(scale, a) + len(a)) / (len(a) * len(a))
     k_yy = (2.0 * _kernel_sum(scale, b) + len(b)) / (len(b) * len(b))
     k_xy = _kernel_sum(scale, a, b) / (len(a) * len(b))

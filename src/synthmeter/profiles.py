@@ -8,6 +8,7 @@ a plain numpy operation.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import enum
@@ -112,10 +113,11 @@ class ProfileSet:
 
     def subset(self, indices) -> "ProfileSet":
         idx = np.asarray(indices)
-        if idx.dtype == bool:
-            idx = np.arange(len(self))[idx]  # numpy raises IndexError on a mask of another length
-        else:
-            idx = idx.astype(np.int64, copy=False)
+        if idx.size == 0:
+            idx = idx.astype(np.int64)  # [] arrives as float64
+        # numpy raises IndexError on a mask of another length, a row out of range or an
+        # index array neither boolean nor integer (floats are not truncated, text not parsed)
+        idx = np.arange(len(self))[idx]
         return ProfileSet(
             values=self.values[idx],
             household_ids=tuple(self.household_ids[i] for i in idx),
@@ -307,14 +309,26 @@ def _row_texts(values: np.ndarray):
         yield from text[2:-2].replace(", ", ",").split("],[")
 
 
+@contextlib.contextmanager
+def _wide_file(path, horizon: Horizon):
+    """``path`` open for writing as a wide profile file, its header written."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["household_id", "start_date", "label", *_slot_columns(horizon.length)])
+        yield fh
+
+
+def _wide_line(household: str, day: dt.date, label: str, text: str) -> str:
+    """One profile's line of a wide file, ``text`` being its row from ``_row_texts``."""
+    return f"{_csv_prefix(household, day.isoformat(), label)}{text}\r\n"
+
+
 def write_wide(profiles: ProfileSet, path) -> None:
     """Write the canonical wide profile file all tools share, as csv.writer would."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["household_id", "start_date", "label", *_slot_columns(profiles.horizon.length)])
+    with _wide_file(path, profiles.horizon) as fh:
         for household, day, label, text in zip(
             profiles.household_ids, profiles.start_dates, profiles.labels, _row_texts(profiles.values)
         ):
-            fh.write(f"{_csv_prefix(household, day.isoformat(), label)}{text}\r\n")
+            fh.write(_wide_line(household, day, label, text))
 
 
 def _header_horizon(header, path, horizon: Horizon | None) -> Horizon:

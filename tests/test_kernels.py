@@ -646,6 +646,8 @@ def test_threads_start_only_in_run_together():
 PRIVATE_HAND_OFFS = {
     ("demo", "profiles._csv_prefix"),
     ("demo", "profiles._row_texts"),
+    ("demo", "profiles._wide_file"),
+    ("demo", "profiles._wide_line"),
     ("fidelity", "gmm._fit"),
 }
 

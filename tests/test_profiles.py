@@ -443,7 +443,7 @@ class TestIngest:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / value_bytes < 6.5, f"peak {peak / value_bytes:.2f}x the population's values"
+        assert peak / value_bytes < 4.5, f"peak {peak / value_bytes:.2f}x the population's values"
 
 
 class TestSeasonLabel:
@@ -752,8 +752,30 @@ class TestDemoReadings:
         monkeypatch.setattr(demo, "make_population", reversed_first)
         demo.build_demo_workspace(got, households=12, days=6, seed=1)
         assert len(drawn) == 2
-        for name in ("train", "holdout", "synthetic", "synthetic_fit", "eval", "registry"):
+        for name in ("readings", "train", "holdout", "synthetic", "synthetic_fit", "eval", "registry"):
             assert (got / f"{name}.csv").read_bytes() == (want / f"{name}.csv").read_bytes()
+
+    def test_setup_formats_each_profile_once(self, tmp_path, monkeypatch):
+        # readings.csv, train.csv and holdout.csv come from one formatting of the population
+        row_texts = profiles._row_texts
+        formatted = 0
+
+        def counted(values):
+            nonlocal formatted
+            for text in row_texts(values):
+                formatted += 1
+                yield text
+
+        for module in (demo, profiles):
+            monkeypatch.setattr(module, "_row_texts", counted)
+        ws = tmp_path / "ws"
+        demo.build_demo_workspace(ws, households=12, days=6, seed=1)
+        rows = {
+            name: len((ws / f"{name}.csv").read_text().splitlines()) - 1
+            for name in ("train", "holdout", "synthetic", "synthetic_fit", "eval", "registry")
+        }
+        assert rows["train"] + rows["holdout"] == 12 * 6
+        assert formatted == sum(rows.values())
 
 
 class TestProfileSet:
@@ -791,6 +813,19 @@ class TestProfileSet:
         data = profile_set(np.full((5, 48), 0.4))
         with pytest.raises(IndexError, match=f"size of axis is 5 but .* boolean axis is {len(mask)}"):
             data.subset(np.array(mask))
+
+    @pytest.mark.parametrize("indices", [[0.7, 1.9], np.array([1.0, 2.0]), np.array(["1", "2"])])
+    def test_subset_rejects_index_neither_boolean_nor_integer(self, indices):
+        # numpy's own error: floats are not truncated to rows, text is not parsed as numbers
+        data = profile_set(np.full((5, 48), 0.4))
+        with pytest.raises(IndexError, match="must be of integer .or boolean. type"):
+            data.subset(indices)
+
+    @pytest.mark.parametrize("indices", [[], (), np.array([], dtype=np.int64), range(0)])
+    def test_subset_of_no_rows_is_empty(self, indices):
+        empty = profile_set(np.full((5, 48), 0.4)).subset(indices)
+        assert len(empty) == 0 and empty.values.shape == (0, 48)
+        assert empty.household_ids == empty.start_dates == empty.labels == ()
 
     def test_horizon_length_enforced(self):
         with pytest.raises(HorizonMismatch):

@@ -488,6 +488,8 @@ class TestCli:
             {"peaks_n": 0},
             {"mmd_bandwidth": "medain"},
             {"mmd_bandwidth": -1.0},
+            {"mmd_bandwidth": 1e-300},
+            {"mmd_bandwidth": 10**400},
             {"clusters_k": "four"},
             {"kl_smoothing": -1.0},
             {"mmd_bandwith": 1.0},
@@ -495,7 +497,8 @@ class TestCli:
             {"acf_max_lag": 48},
         ],
         ids=[
-            "peaks_n_0", "bandwidth_typo", "bandwidth_negative", "clusters_k_text",
+            "peaks_n_0", "bandwidth_typo", "bandwidth_negative", "bandwidth_square_underflows",
+            "bandwidth_beyond_float", "clusters_k_text",
             "kl_smoothing_negative", "unknown_key", "clusters_k_0", "acf_max_lag_48",
         ],
     )
@@ -1050,21 +1053,20 @@ def test_mia_poisoned_prints_the_registry_chance_level(demo_evaluation, tmp_path
     assert json.loads(out.read_text())["positive_fraction"] == 10 / 210
 
 
-def test_bandwidth_whose_square_underflows_fails_fidelity(demo_evaluation, tmp_path, capsys):
-    # 1e-300 passes the config's positive-and-finite check, but 2 sigma^2
-    # underflows to 0; every MMD must fail the section, not read NaN
+def test_bandwidth_whose_square_underflows_fails_fidelity(demo_evaluation, tmp_path, capsys, no_reads):
+    # 1e-300 is positive and finite, but 2 sigma^2 underflows to 0, which would make every
+    # MMD NaN; the fidelity config rejects it before any file is read or the output made
     workspace, _ = demo_evaluation
-    synthetic = tmp_path / "memorized.csv"
-    assert cli.main(["generate", "--kind", "memorizer", "--train", str(workspace / "train.csv"),
-                     "--n", "400", "--output", str(synthetic)]) == 0
-    manifest = write_manifest(tmp_path, {"train": str(workspace / "train.csv"), "synthetic": str(synthetic),
+    manifest = write_manifest(tmp_path, {"train": str(workspace / "train.csv"),
+                                         "synthetic": str(workspace / "synthetic.csv"),
                                          "fidelity": {"mmd_bandwidth": 1e-300, "clusters_k": 5}})
     rc = cli.main(["evaluate", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out")])
-    assert rc == 1
-    assert "FAILED fidelity" in capsys.readouterr().err
-    section = json.loads((tmp_path / "out" / "report.json").read_text())["fidelity"]
-    assert section == {"status": "failed",
-                       "error": "bandwidth must be positive with a finite nonzero 2 sigma^2, got 1e-300"}
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: 'mmd_bandwidth' must be 'median' or a positive number with a finite nonzero "
+        "2 sigma^2, got 1e-300\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 # a fault written into one input file, and the cause its error must name
