@@ -17,14 +17,13 @@ import contextlib
 import csv
 import datetime as dt
 import json
-from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
 
 from . import generators, gmm, kernels, poisoning
 from .errors import InvalidConfig, SynthmeterError
-from .profiles import Horizon, ProfileSet, SplitSpec, SUMMER_AUTUMN, WINTER_SPRING
+from .profiles import LONG_HEADER, Horizon, ProfileSet, SplitSpec, SUMMER_AUTUMN, WINTER_SPRING
 from .profiles import _csv_prefix, _row_texts, _wide_file, _wide_line, season_label, split_households, write_wide
 
 _SLOTS = np.arange(48)
@@ -75,17 +74,20 @@ def make_population(
     Days are spaced ``day_step`` apart per household so a modest count of
     profiles spans both season halves. ``spread`` controls household
     diversity: 1.0 gives the full archetype range, small values an almost
-    interchangeable population.
+    interchangeable population. Household ids are padded to the width of the
+    largest household number (at least five digits), so they sort as numbers
+    and, for a positive ``day_step``, rows come out in ``ingest``'s order.
     """
     rng = np.random.default_rng(seed)
     days = [start + dt.timedelta(days=d * day_step) for d in range(days_per_household)]
     values = np.empty((n_households * len(days), 48))
+    width = max(5, len(str(n_households - 1)))
     for h in range(n_households):
         arch = _household_archetype(rng, spread=spread)
         values[h * len(days):(h + 1) * len(days)] = _household_days(arch, days, rng)
     return ProfileSet(
         values=values,
-        household_ids=tuple(f"H{h:05d}" for h in range(n_households) for _ in days),
+        household_ids=tuple(f"H{h:0{width}d}" for h in range(n_households) for _ in days),
         start_dates=tuple(days) * n_households,
         horizon=Horizon.DAILY,
         labels=tuple(season_label(day) for day in days) * n_households,
@@ -96,7 +98,7 @@ def make_population(
 def _long_file(path):
     """``path`` open for writing as a long reading file, its header written."""
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["household_id", "timestamp", "kwh"])
+        csv.writer(fh).writerow(LONG_HEADER)
         yield fh
 
 
@@ -177,17 +179,16 @@ def build_demo_workspace(
     """Materialise the bundled end-to-end demo: split -> inject -> generate -> manifest,
     plus ``readings.csv``, a sample ``ingest`` input in ingest order that is not read back.
     Returns the manifest path."""
-    for name, value in (("households", households), ("days", days)):
-        if value < 1:
-            raise InvalidConfig(f"{name} must be at least 1, got {value}")
+    # two households on each side of the half split, and days in both season halves
+    for name, value, least in (("households", households, 4), ("days", days, 2)):
+        if value < least:
+            raise InvalidConfig(f"{name} must be at least {least}, got {value}")
     target = Path(target)
     target.mkdir(parents=True, exist_ok=True)
 
     # spread each household's days across the year so both season labels appear
     day_step = max(1, 364 // days)
     population = make_population(households, days, seed=seed, day_step=day_step)
-    if any(a > b for a, b in pairwise(zip(population.household_ids, population.start_dates))):  # ingest's order
-        population = population.subset(np.lexsort((population.start_dates, population.household_ids)))
     train, holdout = split_households(population, SplitSpec(holdout_fraction=0.5, seed=seed))
     _write_split(population, set(holdout.household_ids), target)
     # each profile matrix is written as soon as it exists and dropped after its

@@ -155,33 +155,30 @@ def _sigmoid(z: np.ndarray, e: np.ndarray | None = None, out: np.ndarray | None 
     return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
-def _checked_logits(model: MlpModel, inputs) -> tuple[np.ndarray, bool]:
-    """Pre-head outputs, one row per input row, and whether ``inputs`` was
-    a single 1-d row to squeeze back."""
+def _checked_logits(model: MlpModel, inputs) -> np.ndarray:
+    """Pre-head outputs as ``forward`` and ``logits`` return them: one row per
+    input row, one value per row for one output, one row for a 1-d input."""
     x = np.asarray(inputs, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
+    single = x.ndim == 1
+    if single:
         x = x[None, :]
     if x.shape[1] != model.layer_sizes[0]:
         raise DimensionMismatch(f"expected input width {model.layer_sizes[0]}, got {x.shape[1]}")
     # passed, not kept, so the standardised rows are freed after the first layer
     _, z = _forward_pass(model.weights, model.biases, _normalise(model, x))
-    return z, squeeze
+    z = z[:, 0] if z.shape[1] == 1 else z
+    return z[0] if single else z
 
 
 def forward(model: MlpModel, inputs) -> np.ndarray:
     """Deterministic forward pass; sigmoid heads yield probabilities in (0, 1)."""
-    z, squeeze = _checked_logits(model, inputs)
-    out = _sigmoid(z) if model.head == SIGMOID else z
-    out = out[:, 0] if out.shape[1] == 1 else out
-    return out[0] if squeeze else out
+    z = _checked_logits(model, inputs)
+    return _sigmoid(z) if model.head == SIGMOID else z
 
 
 def logits(model: MlpModel, inputs) -> np.ndarray:
     """Raw pre-head outputs; useful for ranking beyond sigmoid saturation."""
-    z, squeeze = _checked_logits(model, inputs)
-    z = z[:, 0] if z.shape[1] == 1 else z
-    return z[0] if squeeze else z
+    return _checked_logits(model, inputs)
 
 
 def pinball_loss(y, y_hat, q: float) -> np.ndarray:

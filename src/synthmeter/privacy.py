@@ -26,7 +26,6 @@ from .poisoning import OutlierRegistry
 from .profiles import ProfileSet, require_same_horizon
 
 DEFAULT_DISCRIMINATOR_HIDDEN = (64, 32)
-KS_MIN_SAMPLE = 5  # fewest sampled synthetic rows the KS reconstruction test accepts
 
 
 def default_threshold_ratios() -> tuple[float, ...]:
@@ -105,8 +104,8 @@ def reconstruction_ks(
     """
     require_same_horizon(train, holdout, synthetic)
     sample_size = _sample_size(sample_size, synthetic)
-    if sample_size < KS_MIN_SAMPLE:
-        raise InsufficientSamples(f"need at least {KS_MIN_SAMPLE} sampled synthetic rows")
+    if sample_size < kernels.KS_MIN_SAMPLE:
+        raise InsufficientSamples(f"need at least {kernels.KS_MIN_SAMPLE} sampled synthetic rows")
     sample = _downsample(synthetic.values, sample_size, np.random.default_rng(seed))
     d_train = kernels.nearest_neighbor_distances(sample, train).nn_distance
     d_holdout = kernels.nearest_neighbor_distances(sample, holdout).nn_distance

@@ -41,6 +41,7 @@ _WS_MONTHS = frozenset({12, 1, 2, 3, 4, 5})
 # overflow, as its square summed over 336 slots and 1e8 rows is about 1e210. A larger
 # finite value would reach the metrics only as overflowed (infinite) distances.
 MAX_KWH = 1e100
+LONG_HEADER = ("household_id", "timestamp", "kwh")  # the header of a long reading file, which ingest reads
 
 
 class Horizon(enum.Enum):
@@ -201,9 +202,8 @@ def ingest(readings_path, horizon: Horizon) -> IngestResult:
         header = next(reader, None)
         if header is None:
             raise EmptyResult(f"{readings_path}: input file is empty")
-        expected = ["household_id", "timestamp", "kwh"]
-        if [c.strip() for c in header] != expected:
-            raise MalformedRow(1, f"expected header {','.join(expected)}", readings_path)
+        if tuple(c.strip() for c in header) != LONG_HEADER:
+            raise MalformedRow(1, f"expected header {','.join(LONG_HEADER)}", readings_path)
         for row in reader:
             line = reader.line_num  # the physical line the record ends on
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -290,6 +290,7 @@ _BLOCK_ROWS = 128
 _CHUNK_LINES = 256  # lines parsed per np.loadtxt call by read_wide
 _QUOTED = frozenset(',"\r\n')  # the characters that make csv.writer quote a field
 _LOADTXT_SPACE = "\x1c\x1d\x1e\x1f"  # taken as space around a number by np.loadtxt, not by float()
+_WIDE_FIELDS = ("household_id", "start_date", "label")  # a wide file's header fields before its slot columns
 
 
 def _csv_prefix(*fields: str) -> str:
@@ -313,7 +314,7 @@ def _row_texts(values: np.ndarray):
 def _wide_file(path, horizon: Horizon):
     """``path`` open for writing as a wide profile file, its header written."""
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["household_id", "start_date", "label", *_slot_columns(horizon.length)])
+        csv.writer(fh).writerow([*_WIDE_FIELDS, *_slot_columns(horizon.length)])
         yield fh
 
 
@@ -336,8 +337,8 @@ def _header_horizon(header, path, horizon: Horizon | None) -> Horizon:
     if header is None:
         raise EmptyResult(f"{path} is empty")
     n_slots = len(header) - 3
-    if header[:3] != ["household_id", "start_date", "label"]:
-        raise MalformedRow(1, "expected header household_id,start_date,label,hh_00,...", path)
+    if tuple(header[:3]) != _WIDE_FIELDS:
+        raise MalformedRow(1, f"expected header {','.join(_WIDE_FIELDS)},hh_00,...", path)
     if horizon is not None and n_slots != horizon.length:
         raise HorizonMismatch(
             f"{path} has {n_slots} value columns, expected {horizon.length}"
@@ -360,30 +361,22 @@ def read_horizon(path) -> Horizon:
 
 def _parse_chunk(lines: list[str], length: int):
     """(ids, dates, labels, values) of a chunk of wide-file lines, or None if a line
-    is blank, has not ``3 + length`` fields, or holds a bad date or value, or a value
-    whose magnitude is NaN or above ``MAX_KWH``.
+    holds a quote, is blank, has not ``3 + length`` fields, or holds a bad date or
+    value, or a value whose magnitude is NaN or above ``MAX_KWH``.
 
-    A line with a quote is split by csv.reader, any other at its first three commas.
-    np.loadtxt parses with CPython's correctly rounded string-to-double, so its bits are
-    float()'s; it refuses a few texts float() takes (``1_0``, non-ASCII digits).
+    Each line is split at its first three commas; a quoted field is left to
+    ``_read_records``. np.loadtxt parses with CPython's correctly rounded
+    string-to-double, so its bits are float()'s; it refuses a few texts float()
+    takes (``1_0``, non-ASCII digits).
     """
     text = "".join(lines)
-    if any(char in text for char in _LOADTXT_SPACE):
+    if any(char in text for char in '"' + _LOADTXT_SPACE):
         return None
     ids, days, labels, tails = [], [], [], []
     for line in lines:
-        if '"' in line:
-            try:
-                fields = next(csv.reader([line]))
-            except (csv.Error, StopIteration):
-                return None
-            if len(fields) != 3 + length:
-                return None
-            fields[3:] = [",".join(fields[3:])]  # a value holding , " \r or \n cannot parse
-        else:
-            fields = line.split(",", 3)
-            if len(fields) != 4 or not fields[3] or fields[3].isspace():  # loadtxt warns on chunks of blank lines
-                return None
+        fields = line.split(",", 3)
+        if len(fields) != 4 or not fields[3] or fields[3].isspace():  # loadtxt warns on chunks of blank lines
+            return None
         ids.append(fields[0])
         days.append(fields[1])
         labels.append(fields[2])
@@ -406,9 +399,9 @@ def read_wide(path, horizon: Horizon | None = None) -> ProfileSet:
     HorizonMismatch; otherwise the width must match one of the known
     horizons. Every error names ``path``.
 
-    Lines are parsed and checked in chunks. If a chunk fails, the file is read
-    again one csv record at a time, which takes what float() takes and raises
-    the error of the first bad line.
+    Lines are parsed and checked in chunks. If a chunk fails or holds a quote, the
+    file is read again one csv record at a time, which takes what float() takes
+    and raises the error of the first bad line.
     """
     with open(path, newline="") as fh:
         horizon = _header_horizon(next(csv.reader(fh), None), path, horizon)

@@ -323,7 +323,7 @@ def plan(manifest: dict, seed: int) -> dict[str, tuple]:
             reason = "by the poisoned attacks" if "registry" in FILES[attack] else f"by {attack}"
             _require("manifest key", manifest, FILES[attack], reason)
         config = _build(privacy.ReconstructionConfig, options, seed)
-        size, least = config.sample_size, privacy.KS_MIN_SAMPLE
+        size, least = config.sample_size, kernels.KS_MIN_SAMPLE
         check_value("sample_size", size, "recon" not in attacks or size is None or size >= least,
                     f"at least {least} for the recon attack")
         policy = options.get("policy")

@@ -4,8 +4,13 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from synthmeter.profiles import Horizon, ProfileSet
+
+# every @given test draws the same examples on every run (derandomize also turns off the example database)
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def profile_set(values, horizon=None, labels=None, start_dates=None):

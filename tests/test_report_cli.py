@@ -629,8 +629,10 @@ class TestCli:
         "peaks_string": "fidelity option 'peaks_n' must be an integer, got '5'",
         "epsilon_string": "generator key 'claimed_epsilon' must be a number or null, got 'one'",
         "generator_name_number": "generator key 'name' must be a string, got 5",
-        "demo_households_0": "households must be at least 1, got 0",
-        "demo_days_0": "days must be at least 1, got 0",
+        "demo_households_0": "households must be at least 4, got 0",
+        "demo_households_3": "households must be at least 4, got 3",
+        "demo_days_0": "days must be at least 2, got 0",
+        "demo_days_1": "days must be at least 2, got 1",
         "clusters_k_0": "'clusters_k' must be at least 1, got 0",
         "quantile_1": "'quantiles' must be in (0, 1), got 1.0",
         "epochs_0": "'epochs' must be at least 1, got 0",
@@ -752,7 +754,9 @@ class TestCli:
             "config_number": ["fidelity", "--real", files["train"], "--synthetic", files["synthetic"],
                               "--config", str(number), *out],
             "demo_households_0": ["demo", "--output-dir", str(tmp_path / "a.demo"), "--households", "0"],
+            "demo_households_3": ["demo", "--output-dir", str(tmp_path / "a.demo"), "--households", "3"],
             "demo_days_0": ["demo", "--output-dir", str(tmp_path / "a.demo"), "--days", "0"],
+            "demo_days_1": ["demo", "--output-dir", str(tmp_path / "a.demo"), "--days", "1"],
             "huge_recon": ["privacy", "recon", "--train", files["train"], "--holdout", files["holdout"],
                            "--synthetic", huge, *out],
             "huge_mia": ["privacy", "mia", "--train", files["train"], "--holdout", files["holdout"],
