@@ -6,14 +6,13 @@ seasonal multiplier and multiplicative noise. Nothing here is calibrated
 to any real dataset; the point is realistic structure (non-negative,
 spiky, autocorrelated, seasonal) at a chosen scale.
 
-``build_demo_workspace`` turns such a population into the bundled end-to-end workspace
-and its manifest; it writes ``readings.csv`` as a sample ``ingest`` input, not read back,
-in the same pass that writes the split's two wide files.
+``build_demo_workspace`` turns such a population into the bundled end-to-end workspace:
+a manifest and the wide files it names. ``write_long_csv`` writes any profile set as a
+long reading file, the input of ``ingest``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import datetime as dt
 import json
@@ -24,10 +23,9 @@ import numpy as np
 from . import generators, gmm, kernels, poisoning
 from .errors import InvalidConfig, SynthmeterError
 from .profiles import LONG_HEADER, Horizon, ProfileSet, SplitSpec, SUMMER_AUTUMN, WINTER_SPRING
-from .profiles import _csv_prefix, _row_texts, _wide_file, _wide_line, season_label, split_households, write_wide
+from .profiles import season_label, split_households, write_wide
 
 _SLOTS = np.arange(48)
-_CLOCKS = tuple(f"T{slot // 2:02d}:{slot % 2 * 30:02d}:00" for slot in range(48))
 
 
 def _uniform_about(rng: np.random.Generator, lo: float, hi: float, spread: float) -> float:
@@ -94,58 +92,19 @@ def make_population(
     )
 
 
-@contextlib.contextmanager
-def _long_file(path):
-    """``path`` open for writing as a long reading file, its header written."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(LONG_HEADER)
-        yield fh
-
-
-def _long_lines(days: int):
-    """The long-format lines of one profile of ``days`` days, as a function of its
-    household, first day and row from ``_row_texts``."""
-    # {d} is the household and date of day d, {days + 48 d + s} the kWh text of its slot s;
-    # date + clock equals naive datetime.isoformat() at whole minutes
-    template = "".join(
-        f"{{{d}}}{clock},{{{days + 48 * d + slot}}}\r\n"
-        for d in range(days) for slot, clock in enumerate(_CLOCKS)
-    ).format
-
-    def lines(household: str, day: dt.date, text: str) -> str:
-        prefix = _csv_prefix(household)
-        heads = [prefix + (day + dt.timedelta(days=d)).isoformat() for d in range(days)]
-        return template(*heads, *text.split(","))
-
-    return lines
-
-
 def write_long_csv(profiles: ProfileSet, path) -> int:
-    """Write a daily ProfileSet as the long reading format, as csv.writer would;
-    returns row count."""
-    lines = _long_lines(profiles.horizon.length // 48)
-    with _long_file(path) as fh:
-        for household, day, text in zip(profiles.household_ids, profiles.start_dates, _row_texts(profiles.values)):
-            fh.write(lines(household, day, text))
+    """Write a ProfileSet as the long reading format ``ingest`` reads, one csv row per
+    reading, for example a sample input from a ``make_population`` draw; returns the
+    row count."""
+    steps = [dt.timedelta(minutes=30 * slot) for slot in range(profiles.horizon.length)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LONG_HEADER)
+        for household, day, row in zip(profiles.household_ids, profiles.start_dates, profiles.values):
+            midnight = dt.datetime.combine(day, dt.time())
+            for step, kwh in zip(steps, row.tolist()):
+                writer.writerow((household, (midnight + step).isoformat(), kwh))
     return len(profiles) * profiles.horizon.length
-
-
-def _write_split(population: ProfileSet, holdout_ids: set[str], target: Path) -> None:
-    """Write ``readings.csv``, ``train.csv`` and ``holdout.csv`` in one pass over the population,
-    formatting each value once: a row's long lines go to ``readings.csv``, its wide line to the
-    file of its household's side. ``split_households`` keeps the population's row order on each
-    side, so the wide files equal ``write_wide`` of the split's two sets."""
-    lines = _long_lines(population.horizon.length // 48)
-    with (
-        _long_file(target / "readings.csv") as readings,
-        _wide_file(target / "train.csv", population.horizon) as train,
-        _wide_file(target / "holdout.csv", population.horizon) as holdout,
-    ):
-        for household, day, label, text in zip(
-            population.household_ids, population.start_dates, population.labels, _row_texts(population.values)
-        ):
-            readings.write(lines(household, day, text))
-            (holdout if household in holdout_ids else train).write(_wide_line(household, day, label, text))
 
 
 def labelled_gmm_synthetic(train, seed: int = 0):
@@ -176,9 +135,9 @@ def labelled_gmm_synthetic(train, seed: int = 0):
 def build_demo_workspace(
     target: Path, households: int = 250, days: int = 20, seed: int = 0
 ) -> Path:
-    """Materialise the bundled end-to-end demo: split -> inject -> generate -> manifest,
-    plus ``readings.csv``, a sample ``ingest`` input in ingest order that is not read back.
-    Returns the manifest path."""
+    """Materialise the bundled end-to-end demo: split -> inject -> generate -> manifest.
+    The workspace holds the manifest and the files it names, nothing else. Returns the
+    manifest path."""
     # two households on each side of the half split, and days in both season halves
     for name, value, least in (("households", households, 4), ("days", days, 2)):
         if value < least:
@@ -190,10 +149,12 @@ def build_demo_workspace(
     day_step = max(1, 364 // days)
     population = make_population(households, days, seed=seed, day_step=day_step)
     train, holdout = split_households(population, SplitSpec(holdout_fraction=0.5, seed=seed))
-    _write_split(population, set(holdout.household_ids), target)
     # each profile matrix is written as soon as it exists and dropped after its
     # last reader, so the setup holds few at once
-    del population, holdout
+    del population
+    write_wide(train, target / "train.csv")
+    write_wide(holdout, target / "holdout.csv")
+    del holdout
     spec = poisoning.OutlierSpec(count=100, mu=6.0, sigma=1.0, seed=seed)
     registry = poisoning.make_attack_registry(spec, Horizon.DAILY)
     poisoning.write_registry(registry, target / "registry.csv")

@@ -10,8 +10,9 @@
   holdout, precision at threshold 0.5 on a balanced train/holdout
   attack set; 0.5 is a random guess.
 * Outlier-poisoned membership inference: the same discriminator scored
-  on the 300-row registry, top third by score predicted positive, so
-  precision equals recall.
+  on the registry, its top scores, as many as the registry has seen
+  rows, predicted positive, so precision equals recall; chance is the
+  seen fraction.
 """
 
 from __future__ import annotations

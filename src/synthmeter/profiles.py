@@ -8,7 +8,6 @@ a plain numpy operation.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import datetime as dt
 import enum
@@ -285,7 +284,7 @@ def _slot_columns(length: int) -> list[str]:
     return [f"hh_{i:02d}" for i in range(length)]
 
 
-# Rows formatted per repr() call by the writers; 512 was no faster and held four times the transient strings
+# Rows formatted per repr() call by write_wide; 512 was no faster and held four times the transient strings
 _BLOCK_ROWS = 128
 _CHUNK_LINES = 256  # lines parsed per np.loadtxt call by read_wide
 _QUOTED = frozenset(',"\r\n')  # the characters that make csv.writer quote a field
@@ -310,26 +309,14 @@ def _row_texts(values: np.ndarray):
         yield from text[2:-2].replace(", ", ",").split("],[")
 
 
-@contextlib.contextmanager
-def _wide_file(path, horizon: Horizon):
-    """``path`` open for writing as a wide profile file, its header written."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow([*_WIDE_FIELDS, *_slot_columns(horizon.length)])
-        yield fh
-
-
-def _wide_line(household: str, day: dt.date, label: str, text: str) -> str:
-    """One profile's line of a wide file, ``text`` being its row from ``_row_texts``."""
-    return f"{_csv_prefix(household, day.isoformat(), label)}{text}\r\n"
-
-
 def write_wide(profiles: ProfileSet, path) -> None:
     """Write the canonical wide profile file all tools share, as csv.writer would."""
-    with _wide_file(path, profiles.horizon) as fh:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow([*_WIDE_FIELDS, *_slot_columns(profiles.horizon.length)])
         for household, day, label, text in zip(
             profiles.household_ids, profiles.start_dates, profiles.labels, _row_texts(profiles.values)
         ):
-            fh.write(_wide_line(household, day, label, text))
+            fh.write(f"{_csv_prefix(household, day.isoformat(), label)}{text}\r\n")
 
 
 def _header_horizon(header, path, horizon: Horizon | None) -> Horizon:

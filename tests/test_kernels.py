@@ -643,13 +643,7 @@ def test_threads_start_only_in_run_together():
 
 # every private name that one synthmeter module takes from another, as
 # (taking module, "defining_module.name"); a new hand-off is declared here
-PRIVATE_HAND_OFFS = {
-    ("demo", "profiles._csv_prefix"),
-    ("demo", "profiles._row_texts"),
-    ("demo", "profiles._wide_file"),
-    ("demo", "profiles._wide_line"),
-    ("fidelity", "gmm._fit"),
-}
+PRIVATE_HAND_OFFS = {("fidelity", "gmm._fit")}
 
 
 def test_private_names_cross_modules_only_where_declared():

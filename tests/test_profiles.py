@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime as dt
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthmeter import demo, profiles
+from synthmeter import demo, profiles, report
 from synthmeter.errors import (
     EmptyResult,
     HorizonMismatch,
@@ -433,8 +434,8 @@ class TestIngest:
         assert peak / 2000 < 1300, f"{peak / 2000:.0f} bytes per period"
 
     def test_demo_setup_holds_each_matrix_once(self, tmp_path):
-        # build_demo_workspace splits the population it drew (readings.csv is not read back)
-        # and drops each profile matrix after its last reader
+        # build_demo_workspace splits the population it drew and drops each profile
+        # matrix after its last reader
         households, days = 100, 20
         value_bytes = households * days * 48 * 8
         tracemalloc.start()
@@ -714,14 +715,16 @@ class TestDemoPopulation:
 
 
 class TestDemoReadings:
-    """build_demo_workspace splits the population it drew and does not read
-    readings.csv back; ingesting that file must give the same rows."""
+    """build_demo_workspace splits the population it drew; the long reading file of
+    that population must ingest to the same rows as its train and holdout files."""
 
     @pytest.mark.parametrize("households,days", [(12, 6), (40, 20)])
     def test_readings_ingest_to_train_and_holdout(self, tmp_path, households, days):
         ws = tmp_path / "ws"
         demo.build_demo_workspace(ws, households=households, days=days, seed=1)
-        got = ingest(ws / "readings.csv", Horizon.DAILY)
+        population = demo.make_population(households, days, seed=1, day_step=max(1, 364 // days))
+        demo.write_long_csv(population, tmp_path / "readings.csv")
+        got = ingest(tmp_path / "readings.csv", Horizon.DAILY)
         assert got.dropped_periods == 0
         assert len(got.profiles) == households * days
         assert got.rows_read == 48 * len(got.profiles)
@@ -734,6 +737,14 @@ class TestDemoReadings:
         assert got.profiles.household_ids == tuple(ids[i] for i in order)
         assert got.profiles.start_dates == tuple(dates[i] for i in order)
         assert got.profiles.labels == tuple((train.labels + holdout.labels)[i] for i in order)
+
+    def test_workspace_holds_only_the_files_its_manifest_names(self, tmp_path):
+        ws = tmp_path / "ws"
+        demo.build_demo_workspace(ws, households=12, days=6, seed=1)
+        manifest = json.loads((ws / "manifest.json").read_text())
+        named = {manifest[key] for key in ("train", "holdout", "synthetic", "registry")}
+        named |= {manifest["utility"][key] for key in report.UTILITY_FILES}
+        assert sorted(path.name for path in ws.iterdir()) == sorted({"manifest.json", *named})
 
     @pytest.mark.parametrize("households", [99_999, 100_000, 100_001])
     def test_population_comes_out_in_ingest_order(self, monkeypatch, households):
@@ -750,7 +761,7 @@ class TestDemoReadings:
         assert population.household_ids[0] == ("H00000" if households <= 100_000 else "H000000")
 
     def test_setup_formats_each_profile_once(self, tmp_path, monkeypatch):
-        # readings.csv, train.csv and holdout.csv come from one formatting of the population
+        # each wide file formats each of its profiles once
         row_texts = profiles._row_texts
         formatted = 0
 
@@ -760,8 +771,7 @@ class TestDemoReadings:
                 formatted += 1
                 yield text
 
-        for module in (demo, profiles):
-            monkeypatch.setattr(module, "_row_texts", counted)
+        monkeypatch.setattr(profiles, "_row_texts", counted)
         ws = tmp_path / "ws"
         demo.build_demo_workspace(ws, households=12, days=6, seed=1)
         rows = {

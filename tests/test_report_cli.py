@@ -1080,9 +1080,12 @@ MATRIX_FAULTS = {
     "-inf": "non-finite kWh",
     "no_rows": "contains no profiles",
     "one_row": r"at least \d+ \w+|is empty",
+    "above_max_kwh": "kWh magnitude above",
 }
+# the cell text of a fault that is not its own name: the next double above MAX_KWH (1e100)
+CELL_TEXT = {"above_max_kwh": "1.0000000000000002e+100"}
 MATRIX_FILES = ("train", "holdout", "synthetic", "registry", "synthetic_fit", "eval")
-FILE_FAULTS = ("nan", "inf", "-inf", "no_rows")
+FILE_FAULTS = ("nan", "inf", "-inf", "no_rows", "above_max_kwh")
 
 
 def _finite(value) -> bool:
@@ -1097,10 +1100,11 @@ def _finite(value) -> bool:
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(MATRIX_FILES), fault=st.sampled_from(list(MATRIX_FAULTS)), data=st.data())
 def test_bad_matrix_fails_loudly_or_fails_its_sections(demo_evaluation, name, fault, data):
-    """One input file with a NaN or infinite cell, no rows or one row: either
-    ``evaluate`` exits 2 with one error line naming the cause, or every section
-    of the report is all-finite or failed with an error naming the cause, and
-    the file too where the reader rejected it."""
+    """One input file with a NaN, infinite or above-``MAX_KWH`` cell, no rows or one
+    row: either ``evaluate`` exits 2 with one error line naming the cause, or every
+    section of the report is all-finite or failed with an error naming the cause, and
+    the file too where the reader rejected it. NumPy overflow and invalid operations
+    raise throughout."""
     workspace, _ = demo_evaluation
     header, *rows = (workspace / f"{name}.csv").read_text().splitlines()
     row = data.draw(st.integers(0, len(rows) - 1), label="row")
@@ -1110,7 +1114,7 @@ def test_bad_matrix_fails_loudly_or_fails_its_sections(demo_evaluation, name, fa
         rows = [rows[row]]
     else:
         cells = rows[row].split(",")
-        cells[3 + data.draw(st.integers(0, len(cells) - 4), label="slot")] = fault
+        cells[3 + data.draw(st.integers(0, len(cells) - 4), label="slot")] = CELL_TEXT.get(fault, fault)
         rows[row] = ",".join(cells)
     run = Path(tempfile.mkdtemp(dir=workspace.parent))
     (run / f"{name}.csv").write_text("\n".join([header, *rows]) + "\n")
@@ -1126,7 +1130,12 @@ def test_bad_matrix_fails_loudly_or_fails_its_sections(demo_evaluation, name, fa
     path = write_manifest(run, manifest)
 
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    # an overflow or invalid operation on the way raises instead of passing as a silent inf or NaN
+    with (
+        contextlib.redirect_stderr(err),
+        contextlib.redirect_stdout(io.StringIO()),
+        np.errstate(over="raise", invalid="raise"),
+    ):
         rc = cli.main(["evaluate", "--manifest", str(path), "--output-dir", str(run / "out")])
     cause = re.compile(MATRIX_FAULTS[fault])
     # the reader rejects these faults, and its errors name the file
