@@ -395,27 +395,38 @@ def median_heuristic_bandwidth(x, y) -> float:
 
     Selects the value ``np.median`` returns over the distances of all pairs
     i < j, without holding them. A seeded random sample of pairs proposes a
-    window around the median; one sweep over the blocked squared distances
-    of all pairs counts those below it and keeps those inside. When the
-    exact count puts the middle rank(s) inside, the kept values are sorted
-    and the median read off. Otherwise (a misplaced or overfull window)
-    pass 1 counts every value per order-preserving bucket and pass 2 keeps
-    the bucket(s) holding the middle rank(s). The result never depends on
-    the sample. Memory is bounded by the block size plus the sample, the
-    window buffer or the middle bucket(s), not by the number of pairs.
+    window around the median that keeps no zero; one sweep over the blocked
+    squared distances of all pairs counts those below it and keeps those
+    inside. When the exact count puts the middle rank(s) inside, or among
+    the zeros below it, the median is read off the sorted kept values (a
+    zero median reads 1.0). Otherwise (a misplaced or overfull window)
+    pass 1 counts every value per order-preserving bucket, and the zeros,
+    and pass 2 (unless both middle ranks are zeros) keeps the nonzero values
+    of the bucket(s) holding them. The result never depends on the sample.
+    Memory is bounded by the block size plus the sample, the window buffer
+    or those kept values (on ties at a nonzero median, a share of the pairs).
     """
     pooled = np.vstack([_as_matrix(x), _as_matrix(y)])
     n_pairs = len(pooled) * (len(pooled) - 1) // 2
     if n_pairs == 0:
         return 1.0
     lo_rank, hi_rank = (n_pairs - 1) // 2, n_pairs // 2
-    kept = _keep_window(pooled, *_sample_window(pooled, n_pairs))
-    if kept is None or not (kept[0] <= lo_rank and hi_rank < kept[0] + len(kept[1])):
-        kept = _keep_window(pooled, *_bucket_window(pooled, lo_rank, hi_rank))
+    window = _sample_window(pooled, n_pairs)
+    kept = _keep_window(pooled, *window)
+    # below a window that starts at bit 0 or 1 lie only zeros
+    if kept is None or not ((window[0] <= 1 or kept[0] <= lo_rank) and hi_rank < kept[0] + len(kept[1])):
+        window = _bucket_window(pooled, lo_rank, hi_rank)
+        if window is None:  # both middle values are zero
+            return 1.0
+        kept = _keep_window(pooled, *window)
     below, middle = kept
+    if hi_rank < below:  # zeros below the window hold both middle ranks
+        return 1.0
     middle.sort()
-    # the median of the one or two middle values, computed as np.median does
-    median = float(np.median(np.sqrt(middle[lo_rank - below : hi_rank - below + 1])))
+    # the median of the one or two middle values, computed as np.median does;
+    # a lower one below the window is a zero the window left out
+    values = middle[max(lo_rank - below, 0) : hi_rank - below + 1]
+    median = float(np.median(np.sqrt(np.r_[0.0, values] if lo_rank < below else values)))
     return median if median > 0.0 else 1.0
 
 
@@ -453,26 +464,32 @@ def _sample_window(pooled: np.ndarray, n_pairs: int) -> tuple[int, int, int]:
     bits = _sample_distances(pooled, m).view(np.int64)
     lo, hi = int((0.5 - h) * (m - 1)), math.ceil((0.5 + h) * (m - 1))
     bits.partition([lo, hi])
-    return int(bits[lo]), int(bits[hi]), capacity
+    start = max(int(bits[lo]), 1)  # zeros are counted below the window, not kept
+    return start, max(int(bits[hi]), start), capacity
 
 
-def _bucket_window(pooled: np.ndarray, lo_rank: int, hi_rank: int) -> tuple[int, int, int]:
+def _bucket_window(pooled: np.ndarray, lo_rank: int, hi_rank: int) -> tuple[int, int, int] | None:
     """The bits [lo, hi) of the bucket(s) holding ranks lo_rank and hi_rank,
-    and the exact number of values in them (one sweep)."""
-    counts = np.zeros(_N_BUCKETS, dtype=np.int64)
+    less the zeros, and the exact number of values in them (one sweep); None
+    when both ranks fall among the zeros, which count in a bucket of their own."""
+    counts = np.zeros(_N_BUCKETS + 1, dtype=np.int64)
     lock = threading.Lock()
 
     def count(d2: np.ndarray) -> None:
         bits = d2.view(np.int64)
-        block = np.bincount(np.right_shift(bits, _BUCKET_SHIFT, out=bits), minlength=_N_BUCKETS)
+        nonzero = bits != 0
+        np.right_shift(bits, _BUCKET_SHIFT, out=bits)
+        block = np.bincount(np.add(bits, nonzero, out=bits), minlength=_N_BUCKETS + 1)
         with lock:
             np.add(counts, block, out=counts)
 
     _sweep(count, pooled)
-    cumulative = np.cumsum(counts)
-    lo_bucket, hi_bucket = np.searchsorted(cumulative, [lo_rank, hi_rank], side="right")
-    kept = int(counts[lo_bucket : hi_bucket + 1].sum())
-    return int(lo_bucket) << _BUCKET_SHIFT, (int(hi_bucket) + 1) << _BUCKET_SHIFT, kept
+    lo_bucket, hi_bucket = np.searchsorted(np.cumsum(counts), [lo_rank, hi_rank], side="right")
+    if hi_bucket == 0:
+        return None
+    first = max(int(lo_bucket), 1)
+    kept = int(counts[first : hi_bucket + 1].sum())
+    return max((first - 1) << _BUCKET_SHIFT, 1), int(hi_bucket) << _BUCKET_SHIFT, kept
 
 
 class _WindowFull(Exception):

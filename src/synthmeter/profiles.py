@@ -349,7 +349,8 @@ def read_horizon(path) -> Horizon:
 def _parse_chunk(lines: list[str], length: int):
     """(ids, dates, labels, values) of a chunk of wide-file lines, or None if a line
     holds a quote, is blank, has not ``3 + length`` fields, or holds a bad date or
-    value, or a value whose magnitude is NaN or above ``MAX_KWH``.
+    value, or a value whose magnitude is NaN or above ``MAX_KWH``. Repeated id, date
+    and label texts of the chunk share one object each (a household repeats per period).
 
     Each line is split at its first three commas; a quoted field is left to
     ``_read_records``. np.loadtxt parses with CPython's correctly rounded
@@ -360,16 +361,18 @@ def _parse_chunk(lines: list[str], length: int):
     if any(char in text for char in '"' + _LOADTXT_SPACE):
         return None
     ids, days, labels, tails = [], [], [], []
+    cells: dict[str, str] = {}
     for line in lines:
         fields = line.split(",", 3)
         if len(fields) != 4 or not fields[3] or fields[3].isspace():  # loadtxt warns on chunks of blank lines
             return None
-        ids.append(fields[0])
+        ids.append(cells.setdefault(fields[0], fields[0]))
         days.append(fields[1])
-        labels.append(fields[2])
+        labels.append(cells.setdefault(fields[2], fields[2]))
         tails.append(fields[3])
     try:
-        dates = list(map(dt.date.fromisoformat, days))
+        date_of = {day: dt.date.fromisoformat(day) for day in set(days)}
+        dates = [date_of[day] for day in days]
         values = np.loadtxt(tails, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None

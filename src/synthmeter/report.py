@@ -114,7 +114,8 @@ class EvaluationOutcome:
 
 def fidelity_section(config: fidelity.FidelityConfig, read):
     """Run the fidelity metrics on the files ``read`` gives (see ``reader``); returns
-    the section and its side tables (per-slot statistics and PCA coordinates)."""
+    the section and its side tables (per-slot statistics and PCA coordinates), each a
+    (header, rows) pair, or for a PCA that failed its error."""
     train, synthetic = map(read, FILES["fidelity"])
     result = fidelity.evaluate_fidelity(train, synthetic, config)
 
@@ -125,15 +126,16 @@ def fidelity_section(config: fidelity.FidelityConfig, read):
     columns = np.stack(result.slot_statistics, axis=1).reshape(-1, train.horizon.length)
     rows = [[slot, *values] for slot, values in enumerate(columns.T)]
 
-    projection = kernels.pca_project(train, [train, synthetic])
-    pca_rows = []
-    for name, coords in zip(("real", "synthetic"), projection.projections):
-        pca_rows.extend([name, xy[0], xy[1]] for xy in coords)
-    tables = {
-        "per_slot_statistics.csv": (header, rows),
-        "pca_coordinates.csv": (["set", "x", "y"], pca_rows),
-    }
-    return result.as_dict(), tables
+    try:
+        projection = kernels.pca_project(train, [train, synthetic])
+    except SynthmeterError as exc:  # a rank-deficient projection costs only its own table
+        pca = exc
+    else:
+        pca_rows = []
+        for name, coords in zip(("real", "synthetic"), projection.projections):
+            pca_rows.extend([name, xy[0], xy[1]] for xy in coords)
+        pca = (["set", "x", "y"], pca_rows)
+    return result.as_dict(), {"per_slot_statistics.csv": (header, rows), "pca_coordinates.csv": pca}
 
 
 PRIVACY_ATTACKS = ("recon", "recon_poisoned", "mia", "mia_poisoned")
@@ -343,22 +345,28 @@ def plan(manifest: dict, seed: int) -> dict[str, tuple]:
 
 
 def reader(manifest: dict, base: Path):
-    """``(read, digests)``: ``read(key)`` gives what a manifest file key names, at its horizon;
-    each profile file is read and hashed into ``digests`` once, the registry per call, unhashed."""
+    """``(read, digests, keep)``: ``read(key)`` gives what a manifest file key names, at its
+    horizon; each profile file is read and hashed into ``digests`` once, the registry per call,
+    unhashed. ``keep(*keys)`` forgets every read file that no key of the ``keys`` lists names."""
     horizon = Horizon.from_name(manifest.get("horizon", "daily"))
     loaded, digests = {}, {}
 
+    def path(key: str) -> Path:
+        return base / (manifest["utility"][key] if key in UTILITY_FILES else manifest[key])
+
     def read(key: str):
         if key == "registry":
-            return read_registry(base / manifest[key], horizon=horizon)
-        utility_file = key in UTILITY_FILES
-        path = base / (manifest["utility"][key] if utility_file else manifest[key])
-        if path not in loaded:
-            loaded[path] = (read_wide(path, horizon=horizon), file_digest(path))
-        profiles, digests[f"utility_{key}" if utility_file else key] = loaded[path]
+            return read_registry(path(key), horizon=horizon)
+        if path(key) not in loaded:
+            loaded[path(key)] = (read_wide(path(key), horizon=horizon), file_digest(path(key)))
+        profiles, digests[f"utility_{key}" if key in UTILITY_FILES else key] = loaded[path(key)]
         return profiles
 
-    return read, digests
+    def keep(*keys) -> None:
+        for forgotten in loaded.keys() - {path(key) for part in keys for key in part}:
+            del loaded[forgotten]
+
+    return read, digests, keep
 
 
 @kernels.one_blas_thread
@@ -375,7 +383,7 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
         seed = manifest.get("seed", 0)
     suites = plan(manifest, seed)
     base = manifest_path.parent
-    read, digests = reader(manifest, base)
+    read, digests, keep = reader(manifest, base)
     output_dir = Path(output_dir) if output_dir else base / "evaluation"
     generator = manifest.get("generator")
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -390,6 +398,10 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
                 read(key)
     if manifest.get("registry"):
         digests["registry"] = file_digest(base / manifest["registry"])
+    # the file keys each planned suite reads: after the shared reads and each suite, forget the rest
+    reads = {name: [key for part in (planned[0] if name == "privacy" else [name]) for key in FILES[part]]
+             for name, planned in suites.items()}
+    keep(*reads.values())
 
     report: dict = {
         "toolkit_version": __version__,
@@ -404,14 +416,20 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
         if name not in suites:
             report[name] = dict(NOT_RUN)
             continue
+        del reads[name]
         try:
             report[name], tables = SECTIONS[name](*suites[name], read)
-            for filename, (header, rows) in tables.items():
-                write_table(output_dir / filename, header, rows)
+            for filename, table in tables.items():
+                if isinstance(table, Exception):  # a failed side table: the section keeps its results
+                    failures.append(f"{name} {filename}: {table}")
+                    report[name].setdefault("failed_side_files", {})[filename] = str(table)
+                    continue
+                write_table(output_dir / filename, *table)
                 side_files.append(output_dir / filename)
         except Exception as exc:  # noqa: BLE001 - suite failures become report entries
             failures.append(f"{name}: {exc}")
             report[name] = {"status": "failed", "error": str(exc)}
+        keep(*reads.values())
 
     report_path = output_dir / "report.json"
     with open(report_path, "w") as fh:

@@ -412,6 +412,58 @@ class TestMedianSelection:
         assert kernels.median_heuristic_bandwidth(x, y) == dense_median_bandwidth(x, y) == 2.0
         assert len(fallbacks) == 1
 
+    @pytest.mark.parametrize("forced", [False, True], ids=["sampled", "bucket"])
+    @pytest.mark.parametrize("n, n_zero", [(4, 3), (21, 15), (120, 85), (2000, 1414)])
+    def test_zero_lower_middle_rank(self, n, n_zero, forced, fallbacks, monkeypatch):
+        # C(n_zero, 2) all-zero pairs: half the pairs for the first three pools, so
+        # the lower middle value is a zero and the upper one is not; the 2,000-row
+        # pool's zeros stop just short of the middle
+        if forced:
+            monkeypatch.setattr(kernels, "_sample_window", lambda pooled, n_pairs: (0, 1, 0))
+        rng = np.random.default_rng(n)
+        pooled = dyadic_rows(rng, n) + 0.25
+        pooled[rng.permutation(n)[:n_zero]] = 0.0
+        x, y = pooled[: n // 2], pooled[n // 2 :]
+        bandwidth = kernels.median_heuristic_bandwidth(x, y)
+        assert bandwidth == dense_median_bandwidth(x, y) != 1.0
+        assert len(fallbacks) == forced
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["sampled", "bucket"])
+    def test_zero_median_keeps_nothing(self, forced, fallbacks, monkeypatch):
+        # 1,500 of 2,000 rows all zero: 56 % of the pairs are zero, so both
+        # middle ranks are; the bucket pass counts them and runs no keep sweep
+        if forced:
+            monkeypatch.setattr(kernels, "_sample_window", lambda pooled, n_pairs: (0, 1, 0))
+        keeps = []
+        keep_window = kernels._keep_window
+        monkeypatch.setattr(kernels, "_keep_window", lambda *args: keeps.append(args[1:]) or keep_window(*args))
+        rng = np.random.default_rng(15)
+        x, y = gamma_rows(rng, 1000), gamma_rows(rng, 1000)
+        x[:750] = y[:750] = 0.0
+        assert kernels.median_heuristic_bandwidth(x, y) == 1.0
+        assert len(keeps) == 1 and len(fallbacks) == forced
+        if not forced:  # the sampled window starts above zero and keeps none
+            assert keeps[0][:2] == (1, 1)
+
+
+def test_zero_median_memory_matches_a_nonzero_one():
+    # with 75 % of the days all zero the median is zero; the zeros are counted,
+    # not kept, so the peak stays that of a 50 % pool (the kept zeros took
+    # 70 MB at 2,500 rows per side, against 8 MB)
+    rows, peaks = 2500, {}
+    for share in (0.5, 0.75):
+        rng = np.random.default_rng(16)
+        x, y = gamma_rows(rng, rows), gamma_rows(rng, rows)
+        x[: int(share * rows)] = y[: int(share * rows)] = 0.0
+        tracemalloc.start()
+        try:
+            bandwidth = kernels.median_heuristic_bandwidth(x, y)
+            _, peaks[share] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (bandwidth == 1.0) == (share == 0.75)
+    assert peaks[0.75] <= 1.3 * peaks[0.5], f"{peaks[0.75] / 1e6:.1f} MB against {peaks[0.5] / 1e6:.1f} MB"
+
 
 def on_workers(monkeypatch, counts, call):
     """``call()`` once per worker count, with ``_WORKERS`` patched to it."""

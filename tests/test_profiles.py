@@ -540,6 +540,24 @@ class TestWideFormat:
         assert len(got) == 5000
         assert peak < 3.5 * got.values.nbytes, f"peak {peak / got.values.nbytes:.2f}x the values"
 
+    def test_bulk_path_shares_repeated_cells(self, tmp_path, monkeypatch):
+        # 60 households of 20 days spread over a year: 1,200 rows in five chunks,
+        # each holding a run of households, a few dozen dates and both labels
+        population = demo.make_population(60, 20, seed=3, day_step=18)
+        path = tmp_path / "wide.csv"
+        write_wide(population, path)
+        [(ids, dates, labels, values)] = profiles._read_records(path, Horizon.DAILY)
+        monkeypatch.setattr(profiles, "_read_records", None)  # the bulk path alone
+        got = read_wide(path)
+        assert got.values.tobytes() == values.tobytes()
+        assert (got.household_ids, got.start_dates, got.labels) == (tuple(ids), tuple(dates), tuple(labels))
+        assert set(got.labels) == {profiles.WINTER_SPRING, profiles.SUMMER_AUTUMN}
+        size = profiles._CHUNK_LINES
+        for start in range(0, len(got), size):
+            for cells in (got.household_ids, got.start_dates, got.labels):
+                chunk = cells[start : start + size]
+                assert len({id(cell) for cell in chunk}) == len(set(chunk))
+
     def test_header_width_checked(self, tmp_path):
         path = tmp_path / "wide.csv"
         cols = ",".join(f"hh_{i:02d}" for i in range(47))

@@ -5,12 +5,15 @@ import importlib
 import importlib.util
 import inspect
 import io
+import itertools
 import json
 import math
 import re
 import shlex
+import shutil
 import sys
 import tempfile
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -1006,6 +1009,95 @@ def demo_evaluation(tmp_path_factory):
     outcome = report.run_full_evaluation(manifest, output_dir=base / "out")
     assert outcome.ok
     return base / "ws", json.loads(outcome.report_path.read_text())
+
+
+def counted_reads(monkeypatch) -> list[str]:
+    """The name of each file ``report`` reads, one entry per ``read_wide`` call."""
+    names = []
+
+    def counting(path, *args, **kwargs):
+        names.append(Path(path).name)
+        return read_wide(path, *args, **kwargs)
+
+    monkeypatch.setattr(report, "read_wide", counting)
+    return names
+
+
+# "privacy": true and every non-empty subset of the attacks
+ATTACK_OPTIONS = [True] + [
+    dict.fromkeys(attacks, True)
+    for size in range(1, 5) for attacks in itertools.combinations(report.PRIVACY_ATTACKS, size)
+]
+
+
+@pytest.mark.parametrize("fidelity_on, utility_on", [(False, False), (True, False), (False, True), (True, True)])
+def test_each_input_read_once_while_parts_read_it(demo_evaluation, tmp_path, monkeypatch, fidelity_on, utility_on):
+    # the utility suite's fit and evaluation files are train, synthetic_fit and holdout
+    # here, so train and holdout must outlive the fidelity and privacy suites that read them
+    workspace, _ = demo_evaluation
+    manifest = json.loads((workspace / "manifest.json").read_text())
+    manifest["fidelity"] = {"clusters_k": 3} if fidelity_on else False
+    manifest["utility"] = utility_on and {"real_fit": "train.csv", "synthetic_fit": "synthetic_fit.csv",
+                                          "eval": "holdout.csv", "tasks": ["classify"], "epochs": 1,
+                                          "allow_overlap": True}
+    names = counted_reads(monkeypatch)
+    for privacy in [False, *ATTACK_OPTIONS]:
+        if not (fidelity_on or utility_on or privacy):
+            continue
+        manifest["privacy"] = privacy
+        path = write_manifest(workspace, manifest, name="lifetime.json")
+        names.clear()
+        outcome = report.run_full_evaluation(path, output_dir=tmp_path / "out")
+        assert outcome.ok, (privacy, outcome.failures)
+        # a path no requested part reads was dropped too early if it was read again
+        assert len(names) == len(set(names)), (privacy, names)
+
+
+def test_privacy_inputs_freed_before_utility(demo_evaluation, tmp_path, monkeypatch):
+    workspace, _ = demo_evaluation
+    manifest = json.loads((workspace / "manifest.json").read_text())
+    del manifest["fidelity"]
+    manifest["utility"].update(tasks=["classify"], epochs=1)
+    path = write_manifest(workspace, manifest, name="privacy_utility.json")
+    refs, alive = {}, {}
+
+    def weakly_held(path, *args, **kwargs):
+        profiles = read_wide(path, *args, **kwargs)
+        refs[Path(path).name] = weakref.ref(profiles)
+        return profiles
+
+    def utility_section(*args):
+        alive.update({name: ref() is not None for name, ref in refs.items()})
+        return section(*args)
+
+    section = report.SECTIONS["utility"]
+    monkeypatch.setattr(report, "read_wide", weakly_held)
+    monkeypatch.setitem(report.SECTIONS, "utility", utility_section)
+    outcome = report.run_full_evaluation(path, output_dir=tmp_path / "out")
+    assert outcome.ok
+    # train.csv is also the utility suite's real fit set; eval.csv is read inside it
+    assert alive == {"train.csv": True, "holdout.csv": False, "synthetic.csv": False}
+
+
+def test_failed_pca_table_keeps_the_fidelity_metrics(demo_evaluation, tmp_path, capsys):
+    # one train.csv cell at MAX_KWH (1e+100) swamps the covariance: the PCA side table
+    # fails, the five metrics stand and the run still exits 1
+    workspace, evaluated = demo_evaluation
+    run = tmp_path / "ws"
+    shutil.copytree(workspace, run)
+    header, first, *rows = (run / "train.csv").read_text().splitlines()
+    cells = first.split(",")
+    cells[3] = "1e+100"
+    (run / "train.csv").write_text("\n".join([header, ",".join(cells), *rows]) + "\n")
+    rc = cli.main(["evaluate", "--manifest", str(run / "manifest.json"), "--output-dir", str(tmp_path / "out")])
+    assert rc == 1
+    error = "covariance has fewer than 2 positive eigenvalues"
+    assert capsys.readouterr().err == f"FAILED fidelity pca_coordinates.csv: {error}\n"
+    section = json.loads((tmp_path / "out" / "report.json").read_text())["fidelity"]
+    assert section.pop("failed_side_files") == {"pca_coordinates.csv": error}
+    assert section.keys() == evaluated["fidelity"].keys() and _finite(section)
+    assert (tmp_path / "out" / "per_slot_statistics.csv").exists()
+    assert not (tmp_path / "out" / "pca_coordinates.csv").exists()
 
 
 @pytest.mark.parametrize(
