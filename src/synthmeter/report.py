@@ -347,7 +347,7 @@ def plan(manifest: dict, seed: int) -> dict[str, tuple]:
 def reader(manifest: dict, base: Path):
     """``(read, digests, keep)``: ``read(key)`` gives what a manifest file key names, at its
     horizon; each profile file is read and hashed into ``digests`` once, the registry per call,
-    unhashed. ``keep(*keys)`` forgets every read file that no key of the ``keys`` lists names."""
+    unhashed. ``keep(*key_lists)`` forgets every read file that no key in the lists names."""
     horizon = Horizon.from_name(manifest.get("horizon", "daily"))
     loaded, digests = {}, {}
 
@@ -355,15 +355,16 @@ def reader(manifest: dict, base: Path):
         return base / (manifest["utility"][key] if key in UTILITY_FILES else manifest[key])
 
     def read(key: str):
+        file = path(key)
         if key == "registry":
-            return read_registry(path(key), horizon=horizon)
-        if path(key) not in loaded:
-            loaded[path(key)] = (read_wide(path(key), horizon=horizon), file_digest(path(key)))
-        profiles, digests[f"utility_{key}" if key in UTILITY_FILES else key] = loaded[path(key)]
+            return read_registry(file, horizon=horizon)
+        if file not in loaded:
+            loaded[file] = (read_wide(file, horizon=horizon), file_digest(file))
+        profiles, digests[f"utility_{key}" if key in UTILITY_FILES else key] = loaded[file]
         return profiles
 
-    def keep(*keys) -> None:
-        for forgotten in loaded.keys() - {path(key) for part in keys for key in part}:
+    def keep(*key_lists) -> None:
+        for forgotten in loaded.keys() - {path(key) for keys in key_lists for key in keys}:
             del loaded[forgotten]
 
     return read, digests, keep
