@@ -38,6 +38,7 @@ class FidelityConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_value("quantiles", self.quantiles, len(set(self.quantiles)) == len(self.quantiles), "distinct")
         object.__setattr__(self, "quantiles", tuple(self.quantiles))  # a JSON list arrives as a list
         for key in ("acf_max_lag", "peaks_n", "clusters_k"):
             check_value(key, getattr(self, key), getattr(self, key) >= 1, "at least 1")

@@ -286,7 +286,7 @@ def _slot_columns(length: int) -> list[str]:
 
 # Rows formatted per repr() call by write_wide; 512 was no faster and held four times the transient strings
 _BLOCK_ROWS = 128
-_CHUNK_LINES = 256  # lines parsed per np.loadtxt call by read_wide
+_CHUNK_LINES = 256  # records parsed per np.loadtxt call by read_wide
 _QUOTED = frozenset(',"\r\n')  # the characters that make csv.writer quote a field
 _LOADTXT_SPACE = "\x1c\x1d\x1e\x1f"  # taken as space around a number by np.loadtxt, not by float()
 _WIDE_FIELDS = ("household_id", "start_date", "label")  # a wide file's header fields before its slot columns
@@ -346,40 +346,78 @@ def read_horizon(path) -> Horizon:
         return _header_horizon(next(csv.reader(fh), None), path, None)
 
 
-def _parse_chunk(lines: list[str], length: int):
-    """(ids, dates, labels, values) of a chunk of wide-file lines, or None if a line
-    holds a quote, is blank, has not ``3 + length`` fields, or holds a bad date or
-    value, or a value whose magnitude is NaN or above ``MAX_KWH``. Repeated id, date
-    and label texts of the chunk share one object each (a household repeats per period).
+def _start_date(text: str) -> dt.date:
+    """The date of a YYYY-MM-DD text; ValueError on the other forms Python 3.11 takes (``20130204``)."""
+    if (date := dt.date.fromisoformat(text)).isoformat() != text:
+        raise ValueError(f"{text!r} is not YYYY-MM-DD")
+    return date
 
-    Each line is split at its first three commas; a quoted field is left to
-    ``_read_records``. np.loadtxt parses with CPython's correctly rounded
-    string-to-double, so its bits are float()'s; it refuses a few texts float()
-    takes (``1_0``, non-ASCII digits).
-    """
-    text = "".join(lines)
-    if any(char in text for char in '"' + _LOADTXT_SPACE):
-        return None
-    ids, days, labels, tails = [], [], [], []
-    cells: dict[str, str] = {}
-    for line in lines:
-        fields = line.split(",", 3)
-        if len(fields) != 4 or not fields[3] or fields[3].isspace():  # loadtxt warns on chunks of blank lines
-            return None
-        ids.append(cells.setdefault(fields[0], fields[0]))
-        days.append(fields[1])
-        labels.append(cells.setdefault(fields[2], fields[2]))
-        tails.append(fields[3])
+
+def _records(fh, line: int, length: int):
+    """(the physical line it ends on, its text, its fields) of each non-blank record of ``fh`` after
+    ``line``. A line without a quote is split at its first three commas. A line with one starts a csv
+    record, whose text is its list of fields: its value fields are joined into one if there are
+    ``length`` of them, else it has no fields."""
+    for text in fh:
+        line += 1
+        if '"' not in text:
+            if not text.isspace():
+                yield line, text, text.split(",", 3)
+            continue
+        reader = csv.reader(chain([text], fh))
+        row = next(reader)
+        line += reader.line_num - 1
+        if len(row) > 1 or row and row[0].strip():
+            yield line, row, [*row[:3], ",".join(row[3:])] if len(row) == 3 + length else ()
+
+
+def _parse_chunk(records: list, length: int, path):
+    """(ids, dates, labels, values) of a chunk of ``_records``; repeated id, date and label texts
+    share one object each. np.loadtxt parses all values with CPython's correctly rounded
+    string-to-double, so its bits are float()'s. A wrong field count, a bad date, a
+    ``_LOADTXT_SPACE`` character, a text np.loadtxt refuses (float() takes ``1_0``), a NaN or a
+    magnitude above ``MAX_KWH`` sends the chunk to ``_check_records``."""
+    fields = [record[2] for record in records]
+    if any(len(f) != 4 or not f[3] or f[3].isspace() for f in fields):  # loadtxt warns on chunks of blank lines
+        return _check_records(records, length, path)
+    ids, days, labels, tails = zip(*fields)
+    cells: dict[str, str] = {}  # a household repeats per period
+    ids, labels = ([cells.setdefault(cell, cell) for cell in column] for column in (ids, labels))
+    text = "".join(tails)
     try:
-        date_of = {day: dt.date.fromisoformat(day) for day in set(days)}
-        dates = [date_of[day] for day in days]
+        date_of = {day: _start_date(day) for day in set(days)}
         values = np.loadtxt(tails, delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        return None
-    # min and max are NaN if any value is, and NaN fails both tests
-    if values.shape != (len(lines), length) or not (-MAX_KWH <= values.min() and values.max() <= MAX_KWH):
-        return None
-    return ids, dates, labels, values
+        values = None
+    # min and max are NaN if any value is, and NaN fails the test
+    if (values is None or values.shape != (len(records), length) or any(char in text for char in _LOADTXT_SPACE)
+            or not -MAX_KWH <= values.min() <= values.max() <= MAX_KWH):
+        return _check_records(records, length, path)
+    return ids, [date_of[day] for day in days], labels, values
+
+
+def _check_records(records: list, length: int, path):
+    """``_parse_chunk`` of a chunk its bulk parse refused, one record at a time in line
+    order, with float(): the first bad record raises, naming the physical line it ends on."""
+    checked = []
+    for line, row, _ in records:
+        row = row.rstrip("\r\n").split(",") if isinstance(row, str) else row
+        if len(row) != 3 + length:
+            raise MalformedRow(line, f"expected {3 + length} fields, got {len(row)}", path)
+        try:
+            date = _start_date(row[1])
+        except ValueError:
+            raise MalformedRow(line, f"bad start_date {row[1]!r}", path) from None
+        try:
+            values = np.array([float(v) for v in row[3:]])
+        except ValueError:
+            raise MalformedRow(line, "bad kWh value", path) from None
+        if not abs(values).max() <= MAX_KWH:  # NaN fails it too
+            fault = f"kWh magnitude above {MAX_KWH:g}" if np.isfinite(values).all() else "non-finite kWh value"
+            raise MalformedRow(line, fault, path)
+        checked.append((row[0], date, row[2], values))
+    ids, dates, labels, rows = zip(*checked)
+    return ids, dates, labels, np.stack(rows)
 
 
 def read_wide(path, horizon: Horizon | None = None) -> ProfileSet:
@@ -387,21 +425,14 @@ def read_wide(path, horizon: Horizon | None = None) -> ProfileSet:
 
     When ``horizon`` is given, files of the wrong width raise
     HorizonMismatch; otherwise the width must match one of the known
-    horizons. Every error names ``path``.
-
-    Lines are parsed and checked in chunks. If a chunk fails or holds a quote, the
-    file is read again one csv record at a time, which takes what float() takes
-    and raises the error of the first bad line.
+    horizons. Every error names ``path``. The file is read once; only
+    a chunk that fails the bulk parse is checked again, record by record.
     """
     with open(path, newline="") as fh:
         horizon = _header_horizon(next(csv.reader(fh), None), path, horizon)
-        chunks = []
-        while lines := list(islice(fh, _CHUNK_LINES)):
-            chunk = _parse_chunk(lines, horizon.length)
-            if chunk is None:
-                chunks = _read_records(path, horizon)
-                break
-            chunks.append(chunk)
+        records = _records(fh, 1, horizon.length)  # a header that passes holds no line break
+        batches = iter(lambda: list(islice(records, _CHUNK_LINES)), [])
+        chunks = [_parse_chunk(batch, horizon.length, path) for batch in batches]
     if not chunks:
         raise EmptyResult(f"{path} contains no profiles")
     ids, dates, labels, values = zip(*chunks)
@@ -412,38 +443,3 @@ def read_wide(path, horizon: Horizon | None = None) -> ProfileSet:
         horizon=horizon,
         labels=tuple(chain.from_iterable(labels)),
     )
-
-
-def _read_records(path, horizon: Horizon) -> list:
-    """The file as one chunk for ``read_wide``, read one csv record at a time."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        horizon = _header_horizon(next(reader, None), path, horizon)
-
-        ids: list[str] = []
-        dates: list[dt.date] = []
-        labels: list[str] = []
-        rows: list[np.ndarray] = []
-        for row in reader:
-            line = reader.line_num  # the physical line the record ends on
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3 + horizon.length:
-                raise MalformedRow(line, f"expected {3 + horizon.length} fields, got {len(row)}", path)
-            try:
-                date = dt.date.fromisoformat(row[1])
-            except ValueError:
-                raise MalformedRow(line, f"bad start_date {row[1]!r}", path) from None
-            try:
-                values = np.array([float(v) for v in row[3:]])
-            except ValueError:
-                raise MalformedRow(line, "bad kWh value", path) from None
-            if not abs(values).max() <= MAX_KWH:  # NaN fails it too
-                finite = np.isfinite(values).all()
-                fault = f"kWh magnitude above {MAX_KWH:g}" if finite else "non-finite kWh value"
-                raise MalformedRow(line, fault, path)
-            ids.append(row[0])
-            dates.append(date)
-            labels.append(row[2])
-            rows.append(values)
-    return [(ids, dates, labels, np.stack(rows))] if rows else []

@@ -216,7 +216,7 @@ OPTIONS = {
 
 def check_options(section: str, options) -> None:
     """Reject a manifest section or ``fidelity --config`` file that is no JSON object,
-    names an unknown key or task, or gives a key a value of the wrong JSON type."""
+    names an unknown key or task, repeats a task, or gives a key a value of the wrong JSON type."""
     noun, entries = OPTIONS[section]
     if not isinstance(options, dict):
         raise InvalidConfig(f"{noun}s must be given as a JSON object, got {options!r}")
@@ -226,7 +226,9 @@ def check_options(section: str, options) -> None:
         if not accepts(value):
             raise InvalidConfig(f"{noun} {key!r} must be {expected}, got {value!r}")
     if section == "utility":
-        check_known("utility task", options.get("tasks", ()), utility.TASKS)
+        tasks = options.get("tasks", ())
+        check_known("utility task", tasks, utility.TASKS)
+        check_value("tasks", tasks, len(set(tasks)) == len(tasks), "distinct")
 
 
 def privacy_section(attacks, config: privacy.ReconstructionConfig, policy, read):

@@ -113,6 +113,8 @@ def reference_read_wide(path, horizon=None):
                 raise MalformedRow(line, f"expected {3 + horizon.length} fields, got {len(row)}", path)
             try:
                 date = dt.date.fromisoformat(row[1])
+                if date.isoformat() != row[1]:  # YYYY-MM-DD only, as Python 3.10 reads it
+                    raise ValueError(row[1])
             except ValueError:
                 raise MalformedRow(line, f"bad start_date {row[1]!r}", path) from None
             try:
@@ -544,19 +546,37 @@ class TestWideFormat:
         # 60 households of 20 days spread over a year: 1,200 rows in five chunks,
         # each holding a run of households, a few dozen dates and both labels
         population = demo.make_population(60, 20, seed=3, day_step=18)
+        ids = list(population.household_ids)
+        ids[300:320] = ["H,300"] * 20  # ids csv.writer quotes, in the second and the last chunk
+        ids[-1] = 'H"59'
+        monkeypatch.setattr(profiles, "_check_records", None)  # the bulk path alone
+        for source in (population, dataclasses.replace(population, household_ids=tuple(ids))):
+            path = tmp_path / "wide.csv"
+            write_wide(source, path)
+            want = reference_read_wide(path)
+            got = read_wide(path)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert (got.household_ids, got.start_dates, got.labels) == (
+                want.household_ids, want.start_dates, want.labels
+            )
+            assert got.household_ids == source.household_ids
+            assert set(got.labels) == {profiles.WINTER_SPRING, profiles.SUMMER_AUTUMN}
+            size = profiles._CHUNK_LINES
+            for start in range(0, len(got), size):
+                for cells in (got.household_ids, got.start_dates, got.labels):
+                    chunk = cells[start : start + size]
+                    assert len({id(cell) for cell in chunk}) == len(set(chunk))
+
+    def test_quote_in_last_chunk_opens_the_file_once(self, tmp_path, monkeypatch):
+        rows = [wide_row(i) for i in range(2 * profiles._CHUNK_LINES)]
         path = tmp_path / "wide.csv"
-        write_wide(population, path)
-        [(ids, dates, labels, values)] = profiles._read_records(path, Horizon.DAILY)
-        monkeypatch.setattr(profiles, "_read_records", None)  # the bulk path alone
+        path.write_text(wide_text([*rows, '"h,q",' + ",".join(wide_row(0)[1:])]))
+        opened = []
+        monkeypatch.setattr(profiles, "open", lambda *args, **kw: opened.append(args[0]) or open(*args, **kw),
+                            raising=False)
         got = read_wide(path)
-        assert got.values.tobytes() == values.tobytes()
-        assert (got.household_ids, got.start_dates, got.labels) == (tuple(ids), tuple(dates), tuple(labels))
-        assert set(got.labels) == {profiles.WINTER_SPRING, profiles.SUMMER_AUTUMN}
-        size = profiles._CHUNK_LINES
-        for start in range(0, len(got), size):
-            for cells in (got.household_ids, got.start_dates, got.labels):
-                chunk = cells[start : start + size]
-                assert len({id(cell) for cell in chunk}) == len(set(chunk))
+        assert opened == [path]
+        assert len(got) == len(rows) + 1 and got.household_ids[-1] == "h,q"
 
     def test_header_width_checked(self, tmp_path):
         path = tmp_path / "wide.csv"
@@ -614,7 +634,7 @@ def faulty(*fault_rows):
 
 
 READ_CASES = {
-    # text, and whether it is read without the line loop
+    # text, and whether it is read without the check by record (else one chunk of two lines is)
     "lf": (wide_text([wide_row(i) for i in range(7)]), True),
     "crlf": (wide_text([wide_row(i) for i in range(7)], newline="\r\n"), True),
     "cr": (wide_text([wide_row(i) for i in range(7)], newline="\r"), True),
@@ -624,7 +644,7 @@ READ_CASES = {
         '"a,b",2013-02-04,"q""t",' + ",".join(wide_row(3)[3:]),
         'a"b,2013-02-04,"WS",' + ",".join(f'"{v}"' for v in wide_row(4)[3:]),
         *(wide_row(i) for i in range(5, 7)),
-    ]), False),
+    ]), True),
     "float_texts": (wide_text([
         *(wide_row(i) for i in range(3)),
         with_value(with_value(with_value(wide_row(3), 0, "-0.0"), 1, "5e-324"), 2, repr(0.1 + 0.2)),
@@ -632,9 +652,9 @@ READ_CASES = {
         with_value(with_value(wide_row(5), 47, repr(MAX_KWH)), 0, "\u20031.5\xa0"),
     ]), True),
     "weekly": (wide_text([wide_row(i, length=336, day="2013-02-04") for i in range(5)], length=336), True),
-    "blank_lines": (wide_text([*(wide_row(i) for i in range(4)), "", "   ", wide_row(4), ""]), False),
+    "blank_lines": (wide_text([*(wide_row(i) for i in range(4)), "", "   ", '""', wide_row(4), ""]), True),
     "quoted_newline": (
-        wide_text([*(wide_row(i) for i in range(3)), '"h\n3",2013-02-04,"W\r\nS",' + ",".join(wide_row(3)[3:])]), False
+        wide_text([*(wide_row(i) for i in range(3)), '"h\n3",2013-02-04,"W\r\nS",' + ",".join(wide_row(3)[3:])]), True
     ),
     "underscore_digits": (wide_text([*(wide_row(i) for i in range(4)), with_value(wide_row(4), 3, "1_0")]), False),
     "non_ascii_digits": (wide_text([*(wide_row(i) for i in range(4)), with_value(wide_row(4), 3, "\u0661.5")]),
@@ -648,6 +668,9 @@ READ_FAULTS = {
     "metadata_only": faulty(wide_row(9)[:3]),
     "no_values_whole_chunk": faulty([*wide_row(9)[:3], ""], [*wide_row(10)[:3], ""]),
     "bad_date": faulty(wide_row(9, day="2013-02-30")),
+    "basic_format_date": faulty(wide_row(9, day="20130204")),  # Python 3.11's fromisoformat takes these two
+    "week_date": faulty(wide_row(9, day="2013-W06-1")),
+    "bad_value_then_bad_date": faulty(with_value(wide_row(9), 7, "x"), wide_row(10, day="2013-02-30")),
     "bad_value": faulty(with_value(wide_row(9), 7, "x")),
     "empty_value": faulty(with_value(wide_row(9), 7, "")),
     "file_separator_after_value": faulty(with_value(wide_row(9), 7, "0.5\x1c")),
@@ -677,9 +700,15 @@ class TestReadWideOracle:
         path = tmp_path / "wide.csv"
         path.write_bytes(text.encode())
         want = reference_read_wide(path)
-        if bulk:  # a clean file never reaches the line loop
-            monkeypatch.setattr(profiles, "_read_records", None)
+        rechecked, check = [], profiles._check_records
+
+        def spy(chunk, *args):
+            rechecked.append(chunk)
+            return check(chunk, *args)
+
+        monkeypatch.setattr(profiles, "_check_records", spy)
         got = read_wide(path)
+        assert len(rechecked) == (0 if bulk else 1)  # a clean chunk never reaches the check by record
         assert got.values.tobytes() == want.values.tobytes()
         assert got.household_ids == want.household_ids
         assert got.start_dates == want.start_dates

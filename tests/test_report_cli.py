@@ -638,6 +638,8 @@ class TestCli:
         "demo_days_1": "days must be at least 2, got 1",
         "clusters_k_0": "'clusters_k' must be at least 1, got 0",
         "quantile_1": "'quantiles' must be in (0, 1), got 1.0",
+        "quantiles_repeated": "'quantiles' must be distinct, got [0.95, 0.5, 0.95]",
+        "tasks_repeated": "'tasks' must be distinct, got ['classify', 'classify']",
         "epochs_0": "'epochs' must be at least 1, got 0",
         "ratio_0": "'threshold_ratios' must be in (0, 1], got 0.0",
         "sample_size_0": "'sample_size' must be at least 1, got 0",
@@ -717,6 +719,8 @@ class TestCli:
             "generator_name_number": {"generator": {"name": 5}},
             "clusters_k_0": {"fidelity": {"clusters_k": 0}},
             "quantile_1": {"fidelity": {"quantiles": [1.0]}},
+            "quantiles_repeated": {"fidelity": {"quantiles": [0.95, 0.5, 0.95]}},
+            "tasks_repeated": {"utility": {**fit, "tasks": ["classify", "classify"]}},
             "epochs_0": {"utility": {**fit, "epochs": 0}},
             "ratio_0": {"privacy": {"recon_poisoned": True, "threshold_ratios": [0]}},
             "sample_size_0": {"privacy": {"recon": True, "sample_size": 0}},
