@@ -62,7 +62,7 @@ def test_deny_list_matches_only_python_3_11_names():
         "h = hashlib.sha256()",
         "now = dt.datetime.now(dt.timezone.utc)",
         "from datetime import date",
-        "def copy(self) -> Self:",  # a name of the package, not typing's
+        "from typing import Any, SelfTest",
         "import toml",
         "except ValueError:",
         "except (KeyError, IndexError):",
