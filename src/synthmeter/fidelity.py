@@ -18,7 +18,7 @@ metrics 1-3 is raised before the fit's (``TooFewRows`` among them).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,20 +76,8 @@ class FidelityReport:
     aggregated: AggregatedFidelity
     exclusion_counts: dict[str, int] = field(default_factory=dict)
     # per-slot mean and quantile rows (real, synthetic) behind the deviation
-    # sums, kept for the side table; not part of the report
+    # sums, kept for the side table; repr=False keeps them out of report.entry
     slot_statistics: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-
-    def as_dict(self) -> dict:
-        return {
-            "acf_mmd": self.acf_mmd,
-            "mean_deviation_sum": self.mean_deviation_sum,
-            "quantile_deviation_sums": {str(q): v for q, v in self.quantile_deviation_sums.items()},
-            "profile_mmd": self.profile_mmd,
-            "peaks_mmd": self.peaks_mmd,
-            "cluster_kl": self.cluster_kl,
-            "aggregated": asdict(self.aggregated),
-            "exclusion_counts": dict(self.exclusion_counts),
-        }
 
 
 def _aggregate(

@@ -15,7 +15,7 @@ the toolkit never computes privacy budgets.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,6 @@ class GeneratorMetadata:
     claimed_epsilon: float | None = None
     claimed_delta: float | None = None
     notes: str = ""
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

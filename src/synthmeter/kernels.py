@@ -53,7 +53,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -353,9 +353,6 @@ class KsResult:
     m: int
     n: int
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def ks_one_tailed(distances_to_train, distances_to_holdout) -> KsResult:
     """One-sided two-sample KS: D+ of (train-distance CDF - holdout-distance CDF).
@@ -606,9 +603,9 @@ def kl_divergence(p, q, smoothing: float = 0.0) -> float:
         raise ValueError("smoothing must be non-negative")
     if np.any(p_arr < 0) or np.any(q_arr < 0):
         raise ValueError("probabilities must be non-negative")
-    p_s = p_arr + smoothing
-    q_s = q_arr + smoothing
-    p_total, q_total = p_s.sum(), q_s.sum()
+    with np.errstate(over="ignore"):  # the check below rejects an overflowing total
+        p_s, q_s = p_arr + smoothing, q_arr + smoothing
+        p_total, q_total = p_s.sum(), q_s.sum()
     # NaN fails both comparisons, so a NaN entry is caught here too
     if not (0.0 < p_total < math.inf and 0.0 < q_total < math.inf):
         raise ValueError("inputs do not normalise to probability vectors")

@@ -17,7 +17,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,8 +43,9 @@ class ReconstructionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        ratios = tuple(sorted(set(float(r) for r in self.threshold_ratios)))
+        ratios = tuple(sorted(float(r) for r in self.threshold_ratios))
         check_value("threshold_ratios", self.threshold_ratios, len(ratios) > 0, "non-empty")
+        check_value("threshold_ratios", self.threshold_ratios, len(set(ratios)) == len(ratios), "distinct")
         for r in ratios:
             check_value("threshold_ratios", r, 0.0 < r <= 1.0, "in (0, 1]")
         size = self.sample_size
@@ -57,14 +58,6 @@ class ReconstructionResult:
     fraction_reconstructed: dict[float, float]
     per_outlier_nn_distance_ratio: np.ndarray
 
-    def as_dict(self) -> dict:
-        return {
-            "fraction_reconstructed": {repr(r): v for r, v in self.fraction_reconstructed.items()},
-            "per_outlier_nn_distance_ratio": [float(v) for v in self.per_outlier_nn_distance_ratio],
-            # always null; kept because the perfbench/reference reports carry the key
-            "ks": None,
-        }
-
 
 @dataclass
 class MiaResult:
@@ -72,9 +65,6 @@ class MiaResult:
     attack_set_size: int
     positive_fraction: float
     discriminator_train_loss_trace: list[float] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _downsample(rows: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -15,7 +15,7 @@ import datetime as dt
 import hashlib
 import json
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +35,6 @@ class PolicyVerdict:
     max_fraction: float
     fraction_at_ratio: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _grid_ratio(ratios, policy_ratio: float) -> float:
@@ -82,6 +79,22 @@ def _cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def entry(value):
+    """The JSON form of a report value. A dataclass becomes an object of its fields,
+    less those declared ``repr=False``; a dict's keys become ``str(key)`` (``str``, as
+    ``repr`` of a NumPy scalar names its type); an array becomes its ``tolist()``; a
+    list or tuple becomes a list of its encoded items. Anything else is kept as it is."""
+    if is_dataclass(value):
+        return {f.name: entry(getattr(value, f.name)) for f in fields(value) if f.repr}
+    if isinstance(value, dict):
+        return {str(key): entry(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [entry(item) for item in value]
+    return value
 
 
 def render_report(report: dict) -> str:
@@ -135,7 +148,7 @@ def fidelity_section(config: fidelity.FidelityConfig, read):
         for name, coords in zip(("real", "synthetic"), projection.projections):
             pca_rows.extend([name, xy[0], xy[1]] for xy in coords)
         pca = (["set", "x", "y"], pca_rows)
-    return result.as_dict(), {"per_slot_statistics.csv": (header, rows), "pca_coordinates.csv": pca}
+    return entry(result), {"per_slot_statistics.csv": (header, rows), "pca_coordinates.csv": pca}
 
 
 PRIVACY_ATTACKS = ("recon", "recon_poisoned", "mia", "mia_poisoned")
@@ -245,23 +258,24 @@ def privacy_section(attacks, config: privacy.ReconstructionConfig, policy, read)
 
     if "recon" in attacks:
         ks = privacy.reconstruction_ks(*inputs["recon"], sample_size=config.sample_size, seed=config.seed)
-        out["ks"] = ks.as_dict()
+        out["ks"] = entry(ks)
 
     if "recon_poisoned" in attacks:
         recon = privacy.reconstruction_poisoned(*inputs["recon_poisoned"], config)
-        out["reconstruction"] = recon.as_dict()
+        # "ks" is always null; it stays because the perfbench/reference reports carry it
+        out["reconstruction"] = {**entry(recon), "ks": None}
         fractions = recon.fraction_reconstructed
         tables["reconstruction_cdf.csv"] = (
             ["ratio", "fraction"], [(r, fractions[r]) for r in sorted(fractions)]
         )
         if policy:
-            out["policy_verdict"] = threshold_policy_check(recon, *policy).as_dict()
+            out["policy_verdict"] = entry(threshold_policy_check(recon, *policy))
 
     if "mia" in attacks:
-        out["mia_plain"] = privacy.mia_plain(*inputs["mia"], seed=config.seed).as_dict()
+        out["mia_plain"] = entry(privacy.mia_plain(*inputs["mia"], seed=config.seed))
 
     if "mia_poisoned" in attacks:
-        out["mia_poisoned"] = privacy.mia_poisoned(*inputs["mia_poisoned"], seed=config.seed).as_dict()
+        out["mia_poisoned"] = entry(privacy.mia_poisoned(*inputs["mia_poisoned"], seed=config.seed))
     return out, tables
 
 
@@ -284,7 +298,7 @@ def utility_section(tasks, config: nnet.TrainConfig, allow_overlap: bool, read):
         # the public entry, looked up on the module so a tracer wrapping it sees the call
         result = getattr(utility, f"tstr_{name}")(real_fit, synthetic_fit, real_eval, config)
         tables[f"tstr_{name}_trace.csv"] = (list(utility.TASKS[name].trace_header), result.epochs_trace)
-        results.append(result.as_dict())
+        results.append(entry(result))
     return results, tables
 
 
@@ -410,7 +424,7 @@ def run_full_evaluation(manifest_path, output_dir=None, seed: int | None = None)
         "toolkit_version": __version__,
         "timestamp": dt.datetime.now(dt.timezone.utc).isoformat(),
         "input_digests": digests,
-        "generator_metadata": GeneratorMetadata(**generator).as_dict() if generator else None,
+        "generator_metadata": entry(GeneratorMetadata(**generator)) if generator else None,
         "config_echo": manifest,
         "seeds": {"global": seed},
     }

@@ -32,15 +32,6 @@ class TstrResult:
     absolute_gap: float
     epochs_trace: list[tuple[int, float, float]] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "metric_name": self.metric_name,
-            "score_real_trained": self.score_real_trained,
-            "score_synthetic_trained": self.score_synthetic_trained,
-            "absolute_gap": self.absolute_gap,
-            "epochs_trace": [[e, a, b] for e, a, b in self.epochs_trace],
-        }
-
 
 def season_targets(profiles: ProfileSet) -> np.ndarray:
     """Binary season targets: winter/spring 1, summer/autumn 0."""

@@ -54,13 +54,13 @@ def test_evaluate_fidelity_predicts_and_summarises_each_set_once(real_set, confi
     counted(gmm, "predict")
     counted(kernels, "per_slot_statistics")
     synthetic = memorizer_generate(real_set, 300, MemorizerConfig(jitter_sigma=0.05, seed=1))
-    report = fidelity.evaluate_fidelity(real_set, synthetic, config)
+    result = fidelity.evaluate_fidelity(real_set, synthetic, config)
     assert calls == {"predict": 2, "per_slot_statistics": 2}
-    stats_real, stats_syn = report.slot_statistics
+    stats_real, stats_syn = result.slot_statistics
     quantiles = list(config.quantiles)
     np.testing.assert_array_equal(stats_real, kernels.per_slot_statistics(real_set, quantiles))
     np.testing.assert_array_equal(stats_syn, kernels.per_slot_statistics(synthetic, quantiles))
-    assert "slot_statistics" not in report.as_dict()
+    assert "slot_statistics" not in report.entry(result)
 
 
 class TestIdentity:
@@ -270,7 +270,7 @@ class TestMixtureOverlap:
         synthetic = gmm_generate(real_set, 300, gmm.FitConfig(k=8, seed=1))
         reports = [fidelity.evaluate_fidelity(real_set, synthetic, config) for _ in range(3)]
         for other in reports[1:]:
-            assert other.as_dict() == reports[0].as_dict()
+            assert report.entry(other) == report.entry(reports[0])
             for got, want in zip(other.slot_statistics, reports[0].slot_statistics):
                 np.testing.assert_array_equal(got, want)
 

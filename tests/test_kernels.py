@@ -722,6 +722,21 @@ def test_private_names_cross_modules_only_where_declared():
     assert taken == PRIVATE_HAND_OFFS
 
 
+def test_report_entries_have_one_encoder():
+    # report.entry is the one JSON form of a result: no module writes its own
+    # as_dict method or takes dataclasses.asdict
+    sites = []
+    for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "as_dict":
+                sites.append((path.stem, f"def as_dict, line {node.lineno}"))
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                sites.extend((path.stem, "imports asdict") for alias in node.names if alias.name == "asdict")
+            if isinstance(node, ast.Attribute) and node.attr == "asdict":
+                sites.append((path.stem, f"{ast.unparse(node)}, line {node.lineno}"))
+    assert sites == []
+
+
 def test_block_shape_keeps_window_and_bandwidth(monkeypatch):
     # one-row blocks, the 50-row cap, and 2M-entry blocks with no row cap
     # (the blocks the window was first sized by) over one 3,000-row pool
@@ -825,20 +840,24 @@ class TestKlDivergence:
             kernels.kl_divergence([1.0, 0.0], [0.0, 1.0], smoothing=0.0)
 
     @pytest.mark.parametrize(
-        "p, q",
+        "p, q, smoothing",
         [
-            ([0.0, 0.0], [1.0, 1.0]),
-            ([math.nan, 1.0], [1.0, 1.0]),
-            ([math.inf, 1.0], [1.0, 1.0]),
-            ([1.0, 1.0], [0.0, 0.0]),
-            ([1.0, 1.0], [math.nan, 1.0]),
-            ([1e308, 1e308], [1.0, 1.0]),  # the total overflows
+            ([0.0, 0.0], [1.0, 1.0], 0.0),
+            ([math.nan, 1.0], [1.0, 1.0], 0.0),
+            ([math.inf, 1.0], [1.0, 1.0], 0.0),
+            ([1.0, 1.0], [0.0, 0.0], 0.0),
+            ([1.0, 1.0], [math.nan, 1.0], 0.0),
+            ([1e308, 1e308], [1.0, 1.0], 0.0),  # the total overflows
+            ([1.7e308, 1.0], [1.0, 1.0], 1e308),  # an entry overflows when smoothed
         ],
-        ids=["zero_p", "nan_p", "inf_p", "zero_q", "nan_q", "overflowing_p"],
+        ids=["zero_p", "nan_p", "inf_p", "zero_q", "nan_q", "overflowing_p", "overflowing_smoothing"],
     )
-    def test_rejects_totals_not_finite_and_positive(self, p, q):
-        with pytest.raises(ValueError, match="do not normalise"):
-            kernels.kl_divergence(p, q)
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_totals_not_finite_and_positive(self, p, q, smoothing):
+        # the documented error, with no warning on the way, under a caller's raising errstate too
+        for over in ("warn", "raise"):
+            with np.errstate(over=over), pytest.raises(ValueError, match="do not normalise"):
+                kernels.kl_divergence(p, q, smoothing=smoothing)
 
     def test_smoothing_avoids_zero_mass(self):
         value = kernels.kl_divergence([1.0, 0.0], [0.0, 1.0], smoothing=1e-6)

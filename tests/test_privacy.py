@@ -145,6 +145,13 @@ class TestReconstructionPoisoned:
         )
 
 
+    def test_threshold_ratios_distinct_and_sorted(self):
+        with pytest.raises(InvalidConfig, match=r"'threshold_ratios' must be distinct, got \[0.3, 0.3, 0.1\]"):
+            privacy.ReconstructionConfig(threshold_ratios=[0.3, 0.3, 0.1])
+        with pytest.raises(InvalidConfig, match="distinct"):
+            privacy.ReconstructionConfig(threshold_ratios=(1, 1.0))  # equal as floats
+        assert privacy.ReconstructionConfig(threshold_ratios=[0.6, 0.1, 0.3]).threshold_ratios == (0.1, 0.3, 0.6)
+
     @pytest.mark.parametrize("size", [0, -1])
     def test_sample_size_below_one_rejected(self, size):
         with pytest.raises(InvalidConfig, match="at least 1"):

@@ -14,7 +14,7 @@ import shutil
 import sys
 import tempfile
 import weakref
-from dataclasses import fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthmeter import cli, demo, fidelity, gmm, kernels, poisoning, privacy, profiles, report
+from synthmeter import cli, demo, fidelity, gmm, kernels, poisoning, privacy, profiles, report, utility
 from synthmeter.errors import InvalidConfig, RatioNotComputed
 from synthmeter.generators import GeneratorMetadata, MemorizerConfig, memorizer_generate
 from synthmeter.poisoning import OutlierSpec, make_attack_registry, write_registry
@@ -390,6 +390,22 @@ class TestCli:
         assert err.startswith("error: --ratios ") and err.count("\n") == 1
         assert not (tmp_path / "recon.json").exists()
 
+    def test_recon_poisoned_colliding_ratios_exit_2(self, workspace, tmp_path, capsys, no_reads):
+        # 0.5 and 0.5 + 1e-13 are one point after the grid's round(..., 10)
+        rc = cli.main(
+            [
+                "privacy", "recon-poisoned",
+                "--registry", str(workspace / "registry.csv"),
+                "--synthetic", str(workspace / "synthetic.csv"),
+                "--ratios", "0.5:0.5000000000001:1e-13",
+                "--report", str(tmp_path / "recon.json"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: 'threshold_ratios' must be distinct, got [0.5, 0.5]\n"
+        assert not (tmp_path / "recon.json").exists()
+
     def test_recon_poisoned_negative_sample_size_exits_2(self, workspace, tmp_path, capsys, no_reads):
         # the config is built before any file is read
         rc = cli.main(
@@ -476,9 +492,9 @@ class TestCli:
         real = read_wide(tmp_path / "real.csv")
         synthetic = read_wide(tmp_path / "synthetic.csv", horizon=real.horizon)
         fixed, median = (
-            fidelity.evaluate_fidelity(
+            report.entry(fidelity.evaluate_fidelity(
                 real, synthetic, fidelity.FidelityConfig(clusters_k=4, mmd_bandwidth=bandwidth, seed=0)
-            ).as_dict()
+            ))
             for bandwidth in (2.0, kernels.MEDIAN_HEURISTIC)
         )
         for key in ("acf_mmd", "profile_mmd", "peaks_mmd"):
@@ -616,6 +632,7 @@ class TestCli:
         "sample_size_float": "privacy option 'sample_size' must be an integer or null, got 5.5",
         "ratios_string": "privacy option 'threshold_ratios' must be a list of numbers, got '0.3'",
         "ratios_empty": "'threshold_ratios' must be non-empty, got []",
+        "ratios_repeated": "'threshold_ratios' must be distinct, got [0.3, 0.3, 0.1]",
         "policy_no_max_fraction": "privacy option 'policy' must be an object with numeric ratio and max_fraction",
         "policy_list": "privacy option 'policy' must be an object with numeric ratio and max_fraction, got [0.3",
         "epochs_string": "utility option 'epochs' must be an integer, got 'ten'",
@@ -706,6 +723,7 @@ class TestCli:
             "tasks_string": {"utility": {**fit, "tasks": "classify"}},
             "seed_negative": {"seed": -5},
             "ratios_empty": {"privacy": {"recon_poisoned": True, "threshold_ratios": []}},
+            "ratios_repeated": {"privacy": {"recon_poisoned": True, "threshold_ratios": [0.3, 0.3, 0.1]}},
             "tasks_empty": {"utility": {**fit, "tasks": []}},
             "fidelity_key": {"fidelity": {"mmd_bandwith": 1.0}},
             "privacy_key": {"privacy": {"recon": True, "sample_sise": 5}},
@@ -1137,6 +1155,98 @@ def test_subcommand_writes_its_evaluate_entry(demo_evaluation, tmp_path, command
     assert rc == 0
     section, key = entry
     assert json.loads(out.read_text()) == evaluated[section][key]
+
+
+# the hand-written encodings that report.entry replaced, kept as its oracles
+def fidelity_encoding(result: fidelity.FidelityReport) -> dict:
+    return {
+        "acf_mmd": result.acf_mmd,
+        "mean_deviation_sum": result.mean_deviation_sum,
+        "quantile_deviation_sums": {str(q): v for q, v in result.quantile_deviation_sums.items()},
+        "profile_mmd": result.profile_mmd,
+        "peaks_mmd": result.peaks_mmd,
+        "cluster_kl": result.cluster_kl,
+        "aggregated": asdict(result.aggregated),
+        "exclusion_counts": dict(result.exclusion_counts),
+    }
+
+
+def reconstruction_encoding(result: privacy.ReconstructionResult) -> dict:
+    return {
+        "fraction_reconstructed": {repr(r): v for r, v in result.fraction_reconstructed.items()},
+        "per_outlier_nn_distance_ratio": [float(v) for v in result.per_outlier_nn_distance_ratio],
+        "ks": None,
+    }
+
+
+def tstr_encoding(result: utility.TstrResult) -> dict:
+    return {
+        "metric_name": result.metric_name,
+        "score_real_trained": result.score_real_trained,
+        "score_synthetic_trained": result.score_synthetic_trained,
+        "absolute_gap": result.absolute_gap,
+        "epochs_trace": [[e, a, b] for e, a, b in result.epochs_trace],
+    }
+
+
+def test_entry_matches_the_hand_written_encodings(demo_evaluation):
+    workspace, evaluated = demo_evaluation
+    manifest = report.read_json(workspace / "manifest.json")
+    suites = report.plan(manifest, manifest.get("seed", 0))
+    read = report.reader(manifest, workspace)[0]
+    (fidelity_config,) = suites["fidelity"]
+    _, privacy_config, _ = suites["privacy"]
+    tasks, train_config, _ = suites["utility"]
+
+    @kernels.one_blas_thread  # as evaluate runs, so the results carry its bits
+    def results():
+        return (
+            fidelity.evaluate_fidelity(*map(read, report.FILES["fidelity"]), fidelity_config),
+            privacy.reconstruction_poisoned(*map(read, report.FILES["recon_poisoned"]), privacy_config),
+            utility.tstr_classify(*map(read, report.UTILITY_FILES), train_config),
+        )
+
+    fid, recon, tstr = results()
+    cases = [
+        (report.entry(fid), fidelity_encoding(fid), evaluated["fidelity"]),
+        # privacy_section adds the always-null "ks" key to the reconstruction entry
+        (
+            {**report.entry(recon), "ks": None},
+            reconstruction_encoding(recon),
+            evaluated["privacy"]["reconstruction"],
+        ),
+        (report.entry(tstr), tstr_encoding(tstr), evaluated["utility"][tasks.index("classify")]),
+    ]
+    for got, oracle, written in cases:
+        assert got == oracle
+        assert report.render_report(got) == report.render_report(oracle)
+        assert json.loads(report.render_report(got)) == written
+
+
+@dataclass
+class _Inner:
+    counts: dict
+    values: np.ndarray
+
+
+@dataclass
+class _Outer:
+    name: str
+    inner: _Inner
+    pairs: list
+    hidden: object = field(default=None, repr=False)
+
+
+def test_entry_encoding_rules():
+    key = np.float64(0.5)
+    assert report.entry({key: 1.0, 2: "two"}) == {"0.5": 1.0, "2": "two"}  # str, not repr(key)
+    array = report.entry(np.array([[1.0, 2.5], [3.0, 4.0]]))
+    assert array == [[1.0, 2.5], [3.0, 4.0]] and type(array[0][0]) is float
+    encoded = report.entry(_Outer("x", _Inner({key: 2}, np.arange(3)), [(1, 0.5), (2, 0.25)], hidden=np.ones(2)))
+    assert encoded == {"name": "x", "inner": {"counts": {"0.5": 2}, "values": [0, 1, 2]},
+                       "pairs": [[1, 0.5], [2, 0.25]]}  # the repr=False field is left out
+    assert all(type(pair) is list for pair in encoded["pairs"])
+    assert report.entry((None, True, "s", 3)) == [None, True, "s", 3]
 
 
 def test_mia_poisoned_prints_the_registry_chance_level(demo_evaluation, tmp_path, capsys):
