@@ -103,7 +103,6 @@ def _add_privacy(sub) -> None:
             parser.add_argument(f"--{key}", required=True)
         if name == "recon-poisoned":
             parser.add_argument("--ratios", default=None, help="start:stop:step, e.g. 0.05:1.0:0.05")
-            parser.add_argument("--curve-out", default=None, help="ratio,fraction table path")
         if name.startswith("recon"):
             parser.add_argument("--sample-size", type=int, default=None)
         parser.add_argument("--seed", type=_seed, default=0)
@@ -276,7 +275,7 @@ def _cmd_suite(args) -> int:
     if summary is not None:
         print(summary(entry, args))
         return 0
-    curve_out = args.curve_out or str(Path(args.report).with_suffix(".curve.csv"))
+    curve_out = Path(args.report).with_suffix(".curve.csv")
     report.write_table(curve_out, *tables["reconstruction_cdf.csv"])
     fraction_03 = entry["fraction_reconstructed"].get("0.3")
     extra = "" if fraction_03 is None else f"; {fraction_03:.0%} reconstructed at ratio 0.3"

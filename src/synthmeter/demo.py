@@ -23,7 +23,7 @@ import numpy as np
 from . import generators, gmm, kernels, poisoning
 from .errors import InvalidConfig, SynthmeterError
 from .profiles import LONG_HEADER, Horizon, ProfileSet, SplitSpec, SUMMER_AUTUMN, WINTER_SPRING
-from .profiles import season_label, split_households, write_wide
+from .profiles import generated, season_label, split_households, write_wide
 
 _SLOTS = np.arange(48)
 
@@ -121,14 +121,7 @@ def labelled_gmm_synthetic(train, seed: int = 0):
         part = generators.gmm_generate(subset, len(subset), gmm.FitConfig(k=k, seed=seed))
         parts.append(part.values)
         labels.extend([label] * len(part))
-    values = np.vstack(parts)
-    return ProfileSet(
-        values=values,
-        household_ids=tuple(f"synfit_{i:06d}" for i in range(len(values))),
-        start_dates=(min(train.start_dates),) * len(values),
-        horizon=train.horizon,
-        labels=tuple(labels),
-    )
+    return generated(np.vstack(parts), "synfit", train.horizon, labels=labels, start=min(train.start_dates))
 
 
 @kernels.one_blas_thread

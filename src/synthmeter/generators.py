@@ -14,14 +14,13 @@ the toolkit never computes privacy budgets.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gmm
 from .errors import InvalidConfig, check_value
-from .profiles import ProfileSet
+from .profiles import ProfileSet, generated
 
 EXTERNAL = "external"
 
@@ -61,13 +60,7 @@ def memorizer_generate(train: ProfileSet, n: int, config: MemorizerConfig) -> Pr
     if config.jitter_sigma > 0:
         values = values + rng.normal(0.0, config.jitter_sigma, size=values.shape)
         values = np.maximum(values, 0.0)
-    epoch = dt.date(2000, 1, 1)
-    return ProfileSet(
-        values=values,
-        household_ids=tuple(f"memorizer_{i:06d}" for i in range(n)),
-        start_dates=(epoch,) * n,
-        horizon=train.horizon,
-    )
+    return generated(values, "memorizer", train.horizon)
 
 
 def gmm_generate(train: ProfileSet, n: int, config: gmm.FitConfig) -> ProfileSet:

@@ -9,13 +9,12 @@ constrained maximiser).
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, TooFewRows, check_value
-from .profiles import Horizon, ProfileSet
+from .profiles import Horizon, ProfileSet, generated
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _EXP_CLIP = -700.0  # np.exp is fast at and above this input
@@ -150,39 +149,25 @@ def _seed_means(x: np.ndarray, k: int, rng: np.random.Generator, rows: np.ndarra
     return means
 
 
-@dataclass
-class _Workspace:
-    """What the restarts of one fit share: the rows ``x``, ``x * x``, the
-    floored per-dimension variance, two n × k buffers (log-responsibilities
-    and responsibilities) and the seeding's chunk buffer."""
-
-    x: np.ndarray
-    xx: np.ndarray
-    global_var: np.ndarray
-    log_resp: np.ndarray
-    resp: np.ndarray
-    rows: np.ndarray
-
-
-def _run_em(work: _Workspace, config: FitConfig, rng: np.random.Generator) -> GmmModel:
-    """One EM run from a k-means++ seed. It reads ``work`` and overwrites its
-    buffers; it allocates nothing of the size of ``x``."""
-    x, xx = work.x, work.xx
+def _run_em(x, xx, global_var, buffers, config: FitConfig, rng: np.random.Generator) -> GmmModel:
+    """One EM run from a k-means++ seed on the rows ``x`` (``xx`` is ``x * x``,
+    ``global_var`` their floored per-dimension variance). It overwrites
+    ``buffers``, the (log-responsibilities, responsibilities, seeding chunk)
+    triple, and allocates nothing of the size of ``x``."""
+    log_resp_buf, resp_buf, rows = buffers
     n = len(x)
     k = config.k
-    means = _seed_means(x, k, rng, work.rows)
-    variances = np.tile(work.global_var, (k, 1))
+    means = _seed_means(x, k, rng, rows)
+    variances = np.tile(global_var, (k, 1))
     weights = np.full(k, 1.0 / k)
 
     trace: list[float] = []
     prev_mean_ll = -np.inf
     for _ in range(config.max_iter):
-        log_resp, log_norm = _log_responsibilities(
-            x, xx, weights, means, variances, work.log_resp, work.resp
-        )
+        log_resp, log_norm = _log_responsibilities(x, xx, weights, means, variances, log_resp_buf, resp_buf)
         mean_ll = float(log_norm.mean())
         trace.append(mean_ll)
-        resp = _exp(log_resp, out=work.resp)
+        resp = _exp(log_resp, out=resp_buf)
         counts = resp.sum(axis=0)  # (k,)
         weights = counts / n
         # starved components keep their parameters; their weight alone is
@@ -197,7 +182,7 @@ def _run_em(work: _Workspace, config: FitConfig, rng: np.random.Generator) -> Gm
             break
         prev_mean_ll = mean_ll
     # trace the post-update likelihood so the trace ends at the final model
-    _, log_norm = _log_responsibilities(x, xx, weights, means, variances, work.log_resp, work.resp)
+    _, log_norm = _log_responsibilities(x, xx, weights, means, variances, log_resp_buf, resp_buf)
     trace.append(float(log_norm.mean()))
     return GmmModel(
         weights=weights,
@@ -208,25 +193,21 @@ def _run_em(work: _Workspace, config: FitConfig, rng: np.random.Generator) -> Gm
 
 
 def _fit(data, config: FitConfig) -> GmmModel:
-    """Check the rows (TooFewRows), make the workspace of one fit and run
-    the n_init EM runs from it, in order; the first run with the highest
+    """Check the rows (TooFewRows), make the arrays and buffers of one fit and
+    run the n_init EM runs on them, in order; the first run with the highest
     final log-likelihood wins. Everything of the size of the data is made
     here, on the thread that runs the fit."""
     x = data.values if isinstance(data, ProfileSet) else np.asarray(data, dtype=np.float64)
     if len(x) < config.k:
         raise TooFewRows(f"{len(x)} rows for k={config.k}")
-    work = _Workspace(
-        x=x,
-        xx=x * x,
-        global_var=np.maximum(x.var(axis=0), config.variance_floor),
-        log_resp=np.empty((len(x), config.k)),
-        resp=np.empty((len(x), config.k)),
-        rows=np.empty((min(len(x), _SEED_ROWS), x.shape[1])),
-    )
+    xx = x * x
+    global_var = np.maximum(x.var(axis=0), config.variance_floor)
+    buffers = (np.empty((len(x), config.k)), np.empty((len(x), config.k)),
+               np.empty((min(len(x), _SEED_ROWS), x.shape[1])))
     streams = np.random.SeedSequence(config.seed).spawn(config.n_init)
     best: GmmModel | None = None
     for stream in streams:
-        model = _run_em(work, config, np.random.default_rng(stream))
+        model = _run_em(x, xx, global_var, buffers, config, np.random.default_rng(stream))
         if best is None or model.log_likelihood_trace[-1] > best.log_likelihood_trace[-1]:
             best = model
     assert best is not None
@@ -236,7 +217,7 @@ def _fit(data, config: FitConfig) -> GmmModel:
 def fit(data, config: FitConfig) -> GmmModel:
     """Fit by EM with k-means++ seeding; best of n_init restarts wins.
 
-    The restarts share one workspace and run on the calling thread.
+    The restarts share one set of buffers and run on the calling thread.
     """
     return _fit(data, config)
 
@@ -294,12 +275,5 @@ def sample(model: GmmModel, n: int, seed: int) -> SampleResult:
     del scaled
     clamp_count = int((values < 0).sum())
     np.maximum(values, 0.0, out=values)
-    epoch = dt.date(2000, 1, 1)
-    profiles = ProfileSet(
-        values=values,
-        household_ids=tuple(f"gmm_{i:06d}" for i in range(n)),
-        start_dates=(epoch,) * n,
-        horizon=horizon,
-    )
-    return SampleResult(profiles=profiles, clamp_count=clamp_count)
+    return SampleResult(profiles=generated(values, "gmm", horizon), clamp_count=clamp_count)
 

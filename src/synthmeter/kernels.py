@@ -592,8 +592,8 @@ def kl_divergence(p, q, smoothing: float = 0.0) -> float:
     """KL(p || q) over discrete distributions with optional additive smoothing.
 
     Smoothing alpha is added to both vectors before renormalising;
-    0 * ln(0/q) counts as 0. With no smoothing, q_i = 0 < p_i raises
-    ZeroMass.
+    0 * ln(0/q) counts as 0. A normalised q_i that is zero or subnormal
+    where p_i > 0 raises ZeroMass.
     """
     p_arr = np.asarray(p, dtype=np.float64).ravel()
     q_arr = np.asarray(q, dtype=np.float64).ravel()
@@ -612,8 +612,9 @@ def kl_divergence(p, q, smoothing: float = 0.0) -> float:
     p_s = p_s / p_total
     q_s = q_s / q_total
     support = p_s > 0
-    if np.any(support & (q_s == 0)):
-        raise ZeroMass("q has zero mass on the support of p and smoothing is 0")
+    # a subnormal q_i counts as zero mass: p_i / q_i could overflow
+    if np.any(support & (q_s < np.finfo(np.float64).tiny)):
+        raise ZeroMass("q has zero mass on the support of p")
     return float(np.sum(p_s[support] * np.log(p_s[support] / q_s[support])))
 
 

@@ -9,19 +9,16 @@ attacks can be scored against known ground truth.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import MalformedRow, SynthmeterError, check_value
-from .profiles import Horizon, ProfileSet, read_wide, require_same_horizon, write_wide
+from .profiles import Horizon, ProfileSet, generated, read_wide, require_same_horizon, write_wide
 
 SEEN = "seen"
 UNSEEN_SAME = "unseen_same"
 UNSEEN_DIFF = "unseen_diff"
-
-_REGISTRY_DATE = dt.date(2000, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -51,13 +48,7 @@ def make_outliers(
         rng = np.random.default_rng(spec.seed)
     values = rng.normal(spec.mu, spec.sigma, size=(spec.count, horizon.length))
     values = np.maximum(values, 0.0)
-    return ProfileSet(
-        values=values,
-        household_ids=tuple(f"outlier_{group}_{i:04d}" for i in range(spec.count)),
-        start_dates=(_REGISTRY_DATE,) * spec.count,
-        horizon=horizon,
-        labels=(group,) * spec.count,
-    )
+    return generated(values, f"outlier_{group}", horizon, labels=(group,) * spec.count, digits=4)
 
 
 def _concat(*sets: ProfileSet) -> ProfileSet:

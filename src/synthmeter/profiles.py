@@ -13,6 +13,7 @@ import datetime as dt
 import enum
 import io
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -127,6 +128,23 @@ class ProfileSet:
         )
 
 
+GENERATED_START = dt.date(2000, 1, 1)  # the start date of generated rows, which have no day of their own
+
+
+def generated(values, prefix: str, horizon: Horizon, labels=(), start: dt.date = GENERATED_START,
+              digits: int = 6) -> ProfileSet:
+    """Generated rows as a set: row i's id is ``prefix`` and i zero-padded to ``digits``
+    (``gmm_000000``), and every row starts on ``start``."""
+    n = len(values)
+    return ProfileSet(
+        values=values,
+        household_ids=tuple(f"{prefix}_{i:0{digits}d}" for i in range(n)),
+        start_dates=(start,) * n,
+        horizon=horizon,
+        labels=labels,
+    )
+
+
 def require_same_horizon(*sets: ProfileSet) -> Horizon:
     horizons = {s.horizon for s in sets}
     if len(horizons) != 1:
@@ -151,15 +169,20 @@ class IngestResult:
     dropped_periods: int
 
 
+# YYYY-MM-DD, T or a space, HH:MM, an optional :SS with an optional fraction, an optional Z;
+# [0-9], as \d also matches other scripts' digits
+_TIMESTAMP = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})[T ]([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:\.([0-9]+))?)?Z?")
+
+
 def _parse_timestamp(raw: str, line: int, path) -> dt.datetime:
-    text = raw.strip()
-    if text.endswith("Z"):
-        text = text[:-1]
+    """The time of a ``_TIMESTAMP`` text (surrounding spaces aside) on a half-hour boundary,
+    the same on every Python."""
+    match = _TIMESTAMP.fullmatch(raw.strip())
     try:
-        ts = dt.datetime.fromisoformat(text)
-    except ValueError:
+        ts = dt.datetime(*(int(field or 0) for field in match.groups()[:6]))
+    except (AttributeError, ValueError):  # no match (None has no groups), or a field out of its range
         raise MalformedRow(line, f"bad timestamp {raw!r}", path) from None
-    if ts.minute not in (0, 30) or ts.second or ts.microsecond:
+    if ts.minute not in (0, 30) or ts.second or (match[7] or "").strip("0"):
         raise MalformedRow(line, f"timestamp {raw!r} not on a half-hour boundary", path)
     return ts
 
@@ -171,7 +194,7 @@ def _week_start(day: dt.date) -> dt.date:
 def ingest(readings_path, horizon: Horizon) -> IngestResult:
     """Build one profile per household per complete day/week from long CSV.
 
-    Input columns: household_id, timestamp (ISO-8601, half-hour aligned),
+    Input columns: household_id, timestamp (``_TIMESTAMP``, half-hour aligned),
     kwh. A period with any missing or duplicated slot is dropped and
     counted; nothing is imputed. Output rows are sorted by household id
     then start date, so the result is independent of input order.
@@ -375,8 +398,8 @@ def _parse_chunk(records: list, length: int, path):
     """(ids, dates, labels, values) of a chunk of ``_records``; repeated id, date and label texts
     share one object each. np.loadtxt parses all values with CPython's correctly rounded
     string-to-double, so its bits are float()'s. A wrong field count, a bad date, a
-    ``_LOADTXT_SPACE`` character, a text np.loadtxt refuses (float() takes ``1_0``), a NaN or a
-    magnitude above ``MAX_KWH`` sends the chunk to ``_check_records``."""
+    ``_LOADTXT_SPACE`` character, a text np.loadtxt refuses (float() takes ``1_0``), a NaN, a
+    negative value or one above ``MAX_KWH`` sends the chunk to ``_check_records``."""
     fields = [record[2] for record in records]
     if any(len(f) != 4 or not f[3] or f[3].isspace() for f in fields):  # loadtxt warns on chunks of blank lines
         return _check_records(records, length, path)
@@ -391,7 +414,7 @@ def _parse_chunk(records: list, length: int, path):
         values = None
     # min and max are NaN if any value is, and NaN fails the test
     if (values is None or values.shape != (len(records), length) or any(char in text for char in _LOADTXT_SPACE)
-            or not -MAX_KWH <= values.min() <= values.max() <= MAX_KWH):
+            or not 0 <= values.min() <= values.max() <= MAX_KWH):
         return _check_records(records, length, path)
     return ids, [date_of[day] for day in days], labels, values
 
@@ -412,8 +435,10 @@ def _check_records(records: list, length: int, path):
             values = np.array([float(v) for v in row[3:]])
         except ValueError:
             raise MalformedRow(line, "bad kWh value", path) from None
-        if not abs(values).max() <= MAX_KWH:  # NaN fails it too
-            fault = f"kWh magnitude above {MAX_KWH:g}" if np.isfinite(values).all() else "non-finite kWh value"
+        if not 0 <= values.min() <= values.max() <= MAX_KWH:  # NaN fails it too
+            # named in ProfileSet's order: non-finite, negative, above MAX_KWH
+            fault = ("non-finite kWh value" if not np.isfinite(values).all() else
+                     "negative kWh value" if values.min() < 0 else f"kWh magnitude above {MAX_KWH:g}")
             raise MalformedRow(line, fault, path)
         checked.append((row[0], date, row[2], values))
     ids, dates, labels, rows = zip(*checked)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import datetime as dt
+
 import numpy as np
 
 from synthmeter import gmm, kernels
@@ -36,6 +38,12 @@ class TestMemorizer:
         for jitter in (0.0, 0.05):
             out = memorizer_generate(small_population, 50, MemorizerConfig(jitter_sigma=jitter, seed=3))
             assert not np.shares_memory(out.values, small_population.values)
+
+    def test_ids_dates_and_labels(self, small_population):
+        out = memorizer_generate(small_population, 3, MemorizerConfig(seed=1))
+        assert out.household_ids == ("memorizer_000000", "memorizer_000001", "memorizer_000002")
+        assert out.start_dates == (dt.date(2000, 1, 1),) * 3
+        assert out.labels == ("",) * 3 and out.horizon is small_population.horizon
 
     def test_deterministic(self, small_population):
         a = memorizer_generate(small_population, 50, MemorizerConfig(0.05, seed=9))

@@ -839,6 +839,13 @@ class TestKlDivergence:
         with pytest.raises(ZeroMass):
             kernels.kl_divergence([1.0, 0.0], [0.0, 1.0], smoothing=0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_q_is_zero_mass(self):
+        # p_i / q_i would overflow to inf; under a caller's raising errstate too
+        for over in ("warn", "raise"):
+            with np.errstate(over=over), pytest.raises(ZeroMass):
+                kernels.kl_divergence([1.0, 1.0], [1e-320, 1.0])
+
     @pytest.mark.parametrize(
         "p, q, smoothing",
         [

@@ -121,10 +121,12 @@ def reference_read_wide(path, horizon=None):
                 values = np.array([float(v) for v in row[3:]])
             except ValueError:
                 raise MalformedRow(line, "bad kWh value", path) from None
-            if not abs(values).max() <= MAX_KWH:
-                finite = np.isfinite(values).all()
-                fault = f"kWh magnitude above {MAX_KWH:g}" if finite else "non-finite kWh value"
-                raise MalformedRow(line, fault, path)
+            if not np.isfinite(values).all():
+                raise MalformedRow(line, "non-finite kWh value", path)
+            if (values < 0).any():
+                raise MalformedRow(line, "negative kWh value", path)
+            if (values > MAX_KWH).any():
+                raise MalformedRow(line, f"kWh magnitude above {MAX_KWH:g}", path)
             ids.append(row[0])
             dates.append(date)
             labels.append(row[2])
@@ -228,6 +230,11 @@ def day_rows(household, day, values):
         (household, (base + dt.timedelta(minutes=30 * i)).isoformat(), values[i])
         for i in range(len(values))
     ]
+
+
+# the two timestamp errors of ingest, for a timestamp text
+BAD_TIMESTAMP = "bad timestamp {!r}"
+OFF_BOUNDARY = "timestamp {!r} not on a half-hour boundary"
 
 
 class TestIngest:
@@ -407,6 +414,58 @@ class TestIngest:
         assert got.value.line == want.value.line == 9
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"{path}: line 9: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2013-02-04T00:30", "2013-02-04 00:30", "2013-02-04T00:30:00", "2013-02-04T00:30:00.0",
+            "2013-02-04 00:30:00.0000000", "2013-02-04T00:30Z", "2013-02-04T00:30:00.000000Z",
+            " 2013-02-04T00:30:00Z ",
+        ],
+        ids=["minutes", "space", "seconds", "fraction", "seven_digit_fraction", "z", "fraction_z",
+             "surrounding_spaces"],
+    )
+    def test_timestamp_grammar_accepted(self, text):
+        assert _parse_timestamp(text, 2, "r.csv") == dt.datetime(2013, 2, 4, 0, 30)
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ("20130204T003000", BAD_TIMESTAMP),  # Python 3.11's fromisoformat takes these three
+            ("2013-W06-1T00:30", BAD_TIMESTAMP),
+            ("2013-02-04T00:30:00+05:00", BAD_TIMESTAMP),
+            ("2013-02-04", BAD_TIMESTAMP),
+            ("2013-02-04T00", BAD_TIMESTAMP),
+            ("2013-02-04T0:30", BAD_TIMESTAMP),
+            ("2013-02-04  00:30", BAD_TIMESTAMP),
+            ("2013-02-04t00:30", BAD_TIMESTAMP),
+            ("2013-02-04T00:30:00,0", BAD_TIMESTAMP),
+            ("2013-02-04T00:30.0", BAD_TIMESTAMP),
+            ("2013-02-04T00:30z", BAD_TIMESTAMP),
+            ("\u0662013-02-04T00:30", BAD_TIMESTAMP),
+            ("2013-02-30T00:30", BAD_TIMESTAMP),
+            ("2013-02-04T24:00", BAD_TIMESTAMP),
+            ("2013-02-04T00:30:60", BAD_TIMESTAMP),
+            ("2013-02-04T00:15", OFF_BOUNDARY),
+            ("2013-02-04T00:30:01", OFF_BOUNDARY),
+            ("2013-02-04T00:30:00.0000001", OFF_BOUNDARY),
+        ],
+        ids=["basic_format", "week_date", "offset", "date_only", "hour_only", "one_digit_hour", "two_spaces",
+             "lower_t", "comma_fraction", "fraction_without_seconds", "lower_z", "non_ascii_digit",
+             "day_out_of_range", "hour_24", "second_60", "quarter_hour", "second", "fraction"],
+    )
+    def test_timestamp_grammar_rejected(self, text, fault):
+        with pytest.raises(MalformedRow) as err:
+            _parse_timestamp(text, 2, "r.csv")
+        assert str(err.value) == f"r.csv: line 2: {fault.format(text)}"
+
+    def test_london_timestamps_ingest(self, tmp_path):
+        # the London smart-meter data's form: a space and seven fractional digits
+        path = tmp_path / "readings.csv"
+        rows = day_rows("h1", "2011-12-03", [0.5] * 48)
+        write_long(path, [(h, f"{ts.replace('T', ' ')}.0000000", kwh) for h, ts, kwh in rows])
+        got = ingest(path, Horizon.DAILY).profiles
+        assert got.start_dates == (dt.date(2011, 12, 3),) and got.values.tolist() == [[0.5] * 48]
 
     def test_empty_file_error_names_the_file(self, tmp_path):
         path = tmp_path / "readings.csv"
@@ -679,6 +738,8 @@ READ_FAULTS = {
     "overflow_to_inf": faulty(with_value(wide_row(9), 7, "1e400")),
     "above_max_kwh": faulty(with_value(wide_row(9), 7, "1e300")),
     "negative": faulty(with_value(wide_row(9), 7, "-0.5")),
+    "negative_then_nan": faulty(with_value(with_value(wide_row(9), 7, "-0.5"), 8, "nan")),  # non-finite first
+    "above_max_kwh_then_negative": faulty(with_value(with_value(wide_row(9), 7, "1e300"), 8, "-0.5")),
     "empty_file": "",
     "header_only": wide_text([]),
     "blank_only": wide_text(["", " "]),
@@ -886,6 +947,31 @@ class TestProfileSet:
                 start_dates=(dt.date(2012, 1, 1),),
                 horizon=Horizon.DAILY,
             )
+
+
+class TestGenerated:
+    def test_ids_dates_and_labels(self):
+        rows = profiles.generated(np.full((3, 48), 0.4), "gmm", Horizon.DAILY)
+        assert rows.household_ids == ("gmm_000000", "gmm_000001", "gmm_000002")
+        assert rows.start_dates == (profiles.GENERATED_START,) * 3 == (dt.date(2000, 1, 1),) * 3
+        assert rows.labels == ("",) * 3 and rows.horizon is Horizon.DAILY
+        np.testing.assert_array_equal(rows.values, np.full((3, 48), 0.4))
+
+    def test_digits_start_and_labels_given(self):
+        rows = profiles.generated(
+            np.zeros((2, 336)), "outlier_seen", Horizon.WEEKLY, labels=["seen", "seen"],
+            start=dt.date(2013, 2, 4), digits=4,
+        )
+        assert rows.household_ids == ("outlier_seen_0000", "outlier_seen_0001")
+        assert rows.start_dates == (dt.date(2013, 2, 4),) * 2 and rows.labels == ("seen", "seen")
+
+    def test_padding_widens_past_the_digits(self):
+        rows = profiles.generated(np.zeros((12, 48)), "x", Horizon.DAILY, digits=1)
+        assert rows.household_ids[:2] == ("x_0", "x_1") and rows.household_ids[-1] == "x_11"
+
+    def test_no_rows(self):
+        rows = profiles.generated(np.zeros((0, 48)), "gmm", Horizon.DAILY)
+        assert len(rows) == 0 and rows.household_ids == rows.start_dates == rows.labels == ()
 
 
 class TestSplitHouseholds:

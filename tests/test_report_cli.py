@@ -368,7 +368,20 @@ class TestCli:
         assert list(fractions) == ["0.1", "0.2", "0.3", "0.4", "0.5"]
         expected = "ratio,fraction\n" + "".join(f"{r},{v!r}\n" for r, v in fractions.items())
         assert (tmp_path / "recon.curve.csv").read_text() == expected
-        assert "reconstructed at ratio 0.3" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"reconstruction curve written to {tmp_path / 'recon.curve.csv'};" in out
+        assert "reconstructed at ratio 0.3" in out
+
+    def test_recon_poisoned_curve_out_is_an_unknown_flag(self, tmp_path, monkeypatch, capsys):
+        # the curve always goes beside the report, as <report>.curve.csv
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["privacy", "recon-poisoned", "--registry", "r", "--synthetic", "s",
+                      "--report", "recon.json", "--curve-out", "c.csv"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: unrecognized arguments: --curve-out c.csv" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "ratios",
@@ -611,9 +624,9 @@ class TestCli:
     # each bad input and the text its error line must contain
     BAD_INPUT = {
         "horizon": "unknown horizon 'hourly'; expected daily or weekly",
-        "negative_fidelity": "negative kWh in profile row 2 (household H",
-        "negative_split": "negative kWh in profile row 2 (household H",
-        "negative_evaluate": "negative kWh in profile row 2 (household H",
+        "negative_fidelity": "train_-0.5.csv: line 4: negative kWh value",
+        "negative_split": "train_-0.5.csv: line 4: negative kWh value",
+        "negative_evaluate": "train_-0.5.csv: line 4: negative kWh value",
         "missing_manifest": "No such file or directory: '{missing}.json'",
         "missing_input": "No such file or directory: '{missing}.csv'",
         "manifest_json": "{bad} is not valid JSON",
@@ -626,7 +639,7 @@ class TestCli:
         "seed_negative": "manifest key 'seed' must be a non-negative integer, got -5",
         "generator_bool": "manifest key 'generator' must be an object, got True",
         "privacy_string": "manifest key 'privacy' must be an object, true, false or null, got 'yes'",
-        "negative_registry": "negative kWh in profile row 2 (household outlier_seen_0002, 2000-01-01)",
+        "negative_registry": "registry_-0.5.csv: line 4: negative kWh value",
         "zero_norm_registry": "registry outlier row 2 (household outlier_seen_0002) is all zero",
         "sample_size_string": "privacy option 'sample_size' must be an integer or null, got '5'",
         "sample_size_float": "privacy option 'sample_size' must be an integer or null, got 5.5",
