@@ -170,14 +170,15 @@ class IngestResult:
 
 
 # YYYY-MM-DD, T or a space, HH:MM, an optional :SS with an optional fraction, an optional Z;
-# [0-9], as \d also matches other scripts' digits
-_TIMESTAMP = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})[T ]([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:\.([0-9]+))?)?Z?")
+# [0-9], as \d also matches other scripts' digits. re compiles it on first use: compiled at import,
+# it raised perfbench attacks-tstr-5k's peak RSS by 0.3 MB (2 vCPUs), though evaluations never ingest.
+_TIMESTAMP = r"([0-9]{4})-([0-9]{2})-([0-9]{2})[T ]([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:\.([0-9]+))?)?Z?"
 
 
 def _parse_timestamp(raw: str, line: int, path) -> dt.datetime:
     """The time of a ``_TIMESTAMP`` text (surrounding spaces aside) on a half-hour boundary,
     the same on every Python."""
-    match = _TIMESTAMP.fullmatch(raw.strip())
+    match = re.fullmatch(_TIMESTAMP, raw.strip())
     try:
         ts = dt.datetime(*(int(field or 0) for field in match.groups()[:6]))
     except (AttributeError, ValueError):  # no match (None has no groups), or a field out of its range
