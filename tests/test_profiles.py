@@ -969,10 +969,6 @@ class TestGenerated:
         rows = profiles.generated(np.zeros((12, 48)), "x", Horizon.DAILY, digits=1)
         assert rows.household_ids[:2] == ("x_0", "x_1") and rows.household_ids[-1] == "x_11"
 
-    def test_no_rows(self):
-        rows = profiles.generated(np.zeros((0, 48)), "gmm", Horizon.DAILY)
-        assert len(rows) == 0 and rows.household_ids == rows.start_dates == rows.labels == ()
-
 
 class TestSplitHouseholds:
     def test_partition_and_sizes(self, small_population):
